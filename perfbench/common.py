@@ -1,4 +1,4 @@
-"""Shared pieces of the benchmark: metric names, statistics, environment.
+"""Shared pieces of the benchmark: metric names, process environment.
 
 The metric names here are the benchmark's public contract: the root
 ``BENCHMARK.json`` lists the same names, and ``run.py`` refuses to print
@@ -11,35 +11,38 @@ import json
 import os
 import pathlib
 import platform
-import statistics
 import sys
 
 HERE = pathlib.Path(__file__).resolve().parent
 
-HIL_WORKLOADS = ("hil_small", "hil_fig6")
+HIL_WORKLOADS = ("hil_small",)
 WIRE_WORKLOADS = ("wire_local", "wire_broker")
 WORKLOADS = HIL_WORKLOADS + WIRE_WORKLOADS
 
-#: End-to-end metrics (``--trace 0``): name -> unit.
+#: End-to-end metrics (``--trace 0``): name -> unit.  Each is CPU time of
+#: the processes doing the work, in the fastest of many repeats of the
+#: same unit of work; see README.md for why.
 END_TO_END = {
     "setup_s": "s",
     "samples_per_s": "1/s",
-    "hit_p50_ms": "ms",
-    "hit_p90_ms": "ms",
-    "miss_p50_ms": "ms",
-    "miss_p90_ms": "ms",
+    "hit_cpu_ms": "ms",
+    "miss_cpu_ms": "ms",
 }
 
-#: Network layers of the two HIL deployments (``compile_network`` names;
-#: the flatten layer of each network has no program, hence the gaps).
-SNE_LAYERS = ("layer0", "layer1", "layer2", "layer3", "layer4", "layer6", "layer7")
+#: Fresh processes (HIL) or planes (wire) per run, each set up anew and
+#: measured for its share of the run; ``setup_s`` is the fastest set-up.
+SETUPS = 5
+
+#: Network layers of the HIL deployment (``compile_network`` names; the
+#: pooling and flatten layers have no program of their own, hence the gaps).
+SNE_LAYERS = ("layer0", "layer1", "layer3", "layer4")
 SNE_FIELDS = {
     "assemble_s": "s", "update_s": "s", "fire_s": "s", "reset_s": "s",
     "self_s": "s", "passes": "count", "update_events": "count",
     "events_per_call": "count",
 }
 
-#: HIL per-layer metrics, per evaluation pass of the dataset.
+#: HIL per-layer metrics, per timed round.
 HIL_LAYER = {
     "events.generate_s": "s",
     "hw.mapper.compile_s": "s",
@@ -94,11 +97,30 @@ def require_repo() -> None:
         sys.exit(2)
 
 
+def pin_to_one_cpu() -> int:
+    """Confine this process, and every process it starts, to one CPU.
+
+    Left free, the scheduler spreads the load generator, the server, its
+    threads and the worker over the cores, a placement that holds for a
+    whole run and differs between runs; wake-ups across cores cost more
+    CPU than on one core.  In five pinned ``wire_broker`` runs interleaved
+    with five free ones, the quartile spread of miss CPU was 0.05 pinned
+    and 0.19 free."""
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    return cpu
+
+
 def child_env() -> dict:
     """Environment for every process the benchmark starts: the checkout's
-    ``src`` on the path and the observability journal off."""
+    ``src`` on the path, the observability journal off, and a fixed string
+    hash seed.  With a random one per process, dict and set layouts
+    differ from process to process, and so does the CPU they cost: one
+    ``hil_small`` run took 0.073, 0.088 or 0.093 ms per store-served job
+    depending only on the hash seed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(repo_src())
+    env["PYTHONHASHSEED"] = "0"
     env.pop("REPRO_OBS_DIR", None)
     env.pop("REPRO_CACHE_DIR", None)
     env.pop("REPRO_CACHE_MAX_BYTES", None)
@@ -110,36 +132,6 @@ def work_dir() -> pathlib.Path:
     root = pathlib.Path.cwd() / ".perfbench_work"
     root.mkdir(exist_ok=True)
     return root
-
-
-def quantile(values, q: float) -> float:
-    """Linear-interpolated quantile (``q`` in [0, 1]) of ``values``."""
-    xs = sorted(values)
-    if not xs:
-        raise ValueError("no values")
-    pos = q * (len(xs) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(xs) - 1)
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
-
-
-def median(values) -> float:
-    return statistics.median(values)
-
-
-def segmented_quantile(values, q: float, segment: int = 100) -> float:
-    """Median over consecutive ``segment``-sized slices of ``values`` (in
-    time order) of each slice's ``q`` quantile.
-
-    The machine's noise comes in bursts of a fraction of a second; a
-    burst moves the quantile of the one or two slices it lands in, and
-    the median over slices ignores them.
-    """
-    n = max(1, len(values) // segment)
-    size = len(values) // n
-    parts = [values[i * size:(i + 1) * size] for i in range(n - 1)]
-    parts.append(values[(n - 1) * size:])
-    return median([quantile(p, q) for p in parts])
 
 
 def environment() -> dict:

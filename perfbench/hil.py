@@ -1,21 +1,25 @@
-"""Hardware-in-the-loop workload process (``hil_small``, ``hil_fig6``).
+"""Hardware-in-the-loop workload process (``hil_small``).
 
-Started by ``run.py`` in a fresh interpreter for every run, so the
-content-hash fanout memo starts empty and its build lands in set-up.
-Prints ``READY <json>`` once set-up is done (the parent times set-up
-from process launch to that line) and, unless ``--setup-only``,
-``RESULT <json>`` after measuring.
+Started by ``run.py`` in a fresh interpreter, ``SETUPS`` times per run,
+so the content-hash fanout memo starts empty and its build lands in
+set-up.  Prints ``READY <json>`` once set-up is done, carrying the CPU
+seconds the process used since it started, then ``RESULT <json>`` after
+measuring.
 
-One evaluation pass is what ``repro eval`` does:
+An evaluation pass is what ``repro eval`` does:
 ``HardwareEvaluator.sample_jobs``, then ``run_jobs`` on the ``serial``
 backend into a fresh ``ResultStore``.  The jobs go to ``run_jobs`` in
-fixed chunks; after each chunk its results are read back from the store
-until ``HIT_BURST`` lookups were timed.  Passes repeat until
-``--seconds`` have passed.
+fixed chunks, and each chunk is re-run until ``HIT_BURST`` jobs were
+served from the store.  Timed rounds, each a pass over the same fixed
+subset of the dataset, repeat until ``--seconds`` have passed.  With
+``--check``, an untimed pass over the whole dataset comes first, and its
+results are the ones checked.  The end-to-end metrics are CPU time of
+this process (``time.process_time``) in its fastest round: a busy host
+only ever slows a round down.
 
 Record the per-seed output digests (the correctness reference) with::
 
-    PYTHONPATH=src python3 perfbench/hil.py --record hil_small --seeds 0-39
+    PYTHONPATH=src python3 perfbench/hil.py --record --seeds 0-39
 """
 
 from __future__ import annotations
@@ -33,47 +37,45 @@ from collections import defaultdict
 import common
 
 pc = time.perf_counter
+cpu = time.process_time
 
-#: Sensor size, timesteps, recordings per class and jobs per ``run_jobs``
-#: call.  ``hil_small`` is the ``repro eval`` default deployment;
-#: ``hil_fig6`` is the paper's Fig. 6 eCNN at 48 px.
-DEPLOYMENTS = {
-    "hil_small": {"size": 16, "steps": 12, "per_class": 30, "chunk": 33},
-    "hil_fig6": {"size": 48, "steps": 24, "per_class": 1, "chunk": 1},
-}
-SLICES = 8
+WORKLOAD = "hil_small"
+#: The ``repro eval`` default deployment: sensor size, timesteps,
+#: recordings per class (330 samples), SNE slices.
+SIZE, STEPS, PER_CLASS, SLICES = 16, 12, 30, 8
+#: Jobs per ``run_jobs`` call.
+CHUNK = 33
 #: The network weights are fixed (the ``repro eval`` default seed); the
 #: workload seed varies the recordings.
 NETWORK_SEED = 0
-#: Store reads timed after each chunk (a p90 needs about 100).
+#: Jobs served from the store after each chunk.
 HIT_BURST = 100
-#: Samples re-run on the per-event reference kernel (``hil_small``
-#: only: one ``hil_fig6`` sample takes about 26 s on that loop).
+#: Every TIMING_STRIDE-th recording forms the timed subset: 66 samples
+#: from every class, about a second of CPU per round, so a run holds a
+#: dozen rounds or more.
+TIMING_STRIDE = 5
+#: Samples re-run on the per-event reference kernel.
 REFERENCE_SAMPLES = 6
 DIGESTS = common.HERE / "digests.json"
 DIGEST_FIELDS = ("prediction", "cycles", "sops", "output_events", "energy_uj")
 
 
-def set_up(workload: str, seed: int):
+def set_up(seed: int):
     """Dataset, compiled programs with warm fanout tables, evaluator."""
     from repro.events.datasets import SyntheticDVSGesture
     from repro.hw.config import PAPER_CONFIG
     from repro.hw.mapper import compile_network, fanout_table
     from repro.hw.runner import HardwareEvaluator
-    from repro.snn.topology import FIG6_PAPER, build_fig6_network, build_small_network
+    from repro.snn.topology import build_small_network
 
-    d = DEPLOYMENTS[workload]
     t0 = pc()
-    maker = SyntheticDVSGesture(size=d["size"], n_steps=d["steps"])
-    data = maker.generate(n_per_class=d["per_class"], seed=seed)
+    data = SyntheticDVSGesture(size=SIZE, n_steps=STEPS).generate(
+        n_per_class=PER_CLASS, seed=seed)
     t1 = pc()
-    if workload == "hil_small":
-        net = build_small_network(input_size=d["size"], n_classes=data.n_classes,
-                                  channels=6, hidden=32, seed=NETWORK_SEED)
-    else:
-        net = build_fig6_network(FIG6_PAPER.scaled(3), seed=NETWORK_SEED)
+    net = build_small_network(input_size=SIZE, n_classes=data.n_classes,
+                              channels=6, hidden=32, seed=NETWORK_SEED)
     t2 = pc()
-    programs = compile_network(net, (2, d["size"], d["size"]))
+    programs = compile_network(net, (2, SIZE, SIZE))
     t3 = pc()
     for program in programs:
         fanout_table(program).packed()
@@ -87,67 +89,49 @@ def set_up(workload: str, seed: int):
     return data, evaluator, layers
 
 
-class _Clock:
-    """``run_jobs`` progress sink recording the gap before each job."""
-
-    def __init__(self, out: list) -> None:
-        self.out = out
-        self.last = 0.0
-
-    def on_start(self, total: int) -> None:
-        self.last = pc()
-
-    def on_job(self, done: int, total: int, result) -> None:
-        now = pc()
-        self.out.append(now - self.last)
-        self.last = now
-
-    def on_finish(self, stats) -> None:
-        pass
-
-
-def evaluation_pass(evaluator, data, work, chunk: int) -> dict:
-    """One evaluation of the dataset into a fresh store, ``chunk`` jobs
-    per ``run_jobs`` call, each chunk followed by a burst of re-reads of
-    its results from the store (spreading the hit samples over the run)."""
+def evaluation_pass(evaluator, data, work) -> dict:
+    """One evaluation of ``data`` into a fresh store, ``CHUNK`` jobs per
+    ``run_jobs`` call, each chunk followed by re-runs served from the
+    store.  Wall time feeds the traced ledger, CPU time the end-to-end
+    metrics."""
     from repro.runtime.executor import run_jobs
     from repro.runtime.store import ResultStore
 
     root = tempfile.mkdtemp(dir=work)
     store = None
     try:
-        miss_lat: list[float] = []
-        hit_lat: list[float] = []
-        chunk_s, results, hits = [], [], []
-        t0 = pc()
+        results, hits = [], []
+        t0, c0 = pc(), cpu()
         jobs = evaluator.sample_jobs(data)
         store = ResultStore(root)
-        t1 = pc()
-        run_jobs_s = 0.0
-        for start in range(0, len(jobs), chunk):
-            part = jobs[start:start + chunk]
-            t = pc()
-            run = run_jobs(part, executor="serial", cache=store,
-                           progress=_Clock(miss_lat))
-            dt = pc() - t
-            run_jobs_s += dt
-            chunk_s.append(dt)
+        prepare_cpu = cpu() - c0
+        run_jobs_s = miss_cpu = hit_cpu = 0.0
+        for start in range(0, len(jobs), CHUNK):
+            part = jobs[start:start + CHUNK]
+            t, c = pc(), cpu()
+            run = run_jobs(part, executor="serial", cache=store)
+            miss_cpu += cpu() - c
+            run_jobs_s += pc() - t
             results.extend(run.results)
             served = 0
             while served < HIT_BURST:
-                t = pc()
-                hits.append((start, run_jobs(part, executor="serial", cache=store,
-                                             progress=_Clock(hit_lat))))
+                t, c = pc(), cpu()
+                hits.append((start, run_jobs(part, executor="serial", cache=store)))
+                hit_cpu += cpu() - c
                 run_jobs_s += pc() - t
                 served += len(part)
         t2 = pc()
     finally:
         del store  # its finaliser writes counters into the root
         shutil.rmtree(root, ignore_errors=True)
+    n_hits = sum(len(run.results) for _, run in hits)
     return {
-        "samples": len(jobs), "total_s": t2 - t0, "run_jobs_s": run_jobs_s,
-        "prepare_s": t1 - t0, "chunk_s": chunk_s, "miss_lat": miss_lat,
-        "hit_lat": hit_lat, "results": results, "hits": hits,
+        "samples": len(jobs), "hits_served": n_hits, "total_s": t2 - t0,
+        "run_jobs_s": run_jobs_s, "cpu_s": prepare_cpu + miss_cpu + hit_cpu,
+        "samples_per_s": len(jobs) / (prepare_cpu + miss_cpu),
+        "miss_cpu_ms": miss_cpu / len(jobs) * 1e3,
+        "hit_cpu_ms": hit_cpu / n_hits * 1e3,
+        "results": results, "hits": hits,
     }
 
 
@@ -207,7 +191,7 @@ class Ledger:
         SNE.run_layer = run_layer
 
     def metrics(self, passes: list[dict]) -> dict:
-        """Per-pass means of every HIL layer metric plus the remainder."""
+        """Per-round means of every HIL layer metric plus the remainder."""
         n = len(passes)
         total = sum(p["total_s"] for p in passes) / n
         run_jobs = sum(p["run_jobs_s"] for p in passes) / n
@@ -238,14 +222,13 @@ class Ledger:
             - out["runtime.store.put_s"])
         selfs = [v for k, v in out.items() if k.endswith("_s")]
         out["unattributed_s"] = total - sum(selfs)
-        out["ledger.total_s"] = total
         return out
 
 
-def recorded_digests(workload: str) -> dict:
-    """Seed -> output digest recorded for ``workload`` (empty if none)."""
+def recorded_digests() -> dict:
+    """Seed -> output digest recorded for the workload (empty if none)."""
     docs = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    return docs.get(workload, {})
+    return docs.get(WORKLOAD, {})
 
 
 def digest(values: list[dict]) -> str:
@@ -253,88 +236,94 @@ def digest(values: list[dict]) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
-def check(workload: str, seed: int, evaluator, data, passes: list[dict]) -> list[str]:
-    """Correctness problems of the measured passes (empty when none)."""
-    problems = []
+def check(seed: int, evaluator, data, rounds: list[dict], full: dict | None) -> list[str]:
+    """Correctness problems of the measured passes (empty when none).
+    Without the full pass, the rounds are only checked against each other."""
+    passes = ([full] if full else []) + rounds
     failed = [r for p in passes for r in p["results"] if not r.ok]
     if failed:
         return [f"{len(failed)} sample job(s) failed: {failed[0].error.splitlines()[0]}"]
-    values = [r.value for r in passes[0]["results"]]
+    problems = []
+    first = [r.value for r in rounds[0]["results"]]
     for p in passes:
-        if [r.value for r in p["results"]] != values:
-            problems.append("a later pass computed different results")
+        own = [r.value for r in p["results"]]
+        if p is not full and own != first:
+            problems.append("timed rounds computed different results")
         for start, hit in p["hits"]:
             if not all(r.cached for r in hit.results):
-                problems.append("a re-evaluation was not served from the store")
-            if [r.value for r in hit.results] != values[start:start + len(hit.results)]:
+                problems.append("a re-run was not served from the store")
+            if [r.value for r in hit.results] != own[start:start + len(hit.results)]:
                 problems.append("store-served results differ from computed ones")
-    want, got = recorded_digests(workload).get(str(seed)), digest(values)
+    if full is None:
+        return sorted(set(problems))
+    values = [r.value for r in full["results"]]
+    if first != values[::TIMING_STRIDE]:
+        problems.append("timed rounds differ from the full pass")
+    want, got = recorded_digests().get(str(seed)), digest(values)
     if want is not None and want != got:
         problems.append(f"output digest {got[:12]} != recorded {want[:12]} for seed {seed}")
-    if workload == "hil_small":
-        for sample, value in list(zip(data.samples, values))[:REFERENCE_SAMPLES]:
-            ref = dataclasses.asdict(
-                evaluator.run_sample(sample.stream, sample.label, kernel="reference"))
-            if ref != value:
-                problems.append("reference kernel disagrees with the job result")
-                break
+    for sample, value in list(zip(data.samples, values))[:REFERENCE_SAMPLES]:
+        ref = dataclasses.asdict(
+            evaluator.run_sample(sample.stream, sample.label, kernel="reference"))
+        if ref != value:
+            problems.append("reference kernel disagrees with the job result")
+            break
     return sorted(set(problems))
 
 
 def measure(args, data, evaluator, work) -> dict:
-    """Untraced passes (all of ``--seconds``, or half when tracing), then
-    traced passes for the other half."""
-    chunk = DEPLOYMENTS[args.workload]["chunk"]
-    budget = args.seconds / 2 if args.trace else args.seconds
-    passes: list[dict] = []
-    start = pc()
-    while not passes or pc() - start < budget:
-        passes.append(evaluation_pass(evaluator, data, work, chunk))
+    """With ``--check``, the untimed pass over the whole dataset; then
+    timed rounds for ``--seconds`` (with ``--trace 1``, half untraced,
+    then half traced)."""
+    from repro.events.datasets import EventDataset
+
+    full = evaluation_pass(evaluator, data, work) if args.check else None
+    subset = EventDataset(data.samples[::TIMING_STRIDE], data.n_classes, "timed")
+
+    def rounds(seconds: float) -> list[dict]:
+        out: list[dict] = []
+        start = pc()
+        while not out or pc() - start < seconds:
+            out.append(evaluation_pass(evaluator, subset, work))
+        return out
+
+    timed = rounds(args.seconds / 2 if args.trace else args.seconds)
+    traced: list[dict] = []
     result = {}
     if args.trace:
         ledger = Ledger()
         ledger.install()
-        traced: list[dict] = []
-        start = pc()
-        while not traced or pc() - start < budget:
-            traced.append(evaluation_pass(evaluator, data, work, chunk))
+        traced = rounds(args.seconds / 2)
         layer = ledger.metrics(traced)
-        untraced_s = sum(p["total_s"] for p in passes) / len(passes)
-        layer["trace_overhead_x"] = layer.pop("ledger.total_s") / untraced_s
+        layer["trace_overhead_x"] = (min(p["cpu_s"] for p in traced)
+                                     / min(p["cpu_s"] for p in timed))
         result["layer"] = layer
-    # Every pass runs the same jobs in the same order, so each timing has
-    # a counterpart in every pass.  The machine's noise only ever slows a
-    # stretch of the run down; the fastest of the counterparts is the one
-    # it disturbed least.
-    best = {k: [min(xs) for xs in zip(*(p[k] for p in passes))]
-            for k in ("chunk_s", "miss_lat", "hit_lat")}
-    best["prepare_s"] = min(p["prepare_s"] for p in passes)
+    passes = ([full] if full else []) + timed + traced
     result.update({
-        "samples_per_s": passes[0]["samples"] / (best["prepare_s"] + sum(best["chunk_s"])),
-        "miss_p50_ms": common.quantile(best["miss_lat"], 0.5) * 1e3,
-        "miss_p90_ms": common.quantile(best["miss_lat"], 0.9) * 1e3,
-        "hit_p50_ms": common.quantile(best["hit_lat"], 0.5) * 1e3,
-        "hit_p90_ms": common.quantile(best["hit_lat"], 0.9) * 1e3,
-        "attempted": sum(len(p["miss_lat"]) + len(p["hit_lat"]) for p in passes),
+        "samples_per_s": max(p["samples_per_s"] for p in timed),
+        "hit_cpu_ms": min(p["hit_cpu_ms"] for p in timed),
+        "miss_cpu_ms": min(p["miss_cpu_ms"] for p in timed),
+        "rounds": len(timed),
+        "subset_digest": digest([r.value for r in timed[0]["results"]]),
+        "attempted": sum(p["samples"] + p["hits_served"] for p in passes),
         "failed": sum(not r.ok for p in passes for r in p["results"]),
-        "problems": check(args.workload, args.seed, evaluator, data,
-                          passes + (traced if args.trace else [])),
+        "problems": check(args.seed, evaluator, data, timed + traced, full),
     })
     return result
 
 
-def record(workload: str, seeds: list[int]) -> None:
+def record(seeds: list[int]) -> None:
     """Write the output digest of each seed into ``digests.json``."""
     from repro.runtime.executor import run_jobs
 
     docs = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     for seed in seeds:
-        data, evaluator, _ = set_up(workload, seed)
+        data, evaluator, _ = set_up(seed)
         run = run_jobs(evaluator.sample_jobs(data), executor="serial")
         if run.failures():
             raise SystemExit(f"seed {seed}: {run.failures()[0].error}")
-        docs.setdefault(workload, {})[str(seed)] = digest([r.value for r in run.results])
-        print(f"{workload} seed {seed}: {docs[workload][str(seed)][:16]}", flush=True)
+        docs.setdefault(WORKLOAD, {})[str(seed)] = digest([r.value for r in run.results])
+        print(f"{WORKLOAD} seed {seed}: {docs[WORKLOAD][str(seed)][:16]}", flush=True)
         DIGESTS.write_text(json.dumps(docs, indent=1, sort_keys=True) + "\n")
 
 
@@ -345,29 +334,28 @@ def _seed_range(text: str) -> list[int]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", choices=common.HIL_WORKLOADS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=20.0)
+    p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--setup-only", action="store_true")
-    p.add_argument("--record", choices=common.HIL_WORKLOADS)
+    p.add_argument("--check", action="store_true",
+                   help="also run the untimed full pass and every correctness check")
+    p.add_argument("--record", action="store_true")
     p.add_argument("--seeds", type=_seed_range, default=[0])
     args = p.parse_args(argv)
     if args.record:
-        record(args.record, args.seeds)
+        record(args.seeds)
         return 0
-    data, evaluator, setup_layers = set_up(args.workload, args.seed)
-    common.emit("READY", {})
-    if args.setup_only:
-        return 0
+    data, evaluator, setup_layers = set_up(args.seed)
+    common.emit("READY", {"cpu_s": cpu()})
     work = common.work_dir()
     result = measure(args, data, evaluator, work)
     lengths = [len(s.stream) for s in data.samples]
     result["properties"] = {
         "samples": len(lengths),
+        "timed_samples": len(data.samples[::TIMING_STRIDE]),
         "input_events_per_sample": sum(lengths) / len(lengths),
         "input_events_per_step": sum(lengths) / len(lengths) / data.samples[0].stream.n_steps,
-        "digest_recorded": str(args.seed) in recorded_digests(args.workload),
+        "digest_recorded": str(args.seed) in recorded_digests(),
     }
     if "layer" in result:
         result["layer"].update(setup_layers)

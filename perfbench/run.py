@@ -2,7 +2,7 @@
 
 Usage, from the root of a repository checkout::
 
-    python3 perfbench/run.py --workload hil_small --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload hil_small --seed 1 --seconds 25 --trace 0
     python3 perfbench/run.py --seed 1          # every workload, one by one
 
 ``--trace 0`` prints the end-to-end metrics, measured with no
@@ -18,40 +18,51 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import statistics
 import subprocess
 import sys
-import time
 
 import common
 
 
-def run_hil_child(args, setup_only: bool) -> tuple[float, dict | None]:
-    """Start the HIL process; set-up is timed from launch to READY."""
-    cmd = [sys.executable, str(common.HERE / "hil.py"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", str(args.trace)]
-    if setup_only:
-        cmd.append("--setup-only")
-    t0 = time.perf_counter()
+def run_hil_child(args, seconds: float, check: bool) -> tuple[float, dict]:
+    """Run one HIL process; its set-up is the CPU it used until READY."""
+    cmd = [sys.executable, str(common.HERE / "hil.py"), "--seed", str(args.seed),
+           "--seconds", str(seconds), "--trace", str(args.trace)]
+    if check:
+        cmd.append("--check")
     proc = subprocess.Popen(cmd, env=common.child_env(), stdin=subprocess.DEVNULL,
                             stdout=subprocess.PIPE, text=True)
     setup_s, result = None, None
     for line in proc.stdout:
         tag, _, body = line.partition(" ")
         if tag == "READY":
-            setup_s = time.perf_counter() - t0
+            setup_s = json.loads(body)["cpu_s"]
         elif tag == "RESULT":
             result = json.loads(body)
-    if proc.wait() != 0 or setup_s is None or (result is None and not setup_only):
+    if proc.wait() != 0 or setup_s is None or result is None:
         raise RuntimeError(f"hil.py exited with status {proc.returncode}")
     return setup_s, result
 
 
 def measure_hil(args) -> dict:
-    """Three fresh-process set-ups (median) and one measured run."""
-    setups = [] if args.trace else [run_hil_child(args, True)[0] for _ in range(2)]
-    setup_s, result = run_hil_child(args, False)
-    result["setup_s"] = common.median(setups + [setup_s])
+    """``SETUPS`` fresh processes share the timed rounds; the last also
+    runs the full pass and the checks.  Each process's memory layout sets
+    part of its CPU cost, so every metric is the median over processes of
+    each one's fastest round; ``setup_s`` is the fastest set-up."""
+    n = 1 if args.trace else common.SETUPS
+    runs = [run_hil_child(args, args.seconds / n, check=k == n - 1) for k in range(n)]
+    result = runs[-1][1]
+    docs = [doc for _, doc in runs]
+    result["setup_s"] = min(setup_s for setup_s, _ in runs)
+    for name in ("samples_per_s", "hit_cpu_ms", "miss_cpu_ms"):
+        result[name] = statistics.median(doc[name] for doc in docs)
+    result["attempted"] = sum(doc["attempted"] for doc in docs)
+    result["failed"] = sum(doc["failed"] for doc in docs)
+    result["problems"] = sorted({p for doc in docs for p in doc["problems"]})
+    if len({doc["subset_digest"] for doc in docs}) != 1:
+        result["problems"].append("processes computed different results")
+    result["properties"]["timed_rounds"] = [doc["rounds"] for doc in docs]
     return result
 
 
@@ -75,7 +86,7 @@ def declared(trace: int) -> dict:
 
 def run_workload(args) -> int:
     sys.path.insert(0, str(common.repo_src()))
-    env = common.environment()
+    env = {**common.environment(), "pinned_cpu": common.pin_to_one_cpu()}
     try:
         result = measure(args)
     finally:
@@ -135,7 +146,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", choices=common.WORKLOADS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=float, default=20.0)
+    p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     common.require_repo()
