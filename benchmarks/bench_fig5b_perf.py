@@ -107,26 +107,26 @@ def test_fig5b_vectorized_event_loop_speedup(report, bench_json):
     output events, same statistics, down to the counter types)."""
     cfg = SNEConfig(n_slices=1, cycles_per_fire=0, cycles_per_reset=1)
 
-    def run(batched):
+    def run(kernel):
         prog, stream = _dense_workload(cfg)
-        return SNE(cfg).run_layer(prog, stream, batched=batched)
+        return SNE(cfg).run_layer(prog, stream, kernel=kernel)
 
     # Bit-identity first: outputs and every counter must match exactly.
-    out_vec, stats_vec = run(batched=True)
-    out_ref, stats_ref = run(batched=False)
+    out_vec, stats_vec = run("auto")
+    out_ref, stats_ref = run("reference")
     assert out_vec == out_ref
     assert dataclasses.asdict(stats_vec) == dataclasses.asdict(stats_ref)
 
-    def timed(batched):
+    def timed(kernel):
         t0 = time.perf_counter()
-        run(batched)
+        run(kernel)
         return time.perf_counter() - t0
 
-    run(True), run(False)  # warm the fanout table and allocator
+    run("auto"), run("reference")  # warm the fanout table and allocator
     # Shared machines drift in speed mid-run; timing the two loops as
     # adjacent pairs and taking the median per-pair ratio keeps the
     # speedup figure stable even when absolute wall times are not.
-    pairs = [(timed(False), timed(True)) for _ in range(7)]
+    pairs = [(timed("reference"), timed("auto")) for _ in range(7)]
     ref_s = min(r for r, _ in pairs)
     vec_s = min(v for _, v in pairs)
     ratios = sorted(r / v for r, v in pairs)

@@ -29,7 +29,7 @@ import time
 from repro.analysis import render_table
 from repro.events import SyntheticDVSGesture
 from repro.hw import PAPER_CONFIG, HardwareEvaluator, compile_network
-from repro.runtime import SerialExecutor, run_jobs
+from repro.runtime import SerialBackend, run_jobs
 from repro.runtime import obs
 from repro.runtime.slo import default_rules, evaluate_slos
 from repro.snn import build_small_network
@@ -57,7 +57,7 @@ def _timed_run(jobs):
     """One serial run; returns ``(run, cpu_seconds, wall_seconds)``."""
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    run = run_jobs(jobs, executor=SerialExecutor())
+    run = run_jobs(jobs, executor=SerialBackend())
     return run, time.process_time() - cpu0, time.perf_counter() - wall0
 
 

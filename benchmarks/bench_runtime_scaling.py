@@ -23,10 +23,9 @@ from repro.analysis import render_table
 from repro.events import SyntheticDVSGesture
 from repro.hw import PAPER_CONFIG, HardwareEvaluator, compile_network, report_from_job_results
 from repro.runtime import (
-    ProcessExecutor,
-    ResultCache,
+    ProcessBackend,
     ResultStore,
-    SerialExecutor,
+    SerialBackend,
     available_backends,
     dse_grid,
     dse_jobs,
@@ -51,16 +50,16 @@ def _timed(fn):
 
 
 def test_sweep_parallel_parity_and_cache_hits(benchmark, report, tmp_path):
-    serial, t_serial = _timed(lambda: run_jobs(SWEEP_JOBS, executor=SerialExecutor()))
+    serial, t_serial = _timed(lambda: run_jobs(SWEEP_JOBS, executor=SerialBackend()))
     parallel, t_parallel = _timed(
-        lambda: run_jobs(SWEEP_JOBS, executor=ProcessExecutor(workers=2))
+        lambda: run_jobs(SWEEP_JOBS, executor=ProcessBackend(workers=2))
     )
 
     # Parallel dispatch is bit-identical to the serial reference, in order.
     assert [r.job_hash for r in parallel.results] == [r.job_hash for r in serial.results]
     assert [r.value for r in parallel.results] == [r.value for r in serial.results]
 
-    cache = ResultCache(tmp_path / "sweep")
+    cache = ResultStore(tmp_path / "sweep")
     cold, t_cold = _timed(lambda: run_jobs(SWEEP_JOBS, cache=cache))
     warm, t_warm = _timed(lambda: run_jobs(SWEEP_JOBS, cache=cache))
     benchmark(lambda: run_jobs(SWEEP_JOBS, cache=cache))  # warm-path timing stats
@@ -139,16 +138,16 @@ def test_hw_eval_parallel_parity_and_cache_speedup(benchmark, report, tmp_path,
     )
     jobs = evaluator.sample_jobs(data)
 
-    serial, t_serial = _timed(lambda: run_jobs(jobs, executor=SerialExecutor()))
+    serial, t_serial = _timed(lambda: run_jobs(jobs, executor=SerialBackend()))
     parallel, t_parallel = _timed(
-        lambda: run_jobs(jobs, executor=ProcessExecutor(workers=2, chunk_size=2))
+        lambda: run_jobs(jobs, executor=ProcessBackend(workers=2, chunk_size=2))
     )
     assert [r.value for r in parallel.results] == [r.value for r in serial.results]
     assert report_from_job_results(parallel.results).accuracy == (
         report_from_job_results(serial.results).accuracy
     )
 
-    cache = ResultCache(tmp_path / "eval")
+    cache = ResultStore(tmp_path / "eval")
     cold, t_cold = _timed(lambda: run_jobs(evaluator.sample_jobs(data), cache=cache))
     warm, t_warm = _timed(lambda: run_jobs(evaluator.sample_jobs(data), cache=cache))
     benchmark(lambda: run_jobs(evaluator.sample_jobs(data), cache=cache))

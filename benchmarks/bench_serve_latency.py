@@ -85,8 +85,8 @@ def test_cache_hit_roundtrip_5x_faster_than_cold_compute(benchmark, report, tmp_
     store = ResultStore(tmp_path / "serve")
 
     async def both_passes():
-        async with AsyncServer(backend="thread", workers=4, cache=store,
-                               batch_window_s=0.01, max_batch=8) as srv:
+        async with AsyncServer(dispatcher=LocalDispatcher("thread", workers=4),
+                               cache=store, batch_window_s=0.01, max_batch=8) as srv:
             cold = await _serve_pass(srv, jobs)
             warm = await _serve_pass(srv, jobs)
             return cold, warm, srv.stats()
@@ -111,8 +111,8 @@ def test_cache_hit_roundtrip_5x_faster_than_cold_compute(benchmark, report, tmp_
 
     # Steady-state warm timing for the benchmark record.
     async def warm_once():
-        async with AsyncServer(backend="thread", workers=4, cache=store,
-                               batch_window_s=0.01, max_batch=8) as srv:
+        async with AsyncServer(dispatcher=LocalDispatcher("thread", workers=4),
+                               cache=store, batch_window_s=0.01, max_batch=8) as srv:
             results, _ = await _serve_pass(srv, jobs)
             assert all(r.cached for r in results)
 
@@ -149,8 +149,10 @@ def test_streamed_results_match_batch_mode_across_backends(report, tmp_path):
 
     for name in available_backends():
         async def streamed(backend_name=name):
-            async with AsyncServer(backend=backend_name, workers=2,
-                                   batch_window_s=0.005, max_batch=16) as srv:
+            async with AsyncServer(
+                dispatcher=LocalDispatcher(backend_name, workers=2),
+                batch_window_s=0.005, max_batch=16,
+            ) as srv:
                 out = [None] * len(jobs)
                 async for i, result in srv.stream(jobs):
                     out[i] = result
@@ -179,8 +181,8 @@ def test_concurrent_clients_coalesce_into_micro_batches(report, tmp_path):
     jobs = dse_jobs(dse_grid(slices=tuple(range(1, 9)), voltages=(None, 0.9)))
 
     async def fan_in():
-        async with AsyncServer(backend="serial", batch_window_s=0.05,
-                               max_batch=64) as srv:
+        async with AsyncServer(dispatcher=LocalDispatcher("serial"),
+                               batch_window_s=0.05, max_batch=64) as srv:
             results, lat = await _serve_pass(srv, jobs)
             return results, lat, srv.stats()
 

@@ -27,8 +27,8 @@ import time
 
 from repro.runtime import (
     AsyncServer,
+    LocalDispatcher,
     available_backends,
-    make_backend,
     open_store,
     serve_tcp,
 )
@@ -81,7 +81,7 @@ async def stream_once(host: str, port: int, label: str) -> None:
 async def main_async(args) -> None:
     """Server + two client passes (cold compute, then cache replay)."""
     server = AsyncServer(
-        backend=make_backend(args.backend, workers=args.workers),
+        dispatcher=LocalDispatcher(args.backend, workers=args.workers),
         cache=open_store(args.cache_dir),
         batch_window_s=0.01,
     )

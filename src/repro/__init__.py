@@ -21,7 +21,7 @@ Quick start::
     from repro.snn import build_small_network, Trainer, TrainConfig
     from repro.hw import SNE, SNEConfig, compile_network
     from repro.energy import EfficiencyModel
-    from repro.runtime import ProcessExecutor, ResultCache, run_dse_sweep
+    from repro.runtime import ProcessBackend, ResultStore, run_dse_sweep
 
 See ``examples/quickstart.py`` for the end-to-end flow and
 ``python -m repro sweep`` for the orchestrated one.

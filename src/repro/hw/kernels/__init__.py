@@ -7,7 +7,7 @@ three stages behind a runtime-selected :class:`KernelSet` — the shape
 Matterhorn uses for its optional compiled LIF kernels: accelerate the
 hot loop, never abandon the bit-identical reference.
 
-Selection mirrors the existing ``batched=True`` dispatch::
+Selection is by name::
 
     SNE().run_layer(program, stream, kernel="auto")   # numba if importable
     SNE().run_layer(program, stream, kernel="numpy")  # vectorised shim

@@ -198,7 +198,7 @@ class HardwareEvaluator:
         With the default arguments this is the original in-process loop;
         a bare ``progress`` callback keeps that loop (no job hashing)
         and reports per-sample completions.  Passing an ``executor`` —
-        a backend instance (``repro.runtime.ProcessExecutor``) or a
+        a backend instance (``repro.runtime.ProcessBackend``) or a
         registered backend name (``"serial"``, ``"thread"``,
         ``"process"``) — and/or a ``cache`` (e.g. a shared
         ``repro.runtime.ResultStore``) dispatches one job per sample

@@ -138,7 +138,6 @@ class SNE:
         stream: EventStream,
         trace=None,
         profiler=None,
-        batched: bool = True,
         kernel: str = "auto",
     ) -> tuple[EventStream, SNEStats]:
         """Execute one layer in time-multiplexed mode.
@@ -157,12 +156,10 @@ class SNE:
         ``kernel`` selects the batched stage implementation through the
         :mod:`repro.hw.kernels` registry: ``"auto"`` (numba when
         importable, else the numpy shim), ``"numba"``, ``"numpy"``, or
-        ``"reference"`` for the retained per-event loop.
-        ``batched=False`` also selects the reference loop (the original
-        dispatch the registry mirrors).  Every choice produces
-        bit-identical outputs and statistics (the parity the kernel
-        matrix in ``tests/test_kernels.py`` and the Fig. 5b speedup
-        benchmark pin down).
+        ``"reference"`` for the retained per-event loop.  Every choice
+        produces bit-identical outputs and statistics (the parity the
+        kernel matrix in ``tests/test_kernels.py`` and the Fig. 5b
+        speedup benchmark pin down).
         """
         cfg = self.config
         program.validate_for(cfg)
@@ -173,7 +170,7 @@ class SNE:
                 f"{g.input_shape(stream.n_steps)}"
             )
         stats = SNEStats()
-        ks = resolve_kernel(kernel) if batched else None
+        ks = resolve_kernel(kernel)
         out_t, out_ch, out_x, out_y = [], [], [], []
         fired_parts: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         n_passes = program.n_passes(cfg)
@@ -343,16 +340,15 @@ class SNE:
         programs: list[LayerProgram],
         stream: EventStream,
         profiler=None,
-        batched: bool = True,
         kernel: str = "auto",
     ) -> tuple[EventStream, SNEStats]:
         """Run layers back-to-back in time-multiplexed mode.
 
         Intermediate feature maps travel through external memory (the
-        DMA word counters accumulate accordingly).  ``profiler``,
-        ``batched`` and ``kernel`` are forwarded to every
-        :meth:`run_layer` call; the profiler additionally receives one
-        ``sne.layer.<name>`` span per executed layer.
+        DMA word counters accumulate accordingly).  ``profiler`` and
+        ``kernel`` are forwarded to every :meth:`run_layer` call; the
+        profiler additionally receives one ``sne.layer.<name>`` span per
+        executed layer.
         """
         if not programs:
             raise ValueError("network must contain at least one program")
@@ -361,7 +357,7 @@ class SNE:
         for program in programs:
             t0 = _pc() if profiler is not None else 0.0
             current, layer_stats = self.run_layer(
-                program, current, profiler=profiler, batched=batched, kernel=kernel
+                program, current, profiler=profiler, kernel=kernel
             )
             if profiler is not None:
                 profiler.add(

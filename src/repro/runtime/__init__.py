@@ -3,8 +3,8 @@
 This subsystem turns the repository's single-shot simulations into
 fan-out-able, memoised workloads.  The flow is a straight pipeline::
 
-    JobSpec  ──▶  ResultCache  ──▶  Executor  ──▶  Sweep/aggregation
-    (jobs.py)     (cache.py)        (executor.py)  (sweep.py)
+    JobSpec  ──▶  ResultStore  ──▶  Backend  ──▶  Sweep/aggregation
+    (jobs.py)     (store.py)        (executor.py)  (sweep.py)
 
 1. **Jobs** (:mod:`.jobs`).  A :class:`~repro.runtime.jobs.JobSpec`
    describes one unit of work — a design-space point, a Table I energy
@@ -14,14 +14,13 @@ fan-out-able, memoised workloads.  The flow is a straight pipeline::
    weights, event-stream content, dataset identity and seeds.  Equal
    hash ⇒ equal result, by construction.
 
-2. **Cache/store** (:mod:`.cache`, :mod:`.store`).
-   :class:`~repro.runtime.cache.ResultCache` stores one validated JSON
+2. **Store** (:mod:`.store`).
+   :class:`~repro.runtime.store.ResultStore` stores one validated JSON
    envelope per job hash on disk.  Lookups that fail
    schema/kind/key/hash validation are treated as corruption: the
    entry is deleted and the job recomputed.  Hit/miss/store/corrupt
-   counters feed every run report.
-   :class:`~repro.runtime.store.ResultStore` promotes the cache to a
-   *shared* store: content-addressed two-level layout (``ab/abcd….json``),
+   counters feed every run report.  The store is built to be
+   *shared*: content-addressed two-level layout (``ab/abcd….json``),
    an append-only recency index, and LRU eviction under a size cap, so
    concurrent sweeps, CI jobs and collaborators can reuse one
    directory safely.
@@ -33,7 +32,7 @@ fan-out-able, memoised workloads.  The flow is a straight pipeline::
    **in input order**, so every backend is bit-identical to serial
    (``tests/test_backend_parity.py`` enforces this differentially).
    :func:`~repro.runtime.backends.register_backend` adds new ones;
-   :func:`~repro.runtime.executor.run_jobs` layers the cache over a
+   :func:`~repro.runtime.executor.run_jobs` layers the store over a
    backend (instance or registered name) and reports
    :class:`~repro.runtime.executor.RunStats`.
 
@@ -160,17 +159,16 @@ from .backends import (
     make_backend,
     register_backend,
 )
-from .cache import CachedResult, CacheStats, ResultCache, default_cache_dir
-from .executor import (
-    JobResult,
-    ProcessExecutor,
-    RunReport,
-    RunStats,
-    SerialExecutor,
-    ThreadExecutor,
-    run_jobs,
+from .executor import JobResult, RunReport, RunStats, run_jobs
+from .store import (
+    MAX_BYTES_ENV,
+    CachedResult,
+    CacheStats,
+    ResultStore,
+    default_cache_dir,
+    default_max_bytes,
+    open_store,
 )
-from .store import MAX_BYTES_ENV, ResultStore, default_max_bytes, open_store
 from .profile import Profiler, SpanStats, render_profile
 from .progress import (
     BrokerTelemetry,
@@ -272,7 +270,6 @@ __all__ = [
     "register_runner",
     "CachedResult",
     "CacheStats",
-    "ResultCache",
     "default_cache_dir",
     "ResultStore",
     "open_store",
@@ -290,9 +287,6 @@ __all__ = [
     "JobResult",
     "RunStats",
     "RunReport",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "run_jobs",
     "Progress",
     "ConsoleProgress",

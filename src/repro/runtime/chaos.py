@@ -58,8 +58,8 @@ __all__ = [
     "run_chaos_soak",
 ]
 
-#: Bytes a corrupted spool file is overwritten with: not JSON, not a
-#: pickle (no ``\x80`` magic), so every decoder reports corruption.
+#: Bytes a corrupted spool file is overwritten with: not JSON, so every
+#: decoder reports corruption.
 _GARBAGE = b"\x00chaos-corrupted\x00"
 
 

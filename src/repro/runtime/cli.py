@@ -11,7 +11,7 @@ Subcommands:
   runs a synthetic workload as profiling jobs through any backend,
   merges the per-job span summaries and prints wall time, share and
   events/s per stage (``--json`` dumps the structured summary;
-  ``--per-event`` times the reference event loop instead);
+  ``--kernel reference`` times the per-event reference loop);
 * ``repro cache`` — inspect (``stats``, with ``--detail`` adding
   per-entry hit counts and the entry-age histogram), size-cap
   (``evict --max-bytes N``) or ``clear`` the shared on-disk result
@@ -91,9 +91,8 @@ from typing import Sequence
 
 from . import obs
 from .backends import available_backends, default_backend_name, make_backend
-from .cache import default_cache_dir
 from .progress import ConsoleProgress, Progress
-from .store import ResultStore, open_store
+from .store import ResultStore, default_cache_dir, open_store
 
 __all__ = ["main", "build_parser"]
 
@@ -296,9 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--slices", type=int, default=8, help="SNE slice count")
     p_prof.add_argument("--seed", type=int, default=0)
     p_prof.add_argument("--max-samples", type=int, default=None)
-    p_prof.add_argument("--per-event", action="store_true",
-                        help="profile the per-event reference loop instead "
-                             "of the vectorised one (in-process only)")
     p_prof.add_argument("--json", metavar="PATH", default=None,
                         help="also write the span summary as JSON "
                              "('-' for stdout)")
@@ -724,7 +720,7 @@ def _cmd_profile(args) -> int:
     from ..hw.runner import HardwareEvaluator
     from ..snn.topology import build_small_network
     from .executor import run_jobs
-    from .profile import Profiler, render_profile
+    from .profile import render_profile
     from .progress import ProfileAggregator
 
     if args.dataset == "gesture":
@@ -739,46 +735,28 @@ def _cmd_profile(args) -> int:
     )
     programs = compile_network(net, (2, maker.size, maker.size))
     evaluator = HardwareEvaluator(programs, PAPER_CONFIG.with_slices(args.slices))
-    samples = evaluator._select(data, args.max_samples)
 
     _warn_kernel_fleet(args)
-    if args.per_event:
-        # The reference loop is an in-process diagnostic (the job
-        # runner always executes the vectorised path).
-        from ..hw.sne import SNE
-
-        if args.kernel not in ("auto", "reference"):
-            print("repro profile: note: --per-event times the reference "
-                  f"loop; --kernel {args.kernel} ignored", file=sys.stderr)
-        profiler = Profiler()
-        for sample in samples:
-            sne = SNE(evaluator.config)
-            sne.run_network(programs, sample.stream, profiler=profiler,
-                            batched=False)
-        summary = profiler.summary()
-        profiled = len(samples)
-        mode = "per-event reference"
-    else:
-        jobs = evaluator.sample_jobs(data, max_samples=args.max_samples,
-                                     profile=True, kernel=args.kernel)
-        aggregator = ProfileAggregator()
-        progress = _TeeProgress(aggregator) if args.quiet else _TeeProgress(
-            aggregator, ConsoleProgress()
-        )
-        executor = _make_executor(args)
-        run = run_jobs(jobs, executor=executor, progress=progress)
-        if run.failures():
-            print(run.failures()[0].error, file=sys.stderr)
-            return 1
-        # Cluster backends additionally collect the workers' own runtime
-        # spans (store round-trips, chunk wall time) broker-side; fold
-        # them into the job-level profile so the table covers the fleet.
-        worker_prof = getattr(executor, "last_worker_profile", None)
-        if worker_prof:
-            aggregator.profiler.merge(worker_prof)
-        summary = aggregator.summary()
-        profiled = aggregator.profiled
-        mode = "vectorised" if args.kernel == "auto" else f"{args.kernel}-kernel"
+    jobs = evaluator.sample_jobs(data, max_samples=args.max_samples,
+                                 profile=True, kernel=args.kernel)
+    aggregator = ProfileAggregator()
+    progress = _TeeProgress(aggregator) if args.quiet else _TeeProgress(
+        aggregator, ConsoleProgress()
+    )
+    executor = _make_executor(args)
+    run = run_jobs(jobs, executor=executor, progress=progress)
+    if run.failures():
+        print(run.failures()[0].error, file=sys.stderr)
+        return 1
+    # Cluster backends additionally collect the workers' own runtime
+    # spans (store round-trips, chunk wall time) broker-side; fold
+    # them into the job-level profile so the table covers the fleet.
+    worker_prof = getattr(executor, "last_worker_profile", None)
+    if worker_prof:
+        aggregator.profiler.merge(worker_prof)
+    summary = aggregator.summary()
+    profiled = aggregator.profiled
+    mode = "vectorised" if args.kernel == "auto" else f"{args.kernel}-kernel"
     title = (f"hot-path profile — {data.name}, {profiled} sample(s), "
              f"{args.slices} slice(s), {mode} event loop")
     print(render_profile(summary, title=title))

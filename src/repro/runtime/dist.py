@@ -37,11 +37,10 @@ Chunks are JSON documents of per-spec codec docs
 (:func:`~repro.runtime.jobs.spec_to_doc`): payload-free specs encode as
 ``codec: "json"``, ``sample_eval`` payloads cross as ``codec:
 "events"`` (base64 arrays — portable and inspectable, what lets the
-serving front end put payload jobs on a remote fleet), and only unknown
-payload kinds fall back to an embedded ``codec: "pickle"`` blob — a
-deprecated path that warns on encode and confines the chunk to workers
-sharing the code tree.  Whole-file pickle chunks written by older
-brokers still decode.
+serving front end put payload jobs on a remote fleet).  A payload kind
+with no codec is refused at :meth:`Broker.submit`.  Nothing read from
+the spool is ever unpickled: a spool is shared state, so a chunk file
+must not be able to run code in the workers that read it.
 
 Crash safety rests on idempotence: equal job hash ⇒ equal result, so
 a lease takeover that races a slow-but-alive worker merely computes
@@ -57,7 +56,6 @@ import math
 import multiprocessing
 import os
 import pathlib
-import pickle
 import socket
 import tempfile
 import threading
@@ -124,9 +122,9 @@ def _encode_chunk(chunk_id: str, index: int, specs: list[JobSpec],
     """Serialise one chunk as a JSON document of per-spec codec docs.
 
     :func:`~repro.runtime.jobs.spec_to_doc` picks the codec per spec:
-    ``json`` for payload-free specs, ``events`` for ``sample_eval``
-    payloads (base64 event arrays — wire-portable), and the deprecated
-    embedded-``pickle`` blob for unknown payload kinds (which warns).
+    ``json`` for payload-free specs and ``events`` for ``sample_eval``
+    payloads (base64 event arrays — wire-portable); a payload kind with
+    no codec raises ``ValueError``.
 
     ``trace`` embeds the chunk's span context in the document, so every
     worker attempt — including a requeue after a SIGKILL, which reuses
@@ -136,7 +134,7 @@ def _encode_chunk(chunk_id: str, index: int, specs: list[JobSpec],
         "schema": DIST_SCHEMA,
         "chunk": chunk_id,
         "index": index,
-        "jobs": [spec_to_doc(s, allow_pickle=True) for s in specs],
+        "jobs": [spec_to_doc(s) for s in specs],
     }
     if trace is not None:
         doc["trace"] = trace.to_doc()
@@ -152,13 +150,9 @@ def _decode_chunk(data: bytes) -> tuple[list[JobSpec], obs.SpanContext | None]:
     chunk-level failure instead of crashing.
     """
     try:
-        if data[:1] == b"\x80":  # pickle protocol 2+ magic (legacy chunks)
-            doc = pickle.loads(data)
-            specs = doc["specs"]
-        else:
-            doc = json.loads(data.decode())
-            specs = [spec_from_doc(j) for j in doc["jobs"]]
-    except Exception as exc:  # json/pickle/KeyError/... → one corruption shape
+        doc = json.loads(data.decode())
+        specs = [spec_from_doc(j) for j in doc["jobs"]]
+    except Exception as exc:  # json/KeyError/... → one corruption shape
         raise ValueError(f"corrupt spool chunk: {type(exc).__name__}: {exc}") from exc
     if doc.get("schema") != DIST_SCHEMA:
         raise ValueError(
@@ -675,6 +669,10 @@ class Broker:
         the member job hashes, so two brokers sharing one spool can
         never collide and a chunk is self-identifying in listings.
         Returns the chunk ids in input (= delivery) order.
+
+        Raises:
+            ValueError: a spec's payload kind has no wire codec (checked
+                for every chunk before any chunk is written).
         """
         specs = list(specs)
         if chunk_size is None:
@@ -686,16 +684,17 @@ class Broker:
         # gets its own span ID under it, embedded in the spool document.
         parent = obs.current_span()
         trace_id = parent.trace_id if parent else obs.new_id()
+        encoded = []
         for index, start in enumerate(range(0, len(specs), chunk_size)):
             members = specs[start:start + chunk_size]
             chunk_id = f"{self._run}-{index:05d}-{_chunk_digest(members)}"
             trace = obs.SpanContext(
                 trace_id=trace_id, span_id=obs.new_id(),
                 parent_id=parent.span_id if parent else None)
-            _atomic_write(
-                self.spool / "chunks" / f"{chunk_id}.chunk",
-                _encode_chunk(chunk_id, index, members, trace=trace),
-            )
+            blob = _encode_chunk(chunk_id, index, members, trace=trace)
+            encoded.append((index, chunk_id, members, trace, blob))
+        for index, chunk_id, members, trace, blob in encoded:
+            _atomic_write(self.spool / "chunks" / f"{chunk_id}.chunk", blob)
             self._chunks.append(
                 _Chunk(chunk_id=chunk_id, index=index, specs=members,
                        trace=trace, submitted_at=self.clock()))

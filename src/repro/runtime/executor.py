@@ -5,12 +5,10 @@ registry of ``serial`` / ``thread`` / ``process`` backends behind one
 contract: one :class:`~repro.runtime.backends.JobResult` per
 :class:`~repro.runtime.jobs.JobSpec` **in input order**, regardless of
 completion order, with raising jobs captured as structured ``ok=False``
-records instead of crashing the sweep.  ``SerialExecutor`` and
-``ProcessExecutor`` remain importable here as aliases of the
-registered backend classes.
+records instead of crashing the sweep.
 
 :func:`run_jobs` is the orchestration entry point layering the result
-cache over a backend: cache hits short-circuit execution, misses are
+store over a backend: cache hits short-circuit execution, misses are
 dispatched (chunked, per-job timed), and fresh successes are written
 back.  The backend may be passed as an instance or as a registered
 name (``"serial"``, ``"thread"``, ``"process"``, or anything added via
@@ -25,33 +23,12 @@ import time
 from dataclasses import dataclass
 
 from . import obs
-from .backends import (
-    Backend,
-    JobResult,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
-)
-from .cache import ResultCache
+from .backends import Backend, JobResult, SerialBackend, make_backend
 from .jobs import JobSpec
 from .progress import Progress
+from .store import ResultStore
 
-__all__ = [
-    "JobResult",
-    "RunStats",
-    "RunReport",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "run_jobs",
-]
-
-#: Backwards-compatible names from before the backend registry existed
-#: (PR 1 shipped these as the only two executors).
-SerialExecutor = SerialBackend
-ThreadExecutor = ThreadBackend
-ProcessExecutor = ProcessBackend
+__all__ = ["JobResult", "RunStats", "RunReport", "run_jobs"]
 
 
 @dataclass
@@ -105,7 +82,7 @@ class RunReport:
 def run_jobs(
     specs: list[JobSpec],
     executor: Backend | str | None = None,
-    cache: ResultCache | None = None,
+    cache: ResultStore | None = None,
     progress: Progress | None = None,
 ) -> RunReport:
     """Execute ``specs`` through ``executor``, layered over ``cache``.

@@ -6,8 +6,8 @@ hardware-in-the-loop sample evaluation — through a *canonical key*: a
 sorted-key JSON document derived from everything that determines the
 result (``SNEConfig`` fields, layer-program weights, event-stream
 content, dataset identity, seeds).  The SHA-256 of that key is the
-job's identity for the on-disk result cache
-(:mod:`repro.runtime.cache`): two specs with the same hash are
+job's identity for the on-disk result store
+(:mod:`repro.runtime.store`): two specs with the same hash are
 guaranteed to compute the same value, so a cached result can be reused
 across runs and processes.
 
@@ -29,8 +29,6 @@ import enum
 import functools
 import hashlib
 import json
-import pickle
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -121,9 +119,9 @@ class JobSpec:
 #: The spec-document codecs :func:`spec_to_doc` can emit (the value of
 #: every document's ``codec`` field): ``json`` for payload-free specs,
 #: ``events`` for ``sample_eval`` payloads (base64-encoded event arrays
-#: and program weights — wire-portable), and the deprecated ``pickle``
-#: fallback for unknown payload kinds.
-CODECS = ("json", "events", "pickle")
+#: and program weights — wire-portable).  A payload kind with no codec
+#: cannot be encoded.
+CODECS = ("json", "events")
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -262,7 +260,7 @@ def _decode_sample_payload(doc: dict) -> dict:
     }
 
 
-def spec_to_doc(spec: JobSpec, allow_pickle: bool = False) -> dict:
+def spec_to_doc(spec: JobSpec) -> dict:
     """One spec as a plain JSON document, tagged with its ``codec``.
 
     This is the wire/spool encoding the distributed work queue
@@ -276,14 +274,9 @@ def spec_to_doc(spec: JobSpec, allow_pickle: bool = False) -> dict:
       as encoded event arrays, program weights, config fields and the
       power calibration (bit-identical round trip), which is what lets
       payload-carrying jobs reach remote workers at all.
-    * ``"pickle"`` — unknown payload kinds, only with
-      ``allow_pickle=True``: the payload is embedded as a base64
-      pickle blob.  **Deprecated** — it confines the document to
-      workers sharing the code tree and emits a ``DeprecationWarning``;
-      register an explicit codec (like ``events``) instead.
 
     Raises:
-        ValueError: an unknown payload kind with ``allow_pickle=False``.
+        ValueError: a payload of any other kind — it has no codec.
     """
     if spec.payload is None:
         return {"kind": spec.kind, "key": spec.key, "codec": "json"}
@@ -294,24 +287,8 @@ def spec_to_doc(spec: JobSpec, allow_pickle: bool = False) -> dict:
             "codec": "events",
             "payload": _encode_sample_payload(spec.payload),
         }
-    if allow_pickle:
-        warnings.warn(
-            f"falling back to the pickle codec for {spec.kind!r} payloads; "
-            "pickle spool documents are deprecated — add a wire codec for "
-            "this payload kind (see the sample_eval events codec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        blob = pickle.dumps(spec.payload, protocol=pickle.HIGHEST_PROTOCOL)
-        return {
-            "kind": spec.kind,
-            "key": spec.key,
-            "codec": "pickle",
-            "payload": base64.b64encode(blob).decode("ascii"),
-        }
     raise ValueError(
-        f"{spec.kind} spec carries an in-memory payload with no wire codec; "
-        "pass allow_pickle=True for the (deprecated) pickle fallback"
+        f"{spec.kind} spec carries an in-memory payload with no wire codec"
     )
 
 
@@ -337,13 +314,6 @@ def spec_from_doc(doc: dict) -> JobSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"malformed events-codec payload for {kind!r}: {exc}") from exc
-        return JobSpec(kind=kind, key=key, payload=payload)
-    if codec == "pickle":
-        try:
-            payload = pickle.loads(base64.b64decode(doc["payload"]))
-        except Exception as exc:
-            raise ValueError(
-                f"malformed pickle-codec payload for {kind!r}: {exc}") from exc
         return JobSpec(kind=kind, key=key, payload=payload)
     raise ValueError(f"unknown spec codec {codec!r}; known: {CODECS}")
 

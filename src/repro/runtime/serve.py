@@ -67,12 +67,10 @@ import asyncio
 import contextlib
 import json
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 from . import obs
-from .backends import Backend, JobResult
-from .cache import ResultCache
+from .backends import JobResult
 from .dispatch import Dispatcher, LocalDispatcher
 from .jobs import (
     JobSpec,
@@ -81,6 +79,7 @@ from .jobs import (
     inference_energy_job,
 )
 from .progress import LatencyRecorder
+from .store import ResultStore
 
 __all__ = [
     "ServeTelemetry",
@@ -211,11 +210,6 @@ class _Pending:
 _CLOSE = object()
 
 
-#: Warn-once latch for the deprecated ``AsyncServer(backend=...)``
-#: construction path (module-level so every server shares it).
-_BACKEND_SHIM_WARNED = False
-
-
 class AsyncServer:
     """Micro-batching asyncio front end over one execution plane.
 
@@ -242,26 +236,19 @@ class AsyncServer:
 
     def __init__(
         self,
-        backend: Backend | str | None = None,
-        workers: int | None = None,
-        cache: ResultCache | None = None,
+        *,
+        cache: ResultStore | None = None,
         batch_window_s: float = 0.005,
         max_batch: int = 32,
         telemetry: ServeTelemetry | None = None,
-        *,
         dispatcher: Dispatcher | None = None,
         max_queue_depth: int | None = None,
         conn_credits: int = 64,
         slo_rules: list | None = None,
     ) -> None:
-        """Args:
-            backend: **deprecated** — backend instance or registered
-                name, wrapped in a
-                :class:`~repro.runtime.dispatch.LocalDispatcher` with a
-                one-time :class:`DeprecationWarning`.  Pass
-                ``dispatcher=`` instead.
-            workers: pool size when ``backend`` is a name (None = the
-                backend's own default); deprecated alongside it.
+        """All arguments are keyword-only.
+
+        Args:
             cache: optional read-through/write-through result store.
             batch_window_s: how long the batcher waits for more requests
                 after the first one arrives (0 = dispatch immediately).
@@ -285,8 +272,7 @@ class AsyncServer:
 
         Raises:
             ValueError: non-positive ``max_batch``, ``max_queue_depth``
-                or ``conn_credits``, negative ``batch_window_s``, or
-                both ``backend`` and ``dispatcher`` given.
+                or ``conn_credits``, or negative ``batch_window_s``.
         """
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
@@ -296,29 +282,8 @@ class AsyncServer:
             raise ValueError("max_queue_depth must be positive")
         if conn_credits < 1:
             raise ValueError("conn_credits must be positive")
-        if dispatcher is not None and backend is not None:
-            raise ValueError("pass either dispatcher= or the deprecated "
-                             "backend=, not both")
-        if dispatcher is None:
-            if backend is not None:
-                global _BACKEND_SHIM_WARNED
-                if not _BACKEND_SHIM_WARNED:
-                    _BACKEND_SHIM_WARNED = True
-                    warnings.warn(
-                        "AsyncServer(backend=...) is deprecated; pass "
-                        "dispatcher=LocalDispatcher(backend) instead",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-            dispatcher = LocalDispatcher(
-                backend if backend is not None else "thread", workers=workers)
-            self._owns_dispatcher = True
-        else:
-            self._owns_dispatcher = False
-        self.dispatcher = dispatcher
-        #: The wrapped backend when the plane is local (None on remote
-        #: planes) — kept for the deprecated ``backend=`` callers.
-        self.backend = getattr(dispatcher, "backend", None)
+        self.dispatcher = (
+            dispatcher if dispatcher is not None else LocalDispatcher("thread"))
         self.cache = cache
         self.batch_window_s = batch_window_s
         self.max_batch = max_batch
@@ -382,10 +347,6 @@ class AsyncServer:
             self._queue.put_nowait(_CLOSE)
             await self._batcher
         await self._drain_dispatches()
-        if self._owns_dispatcher:
-            # A dispatcher the server built itself (default, or the
-            # deprecated backend= shim) has no other owner to close it.
-            await self.dispatcher.aclose()
         self._flush_cache_stats()
         obs.flush_metrics()
 
@@ -394,10 +355,9 @@ class AsyncServer:
             await asyncio.gather(*list(self._dispatches), return_exceptions=True)
 
     def _flush_cache_stats(self) -> None:
-        flush = getattr(self.cache, "flush_stats", None)
-        if flush is not None:
+        if self.cache is not None:
             with contextlib.suppress(OSError):
-                flush()
+                self.cache.flush_stats()
 
     # -- request paths ----------------------------------------------------
     async def submit(self, spec: JobSpec) -> JobResult:
@@ -512,22 +472,13 @@ class AsyncServer:
     async def _cache_get(self, spec: JobSpec):
         if self.cache is None:
             return None
-        aget = getattr(self.cache, "aget", None)
-        if aget is not None:
-            return await aget(spec)
-        return await asyncio.to_thread(self.cache.get, spec)
+        return await self.cache.aget(spec)
 
     async def _cache_put(self, spec: JobSpec, result: JobResult) -> None:
         if self.cache is None or not result.ok:
             return
         try:
-            aput = getattr(self.cache, "aput", None)
-            if aput is not None:
-                await aput(spec, result.value, result.duration_s)
-            else:
-                await asyncio.to_thread(
-                    self.cache.put, spec, result.value, result.duration_s
-                )
+            await self.cache.aput(spec, result.value, result.duration_s)
         except Exception:
             # Same policy as run_jobs, but broader: *any* cache-write
             # failure costs the memoisation, never the already-computed

@@ -1,7 +1,21 @@
-"""Shared, eviction-aware result store.
+"""Shared, eviction-aware result store keyed by job hash.
 
-:class:`ResultStore` promotes the per-run :class:`~repro.runtime.cache.ResultCache`
-to a directory many runs, users and CI jobs can share:
+Every entry is one JSON file carrying a versioned envelope::
+
+    {"schema": 1, "kind": ..., "key": ..., "job_hash": ...,
+     "value": {...}, "duration_s": ...}
+
+A lookup validates the envelope against the requesting spec — schema
+version, kind, hash *and* the full canonical key must all match — so a
+truncated write, a hand-edited file, a hash collision across schema
+versions or a partially-copied directory degrades to a miss (the
+offending file is deleted and the job recomputed), never to a wrong
+result.  Hit/miss/store/corrupt counters accumulate in
+:class:`CacheStats`; the sweep engine and CLI report them after every
+run.
+
+:class:`ResultStore` is built for a directory many runs, users and CI
+jobs can share:
 
 * **content-addressed two-level layout** — an entry for job hash
   ``abcdef…`` lives at ``ab/abcdef….json``, keeping any one directory
@@ -34,19 +48,29 @@ import re
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import obs
 from ._fsutil import atomic_write_bytes
-from .cache import CachedResult, CacheStats, ResultCache, default_cache_dir
-from .jobs import JobSpec
+from .jobs import SCHEMA_VERSION, JobSpec
 
 try:  # pragma: no cover - fcntl is POSIX-only; Windows degrades gracefully
     import fcntl
 except ImportError:  # pragma: no cover
     fcntl = None
 
-__all__ = ["ResultStore", "open_store", "default_max_bytes", "MAX_BYTES_ENV"]
+__all__ = [
+    "CacheStats",
+    "CachedResult",
+    "ResultStore",
+    "open_store",
+    "default_cache_dir",
+    "default_max_bytes",
+    "MAX_BYTES_ENV",
+]
+
+#: Environment variable overriding the default store location.
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Environment variable giving the default store size cap in bytes.
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
@@ -86,7 +110,7 @@ _TOUCH_FLUSH_COUNT = 32
 _DEBRIS_GRACE_S = 3600.0
 
 #: How often a store that found no flat-layout entries re-checks for
-#: them (a collaborator still on the pre-store cache may write some).
+#: them (a collaborator still on an older version may write some).
 _FLAT_RECHECK_S = 60.0
 
 #: Counter fields persisted to the ``stats.json`` sidecar — the
@@ -97,6 +121,12 @@ _STATS_FIELDS = ("hits", "misses", "stores", "corrupt")
 #: :meth:`ResultStore.entry_stats`; the last bucket is unbounded.
 _AGE_BUCKETS = ((60.0, "<1m"), (600.0, "<10m"), (3600.0, "<1h"),
                 (86400.0, "<1d"), (float("inf"), ">=1d"))
+
+
+def default_cache_dir() -> pathlib.Path:
+    """``$REPRO_CACHE_DIR`` if set, else ``.repro_cache`` in the cwd."""
+    env = os.environ.get(CACHE_DIR_ENV)
+    return pathlib.Path(env) if env else pathlib.Path(".repro_cache")
 
 
 def default_max_bytes() -> int | None:
@@ -114,18 +144,53 @@ def default_max_bytes() -> int | None:
 
 
 @dataclass
-class ResultStore(ResultCache):
-    """A sharded, size-capped, LRU-evicting :class:`ResultCache`.
+class CacheStats:
+    """Counters for one store instance's lifetime."""
 
-    ``max_bytes=None`` disables eviction (the store only adds the
-    sharded layout and recency tracking); a cap is enforced after every
-    store, so a long sweep can never overshoot by more than one entry.
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    corrupt: int = 0
+
+    @property
+    def lookups(self) -> int:
+        """Total lookups: hits plus misses."""
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from disk (0.0 with no lookups)."""
+        return self.hits / self.lookups if self.lookups else 0.0
+
+
+@dataclass(frozen=True)
+class CachedResult:
+    """A value served from disk, with its original compute time."""
+
+    job_hash: str
+    kind: str
+    value: dict
+    duration_s: float
+
+
+@dataclass
+class ResultStore:
+    """A sharded, size-capped, LRU-evicting directory of job results,
+    validated on every read.
+
+    ``max_bytes=None`` disables eviction (the store keeps the sharded
+    layout and recency tracking); a cap is enforced after every store,
+    so a long sweep can never overshoot by more than one entry.
     """
 
+    root: pathlib.Path
+    schema_version: int = SCHEMA_VERSION
+    stats: CacheStats = field(default_factory=CacheStats)
     max_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        self.root = pathlib.Path(self.root)
+        self.root.mkdir(parents=True, exist_ok=True)
         if self.max_bytes is not None and self.max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
         # Running size estimate so a capped put only pays for a full
@@ -138,7 +203,7 @@ class ResultStore(ResultCache):
         # store whose *deduplicated* index legitimately exceeds the base
         # threshold doesn't recompact on every touch.
         self._compact_floor: int = _COMPACT_THRESHOLD_BYTES
-        # Whether the root may still hold pre-store flat-layout entries;
+        # Whether the root may still hold older versions' flat entries;
         # resolved on first use (and re-checked at most every
         # _FLAT_RECHECK_S while negative, in case a legacy writer is
         # still active) so stores that never saw the old layout pay an
@@ -169,8 +234,9 @@ class ResultStore(ResultCache):
         return self.root / job_hash[:2] / f"{job_hash}.json"
 
     def _iter_entries(self):
-        # Root-level hash-named *.json files are entries from the
-        # pre-store flat ResultCache layout; counting (and evicting/
+        """Every entry file currently on disk."""
+        # Root-level hash-named *.json files are entries from the flat
+        # layout older versions wrote; counting (and evicting/
         # clearing) them too keeps an upgraded directory fully
         # administered.  Non-hash names (``stats.json``, stray files)
         # are metadata, never entries.
@@ -182,8 +248,8 @@ class ResultStore(ResultCache):
         return (p for p in self.root.glob("*.json") if _HASH_LINE.match(p.stem))
 
     def _adopt_flat(self, job_hash: str) -> None:
-        """Move a flat-layout entry (pre-store ``<hash>.json`` in the
-        root) into its shard, so results cached before the upgrade stay
+        """Move a flat-layout entry (an older version's ``<hash>.json``
+        in the root) into its shard, so results cached before the upgrade stay
         hittable.  Atomic rename on one filesystem; a concurrent
         adopter losing the race is harmless."""
         # Re-resolve periodically in both directions: a legacy writer
@@ -533,19 +599,62 @@ class ResultStore(ResultCache):
 
     # -- cache interface --------------------------------------------------
     def get(self, spec: JobSpec) -> CachedResult | None:
-        """The stored result for ``spec``, or None; hits are touched
-        and counted in the per-entry usage telemetry."""
+        """The stored result for ``spec``, or None (miss / corruption);
+        hits are touched and counted in the per-entry usage telemetry."""
         self._adopt_flat(spec.job_hash)
-        hit = super().get(spec)
-        if hit is not None:
-            self._entry_hits[spec.job_hash] = (
-                self._entry_hits.get(spec.job_hash, 0) + 1
-            )
-            self._touch(spec.job_hash)
-            _store_events().inc(op="hit")
-        else:
+        path = self.path(spec.job_hash)
+        entry = self._load(path)
+        if entry is not None and not self._valid_for(entry, spec):
+            self.stats.corrupt += 1
+            self._evict(path)
+            entry = None
+        if entry is None:
+            self.stats.misses += 1
             _store_events().inc(op="miss")
-        return hit
+            return None
+        self.stats.hits += 1
+        self._entry_hits[spec.job_hash] = self._entry_hits.get(spec.job_hash, 0) + 1
+        self._touch(spec.job_hash)
+        _store_events().inc(op="hit")
+        return CachedResult(
+            job_hash=spec.job_hash,
+            kind=entry["kind"],
+            value=entry["value"],
+            duration_s=float(entry["duration_s"]),
+        )
+
+    def _load(self, path: pathlib.Path) -> dict | None:
+        try:
+            raw = path.read_text()
+        except OSError:
+            return None
+        try:
+            entry = json.loads(raw)
+        except json.JSONDecodeError:
+            self.stats.corrupt += 1
+            self._evict(path)
+            return None
+        # Signal "present but needs validation" vs "absent" to get().
+        return entry if isinstance(entry, dict) else {}
+
+    @staticmethod
+    def _evict(path: pathlib.Path) -> None:
+        """Best-effort removal: an unwritable store (read-only mount,
+        shared CI directory) degrades to recomputation, not a crash."""
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:
+            pass
+
+    def _valid_for(self, entry: dict, spec: JobSpec) -> bool:
+        return (
+            entry.get("schema") == self.schema_version
+            and entry.get("kind") == spec.kind
+            and entry.get("key") == spec.key
+            and entry.get("job_hash") == spec.job_hash
+            and isinstance(entry.get("value"), dict)
+            and isinstance(entry.get("duration_s"), (int, float))
+        )
 
     def _locked_get(self, spec: JobSpec) -> CachedResult | None:
         with self._mutex:
@@ -570,22 +679,50 @@ class ResultStore(ResultCache):
         await asyncio.to_thread(self._locked_put, spec, value, duration_s)
 
     def invalidate(self, spec: JobSpec) -> bool:
-        """Drop one entry (sharded or legacy flat); True if removed."""
+        """Drop one entry (sharded or legacy flat); True if this call
+        removed it.  One unlink, so an entry a concurrent evictor
+        deletes first reads as False, never as a removal."""
         self._adopt_flat(spec.job_hash)
-        return super().invalidate(spec)
+        try:
+            self.path(spec.job_hash).unlink()
+        except FileNotFoundError:
+            return False
+        return True
 
     def put(self, spec: JobSpec, value: dict, duration_s: float) -> None:
-        """Persist one result into its shard, touch its recency record,
-        and enforce ``max_bytes`` (evicting LRU entries if the running
-        size estimate crosses the cap)."""
+        """Persist one result atomically into its shard, touch its
+        recency record, and enforce ``max_bytes`` (evicting LRU entries
+        if the running size estimate crosses the cap).
+
+        The temp file lives in the target's own shard so the final
+        ``os.replace`` stays on one filesystem and is atomic.
+        """
         self._adopt_flat(spec.job_hash)  # else the old flat copy would linger
+        target = self.path(spec.job_hash)
         old_size = 0
         if self.max_bytes is not None and self._approx_bytes is not None:
             try:  # a re-put replaces bytes rather than adding them
-                old_size = self.path(spec.job_hash).stat().st_size
+                old_size = target.stat().st_size
             except OSError:
                 pass
-        super().put(spec, value, duration_s)
+        entry = {
+            "schema": self.schema_version,
+            "kind": spec.kind,
+            "key": spec.key,
+            "job_hash": spec.job_hash,
+            "value": value,
+            "duration_s": float(duration_s),
+        }
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(entry, fh)
+            os.replace(tmp, target)
+        except BaseException:
+            pathlib.Path(tmp).unlink(missing_ok=True)
+            raise
+        self.stats.stores += 1
         self._touch(spec.job_hash)
         _store_events().inc(op="store")
         # The write-through step of the trace chain: journaled under the
@@ -600,7 +737,7 @@ class ResultStore(ResultCache):
             self._approx_bytes = sum(size for _, _, size, _ in self._scan())
         else:
             try:
-                self._approx_bytes += self.path(spec.job_hash).stat().st_size - old_size
+                self._approx_bytes += target.stat().st_size - old_size
             except OSError:
                 pass
         if self._approx_bytes > self.max_bytes:
@@ -609,7 +746,10 @@ class ResultStore(ResultCache):
     def clear(self) -> int:
         """Remove every entry, the recency index and the lifetime
         counters, returning how many entries were deleted."""
-        n = super().clear()
+        n = 0
+        for path in self._iter_entries():
+            path.unlink(missing_ok=True)
+            n += 1
         self._pending_touches = []
         self._entry_hits = {}
         self.index_path.unlink(missing_ok=True)
@@ -632,6 +772,13 @@ class ResultStore(ResultCache):
                     p.rmdir()
         self._approx_bytes = 0
         return n
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._iter_entries())
+
+    def size_bytes(self) -> int:
+        """Total bytes currently held by entry files."""
+        return sum(size for _, _, size, _ in self._scan())
 
     def __del__(self):  # pragma: no cover - interpreter-exit best effort
         """Flush buffered touches and counter deltas on teardown."""
@@ -662,8 +809,7 @@ class ResultStore(ResultCache):
         """(job_hash, path, size, mtime) for every live entry.
 
         Entries another process deletes between the directory listing
-        and the stat are skipped — the shared-store TOCTOU the flat
-        cache's ``size_bytes`` also guards against.
+        and the stat are skipped (a shared-store TOCTOU), never a crash.
         """
         out = []
         for path in self._iter_entries():

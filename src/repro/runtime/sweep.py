@@ -4,8 +4,8 @@ A :class:`SweepGrid` is an ordered list of named axes; its cartesian
 product enumerates design points in a deterministic order (last axis
 fastest, like nested for-loops).  :func:`run_dse_sweep` compiles the
 paper's design-space axes (slice count × supply voltage × cluster
-utilisation) into ``dse_point`` jobs, runs them through an executor
-and the result cache, and aggregates the results into rows compatible
+utilisation) into ``dse_point`` jobs, runs them through a backend
+and the result store, and aggregates the results into rows compatible
 with :func:`repro.analysis.tables.render_table` /
 :func:`~repro.analysis.tables.to_csv` — the same renderer every
 benchmark table goes through.
@@ -19,10 +19,10 @@ from typing import Sequence
 
 from ..analysis.tables import render_table, to_csv
 from .backends import Backend
-from .cache import ResultCache
 from .executor import RunReport, RunStats, run_jobs
 from .jobs import JobSpec, dse_point_job
 from .progress import Progress
+from .store import ResultStore
 
 __all__ = [
     "SweepAxis",
@@ -175,7 +175,7 @@ def run_dse_sweep(
     voltages: Sequence[float | None] = (None,),
     utilizations: Sequence[float] = (1.0,),
     executor: Backend | str | None = None,
-    cache: ResultCache | None = None,
+    cache: ResultStore | None = None,
     progress: Progress | None = None,
     shards: int | None = None,
 ) -> SweepReport:
@@ -210,7 +210,7 @@ def _run_sharded(
     jobs: Sequence[JobSpec],
     n_shards: int,
     executor: Backend | str | None,
-    cache: ResultCache | None,
+    cache: ResultStore | None,
     progress: Progress | None,
 ) -> RunReport:
     """Run ``jobs`` shard by shard and merge back into grid order."""

@@ -14,8 +14,9 @@ codes against, so these tests pin what clients of the seam depend on:
   failures at the per-submission timeout, never as a hang;
 * ``aclose()`` fails pending submissions instead of stranding them,
   and a closed dispatcher rejects new work;
-* the deprecated ``AsyncServer(backend=...)`` shim warns once and
-  wraps the backend in a ``LocalDispatcher``.
+* ``AsyncServer()`` defaults to a local ``thread`` plane and takes
+  keyword arguments only, so a stale positional backend name fails
+  loudly instead of binding to ``cache``.
 """
 
 import asyncio
@@ -105,31 +106,7 @@ class TestLocalDispatcher:
 
 
 class TestBackendShim:
-    def test_backend_kwarg_warns_once_and_wraps(self, monkeypatch):
-        from repro.runtime import serve as serve_mod
-
-        monkeypatch.setattr(serve_mod, "_BACKEND_SHIM_WARNED", False)
-
-        async def body():
-            with pytest.warns(DeprecationWarning, match="dispatcher="):
-                srv = AsyncServer(backend="serial")
-            assert isinstance(srv.dispatcher, LocalDispatcher)
-            assert srv.stats()["backend"] == "serial"
-            # The latch holds: a second deprecated construction is silent.
-            import warnings as _w
-            with _w.catch_warnings():
-                _w.simplefilter("error", DeprecationWarning)
-                AsyncServer(backend="serial")
-
-        run_async(body())
-
-    def test_backend_and_dispatcher_are_exclusive(self):
-        async def body():
-            with pytest.raises(ValueError, match="not both"):
-                AsyncServer(backend="serial",
-                            dispatcher=LocalDispatcher("serial"))
-
-        run_async(body())
+    """How ``AsyncServer`` builds its plane: default and keyword-only."""
 
     def test_default_construction_is_local_thread_plane(self):
         async def body():
@@ -138,6 +115,10 @@ class TestBackendShim:
             assert srv.stats()["backend"] == "thread"
 
         run_async(body())
+
+    def test_positional_arguments_are_rejected(self):
+        with pytest.raises(TypeError):
+            AsyncServer("serial")
 
 
 class TestBrokerDispatcher:

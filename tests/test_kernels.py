@@ -209,15 +209,6 @@ class TestRunLayerParity:
                     continue
                 assert type(v) in (int, float), f"{kernel}: {k} is {type(v)}"
 
-    def test_batched_false_equals_reference_kernel(self):
-        case = random_kernel_case(2)
-        cfg = SNEConfig(n_slices=case.n_slices)
-        out_b, s_b = SNE(cfg).run_layer(case.program, case.stream, batched=False)
-        out_r, s_r = SNE(cfg).run_layer(case.program, case.stream,
-                                        kernel="reference")
-        assert out_b == out_r
-        assert dataclasses.asdict(s_b) == dataclasses.asdict(s_r)
-
 
 class TestNetworkParity:
     def test_run_network_matrix(self):

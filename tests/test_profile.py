@@ -105,7 +105,7 @@ class TestSNEProfileSpans:
             assert set(span.as_dict()) == SPAN_KEYS
 
     def test_reference_loop_profiles_too(self):
-        profiler = self.make_run(batched=False)
+        profiler = self.make_run(kernel="reference")
         assert profiler.spans["sne.update"].count > 0
 
     def test_pipelined_mode_emits_stage_spans(self):
@@ -190,11 +190,18 @@ class TestProfileCLI:
         assert set(doc["spans"]["sne.update"]) == SPAN_KEYS
 
     def test_profile_command_per_event_mode(self, capsys):
+        # The per-event reference loop is profiled through the job path
+        # like every other kernel, with the same stage and layer spans.
         rc = main(["profile", "--size", "16", "--steps", "4", "--per-class", "1",
-                   "--max-samples", "1", "--slices", "2", "--per-event",
-                   "--quiet"])
+                   "--max-samples", "1", "--slices", "2", "--kernel", "reference",
+                   "--quiet", "--json", "-"])
         assert rc == 0
-        assert "per-event reference" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "reference-kernel event loop" in out
+        doc = json.loads(out[out.index("\n{") + 1:])
+        assert doc["workload"]["mode"] == "reference-kernel"
+        assert "sne.update" in doc["spans"]
+        assert any(name.startswith("sne.layer.") for name in doc["spans"])
 
 
 class TestVectorizedParity:
@@ -211,10 +218,10 @@ class TestVectorizedParity:
         for seed in range(12):
             case = random_case(seed)
             out_vec, stats_vec = SNE(SNEConfig(n_slices=case.n_slices)).run_layer(
-                case.program, case.stream, batched=True, kernel=kernel
+                case.program, case.stream, kernel=kernel
             )
             out_ref, stats_ref = SNE(SNEConfig(n_slices=case.n_slices)).run_layer(
-                case.program, case.stream, batched=False
+                case.program, case.stream, kernel="reference"
             )
             assert out_vec == out_ref, f"outputs diverged (seed {seed})"
             d_vec = dataclasses.asdict(stats_vec)
@@ -243,9 +250,8 @@ class TestVectorizedParity:
         stream = EventStream.from_dense(dense)
         cfg = SNEConfig(n_slices=1)
         sne_vec, sne_ref = SNE(cfg), SNE(cfg)
-        out_vec, stats_vec = sne_vec.run_layer(prog, stream, batched=True,
-                                               kernel=kernel)
-        out_ref, stats_ref = sne_ref.run_layer(prog, stream, batched=False)
+        out_vec, stats_vec = sne_vec.run_layer(prog, stream, kernel=kernel)
+        out_ref, stats_ref = sne_ref.run_layer(prog, stream, kernel="reference")
         assert out_vec == out_ref
         assert dataclasses.asdict(stats_vec) == dataclasses.asdict(stats_ref)
         for sl_vec, sl_ref in zip(sne_vec.slices, sne_ref.slices):

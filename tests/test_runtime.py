@@ -3,7 +3,7 @@
 The contracts under test are the ones every later scaling PR relies on:
 
 * same spec -> same hash; different spec -> different hash;
-* serial and multiprocessing executors produce bit-identical, ordered
+* serial and multiprocessing backends produce bit-identical, ordered
   results (including the per-sample hardware evaluation path);
 * cache round-trips are deterministic (same spec -> hit) and corrupted
   entries degrade to recomputation, never to wrong results;
@@ -23,9 +23,9 @@ from repro.hw import (
 )
 from repro.runtime import (
     ConsoleProgress,
-    ProcessExecutor,
-    ResultCache,
-    SerialExecutor,
+    ProcessBackend,
+    ResultStore,
+    SerialBackend,
     SweepAxis,
     SweepGrid,
     TelemetryCollector,
@@ -105,8 +105,8 @@ class TestJobSpecs:
 class TestExecutors:
     def test_serial_and_process_results_identical(self):
         jobs = dse_jobs(dse_grid(slices=(1, 2, 3, 4, 6, 8), voltages=(None, 0.9)))
-        serial = SerialExecutor().run(jobs)
-        parallel = ProcessExecutor(workers=2, chunk_size=3).run(jobs)
+        serial = SerialBackend().run(jobs)
+        parallel = ProcessBackend(workers=2, chunk_size=3).run(jobs)
         assert [r.job_hash for r in serial] == [r.job_hash for r in parallel]
         assert [r.value for r in serial] == [r.value for r in parallel]
         assert all(r.ok for r in parallel)
@@ -118,7 +118,7 @@ class TestExecutors:
             baseline_compare_job("Dynapsel"),
             baseline_compare_job("Tianjic"),
         ]
-        results = SerialExecutor().run(jobs)
+        results = SerialBackend().run(jobs)
         assert [r.ok for r in results] == [True, False, True]
         assert "ValueError" in results[1].error
         assert results[2].value["improvement_x"] == pytest.approx(3.55, abs=0.05)
@@ -127,12 +127,12 @@ class TestExecutors:
 
     def test_process_executor_validates_arguments(self):
         with pytest.raises(ValueError):
-            ProcessExecutor(workers=0)
+            ProcessBackend(workers=0)
         with pytest.raises(ValueError):
-            ProcessExecutor(chunk_size=0)
+            ProcessBackend(chunk_size=0)
 
     def test_run_jobs_preserves_order_with_partial_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         first = run_jobs([dse_point_job(2), dse_point_job(4)], cache=cache)
         assert first.stats.misses == 2
         jobs = [dse_point_job(n) for n in (1, 2, 4, 8)]
@@ -144,16 +144,16 @@ class TestExecutors:
 
 class TestCache:
     def test_roundtrip_is_deterministic(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         jobs = dse_jobs(dse_grid(slices=(1, 8)))
         cold = run_jobs(jobs, cache=cache)
-        warm = run_jobs(jobs, cache=ResultCache(tmp_path))  # fresh instance
+        warm = run_jobs(jobs, cache=ResultStore(tmp_path))  # fresh instance
         assert warm.stats.hits == len(jobs) and warm.stats.misses == 0
         assert [r.value for r in warm.results] == [r.value for r in cold.results]
         assert all(r.cached for r in warm.results)
 
     def test_corrupted_entry_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         spec = dse_point_job(8)
         run_jobs([spec], cache=cache)
         cache.path(spec.job_hash).write_text("{ not json")
@@ -164,7 +164,7 @@ class TestCache:
         assert run_jobs([spec], cache=cache).stats.hits == 1
 
     def test_tampered_envelope_rejected(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         spec = dse_point_job(4)
         run_jobs([spec], cache=cache)
         path = cache.path(spec.job_hash)
@@ -177,15 +177,15 @@ class TestCache:
 
     def test_schema_version_mismatch_is_a_miss(self, tmp_path):
         spec = dse_point_job(2)
-        ResultCache(tmp_path).put(spec, execute_job(spec), 0.0)
-        newer = ResultCache(tmp_path, schema_version=99)
+        ResultStore(tmp_path).put(spec, execute_job(spec), 0.0)
+        newer = ResultStore(tmp_path, schema_version=99)
         assert newer.get(spec) is None
         assert newer.stats.corrupt == 1
 
     def test_unremovable_corrupt_entry_degrades_to_miss(self, tmp_path, monkeypatch):
         import pathlib
 
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         spec = dse_point_job(8)
         run_jobs([spec], cache=cache)
         cache.path(spec.job_hash).write_text("{ not json")
@@ -198,7 +198,7 @@ class TestCache:
         assert cache.stats.corrupt == 1
 
     def test_write_failure_degrades_to_uncached_results(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
 
         def broken_put(spec, value, duration_s):
             raise OSError("disk full")
@@ -216,7 +216,7 @@ class TestCache:
         # count the survivors instead of raising FileNotFoundError.
         import pathlib
 
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         specs = [dse_point_job(n) for n in (1, 2, 4)]
         run_jobs(specs, cache=cache)
         victim = cache.path(specs[1].job_hash)
@@ -235,7 +235,7 @@ class TestCache:
         assert cache.size_bytes() == survivor_bytes
 
     def test_invalidate_and_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         specs = [dse_point_job(n) for n in (1, 2)]
         run_jobs(specs, cache=cache)
         assert len(cache) == 2 and cache.size_bytes() > 0
@@ -243,6 +243,51 @@ class TestCache:
         assert cache.invalidate(specs[0]) is False
         assert cache.clear() == 1
         assert len(cache) == 0
+
+    def test_invalidate_reports_false_when_a_concurrent_evictor_won(
+        self, tmp_path, monkeypatch
+    ):
+        # An evictor that removes the entry while invalidate runs must
+        # leave invalidate reporting False: True means this call removed it.
+        import pathlib
+
+        cache = ResultStore(tmp_path)
+        spec = dse_point_job(2)
+        run_jobs([spec], cache=cache)
+        victim = cache.path(spec.job_hash)
+        real_exists = pathlib.Path.exists
+        evicted = []
+
+        def racing_exists(self, *args, **kwargs):
+            if self == victim and real_exists(self):
+                self.unlink()  # the concurrent evictor wins the race
+                evicted.append(self)
+                return True
+            return real_exists(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "exists", racing_exists)
+        removed = cache.invalidate(spec)
+        assert not real_exists(victim)
+        assert removed == (not evicted)
+
+    def test_invalidate_reports_false_when_entry_vanishes_before_unlink(
+        self, tmp_path, monkeypatch
+    ):
+        import pathlib
+
+        cache = ResultStore(tmp_path)
+        spec = dse_point_job(2)
+        run_jobs([spec], cache=cache)
+        victim = cache.path(spec.job_hash)
+        real_unlink = pathlib.Path.unlink
+
+        def racing_unlink(self, missing_ok=False):
+            if self == victim:
+                real_unlink(self, missing_ok=True)  # the evictor got there first
+            return real_unlink(self, missing_ok=missing_ok)
+
+        monkeypatch.setattr(pathlib.Path, "unlink", racing_unlink)
+        assert cache.invalidate(spec) is False
 
 
 class TestSweep:
@@ -275,8 +320,8 @@ class TestSweep:
     def test_sweep_serial_parallel_cached_all_identical(self, tmp_path):
         kwargs = dict(slices=(1, 2, 4, 8), voltages=(None, 0.9))
         serial = run_dse_sweep(**kwargs)
-        parallel = run_dse_sweep(executor=ProcessExecutor(workers=2), **kwargs)
-        cache = ResultCache(tmp_path)
+        parallel = run_dse_sweep(executor=ProcessBackend(workers=2), **kwargs)
+        cache = ResultStore(tmp_path)
         run_dse_sweep(cache=cache, **kwargs)
         cached = run_dse_sweep(cache=cache, **kwargs)
         assert serial.rows == parallel.rows == cached.rows
@@ -285,7 +330,7 @@ class TestSweep:
 
 class TestProgress:
     def test_telemetry_records_every_job(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         telemetry = TelemetryCollector()
         jobs = [dse_point_job(n) for n in (1, 2, 4)]
         run_jobs(jobs, cache=cache, progress=telemetry)
@@ -312,14 +357,14 @@ class TestHardwareEvaluatorRuntime:
         evaluator, data = tiny_eval
         serial = evaluator.evaluate(data, max_samples=4)
         parallel = evaluator.evaluate(
-            data, max_samples=4, executor=ProcessExecutor(workers=2, chunk_size=1)
+            data, max_samples=4, executor=ProcessBackend(workers=2, chunk_size=1)
         )
         assert serial.results == parallel.results
         assert serial.accuracy == parallel.accuracy
 
     def test_sample_cache_roundtrip(self, tiny_eval, tmp_path):
         evaluator, data = tiny_eval
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         jobs = evaluator.sample_jobs(data, max_samples=3)
         cold = run_jobs(jobs, cache=cache)
         warm = run_jobs(evaluator.sample_jobs(data, max_samples=3), cache=cache)

@@ -18,10 +18,12 @@ import pathlib
 import pytest
 
 from repro.runtime import (
+    SCHEMA_VERSION,
     JobSpec,
     ResultStore,
     canonical_json,
     dse_point_job,
+    execute_job,
     open_store,
     run_jobs,
 )
@@ -71,20 +73,22 @@ class TestLayout:
         assert [r.value for r in warm.results] == [r.value for r in cold.results]
 
     def test_flat_layout_entries_adopted_on_upgrade(self, tmp_path):
-        # A directory written by the pre-store flat ResultCache keeps
-        # serving hits (and stays administerable) through a ResultStore.
-        from repro.runtime import ResultCache
-
-        flat = ResultCache(tmp_path)
+        # A directory written by an older version's flat layout
+        # (``<hash>.json`` in the root) keeps serving hits (and stays
+        # administerable) through a ResultStore.
         jobs = [dse_point_job(n) for n in (1, 2)]
-        cold = run_jobs(jobs, cache=flat)
-        assert (tmp_path / f"{jobs[0].job_hash}.json").exists()
+        values = [execute_job(spec) for spec in jobs]
+        for spec, value in zip(jobs, values):
+            (tmp_path / f"{spec.job_hash}.json").write_text(json.dumps({
+                "schema": SCHEMA_VERSION, "kind": spec.kind, "key": spec.key,
+                "job_hash": spec.job_hash, "value": value, "duration_s": 0.0,
+            }))
 
         store = ResultStore(tmp_path)
         assert len(store) == 2          # visible before adoption
         warm = run_jobs(jobs, cache=store)
         assert warm.stats.hits == 2     # served, not recomputed
-        assert [r.value for r in warm.results] == [r.value for r in cold.results]
+        assert [r.value for r in warm.results] == values
         # Adopted into shards; the flat copies are gone.
         assert store.path(jobs[0].job_hash).exists()
         assert not (tmp_path / f"{jobs[0].job_hash}.json").exists()

@@ -1,4 +1,4 @@
-"""Spec-document codecs: ``json`` / ``events`` / ``pickle`` round trips.
+"""Spec-document codecs: ``json`` / ``events`` round trips, no pickle.
 
 The fleet-serving path (``BrokerDispatcher``) and the ``cluster``
 backend both cross process boundaries through
@@ -10,9 +10,11 @@ the wire contract down:
 * ``sample_eval`` payloads round-trip through the ``events`` codec
   **bit-identically** — same job hash, byte-equal weight and event
   arrays, identical execution results;
-* the ``pickle`` fallback still works for unknown payload kinds but is
-  deprecated: encoding warns, and it is opt-in (``allow_pickle=True``);
-* the dist chunk files built on top are pure JSON now, even for
+* nothing is ever unpickled: a payload kind with no codec cannot be
+  encoded (nor submitted to a broker), and a ``pickle`` document or
+  pickle chunk file read from a spool is reported as corrupt without
+  running the code it carries;
+* the dist chunk files built on top are pure JSON, even for
   payload-carrying specs.
 """
 
@@ -44,7 +46,7 @@ def make_sample_spec(power=True, seed=0):
 
 class TestCodecField:
     def test_codecs_tuple_is_the_contract(self):
-        assert CODECS == ("json", "events", "pickle")
+        assert CODECS == ("json", "events")
 
     def test_payload_free_spec_is_json_codec(self):
         spec = JobSpec(kind="k", key=canonical_json({"a": 1}))
@@ -108,29 +110,32 @@ class TestEventsCodec:
 
 
 class TestPickleFallback:
+    """There is no pickle fallback: unknown payload kinds are refused."""
+
     def spec(self):
         return JobSpec(kind="t_exotic", key=canonical_json({"n": 1}),
                        payload={"blob": np.arange(3)})
 
     def test_rejected_without_opt_in(self):
-        with pytest.raises(ValueError, match="no wire codec"):
+        with pytest.raises(ValueError, match="t_exotic.*no wire codec"):
             spec_to_doc(self.spec())
 
-    def test_opt_in_warns_deprecation_and_round_trips(self):
-        with pytest.warns(DeprecationWarning, match="pickle"):
-            doc = spec_to_doc(self.spec(), allow_pickle=True)
-        assert doc["codec"] == "pickle"
-        json.dumps(doc)  # the blob is embedded as base64 text
-        back = spec_from_doc(doc)
-        assert back.job_hash == self.spec().job_hash
-        assert np.array_equal(back.payload["blob"], np.arange(3))
-
     def test_corrupt_pickle_payload_is_structured_error(self):
-        with pytest.warns(DeprecationWarning):
-            doc = spec_to_doc(self.spec(), allow_pickle=True)
-        doc["payload"] = "AAAA"
-        with pytest.raises(ValueError, match="pickle-codec payload"):
+        doc = {"kind": "t_exotic", "key": self.spec().key,
+               "codec": "pickle", "payload": "AAAA"}
+        with pytest.raises(ValueError, match="unknown spec codec"):
             spec_from_doc(doc)
+
+    def test_broker_submit_refuses_kind_without_codec(self, tmp_path):
+        from repro.runtime.dist import Broker
+
+        ok = JobSpec(kind="k", key=canonical_json({"a": 1}))
+        broker = Broker(tmp_path)
+        with pytest.raises(ValueError, match="t_exotic"):
+            broker.submit([ok, self.spec()], chunk_size=1)
+        # Refused before anything reached the spool.
+        assert list((tmp_path / "chunks").iterdir()) == []
+        assert broker.chunk_ids == []
 
 
 class TestChunkFilesAreJSON:
@@ -146,13 +151,18 @@ class TestChunkFilesAreJSON:
         assert specs[0].job_hash == spec.job_hash
         assert execute_job(specs[0]) == execute_job(spec)
 
-    def test_legacy_pickle_chunk_still_decodes(self):
+    def test_pickle_chunk_is_corrupt_and_never_unpickled(self, tmp_path):
         import pickle
 
         from repro.runtime.dist import DIST_SCHEMA, _decode_chunk
 
-        spec = JobSpec(kind="k", key=canonical_json({"a": 1}))
-        blob = pickle.dumps({"schema": DIST_SCHEMA, "specs": [spec]})
-        specs, trace = _decode_chunk(blob)
-        assert specs == [spec]
-        assert trace is None
+        marker = tmp_path / "unpickled"
+
+        class Exploit:
+            def __reduce__(self):
+                return (open, (str(marker), "w"))
+
+        blob = pickle.dumps({"schema": DIST_SCHEMA, "specs": [Exploit()]})
+        with pytest.raises(ValueError, match="corrupt spool chunk"):
+            _decode_chunk(blob)
+        assert not marker.exists()
