@@ -13,25 +13,48 @@ as ``dt`` repetitions of the per-step linear decay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fifo import Fifo
 from .lif_datapath import fire_mask, leak_catchup, sat_add, state_bounds
 
-__all__ = ["Cluster", "ClusterStats"]
+__all__ = ["COUNTER_FIELDS", "Cluster", "ClusterStats"]
 
 
-@dataclass
+#: Column order of the per-cluster counters (:class:`ClusterStats`); a
+#: slice keeps all its clusters' counters as one ``(clusters, 5)`` matrix.
+COUNTER_FIELDS = ("updates", "fires", "events_seen", "events_gated", "tlu_skipped_steps")
+UPDATES, FIRES, EVENTS_SEEN, EVENTS_GATED, TLU_SKIPPED = range(len(COUNTER_FIELDS))
+
+
+def _counter(col: int, doc: str) -> property:
+    def get(self) -> int:
+        return int(self.row[col])
+
+    def set(self, value: int) -> None:
+        self.row[col] = value
+
+    return property(get, set, doc=doc)
+
+
 class ClusterStats:
-    """Per-cluster activity counters feeding the power model."""
+    """Per-cluster activity counters feeding the power model.
 
-    updates: int = 0  # neuron state updates performed (= SOPs)
-    fires: int = 0  # output events emitted
-    events_seen: int = 0  # events for which the address filter matched
-    events_gated: int = 0  # events for which this cluster was clock-gated
-    tlu_skipped_steps: int = 0  # idle timesteps the TLU collapsed
+    The counters live in ``row``, an int64 vector of
+    :data:`COUNTER_FIELDS` — a row view into the owning slice's counter
+    matrix, so the batched kernels update every cluster at once while
+    the per-event reference reads and writes the same storage through
+    these attributes.
+    """
+
+    def __init__(self, row: np.ndarray | None = None) -> None:
+        self.row = np.zeros(len(COUNTER_FIELDS), dtype=np.int64) if row is None else row
+
+    updates = _counter(UPDATES, "neuron state updates performed (= SOPs)")
+    fires = _counter(FIRES, "output events emitted")
+    events_seen = _counter(EVENTS_SEEN, "events for which the address filter matched")
+    events_gated = _counter(EVENTS_GATED, "events for which this cluster was clock-gated")
+    tlu_skipped_steps = _counter(TLU_SKIPPED, "idle timesteps the TLU collapsed")
 
 
 class Cluster:
@@ -44,6 +67,8 @@ class Cluster:
         fifo_depth: int = 8,
         name: str = "cluster",
         state: np.ndarray | None = None,
+        tlu: np.ndarray | None = None,
+        counters: np.ndarray | None = None,
     ) -> None:
         if n_neurons < 1:
             raise ValueError("n_neurons must be positive")
@@ -55,15 +80,27 @@ class Cluster:
             # A view into the owning slice's contiguous (clusters,
             # neurons) matrix: the compiled kernels update the matrix,
             # the per-event reference updates the views — one storage,
-            # no copies, bit-identical by construction.
+            # no copies, bit-identical by construction.  The TLU
+            # register (a length-1 view) and the counter row work the
+            # same way.
             if state.shape != (n_neurons,) or state.dtype != np.int64:
                 raise ValueError("state buffer must be int64 of length n_neurons")
             state[...] = 0
         self.state = state
-        self.tlu = 0
+        self._tlu = np.zeros(1, dtype=np.int64) if tlu is None else tlu
+        self._tlu[0] = 0
         self.out_fifo = Fifo(fifo_depth, name=f"{name}.out")
-        self.stats = ClusterStats()
+        self.stats = ClusterStats(counters)
         self.name = name
+
+    @property
+    def tlu(self) -> int:
+        """Time-of-last-update register."""
+        return int(self._tlu[0])
+
+    @tlu.setter
+    def tlu(self, t: int) -> None:
+        self._tlu[0] = t
 
     # -- state bookkeeping -------------------------------------------------
     def reset(self, t: int = 0) -> None:

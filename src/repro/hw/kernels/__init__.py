@@ -1,11 +1,17 @@
-"""Compiled kernels for the three hot SNE stages (assemble/update/fire).
+"""Compiled kernels for the hot SNE stages (assemble/plan/accumulate/fire).
 
-The numpy vectorisation (PR 4) made the event loop ~4x faster than the
+The numpy vectorisation made the event loop ~4x faster than the
 per-event reference; profiling still shows ``sne.update``,
 ``sne.assemble`` and ``sne.fire`` dominating.  This package moves those
-three stages behind a runtime-selected :class:`KernelSet` — the shape
+stages behind a runtime-selected :class:`KernelSet` — the shape
 Matterhorn uses for its optional compiled LIF kernels: accelerate the
 hot loop, never abandon the bit-identical reference.
+
+A layer call gathers its whole stream's fanout once (``assemble``),
+plans each (pass, slice) once over every timestep (``plan``: all the
+work that does not depend on membrane state), and leaves only the
+state-dependent work in the timestep loop: the saturating add
+(``accumulate``) and the fire scan (``fire_step``).
 
 Selection is by name::
 
@@ -49,19 +55,30 @@ KERNEL_CHOICES = ("auto", "numba", "numpy", "reference")
 
 @dataclass(frozen=True)
 class KernelSet:
-    """The three stage kernels one backend provides.
+    """The stage kernels one backend provides.
 
     ``assemble(offsets, idx, w, flat)`` gathers the packed CSR fanout of
     a batch of events into ``(neuron_idx, weights, event_idx)`` int64
     arrays concatenated in event order (the contract of
     :meth:`repro.hw.mapper.FanoutTable.gather`).
 
-    ``update_step(state, tlus, t, leak, neuron_idx, weights, event_idx,
-    n_events, neuron_lo, neuron_hi, window, vlo, vhi)`` applies one
-    timestep's UPDATE events to a slice's ``(clusters, neurons)`` state
-    matrix in place — leak catch-up on first touch, then the saturating
-    accumulate in event order — and returns ``(cycles_per_event,
-    per_cluster_updates, events_touching, n_in_range, overrun_cycles)``.
+    ``plan(neuron_idx, weights, event_idx, event_t, t0, n_steps, tlus,
+    neuron_lo, neuron_hi, per_cluster, window)`` runs once per (pass,
+    slice) over the gathered entries of the timesteps ``t0 ..
+    t0+n_steps-1`` (``event_t`` is each event's timestep, sorted;
+    ``tlus`` the slice's TLU registers before the first step).  It
+    returns ``(idx, w, bounds, event_cycles, step_n_in, step_cycles,
+    touched, updates, events_seen, events_gated, overrun,
+    tlu_skipped)``: the slice-local in-range entries in event order,
+    step ``k``'s entries at ``bounds[k]:bounds[k+1]``, the cycles of
+    every event (exactly what the per-event reference charges), per-step
+    in-range entries and cycles, the ``(n_steps, clusters)`` touched
+    mask, per-cluster update/seen/gated counts, the sequencer overrun
+    cycles and per-cluster TLU-skipped steps.
+
+    ``accumulate(flat_state, idx, w, lo, hi)`` is one step's saturating
+    add of the slice-local entries into the flattened state matrix, in
+    event order (every add clips to ``[lo, hi]``).
 
     ``fire_step(state, dts, leak, threshold, neuron_lo, neuron_hi,
     plane, out_width)`` runs one TDM fire scan: zeroes fired membranes
@@ -72,7 +89,8 @@ class KernelSet:
 
     name: str
     assemble: Callable
-    update_step: Callable
+    plan: Callable
+    accumulate: Callable
     fire_step: Callable
     detail: str = field(default="", compare=False)
 
@@ -107,7 +125,8 @@ def _numpy_factory() -> KernelSet:
     return KernelSet(
         name="numpy",
         assemble=numpy_impl.assemble,
-        update_step=numpy_impl.update_step,
+        plan=numpy_impl.plan,
+        accumulate=numpy_impl.accumulate,
         fire_step=numpy_impl.fire_step,
         detail=f"numpy {np.__version__}",
     )
@@ -122,7 +141,8 @@ def _numba_factory() -> KernelSet:
     return KernelSet(
         name="numba",
         assemble=numba_impl.assemble,
-        update_step=numba_impl.update_step,
+        plan=numba_impl.plan,
+        accumulate=numba_impl.accumulate,
         fire_step=numba_impl.fire_step,
         detail=numba_impl.DETAIL,
     )

@@ -1,11 +1,16 @@
 """Numba-jit kernels for the SNE hot loop (preferred when importable).
 
-The update kernel is a fused serial loop — address filter, first-touch
-leak catch-up, per-(event, cluster) sequencer counts and the saturating
-accumulate in one pass over the assembled entries.  Serial execution in
-event order makes bit-identity with the per-event reference *trivial*:
-there is no fast-path/replay split to keep honest, every add clips
-exactly like :func:`repro.hw.lif_datapath.sat_add`.
+The UPDATE stage is two serial loops.  ``plan`` walks a whole pass's
+assembled entries once per slice — address filter, per-(event, cluster)
+sequencer counts, cycles, gating and TLU counters — so the per-entry
+counting stays compiled.  ``accumulate`` adds one step's entries in
+event order, clipping every add exactly like
+:func:`repro.hw.lif_datapath.sat_add`: serial execution makes
+bit-identity with the per-event reference *trivial*, with no
+fast-path/replay split to keep honest.
+
+The bodies are plain Python when numba is absent (``_jit`` is then the
+identity), which is how the tier-1 suite checks them without numba.
 
 Import of this module never fails: ``AVAILABLE`` records whether numba
 imported, and the registry (:mod:`repro.hw.kernels`) falls back to the
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["AVAILABLE", "DETAIL", "assemble", "update_step", "fire_step"]
+__all__ = ["AVAILABLE", "DETAIL", "assemble", "plan", "accumulate", "fire_step"]
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba
@@ -36,7 +41,8 @@ def _jit(func):
 
     Keeping the decorator total lets the module define its kernels
     unconditionally; the registry only hands them out when
-    ``AVAILABLE`` is true, so the undecorated forms are never hot.
+    ``AVAILABLE`` is true, so the undecorated forms are never hot (the
+    tests still run them, as plain Python, through the parity matrix).
     """
     if numba is None:
         return func
@@ -64,64 +70,83 @@ def _assemble(offsets, idx_flat, w_flat, flat):  # pragma: no cover - jit body
 
 
 @_jit
-def _update_step(
-    state, tlus, t, leak, neuron_idx, weights, event_idx, n_events,
-    neuron_lo, neuron_hi, window, vlo, vhi,
+def _plan(
+    neuron_idx, weights, event_idx, event_t, t0, n_steps, tlus,
+    neuron_lo, neuron_hi, per_cluster, window,
 ):  # pragma: no cover - jit body
-    n_clusters, per_cluster = state.shape
-    flat = state.reshape(-1)
-    counts = np.zeros((n_events, n_clusters), np.int64)
-    touched = np.zeros(n_clusters, np.bool_)
-    n_in = 0
-    for k in range(neuron_idx.shape[0]):
-        g = neuron_idx[k]
-        if g < neuron_lo or g >= neuron_hi:
-            continue
-        local = g - neuron_lo
-        c = local // per_cluster
-        if not touched[c]:
-            touched[c] = True
-            if leak > 0:
-                dt = t - tlus[c]
-                if dt > 0:
-                    dec = leak * dt
-                    base = c * per_cluster
-                    for j in range(per_cluster):
-                        v = flat[base + j]
-                        if v > 0:
-                            v -= dec
-                            flat[base + j] = v if v > 0 else 0
-                        elif v < 0:
-                            v += dec
-                            flat[base + j] = v if v < 0 else 0
-        counts[event_idx[k], c] += 1
-        n_in += 1
-        v = flat[local] + weights[k]
-        if v > vhi:
-            v = vhi
-        elif v < vlo:
-            v = vlo
-        flat[local] = v
-    cycles = np.empty(n_events, np.int64)
-    per_cluster_updates = np.zeros(n_clusters, np.int64)
-    events_touching = np.zeros(n_clusters, np.int64)
-    overrun_total = 0
+    n_clusters = tlus.shape[0]
+    n_events = event_t.shape[0]
+    n = neuron_idx.shape[0]
+    idx = np.empty(n, np.int64)
+    w = np.empty(n, np.int64)
+    bounds = np.zeros(n_steps + 1, np.int64)
+    event_cycles = np.empty(n_events, np.int64)
+    step_cycles = np.zeros(n_steps, np.int64)
+    touched = np.zeros((n_steps, n_clusters), np.bool_)
+    updates = np.zeros(n_clusters, np.int64)
+    events_seen = np.zeros(n_clusters, np.int64)
+    counts = np.zeros(n_clusters, np.int64)
+    overrun = 0
+    m = 0
+    k = 0
     for e in range(n_events):
-        m = 0
+        s = event_t[e] - t0
+        while k < n and event_idx[k] == e:  # entries arrive in event order
+            g = neuron_idx[k]
+            if g >= neuron_lo and g < neuron_hi:
+                local = g - neuron_lo
+                counts[local // per_cluster] += 1
+                idx[m] = local
+                w[m] = weights[k]
+                m += 1
+            k += 1
+        peak = 0
         for c in range(n_clusters):
-            cc = counts[e, c]
-            if cc > m:
-                m = cc
-            per_cluster_updates[c] += cc
+            cc = counts[c]
             if cc > 0:
-                events_touching[c] += 1
-        over = m - window
-        if over > 0:
-            overrun_total += over
-            cycles[e] = window + over
-        else:
-            cycles[e] = window
-    return cycles, per_cluster_updates, events_touching, n_in, overrun_total
+                if cc > peak:
+                    peak = cc
+                updates[c] += cc
+                events_seen[c] += 1
+                touched[s, c] = True
+                counts[c] = 0
+        cyc = window
+        if peak > window:
+            overrun += peak - window
+            cyc = peak
+        event_cycles[e] = cyc
+        step_cycles[s] += cyc
+        bounds[s + 1] = m
+    step_n_in = np.empty(n_steps, np.int64)
+    for s in range(n_steps):
+        if bounds[s + 1] < bounds[s]:  # a step without events
+            bounds[s + 1] = bounds[s]
+        step_n_in[s] = bounds[s + 1] - bounds[s]
+    skipped = np.zeros(n_clusters, np.int64)
+    for c in range(n_clusters):
+        prev = tlus[c]
+        for s in range(n_steps):
+            if touched[s, c]:
+                t = t0 + s
+                if t - prev > 1:
+                    skipped[c] += t - prev - 1
+                prev = t
+    return (
+        idx[:m].copy(), w[:m].copy(), bounds, event_cycles, step_n_in, step_cycles,
+        touched, updates, events_seen, n_events - events_seen, overrun, skipped,
+    )
+
+
+@_jit
+def _accumulate(flat, idx, w, lo, hi):  # pragma: no cover - jit body
+    for k in range(idx.shape[0]):
+        i = idx[k]
+        v = flat[i] + w[k]
+        if v > hi:
+            v = hi
+        elif v < lo:
+            v = lo
+        flat[i] = v
 
 
 @_jit
@@ -169,17 +194,23 @@ def assemble(offsets, idx_flat, w_flat, flat):
     return _assemble(offsets, idx_flat, w_flat, flat)
 
 
-def update_step(
-    state, tlus, t, leak, neuron_idx, weights, event_idx, n_events,
-    neuron_lo, neuron_hi, window, vlo, vhi,
+def plan(
+    neuron_idx, weights, event_idx, event_t, t0, n_steps, tlus,
+    neuron_lo, neuron_hi, per_cluster, window,
 ):
-    """Fused UPDATE step (jit): same contract as the numpy shim."""
-    return _update_step(
-        state, tlus, int(t), int(leak),
+    """Per-(pass, slice) UPDATE plan (jit): same contract as the numpy shim."""
+    out = _plan(
         np.ascontiguousarray(neuron_idx), np.ascontiguousarray(weights),
-        np.ascontiguousarray(event_idx), int(n_events),
-        int(neuron_lo), int(neuron_hi), int(window), int(vlo), int(vhi),
+        np.ascontiguousarray(event_idx), np.ascontiguousarray(event_t),
+        int(t0), int(n_steps), np.ascontiguousarray(tlus),
+        int(neuron_lo), int(neuron_hi), int(per_cluster), int(window),
     )
+    return out[:10] + (int(out[10]), out[11])
+
+
+def accumulate(flat_state, idx, w, lo, hi):
+    """Serial saturating accumulate (jit): same contract as the numpy shim."""
+    _accumulate(flat_state, idx, w, int(lo), int(hi))
 
 
 def fire_step(state, dts, leak, threshold, neuron_lo, neuron_hi, plane, out_width):

@@ -1,20 +1,19 @@
 """Pure-numpy kernel shim: the always-available batched fallback.
 
-These are the vectorised stage implementations that previously lived
-inline in :mod:`repro.hw.slice` / :mod:`repro.hw.mapper`, restated
-against the :class:`~repro.hw.kernels.KernelSet` contract so the numba
-backend can replace them call-for-call.  Bit-identity with the per-event
-reference is the load-bearing property: the saturating accumulate keeps
-the stable-sort + prefix-sum fast path with exact serial replay of the
-(rare) saturating neurons, and every counter is computed from the same
-quantities the reference path counts.
+These are the vectorised stage implementations of the
+:class:`~repro.hw.kernels.KernelSet` contract, so the numba backend can
+replace them call-for-call.  Bit-identity with the per-event reference
+is the load-bearing property: :func:`plan` derives every counter from
+the same quantities the reference path counts, and :func:`accumulate`
+adds per neuron in one step only where no clip can occur in any order,
+replaying the (rare) at-risk neurons serially.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["assemble", "update_step", "fire_step", "scan_accumulate"]
+__all__ = ["assemble", "plan", "accumulate", "at_risk", "fire_step"]
 
 
 def assemble(
@@ -39,94 +38,106 @@ def assemble(
     return idx_flat[src], w_flat[src], ev
 
 
-def scan_accumulate(
+def plan(
+    neuron_idx: np.ndarray,
+    weights: np.ndarray,
+    event_idx: np.ndarray,
+    event_t: np.ndarray,
+    t0: int,
+    n_steps: int,
+    tlus: np.ndarray,
+    neuron_lo: int,
+    neuron_hi: int,
+    per_cluster: int,
+    window: int,
+) -> tuple:
+    """Everything about one slice's UPDATE events that membranes don't decide.
+
+    Runs once per (pass, slice) over the timesteps ``t0 .. t0+n_steps-1``:
+    address filter, per-(event, cluster) sequencer counts, cycles,
+    gating counters and TLU bookkeeping.  Returns the tuple documented
+    on :class:`~repro.hw.kernels.KernelSet`.
+    """
+    n_clusters = tlus.size
+    n_events = event_t.size
+    in_range = (neuron_idx >= neuron_lo) & (neuron_idx < neuron_hi)
+    idx = neuron_idx[in_range] - neuron_lo
+    w = weights[in_range]
+    ev = event_idx[in_range]
+    event_step = event_t - t0
+    entry_step = event_step[ev]
+    cluster = idx // per_cluster
+
+    step_n_in = np.bincount(entry_step, minlength=n_steps)
+    bounds = np.zeros(n_steps + 1, dtype=np.int64)
+    np.cumsum(step_n_in, out=bounds[1:])
+
+    counts = np.bincount(
+        ev * n_clusters + cluster, minlength=n_events * n_clusters
+    ).reshape(n_events, n_clusters)
+    over = np.maximum(counts.max(axis=1, initial=0) - window, 0)
+    event_cycles = window + over
+    step_cycles = np.bincount(event_step, weights=event_cycles, minlength=n_steps)
+    updates = counts.sum(axis=0)
+    events_seen = (counts > 0).sum(axis=0)
+
+    touched = np.zeros((n_steps, n_clusters), dtype=bool)
+    touched[entry_step, cluster] = True
+    # TLU hops: each touched step of a cluster jumps from its previous
+    # touched step (or the starting TLU); every hop longer than one step
+    # is idle time a TLU-less design would have walked.
+    c, s = np.nonzero(touched.T)
+    t = s + t0
+    prev = np.empty_like(t)
+    prev[1:] = t[:-1]
+    first = np.ones(c.size, dtype=bool)
+    first[1:] = c[1:] != c[:-1]
+    prev[first] = tlus[c[first]]
+    skipped = np.bincount(c, weights=np.maximum(t - prev - 1, 0), minlength=n_clusters)
+
+    return (
+        idx, w, bounds, event_cycles, step_n_in, step_cycles.astype(np.int64), touched,
+        updates, events_seen, n_events - events_seen, int(over.sum()),
+        skipped.astype(np.int64),
+    )
+
+
+def at_risk(
+    flat_state: np.ndarray, idx: np.ndarray, w: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-neuron sum of ``w`` and the neurons a clip could reach.
+
+    A neuron is safe when ``entry + Σ positive w <= hi`` and ``entry +
+    Σ negative w >= lo``: every partial sum in any order stays inside
+    ``[lo, hi]``, so the serial chain of clipped adds equals one add of
+    the total.  Returns ``(total, risk)`` over ``flat_state``'s length.
+    """
+    n = flat_state.size
+    up = np.bincount(idx, weights=np.maximum(w, 0), minlength=n)
+    down = np.bincount(idx, weights=np.minimum(w, 0), minlength=n)
+    risk = (flat_state + up > hi) | (flat_state + down < lo)
+    return (up + down).astype(np.int64), risk
+
+
+def accumulate(
     flat_state: np.ndarray, idx: np.ndarray, w: np.ndarray, lo: int, hi: int
 ) -> None:
     """Saturating accumulate of one step's entries, in event order.
 
     ``idx`` is slice-local (0-based) into ``flat_state`` and ``w``
-    parallel to it, both concatenated in event order.  Saturation stays
-    per event: entries group per neuron (stable sort keeps event order),
-    prefix sums find the neurons whose running value never leaves
-    ``[lo, hi]`` — for those every clip is a no-op and the whole
-    sequence collapses into one add — and the rare saturating neurons
-    replay their updates serially.  Bit-identical to the per-event
+    parallel to it, both in event order.  Safe neurons (see
+    :func:`at_risk`) take one add; at-risk neurons replay their entries
+    serially.  Bit-identical to the per-event
     :meth:`~repro.hw.cluster.Cluster.apply_update` chain.
     """
-    n = idx.size
-    entry_state = flat_state[idx]
-    order = np.argsort(idx, kind="stable")
-    sn = idx[order]
-    sw = w[order]
-    change = np.flatnonzero(sn[1:] != sn[:-1]) + 1
-    starts = np.concatenate((np.zeros(1, dtype=np.int64), change))
-    ends = np.concatenate((change, np.array([n], dtype=np.int64))) - 1
-    cs = np.cumsum(sw)
-    seg_base = np.repeat(cs[starts] - sw[starts], np.diff(np.append(starts, n)))
-    running = entry_state[order] + (cs - seg_base)
-    neurons = sn[starts]
-    safe = (np.maximum.reduceat(running, starts) <= hi) & (
-        np.minimum.reduceat(running, starts) >= lo
-    )
-    final = running[ends].copy()
-    for k in np.flatnonzero(~safe):  # saturating accumulations replay serially
-        v = int(entry_state[order[starts[k]]])
-        for dw in sw[starts[k] : ends[k] + 1]:
-            v = min(hi, max(lo, v + int(dw)))
-        final[k] = v
-    flat_state[neurons] = final
-
-
-def update_step(
-    state: np.ndarray,
-    tlus: np.ndarray,
-    t: int,
-    leak: int,
-    neuron_idx: np.ndarray,
-    weights: np.ndarray,
-    event_idx: np.ndarray,
-    n_events: int,
-    neuron_lo: int,
-    neuron_hi: int,
-    window: int,
-    vlo: int,
-    vhi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Apply one timestep's UPDATE events to a slice's state matrix.
-
-    ``state`` is the contiguous ``(n_clusters, neurons_per_cluster)``
-    membrane matrix, mutated in place: touched clusters catch up their
-    leak first (the TLU mechanism), then the saturating accumulate runs
-    in event order.  Returns ``(cycles, per_cluster_updates,
-    events_touching, n_in_range, overrun_cycles)`` where ``cycles[k]``
-    is exactly what the per-event reference charges event ``k``.
-    """
-    n_clusters, per_cluster = state.shape
-    in_range = (neuron_idx >= neuron_lo) & (neuron_idx < neuron_hi)
-    idx = neuron_idx[in_range] - neuron_lo
-    w = weights[in_range]
-    ev = event_idx[in_range]
-
-    cluster_ids = idx // per_cluster
-    counts = np.bincount(
-        ev * n_clusters + cluster_ids, minlength=n_events * n_clusters
-    ).reshape(n_events, n_clusters)
-    max_updates = counts.max(axis=1) if n_events else np.zeros(0, dtype=np.int64)
-    overrun = np.maximum(max_updates - window, 0)
-    cycles = window + overrun
-    per_cluster_updates = counts.sum(axis=0)
-    events_touching = (counts > 0).sum(axis=0)
-
-    if leak > 0:
-        touched = np.flatnonzero(events_touching)
-        if touched.size:
-            dt = (t - tlus[touched])[:, None]
-            rows = state[touched]
-            state[touched] = np.sign(rows) * np.maximum(np.abs(rows) - leak * dt, 0)
-
-    if idx.size:
-        scan_accumulate(state.reshape(-1), idx, w, vlo, vhi)
-    return cycles, per_cluster_updates, events_touching, int(idx.size), int(overrun.sum())
+    total, risk = at_risk(flat_state, idx, w, lo, hi)
+    if not risk.any():
+        flat_state += total
+        return
+    np.add(flat_state, total, out=flat_state, where=~risk)
+    replay = risk[idx]
+    for i, dw in zip(idx[replay].tolist(), w[replay].tolist()):
+        flat_state[i] = min(hi, max(lo, int(flat_state[i]) + dw))
 
 
 def fire_step(
@@ -155,12 +166,11 @@ def fire_step(
         effective = np.sign(state) * np.maximum(np.abs(state) - leak * dts[:, None], 0)
     else:
         effective = state
-    mask = effective >= threshold
-    fired_c, fired_n = np.nonzero(mask)
+    fired = np.flatnonzero(effective >= threshold)  # slice-local, cluster-major
+    fired_c = fired // per_cluster
+    state[fired_c, fired - fired_c * per_cluster] = 0
     fires = np.bincount(fired_c, minlength=n_clusters)
-    state[fired_c, fired_n] = 0
-    linear = neuron_lo + fired_c * per_cluster + fired_n
-    lin = linear[linear < neuron_hi]
+    lin = fired[fired < neuron_hi - neuron_lo] + neuron_lo
     out_ch = lin // plane
     rem = lin - out_ch * plane
     out_y = rem // out_width

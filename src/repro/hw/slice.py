@@ -11,16 +11,25 @@ per-cluster output FIFOs toward the collector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import Cluster
+from .cluster import (
+    COUNTER_FIELDS,
+    EVENTS_GATED,
+    EVENTS_SEEN,
+    FIRES,
+    TLU_SKIPPED,
+    UPDATES,
+    Cluster,
+)
 from .config import SNEConfig
 from .kernels import KernelSet, resolve_kernel
 from .lif_datapath import fire_mask, leak_catchup, state_bounds
 from .mapper import LayerProgram
 
-__all__ = ["Slice", "SliceStats"]
+__all__ = ["Slice", "SliceStats", "UpdatePlan"]
 
 
 @dataclass
@@ -39,19 +48,45 @@ class SliceStats:
     sequencer_overrun_cycles: int = 0
 
 
+class UpdatePlan(NamedTuple):
+    """One slice's UPDATE events over a window of timesteps, planned once.
+
+    Built by :meth:`Slice.plan_updates` from
+    :meth:`~repro.hw.kernels.KernelSet.plan`; step ``k`` (time ``t0 +
+    k``) owns the slice-local entries ``idx``/``w`` at
+    ``bounds[k]:bounds[k+1]`` and touches the clusters of
+    ``touched[k]``.  The per-event and per-step cycle arrays and
+    per-step in-range entry counts feed the caller's pass cycles and
+    activity trace.
+    """
+
+    t0: int
+    idx: np.ndarray
+    w: np.ndarray
+    bounds: list
+    touched: np.ndarray
+    event_cycles: np.ndarray
+    step_n_in: np.ndarray
+    step_cycles: np.ndarray
+
+
 class Slice:
     """One slice configured with (a pass of) a layer program."""
 
     def __init__(self, config: SNEConfig, slice_idx: int = 0) -> None:
         self.config = config
         self.slice_idx = slice_idx
-        # One contiguous (clusters, neurons) membrane matrix; each
-        # cluster owns a row view.  The compiled kernels scan/accumulate
-        # the matrix directly, the per-event reference goes through the
-        # cluster views — same storage, so the paths cannot drift.
-        self.state = np.zeros(
-            (config.clusters_per_slice, config.neurons_per_cluster), dtype=np.int64
-        )
+        # One contiguous (clusters, neurons) membrane matrix, one TLU
+        # vector and one (clusters, counters) matrix; each cluster owns
+        # views into them.  The compiled kernels work on the arrays
+        # directly, the per-event reference goes through the cluster
+        # views — same storage, so the paths cannot drift.
+        n_clusters = config.clusters_per_slice
+        self.state = np.zeros((n_clusters, config.neurons_per_cluster), dtype=np.int64)
+        self.tlus = np.zeros(n_clusters, dtype=np.int64)
+        self.counters = np.zeros((n_clusters, len(COUNTER_FIELDS)), dtype=np.int64)
+        self._flat_state = self.state.reshape(-1)
+        self._state_bounds = state_bounds(config.state_bits)
         self.clusters = [
             Cluster(
                 n_neurons=config.neurons_per_cluster,
@@ -59,8 +94,10 @@ class Slice:
                 fifo_depth=config.cluster_fifo_depth,
                 name=f"slice{slice_idx}.cluster{i}",
                 state=self.state[i],
+                tlu=self.tlus[i : i + 1],
+                counters=self.counters[i],
             )
-            for i in range(config.clusters_per_slice)
+            for i in range(n_clusters)
         ]
         self.program: LayerProgram | None = None
         self._neuron_lo = 0
@@ -91,9 +128,9 @@ class Slice:
         self._neuron_lo = neuron_lo
         self._neuron_hi = neuron_hi
         self.stats = SliceStats()
-        for cluster in self.clusters:
-            cluster.reset(0)
-            cluster.stats = type(cluster.stats)()
+        self.state[...] = 0
+        self.tlus[...] = 0
+        self.counters[...] = 0
 
     def _require_program(self) -> LayerProgram:
         if self.program is None:
@@ -104,8 +141,8 @@ class Slice:
     def process_reset(self, t: int = 0) -> int:
         """RST_OP: zero every membrane; all clusters activate (§III-D.4)."""
         self._require_program()
-        for cluster in self.clusters:
-            cluster.reset(t)
+        self.state[...] = 0
+        self.tlus[...] = t
         self.stats.reset_events += 1
         self.stats.busy_cycles += self.config.cycles_per_reset
         return self.config.cycles_per_reset
@@ -154,78 +191,77 @@ class Slice:
         self.stats.busy_cycles += cycles
         return cycles
 
-    def process_update_step(
+    def plan_updates(
         self,
-        t: int,
-        neuron_idx: np.ndarray,
-        weights: np.ndarray,
-        event_idx: np.ndarray,
-        n_events: int,
-        kernels: KernelSet | None = None,
-    ) -> np.ndarray:
-        """Process all UPDATE events of one timestep in one batch.
+        entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+        event_t: np.ndarray,
+        t0: int,
+        n_steps: int,
+        kernels: KernelSet,
+    ) -> UpdatePlan:
+        """Plan the UPDATE events of timesteps ``t0 .. t0+n_steps-1``.
 
-        ``neuron_idx``/``weights``/``event_idx`` are the concatenated
-        per-event fanouts assembled by a
-        :class:`~repro.hw.mapper.FanoutTable` (global linear neuron
-        indices, in event order); ``n_events`` is the number of events
-        broadcast this step, including those whose fanout is empty.
-        The state arithmetic — address filter, first-touch leak
-        catch-up, saturating accumulate, sequencer counts — runs in the
-        selected :class:`~repro.hw.kernels.KernelSet` (the numpy shim
-        when ``kernels`` is None); this wrapper keeps the TLU registers
-        and per-cluster counters, which every kernel feeds identically.
-        Returns the per-event cycle counts — element ``k`` is exactly
-        what :meth:`process_update` would have returned for event ``k``
-        — and leaves every counter (slice, cluster, gating, overrun)
-        bit-identical to the per-event path.
+        ``entries`` is the ``(neuron_idx, weights, event_idx)`` fanout of
+        the window's events gathered by
+        :meth:`~repro.hw.kernels.KernelSet.assemble` (global linear
+        neuron indices, in event order); ``event_t`` holds every event's
+        timestep, including events whose fanout is empty.  Everything
+        that does not depend on membrane state — address filter,
+        sequencer counts, cycles, gating/overrun/TLU counters — is
+        computed here once and booked into the slice and cluster
+        counters, exactly as the per-event :meth:`process_update` chain
+        would book it; :meth:`apply_updates` then runs the
+        state-dependent rest step by step.
         """
-        program = self._require_program()
+        self._require_program()
         cfg = self.config
-        ks = kernels if kernels is not None else resolve_kernel("numpy")
-        n_clusters = cfg.clusters_per_slice
-        tlus = np.fromiter(
-            (c.tlu for c in self.clusters), dtype=np.int64, count=n_clusters
-        )
-        late = np.flatnonzero(tlus > t)
-        if late.size:
+        if event_t.size and int(event_t[0]) < int(self.tlus.max()):
             raise ValueError(
-                f"event time {t} precedes cluster TLU {int(tlus[late[0]])}; "
-                "streams must be time-sorted"
+                f"event time {int(event_t[0])} precedes cluster TLU "
+                f"{int(self.tlus.max())}; streams must be time-sorted"
             )
-        vlo, vhi = state_bounds(cfg.state_bits)
-        cycles, per_cluster_updates, events_touching, n_in, overrun_total = (
-            ks.update_step(
-                self.state, tlus, t, program.leak,
-                neuron_idx, weights, event_idx, int(n_events),
-                self._neuron_lo, self._neuron_hi, cfg.cycles_per_event, vlo, vhi,
-            )
+        (idx, w, bounds, event_cycles, step_n_in, step_cycles, touched, updates,
+         events_seen, events_gated, overrun, tlu_skipped) = kernels.plan(
+            *entries, event_t, t0, n_steps, self.tlus,
+            self._neuron_lo, self._neuron_hi, cfg.neurons_per_cluster,
+            cfg.cycles_per_event,
+        )
+        self.counters[:, UPDATES] += updates
+        self.counters[:, EVENTS_SEEN] += events_seen
+        self.counters[:, EVENTS_GATED] += events_gated
+        self.counters[:, TLU_SKIPPED] += tlu_skipped
+
+        n_in = int(idx.size)
+        total_cycles = int(event_cycles.sum())
+        self.stats.update_events += int(event_t.size)
+        self.stats.sops += n_in
+        self.stats.active_cluster_cycles += n_in
+        self.stats.gated_cluster_cycles += cfg.clusters_per_slice * total_cycles - n_in
+        self.stats.sequencer_overrun_cycles += overrun
+        self.stats.busy_cycles += total_cycles
+        return UpdatePlan(
+            t0, idx, w, bounds.tolist(), touched, event_cycles, step_n_in, step_cycles
         )
 
-        # Per-cluster bookkeeping: TLU advance for the touched ones,
-        # activity/gating counters for all (the kernel already applied
-        # the decay itself).
-        for c, cluster in enumerate(self.clusters):
-            seen = int(events_touching[c])
-            if seen:
-                dt = t - cluster.tlu
-                if dt > 1:
-                    cluster.stats.tlu_skipped_steps += dt - 1
-                cluster.tlu = t
-                cluster.stats.updates += int(per_cluster_updates[c])
-                cluster.stats.events_seen += seen
-            gated = n_events - seen
-            if gated:
-                cluster.stats.events_gated += gated
+    def apply_updates(self, plan: UpdatePlan, k: int, kernels: KernelSet) -> None:
+        """Apply step ``k`` of ``plan`` to the membranes.
 
-        total_cycles = int(cycles.sum())
-        self.stats.update_events += int(n_events)
-        self.stats.sops += int(n_in)
-        self.stats.active_cluster_cycles += int(n_in)
-        self.stats.gated_cluster_cycles += n_clusters * total_cycles - int(n_in)
-        self.stats.sequencer_overrun_cycles += int(overrun_total)
-        self.stats.busy_cycles += total_cycles
-        return cycles
+        The touched clusters catch up their leak (the TLU mechanism) and
+        advance their TLU, then the saturating accumulate runs in event
+        order.
+        """
+        lo, hi = plan.bounds[k], plan.bounds[k + 1]
+        if lo == hi:
+            return
+        t = plan.t0 + k
+        touched = plan.touched[k]
+        leak = self.program.leak
+        if leak > 0:
+            dt = t - self.tlus[touched]
+            self.state[touched] = leak_catchup(self.state[touched], leak, dt[:, None])
+        self.tlus[touched] = t
+        vlo, vhi = self._state_bounds
+        kernels.accumulate(self._flat_state, plan.idx[lo:hi], plan.w[lo:hi], vlo, vhi)
 
     def process_fire(self, t: int) -> tuple[list[tuple[int, int, int, int]], int]:
         """FIRE_OP: scan every TDM neuron; emit (t, ch, x, y) output events.
@@ -249,16 +285,9 @@ class Slice:
         # drift apart.  The effective membrane — stored value decayed by
         # the per-cluster TLU distance — is compared without writing the
         # decay back.
-        tlus = np.fromiter((c.tlu for c in self.clusters), dtype=np.int64,
-                           count=len(self.clusters))
-        late = np.flatnonzero(t < tlus)
-        if late.size:
-            raise ValueError(
-                f"fire time {t} precedes cluster TLU {int(tlus[late[0]])}; "
-                "streams must be time-sorted"
-            )
+        self._check_fire_time(t)
         if program.leak > 0:
-            effective = leak_catchup(self.state, program.leak, (t - tlus)[:, None])
+            effective = leak_catchup(self.state, program.leak, (t - self.tlus)[:, None])
         else:
             effective = self.state
         mask = fire_mask(effective, program.threshold)
@@ -305,20 +334,12 @@ class Slice:
         ks = kernels if kernels is not None else resolve_kernel("numpy")
         geometry = program.geometry
         plane = geometry.out_height * geometry.out_width
-        tlus = np.fromiter((c.tlu for c in self.clusters), dtype=np.int64,
-                           count=len(self.clusters))
-        late = np.flatnonzero(t < tlus)
-        if late.size:
-            raise ValueError(
-                f"fire time {t} precedes cluster TLU {int(tlus[late[0]])}; "
-                "streams must be time-sorted"
-            )
+        self._check_fire_time(t)
         out_ch, out_x, out_y, fires = ks.fire_step(
-            self.state, t - tlus, program.leak, program.threshold,
+            self.state, t - self.tlus, program.leak, program.threshold,
             self._neuron_lo, self._neuron_hi, plane, geometry.out_width,
         )
-        for c in np.flatnonzero(fires):
-            self.clusters[int(c)].stats.fires += int(fires[c])
+        self.counters[:, FIRES] += fires
         total_fired = int(out_ch.size)
         stall = self.stats_fifo_penalty(total_fired)
         cycles = cfg.cycles_per_fire + stall
@@ -327,6 +348,14 @@ class Slice:
         self.stats.output_events += total_fired
         self.stats.busy_cycles += cycles
         return out_ch, out_x, out_y, cycles
+
+    def _check_fire_time(self, t: int) -> None:
+        late = int(self.tlus.max())
+        if t < late:
+            raise ValueError(
+                f"fire time {t} precedes cluster TLU {late}; "
+                "streams must be time-sorted"
+            )
 
     def stats_fifo_penalty(self, total_fired: int) -> int:
         """Extra cycles when one fire burst exceeds the drain bandwidth.

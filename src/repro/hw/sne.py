@@ -29,6 +29,7 @@ from .config import SNEConfig
 from .kernels import resolve_kernel
 from .mapper import LayerProgram, fanout_table
 from .registers import RegisterFile
+from .cluster import TLU_SKIPPED
 from .slice import Slice
 from .xbar import Crossbar
 
@@ -105,12 +106,10 @@ class SNE:
         )
 
     # -- programming ---------------------------------------------------------
-    def _program_pass(
-        self, program: LayerProgram, pass_lo: int, pass_hi: int
-    ) -> list[tuple[Slice, int, int]]:
+    def _program_pass(self, program: LayerProgram, pass_lo: int, pass_hi: int) -> list[Slice]:
         """Configure the slices for one pass; returns the active ones."""
         cfg = self.config
-        active: list[tuple[Slice, int, int]] = []
+        active: list[Slice] = []
         for s, sl in enumerate(self.slices):
             lo = pass_lo + s * cfg.neurons_per_slice
             hi = min(lo + cfg.neurons_per_slice, pass_hi)
@@ -119,17 +118,29 @@ class SNE:
             sl.configure(program, lo, hi)
             self.registers.program_lif(s, program.threshold, program.leak)
             self.registers.program_interval(s, lo, hi)
-            active.append((sl, lo, hi))
+            active.append(sl)
         return active
 
     @staticmethod
-    def _activity_snapshot(active) -> tuple[int, int, int, int]:
+    def _activity_snapshot(active: list[Slice]) -> tuple[int, int, int, int]:
         """(sops, output_events, active_cc, gated_cc) summed over slices."""
-        sops = sum(sl.stats.sops for sl, _, _ in active)
-        outs = sum(sl.stats.output_events for sl, _, _ in active)
-        act = sum(sl.stats.active_cluster_cycles for sl, _, _ in active)
-        gated = sum(sl.stats.gated_cluster_cycles for sl, _, _ in active)
+        sops = sum(sl.stats.sops for sl in active)
+        outs = sum(sl.stats.output_events for sl in active)
+        act = sum(sl.stats.active_cluster_cycles for sl in active)
+        gated = sum(sl.stats.gated_cluster_cycles for sl in active)
         return sops, outs, act, gated
+
+    @staticmethod
+    def _add_slice_stats(stats: SNEStats, sl: Slice) -> None:
+        """Accumulate one slice's activity counters into ``stats``."""
+        s = sl.stats
+        stats.sops += s.sops
+        stats.output_events += s.output_events
+        stats.active_cluster_cycles += s.active_cluster_cycles
+        stats.gated_cluster_cycles += s.gated_cluster_cycles
+        stats.fifo_stall_cycles += s.fifo_stall_cycles
+        stats.sequencer_overrun_cycles += s.sequencer_overrun_cycles
+        stats.tlu_skipped_steps += int(sl.counters[:, TLU_SKIPPED].sum())
 
     # -- single-layer execution ----------------------------------------------
     def run_layer(
@@ -149,189 +160,187 @@ class SNE:
         index ``pass * n_steps + step``).
 
         ``profiler`` (a :class:`repro.runtime.profile.Profiler`)
-        receives per-stage spans — ``sne.assemble`` / ``sne.update`` /
-        ``sne.fire`` / ``sne.reset`` (+ ``sne.trace`` when tracing) —
-        with event counts, at per-pass granularity.
+        receives per-stage spans — ``sne.assemble`` once per call (the
+        fanout gather of the whole stream), ``sne.update`` / ``sne.fire``
+        / ``sne.reset`` (+ ``sne.trace`` when tracing) per pass — with
+        event counts.
 
         ``kernel`` selects the batched stage implementation through the
         :mod:`repro.hw.kernels` registry: ``"auto"`` (numba when
         importable, else the numpy shim), ``"numba"``, ``"numpy"``, or
-        ``"reference"`` for the retained per-event loop.  Every choice
-        produces bit-identical outputs and statistics (the parity the
-        kernel matrix in ``tests/test_kernels.py`` and the Fig. 5b
-        speedup benchmark pin down).
+        ``"reference"`` for the retained per-event loop.  The batched
+        kernels gather the stream's fanout once, plan every (pass,
+        slice) once, and leave only the membrane updates and the fire
+        scan in the timestep loop.  Every choice produces bit-identical
+        outputs and statistics (the parity the kernel matrix in
+        ``tests/test_kernels.py`` and the Fig. 5b speedup benchmark pin
+        down).
         """
         cfg = self.config
         program.validate_for(cfg)
         g = program.geometry
-        if stream.shape != g.input_shape(stream.n_steps):
+        n_steps = stream.n_steps
+        if stream.shape != g.input_shape(n_steps):
             raise ValueError(
                 f"stream envelope {stream.shape} does not match layer input "
-                f"{g.input_shape(stream.n_steps)}"
+                f"{g.input_shape(n_steps)}"
             )
         stats = SNEStats()
         ks = resolve_kernel(kernel)
-        out_t, out_ch, out_x, out_y = [], [], [], []
-        fired_parts: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        fired: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         n_passes = program.n_passes(cfg)
-        table = fanout_table(program) if ks is not None else None
-        packed = table.packed() if ks is not None else None
+        counts = stream.counts_per_step().tolist()
+        timed = profiler is not None
+        if trace is not None:
+            from .trace import StepTrace
+
+        assemble_s = 0.0
+        if ks is not None:
+            # One gather over the whole stream: the stream is time-sorted,
+            # so every pass and step works on slices of these entries.
+            table = fanout_table(program)
+            packed = table.packed()
+            t0 = _pc() if timed else 0.0
+            flat = table.flat_ids(stream.ch, stream.x, stream.y)
+            entries = ks.assemble(packed.offsets, packed.idx, packed.w, flat)
+            event_t = stream.t.astype(np.int64)
+            if timed:
+                assemble_s = _pc() - t0
+        if timed:
+            profiler.add("sne.assemble", assemble_s, events=len(stream))
 
         for pass_idx in range(n_passes):
             pass_lo, pass_hi = program.pass_neuron_range(cfg, pass_idx)
             active = self._program_pass(program, pass_lo, pass_hi)
-            pass_cycles = 0
-            assemble_s = update_s = fire_s = trace_s = 0.0
-            n_pass_events = 0
+            update_s = fire_s = trace_s = 0.0
 
             # RST bracket
-            t0 = _pc() if profiler is not None else 0.0
-            for sl, _, _ in active:
+            t0 = _pc() if timed else 0.0
+            for sl in active:
                 sl.process_reset(0)
-            pass_cycles += cfg.cycles_per_reset
-            if profiler is not None:
+            pass_cycles = cfg.cycles_per_reset
+            if timed:
                 profiler.add("sne.reset", _pc() - t0, events=len(active))
 
-            counts = stream.counts_per_step()
-            start = 0
-            for step in range(stream.n_steps):
-                step_cycles_before = pass_cycles
-                snapshot = self._activity_snapshot(active) if trace is not None else None
-                n = int(counts[step])
-                n_pass_events += n
-                if ks is not None and n:
-                    if profiler is not None:
-                        t0 = _pc()
-                    sel = slice(start, start + n)
-                    flat = table.flat_ids(stream.ch[sel], stream.x[sel], stream.y[sel])
-                    idx, w, ev = ks.assemble(packed.offsets, packed.idx, packed.w, flat)
-                    if profiler is not None:
-                        t1 = _pc()
-                        assemble_s += t1 - t0
-                    event_cycles = None
-                    for sl, _, _ in active:
-                        cyc = sl.process_update_step(step, idx, w, ev, n, kernels=ks)
-                        event_cycles = (
-                            cyc if event_cycles is None else np.maximum(event_cycles, cyc)
+            if ks is not None:
+                t0 = _pc() if timed else 0.0
+                plans = [sl.plan_updates(entries, event_t, 0, n_steps, ks) for sl in active]
+                # All slices see every event; each event lasts as long as
+                # its slowest slice's sequencer.
+                event_cycles = plans[0].event_cycles
+                for plan in plans[1:]:
+                    event_cycles = np.maximum(event_cycles, plan.event_cycles)
+                step_cycles = np.bincount(event_t, weights=event_cycles, minlength=n_steps)
+                step_cycles = step_cycles.astype(np.int64).tolist()
+                pass_cycles += int(event_cycles.sum())
+                stats.xbar_broadcasts += len(stream)
+                if trace is not None:
+                    step_sops = sum(plan.step_n_in for plan in plans).tolist()
+                    step_gated = (
+                        cfg.clusters_per_slice * sum(plan.step_cycles for plan in plans)
+                    ).tolist()
+                if timed:
+                    update_s += _pc() - t0
+                for step in range(n_steps):
+                    if counts[step]:
+                        t0 = _pc() if timed else 0.0
+                        for sl, plan in zip(active, plans):
+                            sl.apply_updates(plan, step, ks)
+                        if timed:
+                            update_s += _pc() - t0
+                    t0 = _pc() if timed else 0.0
+                    fire_cycles = cfg.cycles_per_fire
+                    n_fired = 0
+                    for sl in active:
+                        f_ch, f_x, f_y, cyc = sl.process_fire_packed(step, kernels=ks)
+                        fire_cycles = max(fire_cycles, cyc)
+                        if f_ch.size:
+                            fired.append((step, f_ch, f_x, f_y))
+                            n_fired += f_ch.size
+                    pass_cycles += fire_cycles
+                    if timed:
+                        fire_s += _pc() - t0
+                    if trace is not None:
+                        t0 = _pc() if timed else 0.0
+                        trace.record(
+                            StepTrace(
+                                step=pass_idx * n_steps + step,
+                                input_events=counts[step],
+                                cycles=step_cycles[step] + fire_cycles,
+                                sops=step_sops[step],
+                                output_events=n_fired,
+                                active_cluster_cycles=step_sops[step],
+                                gated_cluster_cycles=step_gated[step] - step_sops[step],
+                            )
                         )
-                    pass_cycles += int(event_cycles.sum())
-                    stats.xbar_broadcasts += n
-                    if profiler is not None:
-                        update_s += _pc() - t1
-                elif n:  # per-event reference loop
-                    if profiler is not None:
-                        t0 = _pc()
+                        if timed:
+                            trace_s += _pc() - t0
+            else:  # per-event reference loop
+                start = 0
+                for step in range(n_steps):
+                    step_cycles_before = pass_cycles
+                    snapshot = self._activity_snapshot(active) if trace is not None else None
+                    n = counts[step]
+                    t0 = _pc() if timed else 0.0
                     for k in range(start, start + n):
                         t = int(stream.t[k])
                         ch, x, y = int(stream.ch[k]), int(stream.x[k]), int(stream.y[k])
                         event_cycles = cfg.cycles_per_event
-                        for sl, _, _ in active:
+                        for sl in active:
                             event_cycles = max(event_cycles, sl.process_update(t, ch, x, y))
                         pass_cycles += event_cycles
-                        stats.xbar_broadcasts += 1
-                    if profiler is not None:
+                    stats.xbar_broadcasts += n
+                    start += n
+                    if timed:
                         update_s += _pc() - t0
-                start += n
-                if profiler is not None:
-                    t0 = _pc()
-                fire_cycles = cfg.cycles_per_fire
-                if ks is not None:
-                    for sl, _, _ in active:
-                        f_ch, f_x, f_y, cyc = sl.process_fire_packed(step, kernels=ks)
-                        fire_cycles = max(fire_cycles, cyc)
-                        if f_ch.size:
-                            fired_parts.append((step, f_ch, f_x, f_y))
-                else:
-                    for sl, _, _ in active:
+                        t0 = _pc()
+                    fire_cycles = cfg.cycles_per_fire
+                    for sl in active:
                         events, cyc = sl.process_fire(step)
                         fire_cycles = max(fire_cycles, cyc)
-                        for (t, o, x, y) in events:
-                            out_t.append(t)
-                            out_ch.append(o)
-                            out_x.append(x)
-                            out_y.append(y)
-                pass_cycles += fire_cycles
-                if profiler is not None:
-                    fire_s += _pc() - t0
-                if trace is not None:
-                    if profiler is not None:
-                        t0 = _pc()
-                    from .trace import StepTrace
-
-                    after = self._activity_snapshot(active)
-                    trace.record(
-                        StepTrace(
-                            step=pass_idx * stream.n_steps + step,
-                            input_events=n,
-                            cycles=pass_cycles - step_cycles_before,
-                            sops=after[0] - snapshot[0],
-                            output_events=after[1] - snapshot[1],
-                            active_cluster_cycles=after[2] - snapshot[2],
-                            gated_cluster_cycles=after[3] - snapshot[3],
+                        if events:
+                            _, f_ch, f_x, f_y = np.array(events, dtype=np.int64).T
+                            fired.append((step, f_ch, f_x, f_y))
+                    pass_cycles += fire_cycles
+                    if timed:
+                        fire_s += _pc() - t0
+                    if trace is not None:
+                        t0 = _pc() if timed else 0.0
+                        after = self._activity_snapshot(active)
+                        trace.record(
+                            StepTrace(
+                                step=pass_idx * n_steps + step,
+                                input_events=n,
+                                cycles=pass_cycles - step_cycles_before,
+                                sops=after[0] - snapshot[0],
+                                output_events=after[1] - snapshot[1],
+                                active_cluster_cycles=after[2] - snapshot[2],
+                                gated_cluster_cycles=after[3] - snapshot[3],
+                            )
                         )
-                    )
-                    if profiler is not None:
-                        trace_s += _pc() - t0
+                        if timed:
+                            trace_s += _pc() - t0
 
-            if profiler is not None:
-                profiler.add("sne.assemble", assemble_s, count=stream.n_steps,
-                             events=n_pass_events)
-                profiler.add("sne.update", update_s, count=stream.n_steps,
-                             events=n_pass_events)
-                profiler.add("sne.fire", fire_s, count=stream.n_steps,
-                             events=stream.n_steps * len(active))
+            if timed:
+                profiler.add("sne.update", update_s, count=n_steps, events=len(stream))
+                profiler.add("sne.fire", fire_s, count=n_steps,
+                             events=n_steps * len(active))
                 if trace is not None:
-                    profiler.add("sne.trace", trace_s, count=stream.n_steps)
+                    profiler.add("sne.trace", trace_s, count=n_steps)
 
-            # Collect per-slice counters of the pass.
-            for sl, _, _ in active:
-                s = sl.stats
-                stats.sops += s.sops
-                stats.output_events += s.output_events
-                stats.active_cluster_cycles += s.active_cluster_cycles
-                stats.gated_cluster_cycles += s.gated_cluster_cycles
-                stats.fifo_stall_cycles += s.fifo_stall_cycles
-                stats.sequencer_overrun_cycles += s.sequencer_overrun_cycles
-                for cluster in sl.clusters:
-                    stats.tlu_skipped_steps += cluster.stats.tlu_skipped_steps
+            for sl in active:
+                self._add_slice_stats(stats, sl)
             stats.update_events += len(stream) * len(active)
-            stats.fire_events += stream.n_steps * len(active)
+            stats.fire_events += n_steps * len(active)
             stats.reset_events += len(active)
             stats.cycles += pass_cycles
             # DMA traffic: the input image is re-read every pass; outputs
             # are written once (they are produced across passes).
-            stats.dma_words_in += 1 + len(stream) + stream.n_steps
+            stats.dma_words_in += 1 + len(stream) + n_steps
 
         stats.passes = n_passes
-        if ks is not None:
-            # Packed fire events: concatenate the per-(step, slice)
-            # arrays once instead of growing Python lists event by event.
-            if fired_parts:
-                arr_t = np.concatenate(
-                    [np.full(p[1].size, p[0], dtype=np.int64) for p in fired_parts]
-                )
-                arr_ch = np.concatenate([p[1] for p in fired_parts])
-                arr_x = np.concatenate([p[2] for p in fired_parts])
-                arr_y = np.concatenate([p[3] for p in fired_parts])
-            else:
-                arr_t = arr_ch = arr_x = arr_y = np.zeros(0, dtype=np.int64)
-            stats.dma_words_out += int(arr_t.size)
-            out_stream = EventStream(
-                arr_t.astype(np.int32),
-                arr_ch.astype(np.int32),
-                arr_x.astype(np.int32),
-                arr_y.astype(np.int32),
-                g.output_shape(stream.n_steps),
-            )
-            return out_stream, stats
-        stats.dma_words_out += len(out_t)
-        out_stream = EventStream(
-            np.array(out_t, dtype=np.int32),
-            np.array(out_ch, dtype=np.int32),
-            np.array(out_x, dtype=np.int32),
-            np.array(out_y, dtype=np.int32),
-            g.output_shape(stream.n_steps),
-        )
+        out_stream = _packed_stream(fired, g.output_shape(n_steps))
+        stats.dma_words_out += len(out_stream)
         return out_stream, stats
 
     # -- whole-network execution -----------------------------------------------
@@ -387,15 +396,16 @@ class SNE:
         ``kernel`` selects the stage implementation exactly as in
         :meth:`run_layer`.  On the kernel paths the fire→next-layer hop
         carries fired events as packed int64 arrays straight into the
-        next group's gather — no Python-list round trip; the
-        ``"reference"`` choice runs the per-event loop with the
-        original tuple hop.  All choices are bit-identical.
+        next group's gather, and each group plans every step on its own
+        (a layer's inputs are produced within the step); the
+        ``"reference"`` choice runs the per-event loop and tuple fire
+        scan.  All choices are bit-identical.
         """
         cfg = self.config
         if not programs:
             raise ValueError("network must contain at least one program")
         # Allocate slice groups.
-        groups: list[list[tuple[Slice, int, int]]] = []
+        groups: list[list[Slice]] = []
         next_slice = 0
         for program in programs:
             program.validate_for(cfg)
@@ -414,7 +424,7 @@ class SNE:
                 sl.configure(program, lo, hi)
                 self.registers.program_lif(next_slice + k, program.threshold, program.leak)
                 self.registers.program_interval(next_slice + k, lo, hi)
-                group.append((sl, lo, hi))
+                group.append(sl)
             groups.append(group)
             next_slice += needed
 
@@ -422,17 +432,17 @@ class SNE:
         stats.passes = 1
         n_steps = stream.n_steps
         n_update_events = 0
-        t0 = _pc() if profiler is not None else 0.0
+        timed = profiler is not None
+        t0 = _pc() if timed else 0.0
         for group in groups:
-            for sl, _, _ in group:
+            for sl in group:
                 sl.process_reset(0)
-        if profiler is not None:
+        if timed:
             profiler.add("sne.reset", _pc() - t0,
                          events=sum(len(g) for g in groups))
 
         ks = resolve_kernel(kernel)
-        out_t, out_ch, out_x, out_y = [], [], [], []
-        fired_parts: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        fired: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         tables = [fanout_table(program) for program in programs]
         packs = [table.packed() if ks is not None else None for table in tables]
         counts = stream.counts_per_step()
@@ -448,71 +458,58 @@ class SNE:
             for table, pack, group in zip(tables, packs, groups):
                 m = int(in_ch.size)
                 if m:
-                    if profiler is not None:
-                        t0 = _pc()
+                    t0 = _pc() if timed else 0.0
                     if ks is not None:
+                        # The inputs of a layer are produced within the
+                        # step, so each step is its own one-step plan.
                         flat = table.flat_ids(in_ch, in_x, in_y)
-                        if profiler is not None:
+                        entries = ks.assemble(pack.offsets, pack.idx, pack.w, flat)
+                        if timed:
                             t1 = _pc()
                             assemble_s += t1 - t0
-                        idx, w, ev = ks.assemble(pack.offsets, pack.idx, pack.w, flat)
-                        for sl, _, _ in group:
-                            sl.process_update_step(step, idx, w, ev, m, kernels=ks)
+                        event_t = np.full(m, step, dtype=np.int64)
+                        for sl in group:
+                            plan = sl.plan_updates(entries, event_t, step, 1, ks)
+                            sl.apply_updates(plan, 0, ks)
                     else:  # per-event reference loop
-                        if profiler is not None:
-                            t1 = _pc()
-                            assemble_s += t1 - t0
+                        t1 = t0
                         for k in range(m):
                             ch_k = int(in_ch[k])
                             x_k = int(in_x[k])
                             y_k = int(in_y[k])
-                            for sl, _, _ in group:
+                            for sl in group:
                                 sl.process_update(step, ch_k, x_k, y_k)
                     stats.xbar_broadcasts += m
                     n_update_events += m
-                    if profiler is not None:
+                    if timed:
                         update_s += _pc() - t1
-                if profiler is not None:
-                    t0 = _pc()
-                if ks is not None:
-                    # Packed fire→next-layer hop: fired events stay int64
-                    # arrays all the way into the next group's gather.
-                    hop_ch, hop_x, hop_y = [], [], []
-                    for sl, _, _ in group:
+                t0 = _pc() if timed else 0.0
+                hop_ch, hop_x, hop_y = [], [], []
+                for sl in group:
+                    if ks is not None:
+                        # Packed fire→next-layer hop: fired events stay
+                        # int64 arrays all the way into the next gather.
                         f_ch, f_x, f_y, _ = sl.process_fire_packed(step, kernels=ks)
-                        if f_ch.size:
-                            hop_ch.append(f_ch)
-                            hop_x.append(f_x)
-                            hop_y.append(f_y)
-                    if hop_ch:
-                        in_ch = np.concatenate(hop_ch)
-                        in_x = np.concatenate(hop_x)
-                        in_y = np.concatenate(hop_y)
                     else:
-                        in_ch = in_x = in_y = np.zeros(0, dtype=np.int64)
-                else:
-                    next_ch, next_x, next_y = [], [], []
-                    for sl, _, _ in group:
                         events, _ = sl.process_fire(step)
-                        for (t, o, x, y) in events:
-                            next_ch.append(o)
-                            next_x.append(x)
-                            next_y.append(y)
-                    in_ch = np.asarray(next_ch, dtype=np.int64)
-                    in_x = np.asarray(next_x, dtype=np.int64)
-                    in_y = np.asarray(next_y, dtype=np.int64)
-                if profiler is not None:
+                        f_ch = np.array([e[1] for e in events], dtype=np.int64)
+                        f_x = np.array([e[2] for e in events], dtype=np.int64)
+                        f_y = np.array([e[3] for e in events], dtype=np.int64)
+                    if f_ch.size:
+                        hop_ch.append(f_ch)
+                        hop_x.append(f_x)
+                        hop_y.append(f_y)
+                if hop_ch:
+                    in_ch = np.concatenate(hop_ch)
+                    in_x = np.concatenate(hop_x)
+                    in_y = np.concatenate(hop_y)
+                else:
+                    in_ch = in_x = in_y = np.zeros(0, dtype=np.int64)
+                if timed:
                     fire_s += _pc() - t0
-            if ks is not None:  # final layer's output, still packed
-                if in_ch.size:
-                    fired_parts.append((step, in_ch, in_x, in_y))
-            else:
-                for (o, x, y) in zip(in_ch, in_x, in_y):
-                    out_t.append(step)
-                    out_ch.append(int(o))
-                    out_x.append(int(x))
-                    out_y.append(int(y))
-        if profiler is not None:
+            if in_ch.size:  # the final layer's output
+                fired.append((step, in_ch, in_x, in_y))
+        if timed:
             profiler.add("sne.assemble", assemble_s, count=n_steps,
                          events=n_update_events)
             profiler.add("sne.update", update_s, count=n_steps,
@@ -523,50 +520,27 @@ class SNE:
         # Concurrency: total time is the busiest group; SOPs etc. sum.
         group_cycles = []
         for group in groups:
-            cyc = max(sl.stats.busy_cycles for sl, _, _ in group)
-            group_cycles.append(cyc)
-            for sl, _, _ in group:
-                s = sl.stats
-                stats.sops += s.sops
-                stats.output_events += s.output_events
-                stats.active_cluster_cycles += s.active_cluster_cycles
-                stats.gated_cluster_cycles += s.gated_cluster_cycles
-                stats.fifo_stall_cycles += s.fifo_stall_cycles
-                stats.sequencer_overrun_cycles += s.sequencer_overrun_cycles
-                stats.update_events += s.update_events
-                stats.fire_events += s.fire_events
-                stats.reset_events += s.reset_events
-                for cluster in sl.clusters:
-                    stats.tlu_skipped_steps += cluster.stats.tlu_skipped_steps
+            group_cycles.append(max(sl.stats.busy_cycles for sl in group))
+            for sl in group:
+                self._add_slice_stats(stats, sl)
+                stats.update_events += sl.stats.update_events
+                stats.fire_events += sl.stats.fire_events
+                stats.reset_events += sl.stats.reset_events
         stats.cycles = max(group_cycles)
         stats.dma_words_in = 1 + len(stream) + n_steps
 
-        g_last = programs[-1].geometry
-        if ks is not None:
-            if fired_parts:
-                arr_t = np.concatenate(
-                    [np.full(p[1].size, p[0], dtype=np.int64) for p in fired_parts]
-                )
-                arr_ch = np.concatenate([p[1] for p in fired_parts])
-                arr_x = np.concatenate([p[2] for p in fired_parts])
-                arr_y = np.concatenate([p[3] for p in fired_parts])
-            else:
-                arr_t = arr_ch = arr_x = arr_y = np.zeros(0, dtype=np.int64)
-            stats.dma_words_out = int(arr_t.size)
-            out_stream = EventStream(
-                arr_t.astype(np.int32),
-                arr_ch.astype(np.int32),
-                arr_x.astype(np.int32),
-                arr_y.astype(np.int32),
-                g_last.output_shape(n_steps),
-            )
-            return out_stream, stats
-        stats.dma_words_out = len(out_t)
-        out_stream = EventStream(
-            np.array(out_t, dtype=np.int32),
-            np.array(out_ch, dtype=np.int32),
-            np.array(out_x, dtype=np.int32),
-            np.array(out_y, dtype=np.int32),
-            g_last.output_shape(n_steps),
-        )
+        out_stream = _packed_stream(fired, programs[-1].geometry.output_shape(n_steps))
+        stats.dma_words_out = len(out_stream)
         return out_stream, stats
+
+
+def _packed_stream(
+    fired: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]],
+    shape: tuple[int, int, int, int],
+) -> EventStream:
+    """Concatenate per-(step, slice) fired ``(ch, x, y)`` arrays once."""
+    if not fired:
+        return EventStream.empty(shape)
+    t = np.concatenate([np.full(f[1].size, f[0], dtype=np.int64) for f in fired])
+    ch, x, y = (np.concatenate([f[i] for f in fired]) for i in (1, 2, 3))
+    return EventStream(t, ch, x, y, shape)

@@ -952,6 +952,10 @@ def _cmd_worker(args) -> int:
 
 
 def _cmd_supervise(args) -> int:
+    import os
+    import signal
+    import threading
+
     from .progress import SupervisorTelemetry
     from .supervisor import Supervisor
 
@@ -1001,11 +1005,28 @@ def _cmd_supervise(args) -> int:
               f"over spool {args.spool} (tick {args.tick:g}s, lease ttl "
               f"{args.lease_ttl:g}s, gc ttl {args.gc_ttl:g}s)",
               file=sys.stderr)
+    # SIGTERM (what service managers and `kill` send) stops the loop the
+    # same way the max-ticks limit does, so run()'s finally closes the
+    # fleet instead of orphaning it.
+    stop = threading.Event()
+    main_pid = os.getpid()
+
+    def on_sigterm(signum, frame):
+        if os.getpid() != main_pid:
+            # A forked worker inherited this handler: die as asked.
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        stop.set()
+
+    previous = signal.signal(signal.SIGTERM, on_sigterm)
     try:
-        stats = supervisor.run(max_ticks=args.max_ticks)
+        stats = supervisor.run(stop=stop, max_ticks=args.max_ticks)
     except KeyboardInterrupt:
         supervisor.close()  # Ctrl-C is the normal way to stop a daemon
         stats = supervisor.stats
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     if not args.quiet:
         print(f"[supervise] done: {stats.ticks} tick(s), "
               f"{stats.spawned} spawned, {stats.retired} retired, "

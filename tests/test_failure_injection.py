@@ -98,6 +98,22 @@ class TestProtocolViolations:
         with pytest.raises(ValueError, match="time-sorted"):
             sl.process_update(3, 0, 4, 4)
 
+    def test_time_unsorted_batched_feed_rejected(self):
+        """The kernel path refuses the same violation: once per plan
+        against the slice's TLU registers, and in the packed fire scan."""
+        from repro.hw import fanout_table, resolve_kernel
+
+        ks = resolve_kernel("numpy")
+        prog = conv_program()
+        sl = Slice(SNEConfig(n_slices=1))
+        sl.configure(prog, 0, 64)
+        sl.process_update(5, 0, 4, 4)
+        entries = fanout_table(prog).gather(np.array([0]), np.array([4]), np.array([4]))
+        with pytest.raises(ValueError, match="time-sorted"):
+            sl.plan_updates(entries, np.array([3], dtype=np.int64), 3, 1, ks)
+        with pytest.raises(ValueError, match="time-sorted"):
+            sl.process_fire_packed(3, kernels=ks)
+
     def test_register_write_to_unmapped_slice(self):
         rf = RegisterFile(n_slices=2)
         with pytest.raises(ValueError, match="register space"):

@@ -27,6 +27,7 @@ from repro.hw import (
     program_content_hash,
     random_kernel_case,
     run_kernel_case,
+    sat_add,
 )
 from repro.hw import mapper as mapper_mod
 from repro.hw import kernels as kernels_mod
@@ -254,6 +255,145 @@ class TestNetworkParity:
                 programs, stream, kernel=kernel
             )
             assert out_tm == out_pl
+
+
+@pytest.fixture
+def numba_bodies(monkeypatch):
+    """Route ``kernel="numba"`` to :mod:`numba_impl`'s kernels.
+
+    Without numba, ``numba_impl._jit`` is the identity, so the kernel
+    bodies run as plain Python through the same parity checks the numba
+    CI leg runs compiled; with numba this is simply the jitted set.
+    """
+    from repro.hw.kernels import numba_impl
+
+    ks = KernelSet(
+        name="numba",
+        assemble=numba_impl.assemble,
+        plan=numba_impl.plan,
+        accumulate=numba_impl.accumulate,
+        fire_step=numba_impl.fire_step,
+        detail="numba_impl bodies",
+    )
+    monkeypatch.setitem(kernels_mod._FACTORIES, "numba", lambda: ks)
+    monkeypatch.setattr(kernels_mod, "_RESOLVED", {})
+    return ks
+
+
+class TestNumbaKernelBodies:
+    """The numba kernels' own bodies against the per-event reference."""
+
+    def test_numba_name_resolves_to_the_bodies(self, numba_bodies):
+        assert resolve_kernel("numba") is numba_bodies
+
+    def test_run_layer_fuzz_seeds(self, numba_bodies):
+        for seed in range(8):
+            case = random_kernel_case(seed)
+            res = run_kernel_case(case, kernels=("numba",))
+            assert res.matched, (seed, res.mismatches)
+
+    def test_run_layer_trace_and_saturation(self, numba_bodies):
+        g = LayerGeometry(LayerKind.DENSE, 1, 2, 2, 32, 1, 1)
+        w = np.full((32, 4), 7, dtype=np.int64)
+        w[16:] = -7
+        prog = LayerProgram(g, w, threshold=1000, leak=0)
+        stream = EventStream.from_dense(np.ones((6, 1, 2, 2), dtype=np.uint8))
+        snaps = []
+        for kernel in ("reference", "numba"):
+            sne = SNE(SNEConfig(n_slices=1))
+            trace = ActivityTrace()
+            out, stats = sne.run_layer(prog, stream, trace=trace, kernel=kernel)
+            snaps.append(run_snapshot(sne, out, stats, trace))
+        assert_identical(snaps[1], snaps[0], "numba bodies")
+
+    def test_multi_pass(self, numba_bodies):
+        g = LayerGeometry(LayerKind.DENSE, 1, 3, 3, 1100, 1, 1)
+        w = np.random.default_rng(7).integers(-4, 5, (1100, 9))
+        prog = LayerProgram(g, w, threshold=3, leak=1)
+        stream = sparse_stream(shape=(5, 1, 3, 3), density=0.5, seed=7)
+        ref = SNE(SNEConfig(n_slices=1)).run_layer(prog, stream, kernel="reference")
+        got = SNE(SNEConfig(n_slices=1)).run_layer(prog, stream, kernel="numba")
+        assert ref[1].passes > 1
+        assert got[0] == ref[0]
+        assert dataclasses.asdict(got[1]) == dataclasses.asdict(ref[1])
+
+    @pytest.mark.parametrize("mode", ["run_network", "run_network_pipelined"])
+    def test_network_modes(self, numba_bodies, mode):
+        programs = two_layer_network()
+        for seed in (5, 6):
+            stream = sparse_stream(shape=(5, 1, 8, 8), density=0.15, seed=seed)
+            snaps = []
+            for kernel in ("reference", "numba"):
+                sne = SNE(SNEConfig(n_slices=2))
+                out, stats = getattr(sne, mode)(programs, stream, kernel=kernel)
+                snaps.append(run_snapshot(sne, out, stats))
+            assert_identical(snaps[1], snaps[0], f"{mode}, seed {seed}")
+
+    def test_plan_matches_numpy_plan(self):
+        """Both plan kernels return the same arrays, field by field."""
+        from repro.hw.kernels import numba_impl, numpy_impl
+
+        for seed in range(8):
+            case = random_kernel_case(seed)
+            table = fanout_table(case.program)
+            packed = table.packed()
+            s = case.stream
+            flat = table.flat_ids(s.ch, s.x, s.y)
+            entries = numpy_impl.assemble(packed.offsets, packed.idx, packed.w, flat)
+            assert all(
+                np.array_equal(a, b)
+                for a, b in zip(entries, numba_impl.assemble(
+                    packed.offsets, packed.idx, packed.w, flat))
+            )
+            tlus = np.zeros(16, dtype=np.int64)
+            n_out = case.program.geometry.n_outputs
+            args = (*entries, s.t.astype(np.int64), 0, s.n_steps, tlus,
+                    n_out // 3, n_out, 64, 48)
+            got, want = numba_impl.plan(*args), numpy_impl.plan(*args)
+            assert len(got) == len(want) == 12
+            for k, (a, b) in enumerate(zip(got, want)):
+                assert np.array_equal(a, b), f"seed {seed}, field {k}"
+                assert type(a) is type(b), f"seed {seed}, field {k}"
+                assert np.asarray(a).dtype == np.asarray(b).dtype, f"seed {seed}, field {k}"
+
+
+class TestAccumulateRails:
+    """The numpy accumulate's one-add fast path never hides a clip."""
+
+    # Entries in event order: (neuron, weight).
+    ENTRIES = [(0, 10), (1, -1), (2, 5), (3, 3), (0, -10), (1, 1), (2, -5),
+               (3, -2), (2, 5)]
+
+    def start(self):
+        return np.array([120, -128, 120, 10], dtype=np.int64)
+
+    def serial(self, state):
+        for i, dw in self.ENTRIES:
+            state[i] = sat_add(state[i], dw, 8)
+        return state
+
+    @pytest.mark.parametrize("impl", ["numpy_impl", "numba_impl"])
+    def test_both_rails_match_the_serial_chain(self, impl):
+        from repro.hw.kernels import numba_impl, numpy_impl
+
+        accumulate = {"numpy_impl": numpy_impl, "numba_impl": numba_impl}[impl].accumulate
+        idx = np.array([e[0] for e in self.ENTRIES], dtype=np.int64)
+        w = np.array([e[1] for e in self.ENTRIES], dtype=np.int64)
+        state = self.start()
+        accumulate(state, idx, w, -128, 127)
+        # 120 +10 clips to 127, -10 recovers to 117; -128 -1 clips,
+        # +1 gives -127; 120 +5 -5 +5 is at risk but never clips.
+        assert state.tolist() == [117, -127, 125, 11]
+        assert state.tolist() == self.serial(self.start()).tolist()
+
+    def test_only_neurons_a_clip_could_reach_replay(self):
+        from repro.hw.kernels import numpy_impl
+
+        idx = np.array([e[0] for e in self.ENTRIES], dtype=np.int64)
+        w = np.array([e[1] for e in self.ENTRIES], dtype=np.int64)
+        total, risk = numpy_impl.at_risk(self.start(), idx, w, -128, 127)
+        assert risk.tolist() == [True, True, True, False]  # neuron 3: one add
+        assert total.tolist() == [0, 0, 5, 1]
 
 
 class TestKernelFuzzHarness:

@@ -10,7 +10,12 @@ under fault injection.
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -376,3 +381,61 @@ class TestRealFleet:
                 == [r.value for r in reference.results])
         assert sup.stats.spawned >= 1
         assert sup.stats.crashes == 0
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """Fields of ``/proc/<pid>/stat`` after the command name, or None."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            stat = f.read()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()  # [state, ppid, ...]
+
+
+def _children(pid: int) -> list[int]:
+    return [int(e) for e in os.listdir("/proc")
+            if e.isdigit() and (_proc_stat(int(e)) or [None, None])[1] == str(pid)]
+
+
+def _alive(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs Linux /proc")
+class TestSuperviseSignals:
+    def test_sigterm_stops_the_fleet(self, tmp_path):
+        """`kill <supervisor>` must take its workers down with it."""
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "supervise", "--spool",
+             str(tmp_path / "spool"), "--min-workers", "1", "--tick", "0.1",
+             "--no-cache", "--quiet"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 30
+            while not workers and time.monotonic() < deadline:
+                assert proc.poll() is None, proc.stderr.read().decode()
+                time.sleep(0.05)
+                workers = _children(proc.pid)
+            assert workers, "the supervisor never started a worker"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=20) == 0
+            deadline = time.monotonic() + 5
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if _alive(pid)] == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
