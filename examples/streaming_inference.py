@@ -7,7 +7,7 @@ prints each answer **as it arrives** — the serving behaviour that
 distinguishes ``repro serve`` from the batch-to-completion ``repro
 sweep``.  The same request set is then replayed to show the
 cache-hit path (answers come straight from the shared result store,
-never touching the backend pool), and the server's telemetry snapshot
+never touching the backend pool), and the server's ``stats`` op
 (micro-batch sizes, p50/p99 latency, cache-hit ratio) closes the demo.
 
 Usage::

@@ -257,8 +257,8 @@ def report_from_job_results(results) -> EvaluationReport:
 
     Raises on the first failed job (a failed sample invalidates the
     accuracy aggregate, unlike a failed sweep point).  The ``profile``
-    summary attached by profiling jobs is dropped here — aggregate it
-    with :class:`repro.runtime.progress.ProfileAggregator` instead.
+    summary attached by profiling jobs is dropped here — merge it into
+    a :class:`repro.runtime.profile.Profiler` instead.
     """
     return EvaluationReport(
         results=tuple(

@@ -57,15 +57,15 @@ fan-out-able, memoised workloads.  The flow is a straight pipeline::
    protocol over TCP or stdio (``repro serve``, v2 handshake with
    structured ``overloaded | bad_request | backend_error`` codes)
    exposes the payload-free job kinds to remote clients, with
-   per-connection credit backpressure, ``--max-queue-depth`` admission
-   control, in-flight gauges, queue depth and p50/p99 latency
-   telemetry.
+   per-connection credit backpressure and ``--max-queue-depth``
+   admission control.  The server's request counts, in-flight and
+   queue-depth gauges and p50/p99 latency live in the :mod:`.obs`
+   registry, which the ``stats`` op reads back.
 
 :mod:`.progress` provides the callback protocol the executors report
-through (plus :class:`~repro.runtime.progress.LatencyRecorder`, the
-serving layer's percentile gauge, and
-:class:`~repro.runtime.progress.ProfileAggregator`, which folds per-job
-profiles into one view); :mod:`.profile` is the hot-path profiling
+through (:class:`~repro.runtime.progress.Progress` and the console
+ticker :class:`~repro.runtime.progress.ConsoleProgress`);
+:mod:`.profile` is the hot-path profiling
 layer — :class:`~repro.runtime.profile.Profiler` spans threaded through
 the SNE event loop and the hardware-in-the-loop runner, attached to
 ``sample_eval`` job results as JSON and surfaced by ``repro profile``;
@@ -103,7 +103,8 @@ in-place chunk/result corruption, forced store eviction — and assert
 every round merges bit-identical to a serial run, the sustained
 -traffic proof ``benchmarks/bench_chaos_soak.py`` gates in CI.
 
-:mod:`.obs` is the observability core the whole stack reports into: a
+:mod:`.obs` is the observability core the whole stack reports into —
+the one place the runtime records counters and latencies: a
 process-wide :class:`~repro.runtime.obs.MetricsRegistry` of labeled
 counters/gauges/histograms whose snapshots merge across processes, an
 append-only NDJSON :class:`~repro.runtime.obs.Journal` of structured
@@ -170,16 +171,7 @@ from .store import (
     open_store,
 )
 from .profile import Profiler, SpanStats, render_profile
-from .progress import (
-    BrokerTelemetry,
-    ConsoleProgress,
-    JobEvent,
-    LatencyRecorder,
-    ProfileAggregator,
-    Progress,
-    SupervisorTelemetry,
-    TelemetryCollector,
-)
+from .progress import ConsoleProgress, Progress
 from .dist import (
     Broker,
     BrokerStats,
@@ -239,7 +231,6 @@ from .serve import (
     PROTO_VERSION,
     WIRE_KINDS,
     AsyncServer,
-    ServeTelemetry,
     ServerOverloadedError,
     request_to_spec,
     serve_stdio,
@@ -290,15 +281,10 @@ __all__ = [
     "run_jobs",
     "Progress",
     "ConsoleProgress",
-    "TelemetryCollector",
-    "JobEvent",
-    "LatencyRecorder",
     "Profiler",
     "SpanStats",
     "render_profile",
-    "ProfileAggregator",
     "AsyncServer",
-    "ServeTelemetry",
     "ServerOverloadedError",
     "PROTO_VERSION",
     "Dispatcher",
@@ -321,14 +307,12 @@ __all__ = [
     "CODECS",
     "Broker",
     "BrokerStats",
-    "BrokerTelemetry",
     "ClusterBackend",
     "DistError",
     "claim_state",
     "worker_loop",
     "Supervisor",
     "SupervisorStats",
-    "SupervisorTelemetry",
     "SpoolSnapshot",
     "GCStats",
     "ChaosScheduler",

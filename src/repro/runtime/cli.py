@@ -595,25 +595,6 @@ def _make_progress(args) -> Progress:
     return Progress() if args.quiet else ConsoleProgress()
 
 
-class _TeeProgress(Progress):
-    """Fans every progress callback out to several sinks (profile cmd)."""
-
-    def __init__(self, *sinks: Progress) -> None:
-        self._sinks = sinks
-
-    def on_start(self, total: int) -> None:
-        for s in self._sinks:
-            s.on_start(total)
-
-    def on_job(self, done: int, total: int, result) -> None:
-        for s in self._sinks:
-            s.on_job(done, total, result)
-
-    def on_finish(self, stats) -> None:
-        for s in self._sinks:
-            s.on_finish(stats)
-
-
 def _cmd_sweep(args) -> int:
     from .sweep import run_dse_sweep
 
@@ -720,8 +701,7 @@ def _cmd_profile(args) -> int:
     from ..hw.runner import HardwareEvaluator
     from ..snn.topology import build_small_network
     from .executor import run_jobs
-    from .profile import render_profile
-    from .progress import ProfileAggregator
+    from .profile import Profiler, render_profile
 
     if args.dataset == "gesture":
         maker = SyntheticDVSGesture(size=args.size, n_steps=args.steps)
@@ -739,23 +719,26 @@ def _cmd_profile(args) -> int:
     _warn_kernel_fleet(args)
     jobs = evaluator.sample_jobs(data, max_samples=args.max_samples,
                                  profile=True, kernel=args.kernel)
-    aggregator = ProfileAggregator()
-    progress = _TeeProgress(aggregator) if args.quiet else _TeeProgress(
-        aggregator, ConsoleProgress()
-    )
     executor = _make_executor(args)
-    run = run_jobs(jobs, executor=executor, progress=progress)
+    run = run_jobs(jobs, executor=executor, progress=_make_progress(args))
     if run.failures():
         print(run.failures()[0].error, file=sys.stderr)
         return 1
+    # Each profiled result carries its job's Profiler.summary(); fold
+    # them into one fleet-wide profile.
+    profiler = Profiler()
+    summaries = [r.value["profile"] for r in run.results
+                 if r.value.get("profile")]
+    for job_summary in summaries:
+        profiler.merge(job_summary)
     # Cluster backends additionally collect the workers' own runtime
     # spans (store round-trips, chunk wall time) broker-side; fold
     # them into the job-level profile so the table covers the fleet.
     worker_prof = getattr(executor, "last_worker_profile", None)
     if worker_prof:
-        aggregator.profiler.merge(worker_prof)
-    summary = aggregator.summary()
-    profiled = aggregator.profiled
+        profiler.merge(worker_prof)
+    summary = profiler.summary()
+    profiled = len(summaries)
     mode = "vectorised" if args.kernel == "auto" else f"{args.kernel}-kernel"
     title = (f"hot-path profile — {data.name}, {profiled} sample(s), "
              f"{args.slices} slice(s), {mode} event loop")
@@ -952,31 +935,12 @@ def _cmd_worker(args) -> int:
 
 
 def _cmd_supervise(args) -> int:
+    import logging
     import os
     import signal
     import threading
 
-    from .progress import SupervisorTelemetry
-    from .supervisor import Supervisor
-
-    class _Verbose(SupervisorTelemetry):
-        """Logs every scaling decision to stderr (non-quiet mode)."""
-
-        def on_scale(self, direction, target, why):
-            print(f"[supervise] scale {direction} -> {target} ({why})",
-                  file=sys.stderr)
-
-        def on_respawn(self, worker_id):
-            print(f"[supervise] respawned crashed worker as {worker_id}",
-                  file=sys.stderr)
-
-        def on_recovered(self, recovery_s):
-            print(f"[supervise] fleet restored in {recovery_s:.2f}s",
-                  file=sys.stderr)
-
-        def on_gc(self, claims, chunks, results):
-            print(f"[supervise] gc: {claims} claim(s), {chunks} chunk(s), "
-                  f"{results} result(s)", file=sys.stderr)
+    from .supervisor import Supervisor, log as supervisor_log
 
     slo_rules = None
     if args.slo_rules:
@@ -997,14 +961,19 @@ def _cmd_supervise(args) -> int:
         cache_dir=None if args.no_cache else str(
             open_store(args.cache_dir, max_bytes=args.max_bytes).root),
         max_bytes=args.max_bytes,
-        telemetry=None if args.quiet else _Verbose(),
         slo_rules=slo_rules,
     )
+    # The supervisor logs each scaling decision; print them unless quiet.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("[supervise] %(message)s"))
+    level = supervisor_log.level
     if not args.quiet:
         print(f"[supervise] fleet {args.min_workers}..{args.max_workers} "
               f"over spool {args.spool} (tick {args.tick:g}s, lease ttl "
               f"{args.lease_ttl:g}s, gc ttl {args.gc_ttl:g}s)",
               file=sys.stderr)
+        supervisor_log.addHandler(handler)
+        supervisor_log.setLevel(logging.INFO)
     # SIGTERM (what service managers and `kill` send) stops the loop the
     # same way the max-ticks limit does, so run()'s finally closes the
     # fleet instead of orphaning it.
@@ -1027,6 +996,8 @@ def _cmd_supervise(args) -> int:
         stats = supervisor.stats
     finally:
         signal.signal(signal.SIGTERM, previous)
+        supervisor_log.removeHandler(handler)
+        supervisor_log.setLevel(level)
     if not args.quiet:
         print(f"[supervise] done: {stats.ticks} tick(s), "
               f"{stats.spawned} spawned, {stats.retired} retired, "

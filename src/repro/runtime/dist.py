@@ -68,7 +68,6 @@ from ._fsutil import atomic_write_bytes
 from .backends import JobResult, _execute_one, register_backend
 from .jobs import JobSpec, spec_from_doc, spec_to_doc
 from .profile import Profiler
-from .progress import BrokerTelemetry
 
 __all__ = [
     "DIST_SCHEMA",
@@ -618,15 +617,13 @@ class Broker:
         lease_ttl_s: float = 30.0,
         poll_s: float = 0.05,
         max_attempts: int = 3,
-        telemetry: BrokerTelemetry | None = None,
         clock=None,
     ) -> None:
         """Args: the spool directory, the worker lease TTL, the collect
         poll interval, the per-chunk retry budget (lease requeues,
-        corrupt chunks and corrupt result files all consume it), an
-        optional :class:`~repro.runtime.progress.BrokerTelemetry` sink
-        and a wall-clock override for lease-expiry checks (tests;
-        default ``time.time``)."""
+        corrupt chunks and corrupt result files all consume it) and a
+        wall-clock override for lease-expiry checks (tests; default
+        ``time.time``)."""
         if lease_ttl_s <= 0:
             raise ValueError("lease_ttl_s must be positive")
         if max_attempts < 1:
@@ -636,7 +633,6 @@ class Broker:
         self.poll_s = poll_s
         self.max_attempts = max_attempts
         self.clock = clock or time.time
-        self.telemetry = telemetry or BrokerTelemetry()
         self.stats = BrokerStats()
         #: Fleet-wide merge of the workers' own runtime spans
         #: (``worker.execute``, ``worker.store.*``), accumulated from
@@ -761,7 +757,6 @@ class Broker:
             self._metrics.inc(op="lease_expired")
         obs.emit("chunk.requeue", ctx=chunk.trace, chunk=chunk.chunk_id,
                  attempt=chunk.attempts, why=why)
-        self.telemetry.on_requeue(chunk.chunk_id, chunk.attempts, why)
 
     def _fail_chunk(self, chunk: _Chunk, error: str) -> None:
         """Resolve every job of a chunk as a structured failure."""
@@ -835,8 +830,6 @@ class Broker:
         obs.emit("chunk.complete", ctx=chunk.trace, chunk=chunk.chunk_id,
                  worker=str(doc.get("worker", "?")), jobs=len(records),
                  attempt=chunk.attempts + 1)
-        self.telemetry.on_chunk(chunk.chunk_id, len(records),
-                                str(doc.get("worker", "?")))
         path.unlink(missing_ok=True)
         self._cleanup_chunk(chunk)
 
@@ -1020,7 +1013,6 @@ class ClusterBackend:
         spawn_workers: bool = True,
         start_method: str | None = None,
         timeout: float | None = None,
-        telemetry: BrokerTelemetry | None = None,
     ) -> None:
         """Args mirror the process backend (workers, chunk sizing,
         start method) plus the queue knobs: ``spool_dir`` (None = a
@@ -1043,7 +1035,6 @@ class ClusterBackend:
         self.spawn_workers = spawn_workers
         self.start_method = start_method
         self.timeout = timeout
-        self.telemetry = telemetry
         self.last_stats: BrokerStats | None = None
         #: After a run: the fleet-merged worker runtime profile summary
         #: (``repro profile --backend cluster`` folds this in so
@@ -1090,7 +1081,6 @@ class ClusterBackend:
             lease_ttl_s=self.lease_ttl_s,
             poll_s=self.poll_s,
             max_attempts=self.max_attempts,
-            telemetry=self.telemetry,
         )
         procs: dict[str, object] = {}
         try:

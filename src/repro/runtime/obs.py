@@ -1,10 +1,11 @@
 """Unified observability: metrics registry, trace context, event journal.
 
-Every other telemetry surface in the runtime — :class:`~repro.runtime.profile.Profiler`
-spans, :class:`~repro.runtime.progress.LatencyRecorder` percentiles, the
-broker's chunk callbacks, the store's per-entry usage counters — speaks
-its own dialect and none of them compose across a distributed run.
-This module is the common substrate they are retrofitted onto:
+This is the one place the runtime records counters and latencies: the
+serving front end, the broker, the supervisor, the result store and the
+executors all write to the process-wide registry and journal below, and
+``repro top``, the serve ``stats`` op, ``repro trace`` and ``repro slo``
+all read them back.  (:class:`~repro.runtime.profile.Profiler` stage
+timings of the cycle model are the one separate per-job record.)
 
 * :class:`MetricsRegistry` — process-wide named counters, gauges and
   bounded-bucket histograms.  Series are labeled, snapshots are plain
@@ -78,7 +79,6 @@ __all__ = [
     "set_registry",
     "get_journal",
     "emit",
-    "emit_profile",
     "flush_metrics",
     "read_metrics",
     "read_journal",
@@ -852,22 +852,6 @@ def emit(name: str, ctx: SpanContext | None = None, **attrs) -> dict | None:
     if journal is None:
         return None
     return journal.emit(name, ctx=ctx, **attrs)
-
-
-def emit_profile(summary: dict, **attrs) -> int:
-    """Journal one ``profile.span`` event per span of a
-    :meth:`~repro.runtime.profile.Profiler.summary` dict; returns the
-    number of events written (0 when observability is off)."""
-    journal = get_journal()
-    if journal is None:
-        return 0
-    spans = summary.get("spans", {}) if isinstance(summary, dict) else {}
-    for name, stats in sorted(spans.items()):
-        journal.emit("profile.span", span=name,
-                     count=stats.get("count", 0),
-                     wall_s=stats.get("wall_s", 0.0),
-                     events=stats.get("events", 0), **attrs)
-    return len(spans)
 
 
 def flush_metrics(directory: str | Path | None = None) -> Path | None:

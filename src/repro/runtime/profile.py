@@ -13,9 +13,8 @@ survive process pools and the result cache.
 
 Summaries are plain JSON (``{"total_s": ..., "spans": {name: {...}}}``)
 so they can ride in job results, merge across workers
-(:meth:`Profiler.merge` /
-:class:`~repro.runtime.progress.ProfileAggregator`) and render as the
-table the ``repro profile`` CLI command prints.  Spans may nest
+(:meth:`Profiler.merge`) and render as the table the ``repro profile``
+CLI command prints.  Spans may nest
 (``runner.sample`` contains the ``sne.*`` stages), so shares are
 relative to each profiler's elapsed wall time and do not sum to 100%.
 """
@@ -121,14 +120,6 @@ class Profiler:
     def render(self, title: str = "profile") -> str:
         """Human-readable per-stage table of the recorded spans."""
         return render_profile(self.summary(), title=title)
-
-    def journal(self, **attrs) -> int:
-        """Emit each recorded span as a ``profile.span`` event into the
-        observability journal (:func:`repro.runtime.obs.emit_profile`);
-        returns the number of events written (0 when obs is off)."""
-        from . import obs
-
-        return obs.emit_profile(self.summary(), **attrs)
 
     def __iter__(self) -> Iterator[SpanStats]:
         """Iterate spans in descending wall-time order."""

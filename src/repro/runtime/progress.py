@@ -1,29 +1,18 @@
-"""Progress and telemetry callbacks for job execution.
+"""Progress callbacks for job execution.
 
 The executors report through a tiny three-hook protocol so callers can
-plug in anything from silence (:class:`Progress`, the no-op base) to a
-console ticker (:class:`ConsoleProgress`) to a recording collector
-(:class:`TelemetryCollector`) that the benchmarks and tests inspect.
-Callbacks always run in the parent process, in deterministic completion
-order, so they are free to keep state without locks.
+plug in silence (:class:`Progress`, the no-op base) or a console ticker
+(:class:`ConsoleProgress`).  Callbacks always run in the parent
+process, in deterministic completion order, so they are free to keep
+state without locks.  Counters and latencies are not recorded here:
+they live in the :mod:`repro.runtime.obs` registry.
 """
 
 from __future__ import annotations
 
-import collections
-import math
 import sys
-from dataclasses import dataclass, field
 
-__all__ = [
-    "Progress",
-    "ConsoleProgress",
-    "TelemetryCollector",
-    "JobEvent",
-    "LatencyRecorder",
-    "ProfileAggregator",
-    "BrokerTelemetry",
-]
+__all__ = ["Progress", "ConsoleProgress"]
 
 
 class Progress:
@@ -74,189 +63,3 @@ class ConsoleProgress(Progress):
         """Print the run's closing summary line."""
         print(f"[runtime] done: {stats.summary()}", file=self.stream)
 
-
-class LatencyRecorder:
-    """Sliding-window latency reservoir with percentile summaries.
-
-    The serving front end observes one sample per answered request;
-    percentiles are computed over the most recent ``maxlen`` samples
-    (a bounded deque, so a long-lived server's memory stays flat) while
-    ``count`` keeps the all-time total.  Nearest-rank percentiles over
-    a sorted copy are exact for the window — no approximation sketch is
-    needed at these sample counts.
-    """
-
-    def __init__(self, maxlen: int = 4096) -> None:
-        """Args: ``maxlen`` — window size; must be positive.
-
-        Raises ``ValueError`` on a non-positive window."""
-        if maxlen < 1:
-            raise ValueError("maxlen must be positive")
-        self._window: collections.deque[float] = collections.deque(maxlen=maxlen)
-        self.count = 0
-
-    def observe(self, seconds: float) -> None:
-        """Record one latency sample (in seconds)."""
-        self._window.append(float(seconds))
-        self.count += 1
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0-100, exact nearest-rank) of the window.
-
-        Uses the nearest-rank definition ``rank = ceil(q/100 * n)``
-        (with p0 mapping to the minimum), which is exact for every
-        sample count.  The previous ``round()``-based rank suffered
-        banker's rounding at small ``n`` — e.g. the p50 of five samples
-        returned the second order statistic instead of the median, and
-        mid-range percentiles could land one rank low.  Returns 0.0
-        while no samples have been observed; raises ``ValueError``
-        outside [0, 100].
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if not self._window:
-            return 0.0
-        ordered = sorted(self._window)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
-
-    def summary(self) -> dict:
-        """``count``/``mean_s``/``p50_s``/``p99_s``/``max_s`` over the window."""
-        if not self._window:
-            return {"count": self.count, "mean_s": 0.0, "p50_s": 0.0,
-                    "p99_s": 0.0, "max_s": 0.0}
-        return {
-            "count": self.count,
-            "mean_s": sum(self._window) / len(self._window),
-            "p50_s": self.percentile(50),
-            "p99_s": self.percentile(99),
-            "max_s": max(self._window),
-        }
-
-
-class ProfileAggregator(Progress):
-    """Folds per-job profile summaries into one fleet-wide profiler.
-
-    ``sample_eval`` jobs built with ``profile=True`` attach a
-    :meth:`~repro.runtime.profile.Profiler.summary` dict to their result
-    value; this sink merges each one as it completes (callbacks run in
-    the parent, so no locking is needed even under the process backend).
-    ``profiled`` counts how many results actually carried a profile —
-    cache hits of profiled runs do, plain jobs never will.
-    """
-
-    def __init__(self) -> None:
-        """Start with an empty aggregate profiler."""
-        from .profile import Profiler
-
-        self.profiler = Profiler()
-        self.profiled = 0
-
-    def on_job(self, done: int, total: int, result) -> None:
-        """Merge the profile summary of one completed job, if present."""
-        value = getattr(result, "value", None)
-        if getattr(result, "ok", False) and isinstance(value, dict):
-            summary = value.get("profile")
-            if summary:
-                self.profiler.merge(summary)
-                self.profiled += 1
-
-    def summary(self) -> dict:
-        """The merged :meth:`~repro.runtime.profile.Profiler.summary`."""
-        return self.profiler.summary()
-
-
-class BrokerTelemetry(Progress):
-    """Chunk-level hooks for the distributed broker, on top of the
-    job-level :class:`Progress` protocol.
-
-    The broker (:class:`repro.runtime.dist.Broker`) reports queue
-    events through these two extra callbacks — both fire in the
-    submitting process, so subclasses can keep unlocked state.  The
-    no-op base doubles as the default sink; benchmarks subclass it to
-    measure requeue latency.
-    """
-
-    def on_chunk(self, chunk_id: str, n_jobs: int, worker_id: str) -> None:
-        """Called once per chunk whose results were ingested."""
-
-    def on_requeue(self, chunk_id: str, attempt: int, why: str) -> None:
-        """Called when a chunk is released back to the queue (expired
-        lease, dead worker, corrupt result file)."""
-
-
-class SupervisorTelemetry:
-    """Callback sink for the fleet supervisor's control-loop events.
-
-    The supervisor (:class:`repro.runtime.supervisor.Supervisor`) fires
-    these from its own control thread, one event per decision, so a
-    subclass can log, assert on, or export every scaling action without
-    touching the loop itself.  The no-op base is the default sink.
-    """
-
-    def on_tick(self, snapshot) -> None:
-        """Called once per control tick with the
-        :class:`~repro.runtime.supervisor.SpoolSnapshot` it acted on."""
-
-    def on_scale(self, direction: str, target: int, why: str) -> None:
-        """Called when the desired fleet size changes (``direction`` is
-        ``"up"`` or ``"down"``) with the new target and the reason."""
-
-    def on_respawn(self, worker_id: str) -> None:
-        """Called when a crashed worker's replacement starts (planned
-        scale-up spawns report through :meth:`on_scale` instead)."""
-
-    def on_recovered(self, recovery_s: float) -> None:
-        """Called when the fleet is back at target size after one or
-        more crashes, with the crash-to-restored latency in seconds."""
-
-    def on_gc(self, claims: int, chunks: int, results: int) -> None:
-        """Called after a spool GC pass that removed anything,
-        with the per-category removal counts."""
-
-
-@dataclass(frozen=True)
-class JobEvent:
-    """One recorded job completion."""
-
-    kind: str
-    ok: bool
-    cached: bool
-    duration_s: float
-
-
-@dataclass
-class TelemetryCollector(Progress):
-    """Records every completion for later inspection."""
-
-    events: list[JobEvent] = field(default_factory=list)
-    totals: list[int] = field(default_factory=list)
-
-    def on_start(self, total: int) -> None:
-        """Record one run's job count."""
-        self.totals.append(total)
-
-    def on_job(self, done: int, total: int, result) -> None:
-        """Record one completion as a :class:`JobEvent`."""
-        self.events.append(
-            JobEvent(
-                kind=result.kind,
-                ok=result.ok,
-                cached=result.cached,
-                duration_s=result.duration_s,
-            )
-        )
-
-    def summary(self) -> dict:
-        """Aggregate view of everything recorded so far."""
-        by_kind: dict[str, int] = {}
-        for e in self.events:
-            by_kind[e.kind] = by_kind.get(e.kind, 0) + 1
-        return {
-            "jobs": len(self.events),
-            "ok": sum(e.ok for e in self.events),
-            "failed": sum(not e.ok for e in self.events),
-            "cached": sum(e.cached for e in self.events),
-            "compute_s": sum(e.duration_s for e in self.events if not e.cached),
-            "by_kind": by_kind,
-        }

@@ -28,13 +28,14 @@ The pieces:
   the request with :exc:`ServerOverloadedError`, which the wire layer
   answers as a structured ``overloaded`` error instead of letting the
   queue grow without bound.
-* :class:`ServeTelemetry` — in-flight gauge, queue depth, batch/shed
-  counters and p50/p99 request latency
-  (:class:`~repro.runtime.progress.LatencyRecorder`), reported by the
-  ``stats`` protocol op and printed on shutdown.  The queue-depth
-  figure the ``stats`` op reports is read back from the process-wide
-  ``repro_serve_queue_depth`` gauge, the same one ``repro top``
-  renders — one source of truth for the dashboard and the wire.
+* **metrics** — every request, batch and latency sample is recorded
+  once, in the process-wide :mod:`~repro.runtime.obs` registry
+  (``repro_serve_requests_total`` by status, ``repro_serve_batches_total``,
+  ``repro_serve_latency_seconds`` and the in-flight and queue-depth
+  gauges).  :meth:`AsyncServer.stats` — the ``stats`` protocol op and
+  the shutdown summary — reads its numbers back from those
+  instruments, the same ones ``repro metrics`` and ``repro top``
+  render, so the wire and the dashboard agree by construction.
 * the **wire protocol** — line-delimited JSON over TCP
   (:func:`serve_tcp`) or stdio (:func:`serve_stdio`), fronted by the
   CLI's ``repro serve``.  A request names a payload-free job kind and
@@ -64,10 +65,11 @@ request.
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import obs
 from .backends import JobResult
@@ -78,11 +80,9 @@ from .jobs import (
     dse_point_job,
     inference_energy_job,
 )
-from .progress import LatencyRecorder
-from .store import ResultStore
+from .store import ResultStore, _store_events
 
 __all__ = [
-    "ServeTelemetry",
     "AsyncServer",
     "ServerOverloadedError",
     "PROTO_VERSION",
@@ -148,52 +148,6 @@ def request_to_spec(request: dict) -> JobSpec:
 
 
 @dataclass
-class ServeTelemetry:
-    """Gauges and counters for one server's lifetime.
-
-    ``in_flight`` and ``queue_depth`` are live gauges (requests being
-    answered / requests waiting for a batch slot); the counters
-    accumulate monotonically; ``latency`` records one sample per
-    answered request, cache hits included — :meth:`snapshot` derives
-    the p50/p99 figures the ``stats`` op reports.
-    """
-
-    requests: int = 0
-    in_flight: int = 0
-    queue_depth: int = 0
-    batches: int = 0
-    dispatched: int = 0
-    cache_hits: int = 0
-    computed: int = 0
-    failures: int = 0
-    cache_errors: int = 0
-    rejected: int = 0
-    shed: int = 0
-    latency: LatencyRecorder = field(default_factory=LatencyRecorder)
-
-    def snapshot(self) -> dict:
-        """One JSON-able document of every gauge, counter and latency
-        percentile — the payload of the protocol's ``stats`` op."""
-        mean_batch = self.dispatched / self.batches if self.batches else 0.0
-        return {
-            "requests": self.requests,
-            "in_flight": self.in_flight,
-            "queue_depth": self.queue_depth,
-            "batches": self.batches,
-            "dispatched": self.dispatched,
-            "mean_batch": mean_batch,
-            "cache_hits": self.cache_hits,
-            "computed": self.computed,
-            "failures": self.failures,
-            "cache_errors": self.cache_errors,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "cache_hit_ratio": self.cache_hits / self.requests if self.requests else 0.0,
-            "latency": self.latency.summary(),
-        }
-
-
-@dataclass
 class _Pending:
     """One queued request: its spec, the future its caller awaits, the
     enqueue timestamp the latency gauge is measured from, and the
@@ -205,6 +159,10 @@ class _Pending:
     enqueued_at: float
     ctx: "obs.SpanContext | None" = None
 
+
+#: Every ``status`` label of ``repro_serve_requests_total``; each
+#: request that is no longer in flight has exactly one.
+_STATUSES = ("cached", "ok", "failed", "rejected", "shed", "cancelled")
 
 #: Queue sentinel that tells the batcher to drain and exit.
 _CLOSE = object()
@@ -240,7 +198,6 @@ class AsyncServer:
         cache: ResultStore | None = None,
         batch_window_s: float = 0.005,
         max_batch: int = 32,
-        telemetry: ServeTelemetry | None = None,
         dispatcher: Dispatcher | None = None,
         max_queue_depth: int | None = None,
         conn_credits: int = 64,
@@ -253,8 +210,6 @@ class AsyncServer:
             batch_window_s: how long the batcher waits for more requests
                 after the first one arrives (0 = dispatch immediately).
             max_batch: dispatch as soon as this many requests coalesced.
-            telemetry: an external :class:`ServeTelemetry` to record
-                into (one is created otherwise).
             dispatcher: the execution plane
                 (:class:`~repro.runtime.dispatch.Dispatcher`).  Default:
                 a ``LocalDispatcher`` over the ``thread`` backend —
@@ -290,7 +245,6 @@ class AsyncServer:
         self.max_queue_depth = max_queue_depth
         self.conn_credits = conn_credits
         self.slo_rules = slo_rules
-        self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
         self._queue: asyncio.Queue = asyncio.Queue()
         self._batcher: asyncio.Task | None = None
         self._dispatches: set[asyncio.Task] = set()
@@ -298,7 +252,8 @@ class AsyncServer:
         registry = obs.get_registry()
         self._m_requests = registry.counter(
             "repro_serve_requests_total",
-            "Serve requests by kind and status (cached, ok, failed, rejected).")
+            ("Serve requests by kind and status (cached, ok, failed, rejected, "
+             "shed, cancelled)."))
         self._m_batches = registry.counter(
             "repro_serve_batches_total", "Micro-batches dispatched.")
         self._m_latency = registry.histogram(
@@ -308,6 +263,8 @@ class AsyncServer:
             "repro_serve_in_flight", "Requests currently being answered.")
         self._g_queue_depth = registry.gauge(
             "repro_serve_queue_depth", "Requests waiting for a batch slot.")
+        self._m_store = _store_events()
+        self._baseline = self._totals()
 
     # -- lifecycle --------------------------------------------------------
     async def __aenter__(self) -> "AsyncServer":
@@ -379,23 +336,17 @@ class AsyncServer:
                 request could be queued).
         """
         if self._closing:
-            self.telemetry.rejected += 1
             self._m_requests.inc(kind=spec.kind, status="rejected")
             raise RuntimeError("server is closed")
         self._ensure_batcher()
         loop = asyncio.get_running_loop()
         start = loop.time()
-        self.telemetry.requests += 1
-        self.telemetry.in_flight += 1
-        self._g_in_flight.set(self.telemetry.in_flight)
+        self._g_in_flight.add(1)
         try:
             hit = await self._cache_get(spec)
             if hit is not None:
-                self.telemetry.cache_hits += 1
-                elapsed = loop.time() - start
-                self.telemetry.latency.observe(elapsed)
                 self._m_requests.inc(kind=spec.kind, status="cached")
-                self._m_latency.observe(elapsed)
+                self._m_latency.observe(loop.time() - start)
                 return JobResult(
                     job_hash=hit.job_hash,
                     kind=hit.kind,
@@ -409,12 +360,10 @@ class AsyncServer:
                 # The server closed while the cache lookup was in
                 # flight; the sentinel is already queued, so this
                 # request would never be dispatched.
-                self.telemetry.rejected += 1
                 self._m_requests.inc(kind=spec.kind, status="rejected")
                 raise RuntimeError("server is closed")
             if (self.max_queue_depth is not None
                     and self._queue.qsize() >= self.max_queue_depth):
-                self.telemetry.shed += 1
                 self._m_requests.inc(kind=spec.kind, status="shed")
                 raise ServerOverloadedError(
                     f"queue depth {self._queue.qsize()} at max_queue_depth="
@@ -424,15 +373,15 @@ class AsyncServer:
             self._queue.put_nowait(pending)  # same loop step as the check
             self._set_queue_depth()
             result: JobResult = await pending.future
-            elapsed = loop.time() - start
-            self.telemetry.latency.observe(elapsed)
             self._m_requests.inc(kind=spec.kind,
                                  status="ok" if result.ok else "failed")
-            self._m_latency.observe(elapsed)
+            self._m_latency.observe(loop.time() - start)
             return result
+        except asyncio.CancelledError:
+            self._m_requests.inc(kind=spec.kind, status="cancelled")
+            raise
         finally:
-            self.telemetry.in_flight -= 1
-            self._g_in_flight.set(self.telemetry.in_flight)
+            self._g_in_flight.add(-1)
 
     async def stream(self, specs: list[JobSpec]):
         """Answer many jobs, yielding each result as soon as it exists.
@@ -462,12 +411,10 @@ class AsyncServer:
             await asyncio.gather(*tasks, return_exceptions=True)
 
     def _set_queue_depth(self) -> None:
-        """Record the live queue depth in *both* sinks — the telemetry
-        struct and the process-wide ``repro_serve_queue_depth`` gauge —
-        so the ``stats`` op and ``repro top`` can never disagree."""
-        depth = self._queue.qsize()
-        self.telemetry.queue_depth = depth
-        self._g_queue_depth.set(depth)
+        """Publish the live queue depth on the process-wide
+        ``repro_serve_queue_depth`` gauge (read by the ``stats`` op and
+        ``repro top`` alike)."""
+        self._g_queue_depth.set(self._queue.qsize())
 
     async def _cache_get(self, spec: JobSpec):
         if self.cache is None:
@@ -484,7 +431,7 @@ class AsyncServer:
             # failure costs the memoisation, never the already-computed
             # answer — an exotic error escaping here would leave the
             # request's future unresolved and hang its client.
-            self.telemetry.cache_errors += 1
+            self._m_store.inc(op="put_error")
 
     # -- batching ---------------------------------------------------------
     async def _batch_loop(self) -> None:
@@ -524,8 +471,6 @@ class AsyncServer:
         """Execute one micro-batch through the dispatcher, resolving
         each caller as the execution plane delivers its job (never at
         batch end), writing fresh successes through to the cache."""
-        self.telemetry.batches += 1
-        self.telemetry.dispatched += len(batch)
         self._m_batches.inc()
         delivered = 0
         # Re-adopt the submitter's span so a broker dispatch journals
@@ -543,9 +488,6 @@ class AsyncServer:
                 async for result in self.dispatcher.submit(
                         [p.spec for p in batch]):
                     pending = batch[delivered]
-                    self.telemetry.computed += 1
-                    if not result.ok:
-                        self.telemetry.failures += 1
                     # Write-through completes *before* the caller is
                     # resolved: a client that re-asks the question it
                     # just had answered must hit the store
@@ -564,7 +506,6 @@ class AsyncServer:
             plane = self.stats_backend_name()
             error = f"backend {plane} crashed: {exc!r}"
             for pending in batch[delivered:]:
-                self.telemetry.failures += 1
                 if not pending.future.done():
                     pending.future.set_result(
                         JobResult(
@@ -585,27 +526,78 @@ class AsyncServer:
         desc = self.dispatcher.describe()
         return desc.get("backend", self.dispatcher.name)
 
+    def _totals(self) -> collections.Counter:
+        """Cumulative readings of this server's registry counters:
+        requests by status, batches, cache write errors and the latency
+        histogram's per-bucket counts, sum and count."""
+        totals = collections.Counter(
+            batches=self._m_batches.total(),
+            cache_errors=self._m_store.value(op="put_error"))
+        for rec in self._m_requests._snapshot_series():
+            totals[rec["labels"].get("status")] += rec["value"]
+        for rec in self._m_latency._snapshot_series():
+            totals["latency_sum"] += rec["sum"]
+            totals["latency_count"] += rec["count"]
+            for i, n in enumerate(rec["counts"]):
+                totals[i] += n
+        return totals
+
     def stats(self) -> dict:
-        """The telemetry snapshot plus execution-plane/cache identity —
+        """The server's counters plus execution-plane/cache identity —
         the document the protocol's ``stats`` op returns.
 
-        ``queue_depth`` here is read back from the process-wide
-        ``repro_serve_queue_depth`` gauge (the one ``repro top``
-        renders), so the wire protocol and the dashboard agree by
-        construction.
+        Every number is read from the obs registry.  The registry is
+        process-wide, so counters and the latency histogram report
+        their growth since this server was constructed; the
+        ``in_flight`` and ``queue_depth`` gauges are read as they
+        stand (the same values ``repro top`` renders).  ``requests``
+        is every request ended with a status plus those in flight, so
+        once the server is idle it equals the growth of
+        ``repro_serve_requests_total``.  ``computed`` (equal to
+        ``dispatched``) counts requests answered by the execution
+        plane, ``ok`` or ``failed``.  Latency percentiles resolve to
+        the histogram's bucket bounds.
         """
-        doc = self.telemetry.snapshot()
-        doc["queue_depth"] = int(self._g_queue_depth.value())
+        n = self._totals()
+        n.subtract(self._baseline)
+        in_flight = int(self._g_in_flight.value())
+        requests = int(sum(n[s] for s in _STATUSES)) + in_flight
+        hits = int(n["cached"])
+        computed = int(n["ok"] + n["failed"])
+        batches = int(n["batches"])
+        buckets = self._m_latency.buckets
+        counts = [n[i] for i in range(len(buckets))]
+        count = int(n["latency_count"])
         desc = self.dispatcher.describe()
-        doc["dispatcher"] = desc
-        doc["backend"] = desc.get("backend", self.dispatcher.name)
-        doc["workers"] = desc.get("workers", 0)
-        doc["batch_window_s"] = self.batch_window_s
-        doc["max_batch"] = self.max_batch
-        doc["max_queue_depth"] = self.max_queue_depth
-        doc["proto"] = PROTO_VERSION
-        doc["cache"] = None if self.cache is None else str(self.cache.root)
-        return doc
+        return {
+            "requests": requests,
+            "in_flight": in_flight,
+            "queue_depth": int(self._g_queue_depth.value()),
+            "batches": batches,
+            "dispatched": computed,
+            "mean_batch": computed / batches if batches else 0.0,
+            "cache_hits": hits,
+            "computed": computed,
+            "failures": int(n["failed"]),
+            "cache_errors": int(n["cache_errors"]),
+            "rejected": int(n["rejected"]),
+            "shed": int(n["shed"]),
+            "cache_hit_ratio": hits / requests if requests else 0.0,
+            "latency": {
+                "count": count,
+                "mean_s": n["latency_sum"] / count if count else 0.0,
+                "p50_s": obs.quantile_from_counts(buckets, counts, count, 50)[0],
+                "p99_s": obs.quantile_from_counts(buckets, counts, count, 99)[0],
+            },
+            "dispatcher": desc,
+            "backend": desc.get("backend", self.dispatcher.name),
+            "workers": desc.get("workers", 0),
+            "batch_window_s": self.batch_window_s,
+            "max_batch": self.max_batch,
+            "max_queue_depth": self.max_queue_depth,
+            "proto": PROTO_VERSION,
+            "cache": None if self.cache is None else str(self.cache.root),
+        }
 
 
 # -- wire protocol ----------------------------------------------------------

@@ -81,10 +81,11 @@ _HASH_LINE = re.compile(r"^[0-9a-f]{64}$")
 
 def _store_events():
     """The shared ``repro_store_events_total`` counter (labels:
-    ``op=hit|miss|store|evict``) on the process-wide registry."""
+    ``op=hit|miss|store|evict|put_error``) on the process-wide registry;
+    ``put_error`` counts serve write-throughs the store refused."""
     return obs.get_registry().counter(
         "repro_store_events_total",
-        "Result-store operations by op (hit, miss, store, evict).")
+        "Result-store operations by op (hit, miss, store, evict, put_error).")
 
 #: Index size past which a touch triggers opportunistic compaction, so
 #: the log stays bounded even on uncapped stores that never evict.

@@ -34,7 +34,8 @@ Per tick the supervisor
 Everything observable is exported as ``repro_supervisor_*`` metrics
 and ``supervisor.*`` journal events; :class:`SupervisorStats`
 accumulates the same counters in-process for tests and the CLI exit
-summary.  ``repro supervise --spool DIR --min-workers N --max-workers
+summary, and each scaling decision is also an INFO record on this
+module's logger.  ``repro supervise --spool DIR --min-workers N --max-workers
 M`` runs the loop as a daemon; the chaos harness
 (:mod:`repro.runtime.chaos`) runs it under fault injection and asserts
 the recovery behaviour stays within the gated bench envelope.
@@ -47,6 +48,7 @@ SIGKILL by pid.
 
 from __future__ import annotations
 
+import logging
 import math
 import multiprocessing
 import os
@@ -58,7 +60,6 @@ from dataclasses import dataclass, field
 
 from . import obs
 from .dist import claim_state, worker_loop
-from .progress import SupervisorTelemetry
 
 __all__ = [
     "SpoolSnapshot",
@@ -66,6 +67,10 @@ __all__ = [
     "SupervisorStats",
     "Supervisor",
 ]
+
+#: Scale, respawn, recovery and GC decisions are logged here at INFO
+#: next to their journal events; ``repro supervise`` prints them.
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,6 @@ class Supervisor:
         max_bytes: int | None = None,
         start_method: str | None = None,
         worker_factory=None,
-        telemetry: SupervisorTelemetry | None = None,
         clock=None,
         slo_rules=None,
     ) -> None:
@@ -193,7 +197,6 @@ class Supervisor:
                 override; handles need ``is_alive()``, ``terminate()``,
                 ``join(timeout)`` and ``pid``.  Default spawns
                 :func:`_supervised_worker` processes.
-            telemetry: optional :class:`SupervisorTelemetry` sink.
             clock: wall-clock override for lease/GC/recovery timing
                 (tests; default ``time.time``).
             slo_rules: :class:`~repro.runtime.slo.SLORule` list to
@@ -226,7 +229,6 @@ class Supervisor:
         self.cache_dir = cache_dir
         self.max_bytes = max_bytes
         self.start_method = start_method
-        self.telemetry = telemetry or SupervisorTelemetry()
         self.clock = clock or time.time
         self.stats = SupervisorStats()
         self.desired = min_workers
@@ -331,7 +333,7 @@ class Supervisor:
             self.stats.respawned += 1
             self._events.inc(op="respawn")
             obs.emit("supervisor.respawn", worker=wid)
-            self.telemetry.on_respawn(wid)
+            log.info("respawned crashed worker as %s", wid)
         else:
             obs.emit("supervisor.spawn", worker=wid)
         return wid
@@ -403,7 +405,7 @@ class Supervisor:
                        f"{self._busy_streak} tick(s)")
                 obs.emit("supervisor.scale", direction="up",
                          target=want, why=why)
-                self.telemetry.on_scale("up", want, why)
+                log.info("scale up -> %d (%s)", want, why)
         elif (self._idle_streak >= self.idle_ticks
               and self.desired > self.min_workers):
             self.desired = self.min_workers
@@ -412,7 +414,7 @@ class Supervisor:
             why = f"spool idle for {self._idle_streak} tick(s)"
             obs.emit("supervisor.scale", direction="down",
                      target=self.desired, why=why)
-            self.telemetry.on_scale("down", self.desired, why)
+            log.info("scale down -> %d (%s)", self.desired, why)
 
     def _reconcile(self) -> None:
         """Spawn or retire workers until the fleet matches ``desired``."""
@@ -446,7 +448,7 @@ class Supervisor:
             self.stats.recoveries.append(recovery)
             self._recovery_hist.observe(recovery)
             obs.emit("supervisor.recovered", recovery_s=recovery)
-            self.telemetry.on_recovered(recovery)
+            log.info("fleet restored in %.2fs", recovery)
 
     def gc(self) -> GCStats:
         """One spool GC pass; returns what was removed.
@@ -503,8 +505,8 @@ class Supervisor:
                     self._events.inc(n, op=op)
             obs.emit("supervisor.gc", claims=removed.claims,
                      chunks=removed.chunks, results=removed.results)
-            self.telemetry.on_gc(removed.claims, removed.chunks,
-                                 removed.results)
+            log.info("gc: %d claim(s), %d chunk(s), %d result(s)",
+                     removed.claims, removed.chunks, removed.results)
         return removed
 
     def tick(self) -> SpoolSnapshot:
@@ -523,7 +525,6 @@ class Supervisor:
         self._workers_gauge.set(self.fleet_size())
         self._backlog_gauge.set(snapshot.pending)
         self._check_slos()
-        self.telemetry.on_tick(snapshot)
         return snapshot
 
     def _check_slos(self) -> None:

@@ -17,8 +17,8 @@ import json
 import pytest
 
 from repro.runtime import (
+    Progress,
     ResultStore,
-    TelemetryCollector,
     available_backends,
     baseline_compare_job,
     canonical_json,
@@ -29,6 +29,16 @@ from repro.runtime import (
     run_jobs,
 )
 from repro.runtime.backends import _BACKENDS, SerialBackend
+
+
+class RecordingProgress(Progress):
+    """Keeps every ``on_job`` result, in callback order."""
+
+    def __init__(self):
+        self.results = []
+
+    def on_job(self, done, total, result):
+        self.results.append(result)
 
 
 def mixed_jobs():
@@ -118,13 +128,13 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("name", available_backends())
     def test_progress_callback_sequence_is_serial_order(self, name):
-        telemetry = TelemetryCollector()
+        progress = RecordingProgress()
         run_jobs(mixed_jobs(), executor=make_backend(name, workers=3),
-                 progress=telemetry)
-        assert [e.kind for e in telemetry.events] == [
+                 progress=progress)
+        assert [r.kind for r in progress.results] == [
             s.kind for s in mixed_jobs()
         ]
-        assert [e.ok for e in telemetry.events] == [
+        assert [r.ok for r in progress.results] == [
             i not in FAILING_POSITIONS for i in range(len(mixed_jobs()))
         ]
 

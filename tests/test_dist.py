@@ -22,13 +22,14 @@ import pytest
 
 from repro.runtime import (
     Broker,
-    BrokerTelemetry,
     ClusterBackend,
+    MetricsRegistry,
     ResultStore,
     available_backends,
     canonical_json,
     dse_point_job,
     make_backend,
+    obs,
     register_runner,
     run_dse_sweep,
     run_jobs,
@@ -39,6 +40,18 @@ from repro.runtime import (
 )
 from repro.runtime.dist import claim_chunk, claim_state, read_claim, release_claim
 from repro.runtime.jobs import JobSpec
+
+
+@pytest.fixture()
+def registry():
+    """A fresh process-wide obs registry, so the broker's event
+    counters start from zero in each test that reads them."""
+    old = obs.set_registry(MetricsRegistry())
+    try:
+        yield obs.get_registry()
+    finally:
+        obs.set_registry(old)
+
 
 # Registered at import time so fork-started worker processes inherit
 # them (the same rule the production runners follow).
@@ -313,20 +326,11 @@ class TestBrokerCollect:
         assert broker.stats.requeues == 1
         assert claim_state(tmp_path, chunk_id)[0] == "missing"
 
-    def test_corrupt_result_file_requeues_and_recomputes(self, tmp_path):
+    def test_corrupt_result_file_requeues_and_recomputes(self, tmp_path, registry):
         jobs = [sleep_job(i) for i in range(2)]
         broker = Broker(tmp_path, poll_s=0.01)
         (chunk_id,) = broker.submit(jobs, chunk_size=2)
         (tmp_path / "results" / f"{chunk_id}.json").write_text("{torn")
-        requeues = []
-
-        class Recording(BrokerTelemetry):
-            """Records requeue events for the assertion below."""
-
-            def on_requeue(self, chunk_id, attempt, why):
-                requeues.append((chunk_id, attempt, why))
-
-        broker.telemetry = Recording()
         # A daemon-mode worker: a draining one could scan before the
         # broker discards the corrupt result (nothing pending yet) and
         # exit without ever recomputing.
@@ -342,7 +346,8 @@ class TestBrokerCollect:
         reference = run_jobs(jobs, executor="serial")
         assert payload_bytes(results) == payload_bytes(reference.results)
         assert broker.stats.requeues >= 1
-        assert requeues and requeues[0][0] == chunk_id
+        events = registry.counter("repro_broker_events_total")
+        assert events.value(op="requeue") == broker.stats.requeues
 
     def test_retry_budget_exhaustion_fails_the_chunk(self, tmp_path):
         jobs = [sleep_job(1)]
@@ -432,30 +437,29 @@ class TestKillRecovery:
         assert payload_bytes(results) == payload_bytes(reference.results)
         assert broker.stats.requeues >= 1
 
-    def test_cluster_backend_survives_a_worker_kill(self, tmp_path):
+    def test_cluster_backend_survives_a_worker_kill(self, tmp_path, registry):
         """The acceptance bar: bit-identical ordered results from the
         registered backend even after one of its workers is SIGKILLed
         mid-chunk (the watchdog requeues and respawns)."""
         jobs = [sleep_job(i, sleep_s=0.25) for i in range(6)]
         reference = run_jobs(jobs, executor="serial")
-        requeues = []
+        events = registry.counter("repro_broker_events_total")
 
-        class Recording(BrokerTelemetry):
-            """Lets the fault injector observe requeues as they happen."""
-
-            def on_requeue(self, chunk_id, attempt, why):
-                requeues.append(chunk_id)
+        def requeues():
+            # The broker runs in this process, so the fault injector
+            # sees each requeue on the registry as it happens.
+            return events.value(op="requeue")
 
         backend = ClusterBackend(workers=2, spool_dir=tmp_path,
                                  chunk_size=1, lease_ttl_s=30.0,
-                                 timeout=120.0, telemetry=Recording())
+                                 timeout=120.0)
 
         def killer():
             # Kill lease-holding workers until one kill provably landed
             # mid-chunk (the broker requeued its chunk).  A kill that
             # slips between chunks just costs a respawn; retry.
             deadline = time.monotonic() + 30.0
-            while not requeues and time.monotonic() < deadline:
+            while not requeues() and time.monotonic() < deadline:
                 for path in (tmp_path / "claims").glob("*.claim"):
                     try:
                         claim = json.loads(path.read_text())
@@ -468,13 +472,13 @@ class TestKillRecovery:
                         except ProcessLookupError:
                             continue
                         break
-                wait_for(lambda: requeues, timeout=0.3)
+                wait_for(requeues, timeout=0.3)
 
         thread = threading.Thread(target=killer)
         thread.start()
         run = run_jobs(jobs, executor=backend)
         thread.join()
-        assert requeues, "the fault injector never landed a mid-chunk kill"
+        assert requeues(), "the fault injector never landed a mid-chunk kill"
         assert payload_bytes(run.results) == payload_bytes(reference.results)
         assert backend.last_stats is not None
         assert backend.last_stats.requeues >= 1

@@ -439,22 +439,6 @@ class TestConfiguration:
         assert [e["event"] for e in
                 read_journal(tmp_path / "b" / "journal.ndjson")] == ["two"]
 
-    def test_emit_profile_writes_one_event_per_span(self, tmp_path):
-        obs.configure(tmp_path)
-        summary = {"total_s": 1.0, "spans": {
-            "sne.update": {"count": 3, "wall_s": 0.5, "events": 10,
-                           "events_per_s": 20.0},
-            "sne.fire": {"count": 1, "wall_s": 0.1, "events": 2,
-                         "events_per_s": 20.0},
-        }}
-        assert obs.emit_profile(summary, workload="fig5b") == 2
-        events = read_journal(tmp_path / "journal.ndjson")
-        spans = {e["span"] for e in events if e["event"] == "profile.span"}
-        assert spans == {"sne.update", "sne.fire"}
-        assert all(e["workload"] == "fig5b" for e in events)
-        obs.configure(False)
-        assert obs.emit_profile(summary) == 0
-
 
 class TestQuantileHelper:
     def test_shared_helper_matches_inline_rank_math(self):

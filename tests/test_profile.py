@@ -8,7 +8,6 @@ import pytest
 from repro.events import EventStream, SyntheticDVSGesture
 from repro.hw import PAPER_CONFIG, SNE, HardwareEvaluator, SNEConfig, compile_network
 from repro.runtime import (
-    ProfileAggregator,
     Profiler,
     render_profile,
     run_jobs,
@@ -158,22 +157,30 @@ class TestProfiledJobs:
         run = run_jobs(evaluator.sample_jobs(data, max_samples=1))
         assert "profile" not in run.results[0].unwrap()
 
-    def test_aggregator_merges_across_process_backend(self):
-        data, evaluator = small_deployment(n_per_class=1)
-        jobs = evaluator.sample_jobs(data, max_samples=4, profile=True)
-        aggregator = ProfileAggregator()
-        run = run_jobs(jobs, executor="process", progress=aggregator)
-        assert not run.failures()
-        assert aggregator.profiled == 4
-        assert aggregator.profiler.spans["runner.sample"].count == 4
-        assert set(aggregator.summary()) == {"total_s", "spans"}
+    def test_aggregator_merges_across_process_backend(self, tmp_path, capsys):
+        """``repro profile`` folds every worker's job profile into one."""
+        out_path = tmp_path / "profile.json"
+        rc = main(["profile", "--size", "16", "--steps", "4", "--per-class", "1",
+                   "--max-samples", "4", "--slices", "2", "--backend", "process",
+                   "--workers", "2", "--quiet", "--json", str(out_path)])
+        assert rc == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["workload"]["samples"] == 4
+        assert doc["spans"]["runner.sample"]["count"] == 4
+        assert set(doc["spans"]["sne.update"]) == SPAN_KEYS
 
     def test_aggregator_ignores_plain_jobs(self):
+        """Only profiled results carry a summary to merge; plain ones
+        in the same run add nothing."""
         data, evaluator = small_deployment()
-        aggregator = ProfileAggregator()
-        run_jobs(evaluator.sample_jobs(data, max_samples=2), progress=aggregator)
-        assert aggregator.profiled == 0
-        assert not aggregator.profiler.spans
+        jobs = (evaluator.sample_jobs(data, max_samples=2)
+                + evaluator.sample_jobs(data, max_samples=1, profile=True))
+        run = run_jobs(jobs)
+        profiler = Profiler()
+        for result in run.results:
+            if "profile" in result.unwrap():
+                profiler.merge(result.value["profile"])
+        assert profiler.spans["runner.sample"].count == 1
 
 
 class TestProfileCLI:

@@ -24,11 +24,11 @@ from repro.hw import (
 from repro.runtime import (
     ConsoleProgress,
     ProcessBackend,
+    Progress,
     ResultStore,
     SerialBackend,
     SweepAxis,
     SweepGrid,
-    TelemetryCollector,
     baseline_compare_job,
     canonical_json,
     dse_grid,
@@ -39,6 +39,16 @@ from repro.runtime import (
     run_jobs,
 )
 from repro.snn import build_small_network
+
+
+class RecordingProgress(Progress):
+    """Keeps every ``on_job`` result, in callback order."""
+
+    def __init__(self):
+        self.results = []
+
+    def on_job(self, done, total, result):
+        self.results.append(result)
 
 
 @pytest.fixture(scope="module")
@@ -331,14 +341,14 @@ class TestSweep:
 class TestProgress:
     def test_telemetry_records_every_job(self, tmp_path):
         cache = ResultStore(tmp_path)
-        telemetry = TelemetryCollector()
+        progress = RecordingProgress()
         jobs = [dse_point_job(n) for n in (1, 2, 4)]
-        run_jobs(jobs, cache=cache, progress=telemetry)
-        run_jobs(jobs, cache=cache, progress=telemetry)
-        summary = telemetry.summary()
-        assert summary["jobs"] == 6 and summary["ok"] == 6
-        assert summary["cached"] == 3
-        assert summary["by_kind"] == {"dse_point": 6}
+        run_jobs(jobs, cache=cache, progress=progress)
+        run_jobs(jobs, cache=cache, progress=progress)
+        assert len(progress.results) == 6
+        assert all(r.ok for r in progress.results)
+        assert [r.cached for r in progress.results] == [False] * 3 + [True] * 3
+        assert {r.kind for r in progress.results} == {"dse_point"}
 
     def test_console_progress_reports_failures(self, capsys):
         import io
@@ -380,10 +390,10 @@ class TestHardwareEvaluatorRuntime:
 
     def test_progress_only_evaluate_stays_inline_and_reports(self, tiny_eval):
         evaluator, data = tiny_eval
-        telemetry = TelemetryCollector()
-        report = evaluator.evaluate(data, max_samples=2, progress=telemetry)
-        assert telemetry.summary()["jobs"] == 2
-        assert all(e.ok and not e.cached for e in telemetry.events)
+        progress = RecordingProgress()
+        report = evaluator.evaluate(data, max_samples=2, progress=progress)
+        assert len(progress.results) == 2
+        assert all(r.ok and not r.cached for r in progress.results)
         assert report.results == evaluator.evaluate(data, max_samples=2).results
 
     def test_max_samples_zero_rejected(self, tiny_eval):

@@ -33,9 +33,7 @@ import pytest
 from repro.runtime import (
     AsyncServer,
     JobSpec,
-    LatencyRecorder,
     ResultStore,
-    ServeTelemetry,
     canonical_json,
     dse_point_job,
     register_runner,
@@ -183,8 +181,8 @@ class TestCoalescing:
         srv = run_async(body())
         assert sum(rec.batch_sizes) == 6
         assert max(rec.batch_sizes) > 1, "requests were never coalesced"
-        assert srv.telemetry.batches == len(rec.batch_sizes)
-        assert srv.telemetry.dispatched == 6
+        assert srv.stats()["batches"] == len(rec.batch_sizes)
+        assert srv.stats()["dispatched"] == 6
 
     def test_max_batch_caps_coalescing(self):
         rec = RecordingBackend()
@@ -273,8 +271,8 @@ class TestCacheShortCircuit:
             assert result.ok and result.cached
             assert result.value == {"i": 7}
             assert result.duration_s == 0.25
-            assert srv.telemetry.cache_hits == 1
-            assert srv.telemetry.batches == 0
+            assert srv.stats()["cache_hits"] == 1
+            assert srv.stats()["batches"] == 0
             assert srv.stats()["cache_hit_ratio"] == 1.0
 
         run_async(body())
@@ -289,8 +287,8 @@ class TestCacheShortCircuit:
                 second = await srv.submit(spec)
             assert first.ok and not first.cached
             assert second.ok and second.cached
-            assert srv.telemetry.cache_hits == 1
-            assert srv.telemetry.computed == 1
+            assert srv.stats()["cache_hits"] == 1
+            assert srv.stats()["computed"] == 1
 
         run_async(body())
         # The write-through landed in the shared store for other runs.
@@ -323,7 +321,7 @@ class TestFailures:
                 result = await srv.submit(spec)
             assert not result.ok
             assert "boom-x" in result.error
-            assert srv.telemetry.failures == 1
+            assert srv.stats()["failures"] == 1
             with pytest.raises(RuntimeError, match="boom-x"):
                 result.unwrap()
 
@@ -356,7 +354,7 @@ class TestFailures:
                 )
             assert all(not r.ok for r in results)
             assert all("crashed" in r.error for r in results)
-            assert srv.telemetry.failures == 3
+            assert srv.stats()["failures"] == 3
 
         run_async(body())
 
@@ -379,7 +377,7 @@ class TestShutdown:
             assert all(t.done() for t in tasks)
             results = [t.result() for t in tasks]
             assert all(r.ok for r in results)
-            assert srv.telemetry.computed == 4
+            assert srv.stats()["computed"] == 4
 
         run_async(body())
 
@@ -391,7 +389,7 @@ class TestShutdown:
             assert srv.closed
             with pytest.raises(RuntimeError, match="closed"):
                 await srv.submit(quick_spec(1))
-            assert srv.telemetry.rejected == 1
+            assert srv.stats()["rejected"] == 1
 
         run_async(body())
 
@@ -596,78 +594,124 @@ class TestStdioProtocol:
         assert "serve: 1 request(s)" in captured.err
 
 
-# -- telemetry primitives ---------------------------------------------------
+# -- registry-backed stats --------------------------------------------------
+
+
+def _serve_requests_total() -> int:
+    """Sum of every ``repro_serve_requests_total`` series in the registry."""
+    from repro.runtime import get_registry
+
+    return int(get_registry().counter("repro_serve_requests_total").total())
 
 
 class TestTelemetry:
-    def test_latency_recorder_percentiles(self):
-        rec = LatencyRecorder(maxlen=100)
-        for ms in range(1, 101):  # 1..100 ms
-            rec.observe(ms / 1000)
-        assert rec.percentile(50) == pytest.approx(0.050)
-        assert rec.percentile(99) == pytest.approx(0.099)
-        assert rec.percentile(100) == pytest.approx(0.100)
-        summary = rec.summary()
-        assert summary["count"] == 100
-        assert summary["p50_s"] <= summary["p99_s"] <= summary["max_s"]
+    def test_snapshot_ratios(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for i in (100, 101):
+            store.put(quick_spec(i), {"i": i}, 0.0)
+        rec = RecordingBackend()
 
-    def test_latency_recorder_window_and_validation(self):
-        rec = LatencyRecorder(maxlen=4)
-        for s in (1.0, 1.0, 1.0, 1.0, 0.002):  # old samples roll out
-            rec.observe(s)
-        assert rec.count == 5
-        assert rec.percentile(0) == pytest.approx(0.002)
-        with pytest.raises(ValueError):
-            rec.percentile(101)
-        with pytest.raises(ValueError):
-            LatencyRecorder(maxlen=0)
-        assert LatencyRecorder().summary()["p99_s"] == 0.0
+        async def body():
+            async with AsyncServer(dispatcher=LocalDispatcher(rec), cache=store,
+                                   batch_window_s=0.2, max_batch=3) as srv:
+                empty = srv.stats()
+                specs = [quick_spec(i) for i in (100, 101, 0, 1, 2, 3, 4, 5)]
+                await asyncio.gather(*(srv.submit(s) for s in specs))
+            return empty, srv.stats()
 
-    def test_latency_recorder_small_samples_use_nearest_rank(self):
-        """Regression: the old round()-based rank under-reported mid
-        percentiles at small n — p50 of five samples picked the 2nd
-        order statistic (banker's rounding of 2.5), not the median."""
-        rec = LatencyRecorder(maxlen=16)
-        for s in (0.001, 0.002, 0.003, 0.004, 0.005):
-            rec.observe(s)
-        assert rec.percentile(50) == pytest.approx(0.003)  # the true median
-        # Nearest-rank: ceil(q/100 * n) over the sorted window.
-        assert rec.percentile(20) == pytest.approx(0.001)
-        assert rec.percentile(60) == pytest.approx(0.003)
-        assert rec.percentile(61) == pytest.approx(0.004)
-        # At n < 100, p99's nearest rank is the max — by definition,
-        # not by rounding accident.
-        assert rec.percentile(99) == pytest.approx(0.005)
-        qs = [rec.percentile(q) for q in range(0, 101, 5)]
-        assert qs == sorted(qs)  # monotone in q
-        pair = LatencyRecorder(maxlen=4)
-        pair.observe(0.010)
-        pair.observe(0.020)
-        assert pair.percentile(50) == pytest.approx(0.010)
-        assert pair.percentile(51) == pytest.approx(0.020)
-
-    def test_snapshot_ratios(self):
-        t = ServeTelemetry()
-        t.requests = 4
-        t.cache_hits = 3
-        t.batches = 2
-        t.dispatched = 6
-        snap = t.snapshot()
-        assert snap["cache_hit_ratio"] == pytest.approx(0.75)
+        empty, snap = run_async(body())
+        assert empty["requests"] == 0
+        assert empty["cache_hit_ratio"] == 0.0
+        assert empty["mean_batch"] == 0.0
+        assert empty["latency"] == {"count": 0, "mean_s": 0.0, "p50_s": 0.0, "p99_s": 0.0}
+        assert rec.batch_sizes == [3, 3]
+        assert snap["requests"] == 8
+        assert snap["cache_hits"] == 2
+        assert snap["cache_hit_ratio"] == pytest.approx(0.25)
+        assert snap["batches"] == 2
         assert snap["mean_batch"] == pytest.approx(3.0)
-        assert ServeTelemetry().snapshot()["cache_hit_ratio"] == 0.0
+
+    def test_stats_count_only_this_servers_requests(self):
+        """The registry is process-wide; a later server's stats start
+        from its own construction, not from earlier servers' traffic."""
+
+        async def body():
+            async with AsyncServer(dispatcher=LocalDispatcher("serial")) as first:
+                await asyncio.gather(*(first.submit(quick_spec(i)) for i in range(3)))
+            first_stats = first.stats()
+            async with AsyncServer(dispatcher=LocalDispatcher("serial")) as second:
+                await second.submit(quick_spec(9))
+            return first_stats, second.stats()
+
+        first, second = run_async(body())
+        assert first["requests"] == 3
+        assert second["requests"] == 1
+        assert second["computed"] == 1
+        assert second["latency"]["count"] == 1
+
+    def test_cancelled_request_keeps_its_count(self):
+        async def body():
+            async with AsyncServer(dispatcher=LocalDispatcher("serial"),
+                                   batch_window_s=0.2) as srv:
+                task = asyncio.ensure_future(srv.submit(quick_spec(0)))
+                await asyncio.sleep(0.01)  # queued, waiting for its batch
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+            return srv.stats()
+
+        snap = run_async(body())
+        assert snap["in_flight"] == 0
+        assert snap["requests"] == 1
 
     def test_server_gauges_return_to_zero(self):
         async def body():
             async with AsyncServer(dispatcher=LocalDispatcher("serial")) as srv:
                 await asyncio.gather(*(srv.submit(quick_spec(i)) for i in range(3)))
-            assert srv.telemetry.in_flight == 0
-            assert srv.telemetry.latency.count == 3
             snap = srv.stats()
+            assert snap["in_flight"] == 0
+            assert snap["latency"]["count"] == 3
             assert snap["requests"] == 3
             assert snap["latency"]["p99_s"] >= snap["latency"]["p50_s"]
+            assert snap["latency"]["mean_s"] > 0.0
 
         run_async(body())
+
+    def test_latency_percentiles_resolve_to_bucket_bounds(self):
+        from repro.runtime import obs
+
+        async def body():
+            async with AsyncServer(dispatcher=LocalDispatcher("serial")) as srv:
+                await srv.submit(quick_spec(0))
+            return srv.stats()["latency"]
+
+        latency = run_async(body())
+        assert latency["p50_s"] in obs.DEFAULT_BUCKETS
+        assert latency["p99_s"] in obs.DEFAULT_BUCKETS
+
+    def test_stats_requests_match_the_registry_counter(self):
+        """Regression: a submission to a closed server was counted by
+        ``repro_serve_requests_total{status="rejected"}`` but not by the
+        ``stats`` op's ``requests``; both now read one counter."""
+        from repro.runtime import ServerOverloadedError
+
+        async def body():
+            before = _serve_requests_total()
+            srv = AsyncServer(dispatcher=LocalDispatcher("serial"),
+                              batch_window_s=0.2, max_queue_depth=1)
+            done = await asyncio.gather(
+                *(srv.submit(quick_spec(i)) for i in range(3)),
+                return_exceptions=True)
+            await srv.aclose()
+            with pytest.raises(RuntimeError, match="closed"):
+                await srv.submit(quick_spec(7))
+            return srv.stats(), done, _serve_requests_total() - before
+
+        snap, done, counted = run_async(body())
+        assert any(isinstance(r, ServerOverloadedError) for r in done)
+        assert snap["rejected"] == 1
+        assert snap["shed"] >= 1
+        assert snap["requests"] == counted == 4
 
 
 # -- wire protocol v2: handshake, codes, shedding, credits ------------------
@@ -831,7 +875,6 @@ class TestWireV2:
             assert len(oks) + len(sheds) == 4
             assert sheds, "admission control never engaged"
             assert all(r.ok for r in oks)
-            assert srv.telemetry.shed == len(sheds)
             assert srv.stats()["shed"] == len(sheds)
 
         run_async(body())
@@ -891,9 +934,9 @@ class TestConnCredits:
 class TestQueueDepthConsolidation:
     def test_stats_and_dashboard_read_the_same_gauge(self):
         """Regression (the stats/top split-brain): after a burst drains,
-        the ``repro_serve_queue_depth`` gauge, the telemetry struct and
-        the ``stats`` op must all agree on zero — the batcher used to
-        update only the telemetry copy, leaving the gauge stale."""
+        the ``repro_serve_queue_depth`` gauge and the ``stats`` op must
+        agree on zero — the batcher used to update only a per-server
+        copy, leaving the gauge stale."""
         from repro.runtime import get_registry
 
         async def body():
@@ -903,7 +946,6 @@ class TestQueueDepthConsolidation:
             await srv.aclose()
             gauge = get_registry()._metrics["repro_serve_queue_depth"]
             assert gauge.value() == 0
-            assert srv.telemetry.queue_depth == 0
             assert srv.stats()["queue_depth"] == 0
 
         run_async(body())
@@ -911,9 +953,8 @@ class TestQueueDepthConsolidation:
     def test_stats_reports_from_the_gauge_not_the_struct(self):
         async def body():
             srv = AsyncServer(dispatcher=LocalDispatcher("serial"))
-            # Desynchronise the struct on purpose: stats must answer
-            # from the gauge, the dashboard's source of truth.
-            srv.telemetry.queue_depth = 99
+            # stats must answer from the gauge, the dashboard's source
+            # of truth.
             srv._g_queue_depth.set(3)
             assert srv.stats()["queue_depth"] == 3
             await srv.aclose()

@@ -9,6 +9,7 @@ under fault injection.
 """
 
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -23,7 +24,6 @@ from repro.runtime import (
     Broker,
     MetricsRegistry,
     Supervisor,
-    SupervisorTelemetry,
     obs,
     run_jobs,
 )
@@ -194,23 +194,20 @@ class TestScaling:
         assert sup.fleet_size() == 1
         assert sup.stats.crashes == 0
 
-    def test_telemetry_sees_scale_events(self, tmp_path):
-        events = []
-
-        class Recording(SupervisorTelemetry):
-            """Collects scale decisions for the assertion below."""
-
-            def on_scale(self, direction, target, why):
-                events.append((direction, target))
-
+    def test_telemetry_sees_scale_events(self, tmp_path, caplog):
         sup = make_supervisor(tmp_path, FakeClock(), fake_factory(),
-                              scale_up_ticks=1, idle_ticks=1,
-                              telemetry=Recording())
-        add_pending_chunks(sup.spool, 8)
-        sup.tick()
-        clear_chunks(sup.spool)
-        sup.tick()
-        assert events == [("up", 4), ("down", 1)]
+                              scale_up_ticks=1, idle_ticks=1)
+        with caplog.at_level(logging.INFO, logger="repro.runtime.supervisor"):
+            add_pending_chunks(sup.spool, 8)
+            sup.tick()
+            clear_chunks(sup.spool)
+            sup.tick()
+        scales = [r.getMessage().split(" (")[0] for r in caplog.records
+                  if r.getMessage().startswith("scale ")]
+        assert scales == ["scale up -> 4", "scale down -> 1"]
+        events = obs.get_registry().counter("repro_supervisor_events_total")
+        assert events.value(op="scale_up") == 1
+        assert events.value(op="scale_down") == 1
 
 
 class TestCrashRecovery:
@@ -439,3 +436,26 @@ class TestSuperviseSignals:
             for pid in workers:
                 if _alive(pid):
                     os.kill(pid, signal.SIGKILL)
+
+
+class TestSuperviseCLI:
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_scale_up_is_logged_to_stderr_unless_quiet(self, tmp_path, capsys, quiet):
+        """`repro supervise` prints the supervisor's scaling log on
+        stderr; --quiet silences it."""
+        from repro.runtime.cli import main
+
+        spool = tmp_path / "spool"
+        (spool / "chunks").mkdir(parents=True)
+        add_pending_chunks(spool, 4)
+        argv = ["supervise", "--spool", str(spool), "--min-workers", "0",
+                "--max-workers", "1", "--scale-up-ticks", "1", "--max-ticks", "1",
+                "--tick", "0.05", "--no-cache"]
+        assert main(argv + ["--quiet"] * quiet) == 0
+        err = capsys.readouterr().err
+        line = "[supervise] scale up -> 1 (4 pending chunk(s) for 1 tick(s))"
+        if quiet:
+            assert "[supervise]" not in err
+        else:
+            assert err.count(line) == 1
+            assert "[supervise] done: 1 tick(s), 1 spawned" in err
