@@ -19,7 +19,7 @@ Selection is by name::
     SNE().run_layer(program, stream, kernel="numpy")  # vectorised shim
     SNE().run_layer(program, stream, kernel="reference")  # per-event loop
 
-Every registered kernel is **bit-identical** against the per-event
+Every kernel is **bit-identical** against the per-event
 reference — outputs, stats, traces and membranes — enforced by the
 three-way parity matrix in ``tests/test_kernels.py`` and the cosim fuzz
 harness (``repro.hw.fuzz``).  Requesting ``"numba"`` where numba is not
@@ -43,7 +43,6 @@ __all__ = [
     "available_kernels",
     "default_kernel",
     "kernel_summary",
-    "register_kernel",
     "resolve_kernel",
 ]
 
@@ -95,20 +94,8 @@ class KernelSet:
     detail: str = field(default="", compare=False)
 
 
-#: name -> zero-arg factory returning a KernelSet (or None when the name
-#: selects the per-event reference loop rather than a batched kernel).
-_FACTORIES: dict[str, Callable[[], "KernelSet | None"]] = {}
 _RESOLVED: dict[str, "KernelSet | None"] = {}
 _WARNED: set[str] = set()
-
-
-def register_kernel(name: str, factory: Callable[[], "KernelSet | None"]) -> None:
-    """Register a kernel backend under ``name``.
-
-    ``factory`` is called lazily (once) on first resolution; it may
-    raise to signal the backend is unavailable on this machine.
-    """
-    _FACTORIES[name] = factory
 
 
 def _numba_available() -> tuple[bool, str]:
@@ -148,9 +135,15 @@ def _numba_factory() -> KernelSet:
     )
 
 
-register_kernel("numpy", _numpy_factory)
-register_kernel("numba", _numba_factory)
-register_kernel("reference", lambda: None)
+#: Concrete kernel name -> zero-arg factory returning its KernelSet (None
+#: for the per-event reference loop).  Called lazily, once, on first
+#: resolution; a factory raises ImportError when its backend is
+#: unavailable on this machine.
+_FACTORIES: dict[str, Callable[[], KernelSet | None]] = {
+    "numpy": _numpy_factory,
+    "numba": _numba_factory,
+    "reference": lambda: None,
+}
 
 
 def default_kernel() -> str:

@@ -21,7 +21,7 @@ fan-out-able, memoised workloads.  The flow is a straight pipeline::
    entry is deleted and the job recomputed.  Hit/miss/store/corrupt
    counters feed every run report.  The store is built to be
    *shared*: content-addressed two-level layout (``ab/abcd….json``),
-   an append-only recency index, and LRU eviction under a size cap, so
+   each entry's mtime as its recency, and LRU eviction under a size cap, so
    concurrent sweeps, CI jobs and collaborators can reuse one
    directory safely.
 

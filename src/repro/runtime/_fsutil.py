@@ -1,7 +1,7 @@
 """Shared filesystem primitives for the runtime package.
 
 One canonical implementation of the temp-file + ``os.replace`` atomic
-write that the store sidecars (``stats.json``, ``usage.json``) and the
+write that the store sidecar (``stats.json``) and the
 distributed spool (chunks, claims, results) all rely on — readers of
 any of those files must never observe a torn write.
 """

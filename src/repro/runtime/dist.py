@@ -79,7 +79,6 @@ __all__ = [
     "claim_chunk",
     "claim_state",
     "release_claim",
-    "read_claim",
     "write_chunk_result",
 ]
 
@@ -187,19 +186,6 @@ def _claim_doc(worker_id: str, lease_ttl_s: float, clock=None) -> bytes:
             "expires": now + lease_ttl_s,
         }
     ).encode()
-
-
-def read_claim(spool: str | os.PathLike, chunk_id: str) -> dict | None:
-    """The current claim document for ``chunk_id``, or None.
-
-    A vanished or unreadable claim reads as None — the chunk is (or is
-    about to become) claimable again.  Callers that must distinguish a
-    *missing* claim from a *torn* one use :func:`claim_state`.
-    """
-    try:
-        return json.loads(_claim_path(pathlib.Path(spool), chunk_id).read_bytes())
-    except (OSError, ValueError):
-        return None
 
 
 def claim_state(spool: str | os.PathLike, chunk_id: str,
@@ -527,9 +513,9 @@ def worker_loop(
             # Execute under the chunk's trace (embedded by the broker at
             # submit and preserved across requeues), so store writes and
             # any nested spans share the sweep's trace ID.  The worker's
-            # own runtime spans ship back in the result envelope rather
-            # than a local journal — the broker may be on another
-            # machine, and it relays them into its journal on ingest.
+            # own runtime spans ship back as a profile summary in the
+            # result envelope — the broker may be on another machine —
+            # and the broker merges it into ``Broker.worker_profile``.
             prof = Profiler()
             with obs.activate(trace):
                 obs.emit("worker.claim", worker=worker_id, chunk=chunk_id,
@@ -725,7 +711,7 @@ class Broker:
         for chunk in self._chunks:
             if chunk.results is not None:
                 continue
-            claim = read_claim(self.spool, chunk.chunk_id)
+            _, claim = claim_state(self.spool, chunk.chunk_id)
             if claim is not None and claim.get("worker") == worker_id:
                 self._requeue(chunk, f"worker {worker_id} died")
                 requeued += 1

@@ -662,8 +662,8 @@ class Journal:
         return rec
 
     def emit_record(self, rec: dict) -> None:
-        """Append a pre-built record verbatim (broker relaying events a
-        remote worker shipped through the spool)."""
+        """Append a pre-built record verbatim: no ``seq``, timestamp or
+        trace fields are added (replayed or synthetic event streams)."""
         os.write(self._fd, (json.dumps(rec, default=str) + "\n").encode())
 
     def close(self) -> None:

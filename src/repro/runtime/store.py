@@ -12,7 +12,8 @@ versions or a partially-copied directory degrades to a miss (the
 offending file is deleted and the job recomputed), never to a wrong
 result.  Hit/miss/store/corrupt counters accumulate in
 :class:`CacheStats`; the sweep engine and CLI report them after every
-run.
+run, and they merge — with each entry's hit count — into one
+``stats.json`` sidecar that totals them across every run of the store.
 
 :class:`ResultStore` is built for a directory many runs, users and CI
 jobs can share:
@@ -20,15 +21,16 @@ jobs can share:
 * **content-addressed two-level layout** — an entry for job hash
   ``abcdef…`` lives at ``ab/abcdef….json``, keeping any one directory
   small enough for fast scans on network filesystems;
-* **LRU eviction under a size cap** — every hit and store appends the
-  job hash to an append-only index file (``index.log``); eviction
-  replays the log to rank entries by recency and deletes the least
-  recently used until the store fits ``max_bytes``;
+* **LRU eviction under a size cap** — an entry file's own mtime is its
+  recency: every store and hit stamps it with ``time.time_ns()``, and
+  eviction deletes the oldest-stamped entries (job hash breaking ties)
+  until the store fits ``max_bytes``;
 * **concurrent-safe by construction** — entry writes are temp file +
-  ``os.replace`` (no torn entries), index appends are single
-  ``O_APPEND`` writes (no interleaved lines), log compaction runs
-  under an ``fcntl`` file lock, and every scan/stat/unlink tolerates
-  entries vanishing mid-operation because another process evicted them.
+  ``os.replace`` (no torn entries), a hit's recency stamp lands on the
+  entry itself so every process sees it at once, eviction and sidecar
+  merges run under an ``fcntl`` file lock, and every scan/stat/unlink
+  tolerates entries vanishing mid-operation because another process
+  evicted them.
 
 A sweep pointed at a shared store therefore hits results computed by
 anyone else who ran the same jobs — the "cross-run cache reuse" item
@@ -75,8 +77,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Environment variable giving the default store size cap in bytes.
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
-#: One index line: a full SHA-256 job hash.
-_HASH_LINE = re.compile(r"^[0-9a-f]{64}$")
+#: A full SHA-256 job hash: an entry's file stem and sidecar key.
+_JOB_HASH = re.compile(r"^[0-9a-f]{64}$")
 
 
 def _store_events():
@@ -87,28 +89,23 @@ def _store_events():
         "repro_store_events_total",
         "Result-store operations by op (hit, miss, store, evict, put_error).")
 
-#: Index size past which a touch triggers opportunistic compaction, so
-#: the log stays bounded even on uncapped stores that never evict.
-_COMPACT_THRESHOLD_BYTES = 256 * 1024
-
 #: Cap-triggered evictions clear down to this fraction of ``max_bytes``
 #: so a store sitting at its cap doesn't pay a full scan-and-evict on
 #: every subsequent put — one eviction buys ~10% of cap in headroom.
 _EVICT_WATERMARK = 0.9
 
-#: Entries younger than this with no index record are assumed to be a
-#: concurrent writer's in-flight results (entry write and index touch
-#: are two steps), not stale leftovers, and are evicted last.
-_FRESH_GRACE_S = 60.0
-
-#: Cache-hit touches are buffered and appended in batches of this many,
-#: so the warm replay path pays a list append per hit instead of an
-#: open+flock+write per hit.
+#: Counter deltas merge into the ``stats.json`` sidecar once this many
+#: have accumulated, so the warm replay path pays a counter bump per hit
+#: instead of a locked read-modify-write per hit.
 _TOUCH_FLUSH_COUNT = 32
 
 #: How long an orphaned temp file (mkstemp leftover from a SIGKILLed
 #: writer) must sit untouched before eviction sweeps it.
 _DEBRIS_GRACE_S = 3600.0
+
+#: Where those temp files land: sidecar writes in the root, entry
+#: writes in their shard.
+_DEBRIS_PATTERNS = ("*.tmp", "??/*.tmp")
 
 #: How often a store that found no flat-layout entries re-checks for
 #: them (a collaborator still on an older version may write some).
@@ -180,7 +177,7 @@ class ResultStore:
     validated on every read.
 
     ``max_bytes=None`` disables eviction (the store keeps the sharded
-    layout and recency tracking); a cap is enforced after every store,
+    layout and recency stamps); a cap is enforced after every store,
     so a long sweep can never overshoot by more than one entry.
     """
 
@@ -200,10 +197,6 @@ class ResultStore:
         # so under contention the cap is enforced approximately — each
         # writer still converges on it at its own next over-cap put.
         self._approx_bytes: int | None = None
-        # Compaction trigger; doubles past the last compacted size so a
-        # store whose *deduplicated* index legitimately exceeds the base
-        # threshold doesn't recompact on every touch.
-        self._compact_floor: int = _COMPACT_THRESHOLD_BYTES
         # Whether the root may still hold older versions' flat entries;
         # resolved on first use (and re-checked at most every
         # _FLAT_RECHECK_S while negative, in case a legacy writer is
@@ -211,11 +204,7 @@ class ResultStore:
         # occasional glob, not a stat per operation.
         self._may_have_flat: bool | None = None
         self._flat_checked_at = 0.0
-        # Buffered cache-hit touches, flushed in batches (and before
-        # any index read) — losing them to a crash costs recency
-        # accuracy only.
-        self._pending_touches: list[str] = []
-        # Per-entry hit-count deltas, merged into the usage.json
+        # Per-entry hit-count deltas, merged into the stats.json
         # sidecar alongside the lifetime counters — the telemetry
         # cost-aware eviction will be built on.
         self._entry_hits: dict[str, int] = {}
@@ -226,7 +215,7 @@ class ResultStore:
         # instance from executor worker threads (the synchronous API
         # stays lock-free for the single-threaded sweep path).
         # Re-entrant because a locked get/put can itself reach
-        # flush_stats through the touch-flush path.
+        # flush_stats through the counter-merge cadence.
         self._mutex = threading.RLock()
 
     # -- layout -----------------------------------------------------------
@@ -246,7 +235,7 @@ class ResultStore:
         )
 
     def _iter_flat_entries(self):
-        return (p for p in self.root.glob("*.json") if _HASH_LINE.match(p.stem))
+        return (p for p in self.root.glob("*.json") if _JOB_HASH.match(p.stem))
 
     def _adopt_flat(self, job_hash: str) -> None:
         """Move a flat-layout entry (an older version's ``<hash>.json``
@@ -275,134 +264,33 @@ class ResultStore:
             pass
 
     @property
-    def index_path(self) -> pathlib.Path:
-        """The append-only recency log driving LRU eviction."""
-        return self.root / "index.log"
-
-    @property
     def stats_path(self) -> pathlib.Path:
-        """The ``stats.json`` sidecar holding lifetime counter totals."""
+        """The ``stats.json`` sidecar: lifetime counter totals plus
+        per-entry hit counts."""
         return self.root / "stats.json"
 
     @property
-    def usage_path(self) -> pathlib.Path:
-        """The ``usage.json`` sidecar holding per-entry hit counts."""
-        return self.root / "usage.json"
-
-    @property
     def _lock_path(self) -> pathlib.Path:
+        # Named for the recency index older versions kept, so their
+        # sidecar merges still serialise against this version's.
         return self.root / "index.lock"
 
-    # -- recency index ----------------------------------------------------
-    def _touch(self, job_hash: str) -> None:
-        """Record one use.  Touches are buffered and flushed in batches
-        (every ``_TOUCH_FLUSH_COUNT``, and before any index read), so
-        the warm hit path costs a list append, not file I/O; a crash
-        loses at most a batch of recency records, never an entry."""
-        self._pending_touches.append(job_hash)
-        if len(self._pending_touches) >= _TOUCH_FLUSH_COUNT:
-            self._flush_touches()
-
-    def _flush_touches(self) -> None:
-        """Append the buffered touches as one O_APPEND write: concurrent
-        processes interleave whole batches, never fragments.  Each
-        record's leading newline terminates any torn tail a crashed
-        writer left behind, so one torn record can never corrupt the
-        next; blank lines are skipped on read.  The append runs under a
-        *shared* index lock so it cannot land inside a compactor's
-        read-tail→replace window (which holds the lock exclusively) and
-        vanish with the old inode; shared holders don't serialise
-        against each other.  A write failure (read-only store) costs
-        recency accuracy, not correctness."""
-        if not self._pending_touches:
-            return
-        pending, self._pending_touches = self._pending_touches, []
+    @staticmethod
+    def _stamp(path: str | os.PathLike) -> None:
+        """Set ``path``'s mtime — its LRU recency — to now.  Explicit
+        ``time.time_ns()`` stamps order back-to-back uses, which kernel
+        stamps (advancing once per clock tick) do not.  A failure
+        (read-only store) costs recency accuracy, not correctness."""
+        t = time.time_ns()
         try:
-            with self._index_lock(shared=True):
-                with open(self.index_path, "a") as fh:
-                    fh.write("".join("\n" + h + "\n" for h in pending))
-                    size = fh.tell()
-            if size > self._compact_floor:
-                self.compact()
+            os.utime(path, ns=(t, t))
         except OSError:
             pass
-        # Piggyback the counter merge, but only once enough deltas have
-        # accumulated: every put takes this path, and paying stats.json's
-        # exclusive-lock read-modify-write per put would serialise
-        # concurrent writers that the append path deliberately leaves on
-        # the shared lock.  Explicit flush points (``flush_stats``,
-        # ``lifetime_stats``, ``usage``, ``__del__``, the CLI, serve
-        # shutdown) keep the sidecar exact where it is read.
-        self._maybe_flush_stats()
-
-    def _maybe_flush_stats(self) -> None:
-        """Merge counter deltas once at least a touch-batch's worth
-        (:data:`_TOUCH_FLUSH_COUNT`) has accumulated."""
-        delta = sum(
-            getattr(self.stats, f) - getattr(self._merged_stats, f)
-            for f in _STATS_FIELDS
-        )
-        if delta >= _TOUCH_FLUSH_COUNT:
-            self.flush_stats()
-
-    def _read_index_bytes(self) -> bytes:
-        # Callers holding the exclusive lock must have flushed pending
-        # touches *before* acquiring it (a flush takes the shared lock,
-        # which would deadlock against our own exclusive hold).
-        try:
-            return self.index_path.read_bytes()
-        except OSError:
-            return b""
-
-    def _read_index(self) -> str:
-        # Undecodable bytes (disk corruption, binary garbage) become
-        # replacement chars, fail the hash-line regex, and are skipped —
-        # index damage must never crash a sweep.
-        return self._read_index_bytes().decode(errors="replace")
-
-    @staticmethod
-    def _parse_ranks(text: str) -> dict[str, int]:
-        """job_hash → rank of its most recent use (higher = fresher).
-
-        Malformed lines (a torn write from a crash, hand edits) are
-        skipped; hashes never logged simply rank as least recent.
-        """
-        ranks: dict[str, int] = {}
-        for i, line in enumerate(text.splitlines()):
-            if _HASH_LINE.match(line):
-                ranks[line] = i
-        return ranks
-
-    def _recency(self) -> dict[str, int]:
-        self._flush_touches()
-        return self._parse_ranks(self._read_index())
-
-    def compact(self) -> None:
-        """Rewrite the index to one record per hash, keeping recency order.
-
-        Runs under the index lock; appends that land while the rewrite
-        is in flight are preserved by the tail merge in
-        :meth:`_rewrite_index`, never silently dropped.
-        """
-        self._flush_touches()
-        with self._index_lock():
-            raw = self._read_index_bytes()
-            ranks = self._parse_ranks(raw.decode(errors="replace"))
-            ordered = sorted(ranks, key=ranks.get)  # type: ignore[arg-type]
-            # The tail offset is the RAW byte length — replacement
-            # decoding can inflate the text, and an overshot seek would
-            # drop concurrently appended records.
-            written = self._rewrite_index(ordered, snapshot_bytes=len(raw))
-        self._compact_floor = max(_COMPACT_THRESHOLD_BYTES, 2 * written)
 
     @contextlib.contextmanager
-    def _index_lock(self, shared: bool = False):
-        """flock on the sidecar lock file (best effort).
-
-        Exclusive holders (eviction, compaction) exclude everyone;
-        shared holders (index appends) exclude only the exclusive ones,
-        keeping concurrent readers unserialised.
-        """
+    def _lock(self):
+        """Exclusive flock on the sidecar lock file (best effort),
+        serialising eviction and sidecar merges across processes."""
         if fcntl is None:
             yield
             return
@@ -412,37 +300,75 @@ class ResultStore:
             yield
             return
         try:
-            fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
+            fcntl.flock(fd, fcntl.LOCK_EX)
             yield
         finally:
             os.close(fd)  # closing drops the flock
 
     # -- persisted counters -----------------------------------------------
-    def _read_lifetime(self) -> dict[str, int]:
-        """The raw totals in ``stats.json`` (zeroes if absent/corrupt)."""
+    def _read_sidecar(self) -> tuple[dict[str, int], dict[str, int]]:
+        """``stats.json`` as (lifetime totals, per-entry hit counts):
+        zeroes and no entries where it is absent or corrupt — telemetry
+        damage must never crash a sweep."""
         try:
-            raw = json.loads(self.stats_path.read_text())
+            raw = json.loads(self.stats_path.read_bytes())
         except (OSError, ValueError):
             raw = None
         if not isinstance(raw, dict):
-            return {f: 0 for f in _STATS_FIELDS}
-        out = {}
+            raw = {}
+        totals = {}
         for f in _STATS_FIELDS:
             try:
-                out[f] = int(raw.get(f, 0))
+                totals[f] = int(raw.get(f, 0))
             except (TypeError, ValueError):
-                out[f] = 0
-        return out
+                totals[f] = 0
+        hits: dict[str, int] = {}
+        entries = raw.get("entries")
+        for k, v in (entries.items() if isinstance(entries, dict) else ()):
+            if _JOB_HASH.match(k):
+                try:
+                    hits[k] = int(v)
+                except (TypeError, ValueError):
+                    continue
+        return totals, hits
+
+    def _write_sidecar(self, totals: dict[str, int], hits: dict[str, int]) -> None:
+        """Atomically replace ``stats.json`` (caller holds the lock)."""
+        atomic_write_bytes(self.stats_path,
+                           json.dumps({**totals, "entries": hits}).encode())
+
+    def _forget_hits(self, dead: set[str]) -> None:
+        """Drop the ``dead`` entries' hit counts from the sidecar (caller
+        holds the lock), so it tracks live entries, not the store's
+        history.  Best effort: a failed write leaves the records for
+        the next pruner."""
+        totals, hits = self._read_sidecar()
+        if dead & hits.keys():
+            with contextlib.suppress(OSError):
+                self._write_sidecar(
+                    totals, {h: n for h, n in hits.items() if h not in dead})
+
+    def _maybe_flush_stats(self) -> None:
+        """Merge counter deltas once at least :data:`_TOUCH_FLUSH_COUNT`
+        have accumulated."""
+        delta = sum(
+            getattr(self.stats, f) - getattr(self._merged_stats, f)
+            for f in _STATS_FIELDS
+        )
+        if delta >= _TOUCH_FLUSH_COUNT:
+            self.flush_stats()
 
     def flush_stats(self) -> None:
-        """Merge this instance's counter deltas into ``stats.json``.
+        """Merge this instance's counter and per-entry hit deltas into
+        ``stats.json``.
 
-        The read-modify-write runs under the exclusive index lock and
-        lands via temp file + ``os.replace``, so concurrent runs each
-        add exactly their own delta — the sidecar accumulates lifetime
+        The read-modify-write runs under the exclusive lock and lands
+        as one temp file + ``os.replace``, so concurrent runs each add
+        exactly their own delta — the sidecar accumulates lifetime
         hit/miss/store/corrupt totals across every process that ever
-        used the store.  A write failure (read-only store) keeps the
-        counters local and is retried at the next flush.  The instance
+        used the store.  Hits on entries evicted since are dropped.  A
+        write failure (read-only store) keeps every delta local for the
+        next flush, which then adds each exactly once.  The instance
         mutex serialises this against concurrent async accessors, so
         two threads can never merge the same delta twice.
         """
@@ -454,23 +380,19 @@ class ResultStore:
             if not any(delta.values()) and not self._entry_hits:
                 return
             try:
-                with self._index_lock():
-                    totals = self._read_lifetime()
+                with self._lock():
+                    totals, hits = self._read_sidecar()
                     for f in _STATS_FIELDS:
                         totals[f] += delta[f]
-                    atomic_write_bytes(self.stats_path, json.dumps(totals).encode())
-                    # The replace landed: record the merge *before* any
-                    # further failable step, or a later failure would
-                    # re-add this delta on the next flush.
-                    for f in _STATS_FIELDS:
-                        setattr(self._merged_stats, f, getattr(self.stats, f))
-                    with contextlib.suppress(OSError):
-                        # A failed usage merge keeps its deltas buffered
-                        # in _entry_hits for the next flush; it must not
-                        # disturb the already-recorded counter merge.
-                        self._merge_entry_usage()
+                    for job_hash, n in self._entry_hits.items():
+                        if self.path(job_hash).exists():
+                            hits[job_hash] = hits.get(job_hash, 0) + n
+                    self._write_sidecar(totals, hits)
             except OSError:
                 return
+            for f in _STATS_FIELDS:
+                setattr(self._merged_stats, f, getattr(self.stats, f))
+            self._entry_hits = {}
 
     def lifetime_stats(self) -> dict:
         """Hit/miss/store/corrupt totals across every run of this store.
@@ -481,7 +403,7 @@ class ResultStore:
         all-time cache-hit ratio.
         """
         self.flush_stats()
-        totals: dict = self._read_lifetime()
+        totals: dict = self._read_sidecar()[0]
         # Include any delta a failed flush (read-only store) kept local.
         for f in _STATS_FIELDS:
             totals[f] += getattr(self.stats, f) - getattr(self._merged_stats, f)
@@ -489,53 +411,12 @@ class ResultStore:
         totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
         return totals
 
-    # -- per-entry usage telemetry ----------------------------------------
-    def _read_usage(self) -> dict[str, int]:
-        """The raw ``usage.json`` per-entry hit counts (empty if absent
-        or corrupt — telemetry damage must never crash a sweep)."""
-        try:
-            raw = json.loads(self.usage_path.read_text())
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(raw, dict):
-            return {}
-        out: dict[str, int] = {}
-        for k, v in raw.items():
-            if isinstance(k, str) and _HASH_LINE.match(k):
-                try:
-                    out[k] = int(v)
-                except (TypeError, ValueError):
-                    continue
-        return out
-
-    def _write_usage(self, usage: dict[str, int]) -> None:
-        """Atomically replace ``usage.json`` (caller holds the lock)."""
-        atomic_write_bytes(self.usage_path, json.dumps(usage).encode())
-
-    def _merge_entry_usage(self) -> None:
-        """Add this instance's buffered per-entry hit deltas into
-        ``usage.json``.  Runs under the exclusive index lock (called
-        from :meth:`flush_stats`), so concurrent processes each add
-        exactly their own counts.  Deltas for entries that no longer
-        exist (evicted since the hits were buffered) are dropped — the
-        sidecar tracks live entries, not the store's history.  A write
-        failure keeps the deltas buffered for the next flush."""
-        if not self._entry_hits:
-            return
-        usage = self._read_usage()
-        for job_hash, n in self._entry_hits.items():
-            if not self.path(job_hash).exists():
-                continue
-            usage[job_hash] = usage.get(job_hash, 0) + n
-        self._write_usage(usage)
-        self._entry_hits = {}
-
     def entry_stats(self, limit: int | None = 20) -> dict:
         """Per-entry usage telemetry: hit counts and an age histogram.
 
         Flushes buffered counters first, then reports, for every live
-        entry, its lifetime hit count (from ``usage.json``) and its age
-        (seconds since the entry file was last written).  The ``top``
+        entry, its lifetime hit count (from ``stats.json``) and its age
+        (seconds since the entry was last written or hit).  The ``top``
         list holds the ``limit`` most-hit entries enriched with each
         envelope's ``kind`` and original compute ``duration_s`` — the
         inputs a cost-aware eviction policy needs (hot, slow-to-
@@ -547,30 +428,20 @@ class ResultStore:
         (list of ``{hash, hits, age_s, bytes, kind, duration_s}``).
         """
         self.flush_stats()
-        usage = self._read_usage()
+        usage = self._read_sidecar()[1]
         scanned = self._scan()
         # Drop records whose entry is gone (evicted by a process whose
-        # buffered hits merged after the prune): the sidecar tracks
-        # live entries only.  Best effort — a lock/write failure just
-        # defers the cleanup to the next reader.
-        live = {job_hash for job_hash, _, _, _ in scanned}
-        if set(usage) - live:
-            usage = {h: n for h, n in usage.items() if h in live}
-            try:
-                with self._index_lock():
-                    # Re-read under the lock: a concurrent merge may
-                    # have landed since the unlocked read above.
-                    fresh = self._read_usage()
-                    pruned = {h: n for h, n in fresh.items() if h in live}
-                    if len(pruned) != len(fresh):
-                        self._write_usage(pruned)
-            except OSError:
-                pass
-        now = time.time()
+        # buffered hits merged after the prune).
+        dead = usage.keys() - {job_hash for job_hash, _, _, _ in scanned}
+        if dead:
+            usage = {h: n for h, n in usage.items() if h not in dead}
+            with contextlib.suppress(OSError), self._lock():
+                self._forget_hits(dead)
+        now_ns = time.time_ns()
         hist = {label: 0 for _, label in _AGE_BUCKETS}
         rows = []
-        for job_hash, path, size, mtime in scanned:
-            age = max(0.0, now - mtime)
+        for job_hash, path, size, mtime_ns in scanned:
+            age = max(0.0, (now_ns - mtime_ns) / 1e9)
             for edge, label in _AGE_BUCKETS:
                 if age < edge:
                     hist[label] += 1
@@ -601,7 +472,8 @@ class ResultStore:
     # -- cache interface --------------------------------------------------
     def get(self, spec: JobSpec) -> CachedResult | None:
         """The stored result for ``spec``, or None (miss / corruption);
-        hits are touched and counted in the per-entry usage telemetry."""
+        hits re-stamp the entry's recency and count in the per-entry
+        usage telemetry."""
         self._adopt_flat(spec.job_hash)
         path = self.path(spec.job_hash)
         entry = self._load(path)
@@ -615,8 +487,9 @@ class ResultStore:
             return None
         self.stats.hits += 1
         self._entry_hits[spec.job_hash] = self._entry_hits.get(spec.job_hash, 0) + 1
-        self._touch(spec.job_hash)
+        self._stamp(path)
         _store_events().inc(op="hit")
+        self._maybe_flush_stats()
         return CachedResult(
             job_hash=spec.job_hash,
             kind=entry["kind"],
@@ -668,7 +541,7 @@ class ResultStore:
     async def aget(self, spec: JobSpec) -> CachedResult | None:
         """Async-safe read-through: :meth:`get` off the event loop.
 
-        The lookup (file read + validation + recency touch) runs in a
+        The lookup (file read + validation + recency stamp) runs in a
         worker thread, serialised against other async accessors of this
         instance by an internal mutex, so an asyncio server can overlap
         cache reads with request handling without blocking the loop.
@@ -691,12 +564,14 @@ class ResultStore:
         return True
 
     def put(self, spec: JobSpec, value: dict, duration_s: float) -> None:
-        """Persist one result atomically into its shard, touch its
-        recency record, and enforce ``max_bytes`` (evicting LRU entries
-        if the running size estimate crosses the cap).
+        """Persist one result atomically into its shard, stamped as the
+        most recently used entry, and enforce ``max_bytes`` (evicting
+        LRU entries if the running size estimate crosses the cap).
 
         The temp file lives in the target's own shard so the final
-        ``os.replace`` stays on one filesystem and is atomic.
+        ``os.replace`` stays on one filesystem and is atomic; it is
+        stamped before the replace, so the entry appears already
+        carrying its recency.
         """
         self._adopt_flat(spec.job_hash)  # else the old flat copy would linger
         target = self.path(spec.job_hash)
@@ -719,19 +594,17 @@ class ResultStore:
         try:
             with os.fdopen(fd, "w") as fh:
                 json.dump(entry, fh)
+            self._stamp(tmp)
             os.replace(tmp, target)
         except BaseException:
             pathlib.Path(tmp).unlink(missing_ok=True)
             raise
         self.stats.stores += 1
-        self._touch(spec.job_hash)
         _store_events().inc(op="store")
         # The write-through step of the trace chain: journaled under the
         # ambient span, so a chunk's store writes share its trace ID.
         obs.emit("store.put", job_hash=spec.job_hash, kind=spec.kind)
-        # A put already pays an entry write; flushing here keeps stored
-        # results' recency durable (only hit touches stay buffered).
-        self._flush_touches()
+        self._maybe_flush_stats()
         if self.max_bytes is None:
             return
         if self._approx_bytes is None:
@@ -745,24 +618,21 @@ class ResultStore:
             self.evict(int(self.max_bytes * _EVICT_WATERMARK))
 
     def clear(self) -> int:
-        """Remove every entry, the recency index and the lifetime
-        counters, returning how many entries were deleted."""
+        """Remove every entry and the lifetime counters, returning how
+        many entries were deleted."""
         n = 0
         for path in self._iter_entries():
             path.unlink(missing_ok=True)
             n += 1
-        self._pending_touches = []
         self._entry_hits = {}
-        self.index_path.unlink(missing_ok=True)
         self.stats_path.unlink(missing_ok=True)
-        self.usage_path.unlink(missing_ok=True)
         # Forget unmerged deltas too: a cleared store starts its
         # lifetime counters from zero.
         self._merged_stats = CacheStats(**{
             f: getattr(self.stats, f) for f in _STATS_FIELDS
         })
         self._lock_path.unlink(missing_ok=True)
-        for pattern in ("*.tmp", "??/*.tmp", "*.idx"):
+        for pattern in _DEBRIS_PATTERNS:
             for p in self.root.glob(pattern):
                 p.unlink(missing_ok=True)
         for p in self.root.iterdir():
@@ -782,9 +652,8 @@ class ResultStore:
         return sum(size for _, _, size, _ in self._scan())
 
     def __del__(self):  # pragma: no cover - interpreter-exit best effort
-        """Flush buffered touches and counter deltas on teardown."""
+        """Flush buffered counter deltas on teardown."""
         try:
-            self._flush_touches()
             self.flush_stats()
         except Exception:
             pass
@@ -796,7 +665,7 @@ class ResultStore:
         they'd silently eat into a shared store's real disk budget."""
         removed = 0
         now = time.time()
-        for pattern in ("*.tmp", "??/*.tmp", "*.idx"):
+        for pattern in _DEBRIS_PATTERNS:
             for p in self.root.glob(pattern):
                 try:
                     if now - p.stat().st_mtime > _DEBRIS_GRACE_S:
@@ -806,8 +675,8 @@ class ResultStore:
                     continue
         return removed
 
-    def _scan(self) -> list[tuple[str, pathlib.Path, int, float]]:
-        """(job_hash, path, size, mtime) for every live entry.
+    def _scan(self) -> list[tuple[str, pathlib.Path, int, int]]:
+        """(job_hash, path, size, mtime_ns) for every live entry.
 
         Entries another process deletes between the directory listing
         and the stat are skipped (a shared-store TOCTOU), never a crash.
@@ -818,7 +687,7 @@ class ResultStore:
                 st = path.stat()
             except OSError:
                 continue
-            out.append((path.stem, path, st.st_size, st.st_mtime))
+            out.append((path.stem, path, st.st_size, st.st_mtime_ns))
         return out
 
     def evict(self, target_bytes: int | None = None) -> int:
@@ -826,8 +695,6 @@ class ResultStore:
 
         ``target_bytes`` defaults to ``max_bytes`` (it must be given
         for an uncapped store).  Returns the number of entries removed.
-        Afterwards the index log is compacted to one line per survivor,
-        bounding its growth across long-running shared use.
         """
         if target_bytes is None:
             target_bytes = self.max_bytes
@@ -835,61 +702,32 @@ class ResultStore:
             raise ValueError("evict() needs target_bytes on an uncapped store")
         if target_bytes < 0:
             raise ValueError("target_bytes must be non-negative")
-        self._flush_touches()  # must precede the exclusive lock
-        with self._index_lock():
+        with self._lock():
             self._sweep_debris()
             entries = self._scan()
             total = sum(size for _, _, size, _ in entries)
-            if total <= target_bytes:
-                self._approx_bytes = total
-                return 0
-            raw_snapshot = self._read_index_bytes()
-            ranks = self._parse_ranks(raw_snapshot.decode(errors="replace"))
-            # Least recent first.  Unlogged entries are ambiguous: an
-            # old one is a leftover whose log was lost (evict first, by
-            # mtime), a *fresh* one is a concurrent writer's result
-            # whose index touch hasn't landed yet (evict last) — a
-            # shared store must not eat a neighbour's newest work.
-            now = time.time()
-
-            def lru_key(e):
-                job_hash, _, _, mtime = e
-                if job_hash in ranks:
-                    return (1, ranks[job_hash], mtime)
-                if now - mtime < _FRESH_GRACE_S:
-                    return (2, 0, mtime)
-                return (0, 0, mtime)
-
-            entries.sort(key=lru_key)
+            # Least recent first: the mtime is the last write or hit, so
+            # a concurrent writer's fresh entry is the newest by
+            # construction; the hash breaks ties on coarse-mtime
+            # filesystems.
+            entries.sort(key=lambda e: (e[3], e[0]))
             removed = 0
             removed_hashes: set[str] = set()
-            survivors = []
             for job_hash, path, size, _ in entries:
-                if total > target_bytes:
-                    try:
-                        path.unlink()
-                        removed += 1
-                        removed_hashes.add(job_hash)
-                    except FileNotFoundError:
-                        removed_hashes.add(job_hash)  # someone else removed it
-                    except OSError:
-                        survivors.append(job_hash)
-                        continue
-                    total -= size
-                else:
-                    survivors.append(job_hash)
+                if total <= target_bytes:
+                    break
+                try:
+                    path.unlink()
+                    removed += 1
+                except FileNotFoundError:
+                    pass  # someone else removed it
+                except OSError:
+                    continue
+                removed_hashes.add(job_hash)
+                total -= size
             self._approx_bytes = total
-            survivors.sort(key=lambda h: ranks.get(h, -1))
-            written = self._rewrite_index(survivors, snapshot_bytes=len(raw_snapshot))
-            self._compact_floor = max(_COMPACT_THRESHOLD_BYTES, 2 * written)
             if removed_hashes:
-                # Evicted entries leave the usage telemetry too, so the
-                # sidecar tracks live entries, not the store's history.
-                usage = self._read_usage()
-                pruned = {h: n for h, n in usage.items() if h not in removed_hashes}
-                if len(pruned) != len(usage):
-                    with contextlib.suppress(OSError):
-                        self._write_usage(pruned)
+                self._forget_hits(removed_hashes)
             if removed:
                 _store_events().inc(removed, op="evict")
                 obs.emit("store.evict", removed=removed,
@@ -902,42 +740,16 @@ class ResultStore:
         A relative form of :meth:`evict` that needs no size cap — the
         chaos harness and operators use it to force eviction pressure
         on an uncapped store mid-run.  Safe under load by the same
-        rules as :meth:`evict`: the exclusive index lock serialises
-        concurrent evictors, and a neighbour's fresh unlogged entry
-        (a write-through whose index touch has not landed yet) is
-        evicted last, so forcing eviction during a sweep costs cache
-        hits, never correctness.  Returns the number of entries
-        removed.
+        rules as :meth:`evict`: the exclusive lock serialises
+        concurrent evictors, and a neighbour's freshly written entry
+        carries the newest stamp, so it is evicted last — forcing
+        eviction during a sweep costs cache hits, never correctness.
+        Returns the number of entries removed.
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
         total = sum(size for _, _, size, _ in self._scan())
         return self.evict(target_bytes=int(total * (1.0 - fraction)))
-
-    def _rewrite_index(self, hashes: list[str], snapshot_bytes: int) -> int:
-        """Atomically replace the index with ``hashes`` (one line each),
-        re-appending any records other processes logged after the
-        ``snapshot_bytes``-long snapshot was read — an unlocked
-        ``_touch`` racing a compaction must not lose its recency record
-        (an unlogged entry would wrongly rank least-recent).  Appends
-        are whole ``\\n``-framed records, so the byte offset always
-        lands on a record boundary.  Returns the bytes written."""
-        tail = ""
-        try:
-            with open(self.index_path, "rb") as fh:
-                fh.seek(snapshot_bytes)
-                tail = fh.read().decode(errors="replace")
-        except OSError:
-            pass
-        content = "".join(h + "\n" for h in hashes) + tail
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".idx")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(content)
-            os.replace(tmp, self.index_path)
-        except OSError:
-            pathlib.Path(tmp).unlink(missing_ok=True)
-        return len(content.encode())
 
     # -- reporting --------------------------------------------------------
     def usage(self) -> dict:

@@ -38,7 +38,7 @@ from repro.runtime import (
     spec_to_doc,
     worker_loop,
 )
-from repro.runtime.dist import claim_chunk, claim_state, read_claim, release_claim
+from repro.runtime.dist import claim_chunk, claim_state, release_claim
 from repro.runtime.jobs import JobSpec
 
 
@@ -149,7 +149,7 @@ class TestSpoolProtocol:
         (chunk_id,) = broker.submit([sleep_job(1)], chunk_size=1)
         assert claim_chunk(tmp_path, chunk_id, "worker-a", 30.0) is True
         assert claim_chunk(tmp_path, chunk_id, "worker-b", 30.0) is False
-        assert read_claim(tmp_path, chunk_id)["worker"] == "worker-a"
+        assert claim_state(tmp_path, chunk_id)[1]["worker"] == "worker-a"
         release_claim(tmp_path, chunk_id)
         assert claim_chunk(tmp_path, chunk_id, "worker-b", 30.0) is True
 
@@ -183,7 +183,7 @@ class TestSpoolProtocol:
         clock.advance(30.1)
         assert claim_chunk(tmp_path, chunk_id, "live-worker", 30.0,
                            clock=clock) is True
-        assert read_claim(tmp_path, chunk_id)["worker"] == "live-worker"
+        assert claim_state(tmp_path, chunk_id, clock=clock)[1]["worker"] == "live-worker"
 
     def test_claim_state_classifies_every_lease_shape(self, tmp_path):
         clock = FakeClock()

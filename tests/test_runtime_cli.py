@@ -97,6 +97,37 @@ def test_cache_stats_and_clear(tmp_path, capsys):
     assert "0 entries" in capsys.readouterr().out
 
 
+def test_cache_evict_needs_a_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_CACHE_MAX_BYTES", raising=False)
+    assert main(["cache", "evict", "--cache-dir", str(tmp_path)]) == 2
+    assert "evict needs --max-bytes" in capsys.readouterr().err
+
+
+def test_cache_evict_keeps_the_entry_that_was_hit(tmp_path, capsys):
+    from repro.runtime import ResultStore
+
+    cache_dir = str(tmp_path)
+    main(["sweep", "--slices", "1,8", "--cache-dir", cache_dir, "--quiet"])
+    main(["sweep", "--slices", "8", "--cache-dir", cache_dir, "--quiet"])
+    capsys.readouterr()
+    store = ResultStore(tmp_path)
+    (hot,) = [r for r in store.entry_stats()["top"] if r["hits"] == 1]
+    assert main(["cache", "evict", "--max-bytes", str(hot["bytes"]),
+                 "--cache-dir", cache_dir]) == 0
+    assert "evicted 1 entry; 1 left" in capsys.readouterr().out
+    assert [path.stem for path in store._iter_entries()] == [hot["hash"]]
+
+
+def test_cache_clear_leaves_an_empty_store(tmp_path, capsys):
+    cache_dir = str(tmp_path)
+    main(["sweep", "--slices", "1,8", "--cache-dir", cache_dir, "--quiet"])
+    main(["sweep", "--slices", "1,8", "--cache-dir", cache_dir, "--quiet"])
+    capsys.readouterr()
+    assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
+    assert f"removed 2 entries from {cache_dir}" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_backend_flag_validates_against_registry_at_parse_time(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--backend", "warp-drive", "--no-cache", "--quiet"])

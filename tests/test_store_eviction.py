@@ -5,8 +5,9 @@ runs — and many *processes* — share one cache directory, so these
 tests pin down exactly the behaviours concurrent sharing relies on:
 
 * content-addressed two-level layout (``ab/abcdef….json``);
-* LRU eviction under a size cap, with hits promoting entries;
-* recovery from corrupted entries *and* a corrupted recency index;
+* LRU eviction under a size cap, with hits — in any instance —
+  promoting entries through the entry file's own mtime;
+* recovery from corrupted entries and a corrupted ``stats.json``;
 * two concurrent writer processes sharing one store without lost or
   torn entries, with and without a size cap.
 """
@@ -42,6 +43,14 @@ def put_blob(store: ResultStore, tag: str, pad: int = 200) -> JobSpec:
     return spec
 
 
+def entry_hits(store: ResultStore) -> dict:
+    """The per-entry hit counts persisted in ``stats.json``."""
+    try:
+        return json.loads(store.stats_path.read_text())["entries"]
+    except FileNotFoundError:
+        return {}
+
+
 class TestLayout:
     def test_two_level_content_addressed_paths(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -61,7 +70,7 @@ class TestLayout:
         assert store.invalidate(specs[0]) is False
         assert store.clear() == 2
         assert len(store) == 0
-        assert not store.index_path.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_real_jobs_roundtrip_through_sharded_layout(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -170,16 +179,14 @@ class TestLRUEviction:
             ResultStore(tmp_path, max_bytes=-5)
 
     def test_stale_unlogged_entries_rank_least_recent(self, tmp_path):
+        # An entry whose mtime was aged (a leftover nobody has hit since)
+        # goes first, whatever order the puts ran in.
         import os
         import time
 
         store = ResultStore(tmp_path)
-        old = put_blob(store, "old")
         new = put_blob(store, "new")
-        store.index_path.unlink()        # lose all recency data …
-        store.get(new)                   # … then log one fresh use
-        # Age the unlogged entry past the freshness grace window, so it
-        # reads as a leftover, not a concurrent writer's in-flight work.
+        old = put_blob(store, "old")
         stale = time.time() - 3600
         os.utime(store.path(old.job_hash), (stale, stale))
         store.evict(store.path(new.job_hash).stat().st_size)
@@ -187,30 +194,63 @@ class TestLRUEviction:
         assert store.get(old) is None
 
     def test_fresh_unlogged_entries_evicted_last(self, tmp_path):
-        # A concurrent writer's entry lands before its index touch; an
-        # evictor running in that gap must not eat the freshest work.
-        store = ResultStore(tmp_path)
-        logged = put_blob(store, "logged")
-        fresh = put_blob(store, "fresh")
-        store.index_path.write_text(
-            store.index_path.read_text().replace(fresh.job_hash, "")
-        )
-        store.evict(store.path(fresh.job_hash).stat().st_size)
-        assert store.get(fresh) is not None
-        assert store.get(logged) is None
+        # Another instance's fresh write carries the newest stamp, so an
+        # evictor never eats a neighbour's newest work — even over
+        # entries the evictor itself just hit.
+        evictor = ResultStore(tmp_path)
+        mine = [put_blob(evictor, t) for t in "ab"]
+        for spec in mine:
+            assert evictor.get(spec) is not None
+        fresh = put_blob(ResultStore(tmp_path), "fresh")
+        evictor.evict(evictor.path(fresh.job_hash).stat().st_size)
+        assert evictor.get(fresh) is not None
+        assert all(evictor.get(spec) is None for spec in mine)
 
-    def test_compaction_bounds_index_growth(self, tmp_path):
+    def test_hit_in_another_instance_counts_for_recency(self, tmp_path):
+        # Regression: run B's hit on "a" must be visible to run A's
+        # eviction at once, not sit in B's process until a flush.
+        run_a = ResultStore(tmp_path)
+        a, b = put_blob(run_a, "a"), put_blob(run_a, "b")
+        run_b = ResultStore(tmp_path)
+        assert run_b.get(a) is not None
+        assert run_a.evict(run_a.path(a.job_hash).stat().st_size) == 1
+        assert run_a.path(a.job_hash).exists()
+        assert not run_a.path(b.job_hash).exists()
+
+    def test_puts_and_hits_stamp_time_ns(self, tmp_path, monkeypatch):
+        # Kernel mtimes advance once per clock tick at best; the store's
+        # explicit time_ns stamps keep back-to-back uses in order.
+        import itertools
+
+        import repro.runtime.store as store_mod
+
+        ticks = itertools.count(1_700_000_000_000_000_001, 7)
+        handed = []
+
+        def fake_time_ns():
+            handed.append(next(ticks))
+            return handed[-1]
+
+        monkeypatch.setattr(store_mod.time, "time_ns", fake_time_ns)
+        store = ResultStore(tmp_path)
+        a, b = put_blob(store, "a"), put_blob(store, "b")
+        assert store.get(a) is not None
+        stamp_a, stamp_b = (store.path(s.job_hash).stat().st_mtime_ns
+                            for s in (a, b))
+        assert stamp_b in handed and stamp_a == handed[-1] > stamp_b
+
+    def test_failed_stamp_still_serves_the_hit(self, tmp_path, monkeypatch):
+        import os
+
         store = ResultStore(tmp_path)
         spec = put_blob(store, "a")
-        for _ in range(50):
-            store.get(spec)
-        assert len(store.index_path.read_text().splitlines()) > 50
-        store.evict(store.size_bytes())  # nothing to remove, still compacts?
-        # evict() returns before compaction when already under target;
-        # an over-cap eviction is what rewrites the log.
-        put_blob(store, "b")
-        store.evict(store.path(spec.job_hash).stat().st_size)
-        assert len(store.index_path.read_text().splitlines()) <= 2
+
+        def read_only(*args, **kwargs):
+            raise PermissionError("read-only store")
+
+        monkeypatch.setattr(os, "utime", read_only)
+        assert store.get(spec).value["tag"] == "a"
+        assert store.stats.hits == 1
 
 
 class TestCorruptionRecovery:
@@ -235,68 +275,6 @@ class TestCorruptionRecovery:
         assert store.stats.corrupt == 1
         assert not path.exists()
 
-    def test_corrupted_index_lines_are_ignored(self, tmp_path):
-        store = ResultStore(tmp_path)
-        a, b = put_blob(store, "a"), put_blob(store, "b")
-        with open(store.index_path, "a") as fh:
-            fh.write("%% torn line without newl")
-        store.get(a)  # valid append after the torn line
-        ranks = store._recency()
-        assert a.job_hash in ranks and b.job_hash in ranks
-        # Eviction still works and keeps the promoted entry.
-        store.evict(store.path(a.job_hash).stat().st_size)
-        assert store.get(a) is not None
-        assert store.get(b) is None
-
-    def test_compaction_preserves_touches_appended_mid_rewrite(self, tmp_path):
-        # Regression: an append landing between the compactor's snapshot
-        # read and its os.replace must survive the rewrite — losing it
-        # would make that entry "unlogged", i.e. first in line for
-        # eviction despite being the freshest.  Locked touches can't
-        # land in that window (they share-lock the index), so this
-        # simulates the unlocked fallback (no-fcntl platform / legacy
-        # writer) by appending to the file directly.
-        store = ResultStore(tmp_path)
-        a, b = put_blob(store, "a"), put_blob(store, "b")
-        real_read = store._read_index_bytes
-
-        def racing_read():
-            snapshot = real_read()
-            with open(store.index_path, "a") as fh:  # unlocked promoter of "a"
-                fh.write("\n" + a.job_hash + "\n")
-            return snapshot
-
-        store._read_index_bytes = racing_read
-        store.compact()
-        store._read_index_bytes = real_read
-        ranks = store._recency()
-        assert ranks[a.job_hash] > ranks[b.job_hash], "mid-rewrite append lost"
-        store.evict(store.path(a.job_hash).stat().st_size)
-        assert store.get(a) is not None
-        assert store.get(b) is None
-
-    def test_touch_compacts_oversized_index(self, tmp_path, monkeypatch):
-        import repro.runtime.store as store_mod
-
-        monkeypatch.setattr(store_mod, "_COMPACT_THRESHOLD_BYTES", 512)
-        store = ResultStore(tmp_path)
-        spec = put_blob(store, "a")
-        for _ in range(50):
-            store.get(spec)  # each hit appends; threshold forces compaction
-        assert store.index_path.stat().st_size < 1024
-        assert set(store._recency()) == {spec.job_hash}
-
-    def test_hit_touches_buffered_then_flushed_for_readers(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = put_blob(store, "a")          # puts flush their touch
-        base = store.index_path.read_text()
-        store.get(spec)                      # hit touch only buffered
-        assert store.index_path.read_text() == base
-        assert store._pending_touches == [spec.job_hash]
-        ranks = store._recency()             # index readers force a flush
-        assert store._pending_touches == []
-        assert ranks[spec.job_hash] > 0
-
     def test_debris_swept_on_evict_and_clear(self, tmp_path):
         import os
         import time
@@ -314,27 +292,6 @@ class TestCorruptionRecovery:
         assert live.exists()                 # fresh temp left alone
         store.clear()
         assert not live.exists()             # clear wipes unconditionally
-
-    def test_binary_garbage_in_index_does_not_crash(self, tmp_path):
-        # Regression: a non-UTF-8 byte in index.log must degrade to
-        # lost recency data, not an uncaught UnicodeDecodeError that
-        # kills the sweep and leaves the store un-administerable.
-        store = ResultStore(tmp_path)
-        a, b = put_blob(store, "a"), put_blob(store, "b")
-        with open(store.index_path, "ab") as fh:
-            fh.write(b"\xff\xfe binary garbage\n")
-        store.get(a)                         # still promotes through it
-        assert set(store._recency()) == {a.job_hash, b.job_hash}
-        store.compact()                      # rewrites straight through
-        assert store.evict(0) == 2           # and eviction still works
-        assert len(store) == 0
-
-    def test_missing_index_file_degrades_to_mtime_order(self, tmp_path):
-        store = ResultStore(tmp_path)
-        put_blob(store, "a")
-        store.index_path.unlink()
-        assert store._recency() == {}
-        assert store.evict(0) == 1  # still able to evict everything
 
 
 class TestLifetimeStats:
@@ -492,6 +449,14 @@ class TestConcurrentWriters:
         assert len(ResultStore(tmp_path)) == 0
 
 
+def _hitter(root: str, n: int) -> None:
+    store = ResultStore(pathlib.Path(root))
+    specs = [blob_spec(t) for t in "abc"]
+    for i in range(n):
+        assert store.get(specs[i % 3]) is not None
+    store.flush_stats()
+
+
 class TestEntryTelemetry:
     """Per-entry hit counts + age histogram (`repro cache stats --detail`)."""
 
@@ -542,9 +507,9 @@ class TestEntryTelemetry:
         for spec in specs:
             assert store.get(spec) is not None
         store.flush_stats()
-        assert len(store._read_usage()) == 4
+        assert len(entry_hits(store)) == 4
         store.evict(0)  # everything goes
-        assert store._read_usage() == {}
+        assert entry_hits(store) == {}
         assert store.entry_stats()["entries"] == 0
 
     def test_clear_removes_usage_sidecar(self, tmp_path):
@@ -552,41 +517,51 @@ class TestEntryTelemetry:
         spec = put_blob(store, "a")
         assert store.get(spec) is not None
         store.flush_stats()
-        assert store.usage_path.exists()
+        assert entry_hits(store) == {spec.job_hash: 1}
         store.clear()
-        assert not store.usage_path.exists()
+        assert not store.stats_path.exists()
         assert store.entry_stats()["tracked_hits"] == 0
 
     def test_corrupt_usage_sidecar_degrades_to_empty(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = put_blob(store, "a")
-        store.usage_path.write_text("not json at all")
+        store.stats_path.write_text(json.dumps(
+            {"hits": 5, "entries": {spec.job_hash: "many", "not-a-hash": 3}}))
         assert store.get(spec) is not None  # reads still work
-        store.flush_stats()                 # merge over the corrupt file
+        store.flush_stats()                 # merge over the bad records
         detail = store.entry_stats()
         assert detail["top"][0]["hits"] == 1
+        assert store.lifetime_stats()["hits"] == 6
+        store.stats_path.write_bytes(b"\xff\xfe binary garbage")
+        assert store.entry_stats()["tracked_hits"] == 0
 
-    def test_failed_usage_merge_never_double_counts_lifetime_stats(self, tmp_path):
-        """A usage-sidecar write failure after the stats merge landed
-        must not re-add the same counter delta on the next flush."""
+    def test_failed_usage_merge_never_double_counts_lifetime_stats(
+            self, tmp_path, monkeypatch):
+        """A sidecar write that fails once and is retried counts each
+        hit — lifetime and per-entry — exactly once."""
+        import repro.runtime.store as store_mod
+
         store = ResultStore(tmp_path)
         spec = put_blob(store, "a")
         assert store.get(spec) is not None
-        original = store._write_usage
+        original = store_mod.atomic_write_bytes
         calls = {"n": 0}
 
-        def flaky(usage):
+        def flaky(path, data):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise OSError("disk full")
-            return original(usage)
+            return original(path, data)
 
-        store._write_usage = flaky
-        store.flush_stats()  # stats merge lands, usage merge fails
-        store.flush_stats()  # retry: usage merges, stats must not re-add
-        totals = store._read_lifetime()
-        assert totals["hits"] == 1 and totals["stores"] == 1
-        assert store._read_usage() == {spec.job_hash: 1}
+        monkeypatch.setattr(store_mod, "atomic_write_bytes", flaky)
+        store.flush_stats()  # the one sidecar write fails: nothing merged
+        assert not store.stats_path.exists()
+        store.flush_stats()  # retry merges every delta once
+        store.flush_stats()  # nothing left to add
+        assert calls["n"] == 2
+        doc = json.loads(store.stats_path.read_text())
+        assert doc == {"hits": 1, "misses": 0, "stores": 1, "corrupt": 0,
+                       "entries": {spec.job_hash: 1}}
 
     def test_buffered_hits_for_evicted_entries_are_dropped(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -594,18 +569,27 @@ class TestEntryTelemetry:
         assert store.get(spec) is not None  # hit buffered, not yet merged
         store.evict(0)                      # entry gone before the flush
         store.flush_stats()
-        assert store._read_usage() == {}
+        assert entry_hits(store) == {}
 
     def test_entry_stats_prunes_dead_usage_records(self, tmp_path):
-        import json as _json
-
         store = ResultStore(tmp_path)
         put_blob(store, "a")
         dead = "f" * 64
-        store.usage_path.write_text(_json.dumps({dead: 7}))
+        store.stats_path.write_text(json.dumps({"hits": 7, "entries": {dead: 7}}))
         detail = store.entry_stats()
         assert detail["tracked_hits"] == 0
-        assert dead not in store._read_usage()
+        assert dead not in entry_hits(store)
+        assert store.lifetime_stats()["hits"] == 7  # totals survive the prune
+
+    def test_one_sidecar_and_no_recency_log(self, tmp_path):
+        store = ResultStore(tmp_path)
+        specs = [put_blob(store, t) for t in "ab"]
+        for spec in specs:
+            assert store.get(spec) is not None
+        store.flush_stats()
+        store.evict(store.path(specs[1].job_hash).stat().st_size)
+        names = {p.name for p in tmp_path.iterdir() if p.is_file()}
+        assert names == {"stats.json", "index.lock"}
 
     def test_entry_stats_tolerates_non_dict_entry_json(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -614,3 +598,23 @@ class TestEntryTelemetry:
         detail = store.entry_stats()
         assert detail["top"][0]["kind"] is None
         assert detail["top"][0]["duration_s"] is None
+
+    def test_concurrent_sidecar_merges_lose_no_hit(self, tmp_path):
+        # Four processes (more than cores) re-stamp the same entries and
+        # merge into stats.json every few dozen hits: a lost update in
+        # the locked read-modify-write would drop counts.
+        seed = ResultStore(tmp_path)
+        for t in "abc":
+            put_blob(seed, t)
+        seed.flush_stats()
+        ctx = multiprocessing.get_context()
+        procs = [ctx.Process(target=_hitter, args=(str(tmp_path), 100))
+                 for _ in range(4)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=60)
+            assert p.exitcode == 0
+        life = ResultStore(tmp_path).lifetime_stats()
+        assert life["hits"] == 400 and life["stores"] == 3
+        assert sum(entry_hits(seed).values()) == 400
