@@ -96,6 +96,16 @@ class EventStream:
 
     # -- constructors ----------------------------------------------------
     @classmethod
+    def _from_sorted(cls, t, ch, x, y, shape) -> "EventStream":
+        """Adopt arrays a producer guarantees are already in ``(t, ch, y,
+        x)`` order and inside ``shape``: no bounds check, no sort."""
+        stream = cls.__new__(cls)
+        stream._shape = _Shape(*(int(s) for s in shape))
+        stream.t, stream.ch, stream.x, stream.y = (
+            np.asarray(a, dtype=np.int32) for a in (t, ch, x, y))
+        return stream
+
+    @classmethod
     def empty(cls, shape: tuple[int, int, int, int]) -> "EventStream":
         """An event stream with no events inside the given envelope."""
         z = np.zeros(0, dtype=np.int32)

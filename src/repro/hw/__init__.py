@@ -41,12 +41,12 @@ from .mapper import (
     fanout_table,
     program_content_hash,
 )
-from .slice import Slice, SliceStats
+from .slice import Slice, SliceStack, SliceStats
 from .xbar import Crossbar, CrossbarStats
 from .streamer import DmaStreamer, StreamerStats
 from .collector import Collector, CollectorStats
 from .registers import RegisterFile, RegisterMap
-from .sne import SNE, SNEStats
+from .sne import SNE, BatchStats, EventBatch, SNEStats
 from .functional import (
     check_no_intra_step_saturation,
     layer_currents,
@@ -66,15 +66,19 @@ from .runner import (
     report_from_job_results,
 )
 from .fuzz import (
+    BatchFuzzCase,
     FuzzCase,
     FuzzResult,
     KernelFuzzResult,
     fuzz,
+    fuzz_kernel_batches,
     fuzz_kernels,
     matrix_kernels,
     random_case,
+    random_kernel_batch,
     random_kernel_case,
     run_case,
+    run_kernel_batch,
     run_kernel_case,
 )
 
@@ -108,6 +112,7 @@ __all__ = [
     "compile_layer",
     "compile_network",
     "Slice",
+    "SliceStack",
     "SliceStats",
     "Crossbar",
     "CrossbarStats",
@@ -119,6 +124,8 @@ __all__ = [
     "RegisterMap",
     "SNE",
     "SNEStats",
+    "BatchStats",
+    "EventBatch",
     "check_no_intra_step_saturation",
     "layer_currents",
     "simulate_layer_dense",
@@ -131,14 +138,18 @@ __all__ = [
     "HardwareEvaluator",
     "SampleResult",
     "report_from_job_results",
+    "BatchFuzzCase",
     "FuzzCase",
     "FuzzResult",
     "KernelFuzzResult",
     "fuzz",
+    "fuzz_kernel_batches",
     "fuzz_kernels",
     "matrix_kernels",
     "random_case",
+    "random_kernel_batch",
     "random_kernel_case",
     "run_case",
+    "run_kernel_batch",
     "run_kernel_case",
 ]

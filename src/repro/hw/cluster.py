@@ -82,13 +82,13 @@ class Cluster:
             # the per-event reference updates the views — one storage,
             # no copies, bit-identical by construction.  The TLU
             # register (a length-1 view) and the counter row work the
-            # same way.
+            # same way.  The owner initialised them, and a slice builds
+            # its clusters lazily — possibly after a run — so the views
+            # are adopted as they are.
             if state.shape != (n_neurons,) or state.dtype != np.int64:
                 raise ValueError("state buffer must be int64 of length n_neurons")
-            state[...] = 0
         self.state = state
         self._tlu = np.zeros(1, dtype=np.int64) if tlu is None else tlu
-        self._tlu[0] = 0
         self.out_fifo = Fifo(fifo_depth, name=f"{name}.out")
         self.stats = ClusterStats(counters)
         self.name = name

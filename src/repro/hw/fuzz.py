@@ -16,7 +16,10 @@ saturation, zero-event steps, single-neuron slices — and
 :func:`run_kernel_case` diffs every available kernel against the
 per-event reference on outputs, statistics and membranes.  Unlike the
 dense golden, the reference IS the spec here, so saturating scenarios
-are compared, not skipped::
+are compared, not skipped.  :func:`random_kernel_batch` and
+:func:`run_kernel_batch` do the same for stacked batches: several
+samples run as one :class:`~repro.hw.sne.EventBatch` through a
+two-layer network must each equal their own per-event reference run::
 
     python -m repro.hw.fuzz 200 --kernels
 """
@@ -31,18 +34,22 @@ from ..events.stream import EventStream
 from .config import SNEConfig
 from .functional import check_no_intra_step_saturation, simulate_layer_dense
 from .mapper import LayerGeometry, LayerKind, LayerProgram
-from .sne import SNE
+from .sne import SNE, EventBatch
 
 __all__ = [
+    "BatchFuzzCase",
     "FuzzCase",
     "FuzzResult",
     "KernelFuzzResult",
     "fuzz",
+    "fuzz_kernel_batches",
     "fuzz_kernels",
     "matrix_kernels",
     "random_case",
+    "random_kernel_batch",
     "random_kernel_case",
     "run_case",
+    "run_kernel_batch",
     "run_kernel_case",
 ]
 
@@ -285,19 +292,123 @@ def fuzz_kernels(n_cases: int, seed0: int = 0, kernels=None) -> list[KernelFuzzR
             for i in range(n_cases)]
 
 
+@dataclass(frozen=True)
+class BatchFuzzCase:
+    """One randomly drawn batch scenario: a network and its samples."""
+
+    programs: tuple[LayerProgram, ...]
+    streams: tuple[EventStream, ...]
+    n_slices: int
+    seed: int
+
+
+def random_kernel_batch(seed: int, max_plane: int = 8) -> BatchFuzzCase:
+    """Draw a batch scenario for the kernel parity matrix.
+
+    ``B`` cycles through 1, 2 and 7 samples over one envelope, and the
+    first layer rotates through three flavours:
+
+    * the layer of a :func:`random_kernel_case` draw (saturation,
+      zero-event gaps, a single neuron, or a general draw);
+    * forced mid-step saturation with a leak: full-rail ±7 weights and
+      every other sample fully populated;
+    * a multi-pass dense layer wider than the SNE.
+
+    The samples have mixed event counts, some carry zero-event steps
+    between their first and last step, and in a batch of several one is
+    empty.  A dense classifier follows the first layer, so the batch
+    crosses a layer boundary and every sample's ``per_layer`` is
+    compared too.
+    """
+    rng = np.random.default_rng(0xBA7C4 + seed)
+    n_samples = (1, 2, 7)[seed % 3]
+    flavor = (seed // 3) % 3
+    if flavor == 0:
+        base = random_kernel_case(seed, max_plane=max_plane)
+        first, n_slices, n_steps = base.program, base.n_slices, base.stream.n_steps
+    elif flavor == 1:
+        side = int(rng.integers(1, 3))
+        c_in = int(rng.integers(1, 3))
+        g = LayerGeometry(LayerKind.DENSE, c_in, side, side, int(rng.integers(2, 40)), 1, 1)
+        first = LayerProgram(g, rng.integers(-7, 8, (g.out_channels, g.n_inputs)),
+                             threshold=int(rng.choice([1, 5, 10_000])),
+                             leak=int(rng.integers(1, 3)))
+        n_slices, n_steps = int(rng.choice([1, 2, 8])), int(rng.integers(2, 8))
+    else:
+        g = LayerGeometry(LayerKind.DENSE, 1, 3, 3, 1100, 1, 1)
+        first = LayerProgram(g, rng.integers(-4, 5, (1100, 9)), threshold=3,
+                             leak=int(rng.integers(0, 3)))
+        n_slices, n_steps = 1, int(rng.integers(3, 6))
+    shape = first.geometry.input_shape(n_steps)
+    streams = []
+    for b in range(n_samples):
+        density = 1.0 if flavor == 1 and b % 2 == 0 else float(rng.uniform(0.05, 0.6))
+        dense = (rng.random(shape) < density).astype(np.uint8)
+        if b % 3 == 1 and n_steps > 2:
+            dense[1:-1] = 0  # zero-event steps between the bursts
+        streams.append(EventStream.from_dense(dense))
+    if n_samples > 1:
+        streams[int(rng.integers(n_samples))] = EventStream.empty(shape)
+    g1 = first.geometry
+    head = LayerGeometry(LayerKind.DENSE, g1.out_channels, g1.out_height, g1.out_width,
+                         int(rng.integers(2, 12)), 1, 1)
+    second = LayerProgram(head, rng.integers(-7, 8, (head.out_channels, head.n_inputs)),
+                          threshold=int(rng.integers(1, 6)), leak=int(rng.integers(0, 3)))
+    return BatchFuzzCase(programs=(first, second), streams=tuple(streams),
+                         n_slices=n_slices, seed=seed)
+
+
+def run_kernel_batch(case: BatchFuzzCase, kernels=None) -> KernelFuzzResult:
+    """Run one batch through every kernel against per-sample references.
+
+    Each sample's output stream and statistics (as plain dicts, with
+    ``per_layer``) from the batched :meth:`SNE.run_network` are diffed
+    against its own per-event reference run; every divergence is
+    recorded as ``"<kernel>: sample <b> <field>"``.
+    """
+    import dataclasses
+
+    names = tuple(kernels) if kernels is not None else matrix_kernels()
+    cfg = SNEConfig(n_slices=case.n_slices)
+    programs = list(case.programs)
+    refs = [SNE(cfg).run_network(programs, s, kernel="reference") for s in case.streams]
+    mismatches: list[str] = []
+    for name in names:
+        out, stats = SNE(cfg).run_network(programs, EventBatch(case.streams), kernel=name)
+        for b, (ref_out, ref_stats) in enumerate(refs):
+            if out.streams[b] != ref_out:
+                mismatches.append(f"{name}: sample {b} outputs")
+            if dataclasses.asdict(stats.samples[b]) != dataclasses.asdict(ref_stats):
+                mismatches.append(f"{name}: sample {b} stats")
+    return KernelFuzzResult(case=case, kernels=names, matched=not mismatches,
+                            mismatches=tuple(mismatches))
+
+
+def fuzz_kernel_batches(n_cases: int, seed0: int = 0, kernels=None) -> list[KernelFuzzResult]:
+    """Run ``n_cases`` batch scenarios; every result returned."""
+    if n_cases < 1:
+        raise ValueError("n_cases must be positive")
+    names = tuple(kernels) if kernels is not None else matrix_kernels()
+    return [run_kernel_batch(random_kernel_batch(seed0 + i), kernels=names)
+            for i in range(n_cases)]
+
+
 def main(argv: list[str]) -> int:
     if "--kernels" in argv:
         argv = [a for a in argv if a != "--kernels"]
         n = int(argv[0]) if argv else 100
-        results = fuzz_kernels(n)
-        failures = [r for r in results if not r.matched]
-        names = results[0].kernels if results else ()
-        print(f"{len(results)} kernel cases over {{{', '.join(names)}}}: "
-              f"{len(results) - len(failures)} matched, "
-              f"{len(failures)} mismatched")
-        for r in failures:
-            print(f"  MISMATCH seed={r.case.seed}: {'; '.join(r.mismatches)}")
-        return 1 if failures else 0
+        failed = False
+        for label, results in (("kernel", fuzz_kernels(n)),
+                               ("batch", fuzz_kernel_batches(n))):
+            failures = [r for r in results if not r.matched]
+            names = results[0].kernels if results else ()
+            print(f"{len(results)} {label} cases over {{{', '.join(names)}}}: "
+                  f"{len(results) - len(failures)} matched, "
+                  f"{len(failures)} mismatched")
+            for r in failures:
+                print(f"  MISMATCH seed={r.case.seed}: {'; '.join(r.mismatches)}")
+            failed = failed or bool(failures)
+        return 1 if failed else 0
     n = int(argv[0]) if argv else 100
     results = fuzz(n)
     failures = [r for r in results if not r.matched]

@@ -8,10 +8,13 @@ Matterhorn uses for its optional compiled LIF kernels: accelerate the
 hot loop, never abandon the bit-identical reference.
 
 A layer call gathers its whole stream's fanout once (``assemble``),
-plans each (pass, slice) once over every timestep (``plan``: all the
-work that does not depend on membrane state), and leaves only the
-state-dependent work in the timestep loop: the saturating add
-(``accumulate``) and the fire scan (``fire_step``).
+plans each pass once over every timestep (``plan``: all the work that
+does not depend on membrane state), and leaves only the state-dependent
+work in the timestep loop: the saturating add (``accumulate``) and the
+fire scan (``fire_step``).  The stages work on *stacked* rows (a
+:class:`~repro.hw.slice.SliceStack`): the slices of a pass, for one
+sample or for a batch of samples one after another, so a batch of
+``B`` samples costs the same number of kernel calls as one sample.
 
 Selection is by name::
 
@@ -61,29 +64,36 @@ class KernelSet:
     arrays concatenated in event order (the contract of
     :meth:`repro.hw.mapper.FanoutTable.gather`).
 
-    ``plan(neuron_idx, weights, event_idx, event_t, t0, n_steps, tlus,
-    neuron_lo, neuron_hi, per_cluster, window)`` runs once per (pass,
-    slice) over the gathered entries of the timesteps ``t0 ..
-    t0+n_steps-1`` (``event_t`` is each event's timestep, sorted;
-    ``tlus`` the slice's TLU registers before the first step).  It
-    returns ``(idx, w, bounds, event_cycles, step_n_in, step_cycles,
-    touched, updates, events_seen, events_gated, overrun,
-    tlu_skipped)``: the slice-local in-range entries in event order,
-    step ``k``'s entries at ``bounds[k]:bounds[k+1]``, the cycles of
-    every event (exactly what the per-event reference charges), per-step
-    in-range entries and cycles, the ``(n_steps, clusters)`` touched
-    mask, per-cluster update/seen/gated counts, the sequencer overrun
-    cycles and per-cluster TLU-skipped steps.
+    ``plan(neuron_idx, weights, event_idx, event_t, event_row, t0,
+    n_steps, tlus, neuron_lo, n_mapped, per_cluster, per_slice,
+    window)`` runs once per pass over the gathered entries of the
+    timesteps ``t0 .. t0+n_steps-1``.  The state is stacked rows of
+    ``per_cluster`` neurons: each sample owns ``S * per_slice``
+    consecutive rows, row ``r`` of a sample holding the pass neurons
+    ``[neuron_lo + r*per_cluster, ...)`` of the ``n_mapped`` the pass
+    maps; ``event_t`` is each event's timestep (sorted), ``event_row``
+    the first row of its sample, ``tlus`` the rows' TLU registers before
+    the first step.  It returns ``(flat, w, bounds, touched, updates,
+    events_seen, tlu_skipped, over)``: the in-range entries as indices
+    into the flattened state with their weights, in event order; step
+    ``k``'s entries at ``bounds[k]:bounds[k+1]``; the ``(n_steps,
+    rows)`` touched mask; per-row update counts, seen events and
+    TLU-skipped steps; and ``over[e, s]``, event ``e``'s sequencer
+    overrun on the ``s``-th slice of its sample — the cycles the
+    per-event reference charges follow from it.
 
     ``accumulate(flat_state, idx, w, lo, hi)`` is one step's saturating
-    add of the slice-local entries into the flattened state matrix, in
-    event order (every add clips to ``[lo, hi]``).
+    add of the entries into the flattened state, in event order (every
+    add clips to ``[lo, hi]``).
 
-    ``fire_step(state, dts, leak, threshold, neuron_lo, neuron_hi,
-    plane, out_width)`` runs one TDM fire scan: zeroes fired membranes
-    in place and returns ``(out_ch, out_x, out_y, fires_per_cluster)``
-    with TDM slots beyond ``neuron_hi`` silenced (state still cleared,
-    fire still counted — exactly the reference scan).
+    ``fire_step(state, dts, leak, threshold, row_base, row_cap, plane,
+    out_width)`` runs one TDM fire scan over every row: zeroes fired
+    membranes in place and returns ``(rows, out_ch, out_x, out_y,
+    fires_per_row)``, slot ``j`` of row ``r`` being output neuron
+    ``row_base[r] + j``; slots at or beyond ``row_cap[r]`` are silenced
+    (state still cleared, fire still counted — exactly the reference
+    scan).  ``rows`` names each emitted event's row, from which the
+    caller recovers its sample and slice.
     """
 
     name: str

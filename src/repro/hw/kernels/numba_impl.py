@@ -1,9 +1,9 @@
 """Numba-jit kernels for the SNE hot loop (preferred when importable).
 
 The UPDATE stage is two serial loops.  ``plan`` walks a whole pass's
-assembled entries once per slice — address filter, per-(event, cluster)
-sequencer counts, cycles, gating and TLU counters — so the per-entry
-counting stays compiled.  ``accumulate`` adds one step's entries in
+assembled entries once for every stacked sample and slice — address
+filter, per-(event, slice, cluster) sequencer counts, cycles, gating and
+TLU counters — so the per-entry counting stays compiled.  ``accumulate`` adds one step's entries in
 event order, clipping every add exactly like
 :func:`repro.hw.lif_datapath.sat_add`: serial execution makes
 bit-identity with the per-event reference *trivial*, with no
@@ -71,69 +71,64 @@ def _assemble(offsets, idx_flat, w_flat, flat):  # pragma: no cover - jit body
 
 @_jit
 def _plan(
-    neuron_idx, weights, event_idx, event_t, t0, n_steps, tlus,
-    neuron_lo, neuron_hi, per_cluster, window,
+    neuron_idx, weights, event_idx, event_t, event_row, t0, n_steps, tlus,
+    neuron_lo, n_mapped, per_cluster, per_slice, window,
 ):  # pragma: no cover - jit body
-    n_clusters = tlus.shape[0]
+    n_rows = tlus.shape[0]
     n_events = event_t.shape[0]
     n = neuron_idx.shape[0]
-    idx = np.empty(n, np.int64)
+    sample_rows = -(-n_mapped // (per_slice * per_cluster)) * per_slice
+    flat = np.empty(n, np.int64)
     w = np.empty(n, np.int64)
     bounds = np.zeros(n_steps + 1, np.int64)
-    event_cycles = np.empty(n_events, np.int64)
-    step_cycles = np.zeros(n_steps, np.int64)
-    touched = np.zeros((n_steps, n_clusters), np.bool_)
-    updates = np.zeros(n_clusters, np.int64)
-    events_seen = np.zeros(n_clusters, np.int64)
-    counts = np.zeros(n_clusters, np.int64)
-    overrun = 0
+    touched = np.zeros((n_steps, n_rows), np.bool_)
+    updates = np.zeros(n_rows, np.int64)
+    events_seen = np.zeros(n_rows, np.int64)
+    over = np.zeros((n_events, sample_rows // per_slice), np.int64)
+    counts = np.zeros(sample_rows, np.int64)
     m = 0
     k = 0
     for e in range(n_events):
         s = event_t[e] - t0
+        base = event_row[e]
         while k < n and event_idx[k] == e:  # entries arrive in event order
-            g = neuron_idx[k]
-            if g >= neuron_lo and g < neuron_hi:
-                local = g - neuron_lo
-                counts[local // per_cluster] += 1
-                idx[m] = local
+            p = neuron_idx[k] - neuron_lo
+            if p >= 0 and p < n_mapped:
+                r = p // per_cluster
+                counts[r] += 1
+                flat[m] = (base + r) * per_cluster + p - r * per_cluster
                 w[m] = weights[k]
                 m += 1
             k += 1
-        peak = 0
-        for c in range(n_clusters):
-            cc = counts[c]
-            if cc > 0:
-                if cc > peak:
-                    peak = cc
-                updates[c] += cc
-                events_seen[c] += 1
-                touched[s, c] = True
-                counts[c] = 0
-        cyc = window
-        if peak > window:
-            overrun += peak - window
-            cyc = peak
-        event_cycles[e] = cyc
-        step_cycles[s] += cyc
+        for g in range(0, sample_rows, per_slice):
+            peak = 0
+            for r in range(g, g + per_slice):
+                cc = counts[r]
+                if cc > 0:
+                    if cc > peak:
+                        peak = cc
+                    updates[base + r] += cc
+                    events_seen[base + r] += 1
+                    touched[s, base + r] = True
+                    counts[r] = 0
+            if peak > window:
+                over[e, g // per_slice] = peak - window
         bounds[s + 1] = m
-    step_n_in = np.empty(n_steps, np.int64)
     for s in range(n_steps):
         if bounds[s + 1] < bounds[s]:  # a step without events
             bounds[s + 1] = bounds[s]
-        step_n_in[s] = bounds[s + 1] - bounds[s]
-    skipped = np.zeros(n_clusters, np.int64)
-    for c in range(n_clusters):
-        prev = tlus[c]
+    skipped = np.zeros(n_rows, np.int64)
+    for r in range(n_rows):
+        prev = tlus[r]
         for s in range(n_steps):
-            if touched[s, c]:
+            if touched[s, r]:
                 t = t0 + s
                 if t - prev > 1:
-                    skipped[c] += t - prev - 1
+                    skipped[r] += t - prev - 1
                 prev = t
     return (
-        idx[:m].copy(), w[:m].copy(), bounds, event_cycles, step_n_in, step_cycles,
-        touched, updates, events_seen, n_events - events_seen, overrun, skipped,
+        flat[:m].copy(), w[:m].copy(), bounds, touched, updates, events_seen,
+        skipped, over,
     )
 
 
@@ -151,20 +146,20 @@ def _accumulate(flat, idx, w, lo, hi):  # pragma: no cover - jit body
 
 @_jit
 def _fire_step(
-    state, dts, leak, threshold, neuron_lo, neuron_hi, plane, out_width,
+    state, dts, leak, threshold, row_base, row_cap, plane, out_width,
 ):  # pragma: no cover - jit body
-    n_clusters, per_cluster = state.shape
-    cap = n_clusters * per_cluster
+    n_rows, per_cluster = state.shape
+    cap = n_rows * per_cluster
+    f_row = np.empty(cap, np.int64)
     f_ch = np.empty(cap, np.int64)
     f_x = np.empty(cap, np.int64)
     f_y = np.empty(cap, np.int64)
-    fires = np.zeros(n_clusters, np.int64)
+    fires = np.zeros(n_rows, np.int64)
     m = 0
-    for c in range(n_clusters):
-        dec = leak * dts[c]
-        base = neuron_lo + c * per_cluster
+    for r in range(n_rows):
+        dec = leak * dts[r]
         for j in range(per_cluster):
-            v = state[c, j]
+            v = state[r, j]
             if dec > 0:
                 if v > 0:
                     v -= dec
@@ -175,18 +170,19 @@ def _fire_step(
                     if v > 0:
                         v = 0
             if v >= threshold:
-                state[c, j] = 0
-                fires[c] += 1
-                linear = base + j
-                if linear < neuron_hi:
+                state[r, j] = 0
+                fires[r] += 1
+                if j < row_cap[r]:
+                    linear = row_base[r] + j
                     ch = linear // plane
                     rem = linear - ch * plane
                     i = rem // out_width
+                    f_row[m] = r
                     f_ch[m] = ch
                     f_x[m] = rem - i * out_width
                     f_y[m] = i
                     m += 1
-    return f_ch[:m].copy(), f_x[:m].copy(), f_y[:m].copy(), fires
+    return f_row[:m].copy(), f_ch[:m].copy(), f_x[:m].copy(), f_y[:m].copy(), fires
 
 
 def assemble(offsets, idx_flat, w_flat, flat):
@@ -195,17 +191,18 @@ def assemble(offsets, idx_flat, w_flat, flat):
 
 
 def plan(
-    neuron_idx, weights, event_idx, event_t, t0, n_steps, tlus,
-    neuron_lo, neuron_hi, per_cluster, window,
+    neuron_idx, weights, event_idx, event_t, event_row, t0, n_steps, tlus,
+    neuron_lo, n_mapped, per_cluster, per_slice, window,
 ):
-    """Per-(pass, slice) UPDATE plan (jit): same contract as the numpy shim."""
-    out = _plan(
+    """Per-pass UPDATE plan over the stacked batch (jit): same contract
+    as the numpy shim."""
+    return _plan(
         np.ascontiguousarray(neuron_idx), np.ascontiguousarray(weights),
         np.ascontiguousarray(event_idx), np.ascontiguousarray(event_t),
-        int(t0), int(n_steps), np.ascontiguousarray(tlus),
-        int(neuron_lo), int(neuron_hi), int(per_cluster), int(window),
+        np.ascontiguousarray(event_row), int(t0), int(n_steps),
+        np.ascontiguousarray(tlus), int(neuron_lo), int(n_mapped),
+        int(per_cluster), int(per_slice), int(window),
     )
-    return out[:10] + (int(out[10]), out[11])
 
 
 def accumulate(flat_state, idx, w, lo, hi):
@@ -213,9 +210,11 @@ def accumulate(flat_state, idx, w, lo, hi):
     _accumulate(flat_state, idx, w, int(lo), int(hi))
 
 
-def fire_step(state, dts, leak, threshold, neuron_lo, neuron_hi, plane, out_width):
-    """Fused TDM fire scan (jit): same contract as the numpy shim."""
+def fire_step(state, dts, leak, threshold, row_base, row_cap, plane, out_width):
+    """Fused TDM fire scan over the stacked rows (jit): same contract as
+    the numpy shim."""
     return _fire_step(
         state, np.ascontiguousarray(dts), int(leak), int(threshold),
-        int(neuron_lo), int(neuron_hi), int(plane), int(out_width),
+        np.ascontiguousarray(row_base), np.ascontiguousarray(row_cap),
+        int(plane), int(out_width),
     )

@@ -11,7 +11,10 @@ Each sample is an independent simulation, so the evaluator exposes a
 per-sample job API (:meth:`HardwareEvaluator.sample_jobs`) that the
 :mod:`repro.runtime` executors fan out across worker processes and
 memoise in the on-disk result cache; ``evaluate(..., executor=...)``
-is the one-call version of that flow.
+is the one-call version of that flow.  Independent samples over one
+envelope also simulate together: :meth:`HardwareEvaluator.run_samples`
+stacks them into one batch, which is how the backends run a run of
+compatible ``sample_eval`` jobs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from ..energy.power import PowerModel
 from ..events.datasets import EventDataset
 from .config import SNEConfig
 from .mapper import LayerProgram
-from .sne import SNE
+from .sne import SNE, EventBatch
 
 __all__ = [
     "SampleResult",
@@ -113,33 +116,54 @@ class HardwareEvaluator:
     ) -> SampleResult:
         """Run one labelled stream through the cycle model.
 
-        ``profiler`` (a :class:`repro.runtime.profile.Profiler`)
-        receives the per-stage ``sne.*`` spans of the run plus one
-        ``runner.sample`` span wrapping the whole inference.
-        ``kernel`` selects the SNE stage implementation
-        (:mod:`repro.hw.kernels`); every choice is bit-identical.
+        The one-sample case of :meth:`run_samples`.  ``profiler`` (a
+        :class:`repro.runtime.profile.Profiler`) receives the per-stage
+        ``sne.*`` spans of the run plus one ``runner.sample`` span
+        wrapping the whole inference.  ``kernel`` selects the SNE stage
+        implementation (:mod:`repro.hw.kernels`); every choice is
+        bit-identical.
+        """
+        return self.run_samples([stream], [label], profiler=profiler, kernel=kernel)[0]
+
+    def run_samples(
+        self, streams, labels, profiler=None, kernel: str = "auto"
+    ) -> list[SampleResult]:
+        """Run labelled streams over one envelope as one stacked batch.
+
+        The samples go through :meth:`SNE.run_network` as one
+        :class:`~repro.hw.sne.EventBatch`, so every kernel stage runs
+        once per timestep for all of them; each result equals what
+        :meth:`run_sample` gives for that stream alone.  ``profiler``
+        receives the batch's ``sne.*`` spans and one ``runner.sample``
+        span with ``count`` = the number of samples.
         """
         import time
 
+        streams = list(streams)
+        labels = [int(label) for label in labels]
+        if len(streams) != len(labels):
+            raise ValueError(f"{len(streams)} streams but {len(labels)} labels")
         t0 = time.perf_counter() if profiler is not None else 0.0
-        sne = SNE(self.config)
-        out_events, stats = sne.run_network(
-            self.programs, stream, profiler=profiler, kernel=kernel
+        outs, stats = SNE(self.config).run_network(
+            self.programs, EventBatch(streams), profiler=profiler, kernel=kernel
         )
         if profiler is not None:
             profiler.add("runner.sample", time.perf_counter() - t0,
-                         events=len(stream))
-        counts = np.bincount(out_events.ch, minlength=self.n_classes)
-        return SampleResult(
-            label=label,
-            prediction=int(counts.argmax()),
-            input_events=len(stream),
-            output_events=len(out_events),
-            cycles=stats.cycles,
-            sops=stats.sops,
-            time_s=stats.time_s(self.config),
-            energy_uj=self.power.energy_uj(stats, self.config),
-        )
+                         count=len(streams), events=sum(len(s) for s in streams))
+        results = []
+        for stream, label, out, st in zip(streams, labels, outs.streams, stats.samples):
+            counts = np.bincount(out.ch, minlength=self.n_classes)
+            results.append(SampleResult(
+                label=label,
+                prediction=int(counts.argmax()),
+                input_events=len(stream),
+                output_events=len(out),
+                cycles=st.cycles,
+                sops=st.sops,
+                time_s=st.time_s(self.config),
+                energy_uj=self.power.energy_uj(st, self.config),
+            ))
+        return results
 
     def _select(self, dataset: EventDataset, max_samples: int | None):
         if not len(dataset):
@@ -195,9 +219,10 @@ class HardwareEvaluator:
     ) -> EvaluationReport:
         """Evaluate ``dataset``, optionally through the runtime stack.
 
-        With the default arguments this is the original in-process loop;
-        a bare ``progress`` callback keeps that loop (no job hashing)
-        and reports per-sample completions.  Passing an ``executor`` —
+        With the default arguments this is the in-process loop (no job
+        hashing), which runs the samples in :meth:`run_samples` batches;
+        a bare ``progress`` callback keeps that loop and reports each
+        sample's completion.  Passing an ``executor`` —
         a backend instance (``repro.runtime.ProcessBackend``) or a
         registered backend name (``"serial"``, ``"thread"``,
         ``"process"``) — and/or a ``cache`` (e.g. a shared
@@ -208,13 +233,10 @@ class HardwareEvaluator:
         results either way).
         """
         if executor is None and cache is None:
-            samples = self._select(dataset, max_samples)
-            if progress is None:
-                return EvaluationReport(results=tuple(
-                    self.run_sample(sample.stream, sample.label, kernel=kernel)
-                    for sample in samples
-                ))
-            return self._evaluate_inline(samples, progress, kernel=kernel)
+            from ..runtime.progress import Progress
+
+            return self._evaluate_inline(self._select(dataset, max_samples),
+                                         progress or Progress(), kernel=kernel)
         from ..runtime.executor import run_jobs
 
         run = run_jobs(
@@ -228,7 +250,10 @@ class HardwareEvaluator:
 
         Deliberately does NOT delegate to ``run_jobs``: building job
         specs would SHA-256 every program weight and stream content,
-        which a progress-only caller gets no benefit from.
+        which a progress-only caller gets no benefit from.  Samples run
+        in :meth:`run_samples` batches (one per run of equal
+        envelopes); each batch reports its samples when it finishes,
+        each with an equal share of the batch's wall time.
         """
         import time
 
@@ -238,18 +263,32 @@ class HardwareEvaluator:
         start = time.perf_counter()
         progress.on_start(len(samples))
         results = []
-        for i, sample in enumerate(samples):
+        for run in _envelope_runs(samples):
             t0 = time.perf_counter()
-            result = self.run_sample(sample.stream, sample.label, kernel=kernel)
-            results.append(result)
-            stats.misses += 1
-            progress.on_job(i + 1, len(samples), JobResult(
-                job_hash="", kind="sample_eval", ok=True, value=None,
-                error=None, duration_s=time.perf_counter() - t0,
-            ))
+            batch = self.run_samples([s.stream for s in run], [s.label for s in run],
+                                     kernel=kernel)
+            share = (time.perf_counter() - t0) / len(run)
+            for result in batch:
+                results.append(result)
+                stats.misses += 1
+                progress.on_job(len(results), len(samples), JobResult(
+                    job_hash="", kind="sample_eval", ok=True, value=None,
+                    error=None, duration_s=share,
+                ))
         stats.elapsed_s = time.perf_counter() - start
         progress.on_finish(stats)
         return EvaluationReport(results=tuple(results))
+
+
+def _envelope_runs(samples) -> list[list]:
+    """Consecutive runs of samples whose streams share one envelope."""
+    runs: list[list] = []
+    for sample in samples:
+        if runs and runs[-1][0].stream.shape == sample.stream.shape:
+            runs[-1].append(sample)
+        else:
+            runs.append([sample])
+    return runs
 
 
 def report_from_job_results(results) -> EvaluationReport:

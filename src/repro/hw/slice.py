@@ -25,16 +25,22 @@ from .cluster import (
     Cluster,
 )
 from .config import SNEConfig
-from .kernels import KernelSet, resolve_kernel
+from .kernels import KernelSet
 from .lif_datapath import fire_mask, leak_catchup, state_bounds
 from .mapper import LayerProgram
 
-__all__ = ["Slice", "SliceStats", "UpdatePlan"]
+__all__ = ["Slice", "SliceStack", "SliceStats", "StackPlan"]
 
 
 @dataclass
 class SliceStats:
-    """Cycle/activity counters of one slice for one run."""
+    """Cycle/activity counters of one slice for one run.
+
+    Booked by the per-event operations (:meth:`Slice.process_update`,
+    :meth:`Slice.process_fire`, :meth:`Slice.process_reset`); the
+    kernel path books its counters per sample from a
+    :class:`SliceStack` instead.
+    """
 
     busy_cycles: int = 0
     update_events: int = 0
@@ -48,61 +54,64 @@ class SliceStats:
     sequencer_overrun_cycles: int = 0
 
 
-class UpdatePlan(NamedTuple):
-    """One slice's UPDATE events over a window of timesteps, planned once.
-
-    Built by :meth:`Slice.plan_updates` from
-    :meth:`~repro.hw.kernels.KernelSet.plan`; step ``k`` (time ``t0 +
-    k``) owns the slice-local entries ``idx``/``w`` at
-    ``bounds[k]:bounds[k+1]`` and touches the clusters of
-    ``touched[k]``.  The per-event and per-step cycle arrays and
-    per-step in-range entry counts feed the caller's pass cycles and
-    activity trace.
-    """
-
-    t0: int
-    idx: np.ndarray
-    w: np.ndarray
-    bounds: list
-    touched: np.ndarray
-    event_cycles: np.ndarray
-    step_n_in: np.ndarray
-    step_cycles: np.ndarray
-
-
 class Slice:
     """One slice configured with (a pass of) a layer program."""
 
-    def __init__(self, config: SNEConfig, slice_idx: int = 0) -> None:
+    def __init__(
+        self,
+        config: SNEConfig,
+        slice_idx: int = 0,
+        state: np.ndarray | None = None,
+        tlus: np.ndarray | None = None,
+        counters: np.ndarray | None = None,
+    ) -> None:
         self.config = config
         self.slice_idx = slice_idx
         # One contiguous (clusters, neurons) membrane matrix, one TLU
         # vector and one (clusters, counters) matrix; each cluster owns
         # views into them.  The compiled kernels work on the arrays
-        # directly, the per-event reference goes through the cluster
-        # views — same storage, so the paths cannot drift.
+        # directly (through a :class:`SliceStack`), the per-event
+        # reference goes through the cluster views — same storage, so
+        # the paths cannot drift.  An :class:`~repro.hw.sne.SNE` passes
+        # row blocks of its own stacked storage here.
         n_clusters = config.clusters_per_slice
-        self.state = np.zeros((n_clusters, config.neurons_per_cluster), dtype=np.int64)
-        self.tlus = np.zeros(n_clusters, dtype=np.int64)
-        self.counters = np.zeros((n_clusters, len(COUNTER_FIELDS)), dtype=np.int64)
-        self._flat_state = self.state.reshape(-1)
-        self._state_bounds = state_bounds(config.state_bits)
-        self.clusters = [
-            Cluster(
-                n_neurons=config.neurons_per_cluster,
-                state_bits=config.state_bits,
-                fifo_depth=config.cluster_fifo_depth,
-                name=f"slice{slice_idx}.cluster{i}",
-                state=self.state[i],
-                tlu=self.tlus[i : i + 1],
-                counters=self.counters[i],
-            )
-            for i in range(n_clusters)
-        ]
+        if state is None:
+            state = np.zeros((n_clusters, config.neurons_per_cluster), dtype=np.int64)
+            tlus = np.zeros(n_clusters, dtype=np.int64)
+            counters = np.zeros((n_clusters, len(COUNTER_FIELDS)), dtype=np.int64)
+        self.state = state
+        self.tlus = tlus
+        self.counters = counters
+        self._clusters: list[Cluster] | None = None
         self.program: LayerProgram | None = None
         self._neuron_lo = 0
         self._neuron_hi = 0
         self.stats = SliceStats()
+
+    @property
+    def clusters(self) -> list[Cluster]:
+        """The 16 :class:`Cluster` views, built on first access.
+
+        Only the per-event reference and inspection need them; the
+        kernel path works on the slice arrays, so an SNE that never
+        runs the reference never pays for them.  Building them later
+        leaves the membranes, TLUs and counters untouched.
+        """
+        if self._clusters is None:
+            cfg = self.config
+            self._clusters = [
+                Cluster(
+                    n_neurons=cfg.neurons_per_cluster,
+                    state_bits=cfg.state_bits,
+                    fifo_depth=cfg.cluster_fifo_depth,
+                    name=f"slice{self.slice_idx}.cluster{i}",
+                    state=self.state[i],
+                    tlu=self.tlus[i : i + 1],
+                    counters=self.counters[i],
+                )
+                for i in range(cfg.clusters_per_slice)
+            ]
+        return self._clusters
 
     # -- configuration -----------------------------------------------------
     @property
@@ -191,78 +200,6 @@ class Slice:
         self.stats.busy_cycles += cycles
         return cycles
 
-    def plan_updates(
-        self,
-        entries: tuple[np.ndarray, np.ndarray, np.ndarray],
-        event_t: np.ndarray,
-        t0: int,
-        n_steps: int,
-        kernels: KernelSet,
-    ) -> UpdatePlan:
-        """Plan the UPDATE events of timesteps ``t0 .. t0+n_steps-1``.
-
-        ``entries`` is the ``(neuron_idx, weights, event_idx)`` fanout of
-        the window's events gathered by
-        :meth:`~repro.hw.kernels.KernelSet.assemble` (global linear
-        neuron indices, in event order); ``event_t`` holds every event's
-        timestep, including events whose fanout is empty.  Everything
-        that does not depend on membrane state — address filter,
-        sequencer counts, cycles, gating/overrun/TLU counters — is
-        computed here once and booked into the slice and cluster
-        counters, exactly as the per-event :meth:`process_update` chain
-        would book it; :meth:`apply_updates` then runs the
-        state-dependent rest step by step.
-        """
-        self._require_program()
-        cfg = self.config
-        if event_t.size and int(event_t[0]) < int(self.tlus.max()):
-            raise ValueError(
-                f"event time {int(event_t[0])} precedes cluster TLU "
-                f"{int(self.tlus.max())}; streams must be time-sorted"
-            )
-        (idx, w, bounds, event_cycles, step_n_in, step_cycles, touched, updates,
-         events_seen, events_gated, overrun, tlu_skipped) = kernels.plan(
-            *entries, event_t, t0, n_steps, self.tlus,
-            self._neuron_lo, self._neuron_hi, cfg.neurons_per_cluster,
-            cfg.cycles_per_event,
-        )
-        self.counters[:, UPDATES] += updates
-        self.counters[:, EVENTS_SEEN] += events_seen
-        self.counters[:, EVENTS_GATED] += events_gated
-        self.counters[:, TLU_SKIPPED] += tlu_skipped
-
-        n_in = int(idx.size)
-        total_cycles = int(event_cycles.sum())
-        self.stats.update_events += int(event_t.size)
-        self.stats.sops += n_in
-        self.stats.active_cluster_cycles += n_in
-        self.stats.gated_cluster_cycles += cfg.clusters_per_slice * total_cycles - n_in
-        self.stats.sequencer_overrun_cycles += overrun
-        self.stats.busy_cycles += total_cycles
-        return UpdatePlan(
-            t0, idx, w, bounds.tolist(), touched, event_cycles, step_n_in, step_cycles
-        )
-
-    def apply_updates(self, plan: UpdatePlan, k: int, kernels: KernelSet) -> None:
-        """Apply step ``k`` of ``plan`` to the membranes.
-
-        The touched clusters catch up their leak (the TLU mechanism) and
-        advance their TLU, then the saturating accumulate runs in event
-        order.
-        """
-        lo, hi = plan.bounds[k], plan.bounds[k + 1]
-        if lo == hi:
-            return
-        t = plan.t0 + k
-        touched = plan.touched[k]
-        leak = self.program.leak
-        if leak > 0:
-            dt = t - self.tlus[touched]
-            self.state[touched] = leak_catchup(self.state[touched], leak, dt[:, None])
-        self.tlus[touched] = t
-        vlo, vhi = self._state_bounds
-        kernels.accumulate(self._flat_state, plan.idx[lo:hi], plan.w[lo:hi], vlo, vhi)
-
     def process_fire(self, t: int) -> tuple[list[tuple[int, int, int, int]], int]:
         """FIRE_OP: scan every TDM neuron; emit (t, ch, x, y) output events.
 
@@ -316,39 +253,6 @@ class Slice:
         self.stats.busy_cycles += cycles
         return events, cycles
 
-    def process_fire_packed(
-        self, t: int, kernels: KernelSet | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """FIRE_OP through a compiled kernel, events as packed arrays.
-
-        Same scan as :meth:`process_fire` — effective membrane against
-        the threshold, fired states zeroed, TDM slots beyond the mapped
-        interval silenced, identical cycle/stall/fire accounting — but
-        the emitted events come back as ``(out_ch, out_x, out_y)``
-        int64 arrays instead of a Python tuple list, which is what lets
-        the pipelined fire→next-layer hop skip the list round trip.
-        Returns ``(out_ch, out_x, out_y, cycles)``.
-        """
-        program = self._require_program()
-        cfg = self.config
-        ks = kernels if kernels is not None else resolve_kernel("numpy")
-        geometry = program.geometry
-        plane = geometry.out_height * geometry.out_width
-        self._check_fire_time(t)
-        out_ch, out_x, out_y, fires = ks.fire_step(
-            self.state, t - self.tlus, program.leak, program.threshold,
-            self._neuron_lo, self._neuron_hi, plane, geometry.out_width,
-        )
-        self.counters[:, FIRES] += fires
-        total_fired = int(out_ch.size)
-        stall = self.stats_fifo_penalty(total_fired)
-        cycles = cfg.cycles_per_fire + stall
-        self.stats.fifo_stall_cycles += stall
-        self.stats.fire_events += 1
-        self.stats.output_events += total_fired
-        self.stats.busy_cycles += cycles
-        return out_ch, out_x, out_y, cycles
-
     def _check_fire_time(self, t: int) -> None:
         late = int(self.tlus.max())
         if t < late:
@@ -380,3 +284,175 @@ class Slice:
         if total == 0:
             return 0.0
         return self.stats.active_cluster_cycles / total
+
+
+class StackPlan(NamedTuple):
+    """A :class:`SliceStack`'s UPDATE events over a window of timesteps.
+
+    Built by :meth:`SliceStack.plan` from
+    :meth:`~repro.hw.kernels.KernelSet.plan`; step ``k`` (time ``t0 +
+    k``) owns the flat-state entries ``flat``/``w`` at
+    ``bounds[k]:bounds[k+1]`` and touches the rows of ``touched[k]``.
+    ``over[e, s]`` is event ``e``'s sequencer overrun on the ``s``-th
+    slice of its sample — the cycle accounting of every slice follows
+    from it.
+    """
+
+    t0: int
+    flat: np.ndarray
+    w: np.ndarray
+    bounds: list
+    touched: np.ndarray
+    over: np.ndarray
+
+
+class SliceStack:
+    """The slices of one pass, for one or many samples, as stacked rows.
+
+    ``n_samples`` samples times the ``S`` slices covering the neuron
+    interval ``[neuron_lo, neuron_hi)`` times their clusters form one
+    ``(rows, neurons)`` membrane matrix, one TLU vector and one
+    ``(rows, counters)`` matrix, sample after sample.  Samples touch
+    disjoint rows, so each stage — :meth:`plan` once per window,
+    :meth:`update` and :meth:`fire` once per timestep — is one kernel
+    call for the whole batch.  Row ``r`` of a sample holds the pass
+    neurons ``[neuron_lo + r*N, neuron_lo + (r+1)*N)``: exactly the
+    cluster layout of the slices, so with one sample the arrays can be
+    the SNE's own slice storage (``state``/``tlus``/``counters``
+    views), which then shows the run's membranes afterwards.
+    """
+
+    def __init__(
+        self,
+        config: SNEConfig,
+        program: LayerProgram,
+        neuron_lo: int,
+        neuron_hi: int,
+        n_samples: int = 1,
+        state: np.ndarray | None = None,
+        tlus: np.ndarray | None = None,
+        counters: np.ndarray | None = None,
+    ) -> None:
+        per_cluster = config.neurons_per_cluster
+        self.config = config
+        self.program = program
+        self.neuron_lo = neuron_lo
+        self.n_mapped = neuron_hi - neuron_lo
+        self.n_samples = n_samples
+        self.n_slices = -(-self.n_mapped // config.neurons_per_slice)
+        self.sample_rows = self.n_slices * config.clusters_per_slice
+        n_rows = n_samples * self.sample_rows
+        if state is None:
+            state = np.zeros((n_rows, per_cluster), dtype=np.int64)
+            tlus = np.zeros(n_rows, dtype=np.int64)
+            counters = np.zeros((n_rows, len(COUNTER_FIELDS)), dtype=np.int64)
+        if state.shape != (n_rows, per_cluster) or not state.flags.c_contiguous:
+            raise ValueError(f"stack state must be a contiguous ({n_rows}, {per_cluster}) matrix")
+        self.state = state
+        self.flat_state = state.reshape(-1)
+        self.tlus = tlus
+        self.counters = counters
+        local = np.arange(self.sample_rows, dtype=np.int64) * per_cluster
+        self.row_base = np.tile(neuron_lo + local, n_samples)
+        self.row_cap = np.tile(np.clip(self.n_mapped - local, 0, per_cluster), n_samples)
+        self._bounds = state_bounds(config.state_bits)
+        geometry = program.geometry
+        self._plane = geometry.out_height * geometry.out_width
+        self._slack = config.cycles_per_fire + config.cluster_fifo_depth * config.clusters_per_slice
+
+    def reset(self) -> None:
+        """RST_OP at time 0 on every stacked row: zero the membranes and TLUs."""
+        self.state[...] = 0
+        self.tlus[...] = 0
+
+    def plan(
+        self,
+        entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+        event_t: np.ndarray,
+        event_sample: np.ndarray,
+        t0: int,
+        n_steps: int,
+        kernels: KernelSet,
+    ) -> StackPlan:
+        """Plan the UPDATE events of timesteps ``t0 .. t0+n_steps-1``.
+
+        ``entries`` is the ``(neuron_idx, weights, event_idx)`` fanout
+        gathered by :meth:`~repro.hw.kernels.KernelSet.assemble` (global
+        linear neuron indices, in event order); ``event_t`` holds every
+        event's timestep (sorted, empty fanouts included) and
+        ``event_sample`` its sample.  Everything that does not depend on
+        membrane state — address filter, sequencer counts, overrun,
+        gating and TLU counters — is computed here once and booked into
+        the row counters exactly as the per-event
+        :meth:`Slice.process_update` chain would book them;
+        :meth:`update` runs the state-dependent rest step by step.
+        """
+        cfg = self.config
+        if event_t.size and int(event_t[0]) < int(self.tlus.max()):
+            raise ValueError(
+                f"event time {int(event_t[0])} precedes cluster TLU "
+                f"{int(self.tlus.max())}; streams must be time-sorted"
+            )
+        flat, w, bounds, touched, updates, seen, skipped, over = kernels.plan(
+            *entries, event_t, event_sample * self.sample_rows, t0, n_steps,
+            self.tlus, self.neuron_lo, self.n_mapped, cfg.neurons_per_cluster,
+            cfg.clusters_per_slice, cfg.cycles_per_event,
+        )
+        sample_events = np.bincount(event_sample, minlength=self.n_samples)
+        self.counters[:, UPDATES] += updates
+        self.counters[:, EVENTS_SEEN] += seen
+        self.counters[:, EVENTS_GATED] += np.repeat(sample_events, self.sample_rows) - seen
+        self.counters[:, TLU_SKIPPED] += skipped
+        return StackPlan(t0, flat, w, bounds.tolist(), touched, over)
+
+    def update(self, plan: StackPlan, k: int, kernels: KernelSet) -> None:
+        """Apply step ``k`` of ``plan`` to the membranes.
+
+        The touched rows catch up their leak (the TLU mechanism) and
+        advance their TLU, then the saturating accumulate runs in event
+        order.
+        """
+        lo, hi = plan.bounds[k], plan.bounds[k + 1]
+        if lo == hi:
+            return
+        t = plan.t0 + k
+        rows = np.flatnonzero(plan.touched[k])
+        leak = self.program.leak
+        if leak > 0:
+            dt = t - self.tlus[rows]
+            self.state[rows] = leak_catchup(self.state[rows], leak, dt[:, None])
+        self.tlus[rows] = t
+        vlo, vhi = self._bounds
+        kernels.accumulate(self.flat_state, plan.flat[lo:hi], plan.w[lo:hi], vlo, vhi)
+
+    def fire(self, t: int, kernels: KernelSet):
+        """FIRE_OP on every stacked row through a compiled kernel.
+
+        Same scan as :meth:`Slice.process_fire` — effective membrane
+        against the threshold, fired states zeroed, TDM slots beyond the
+        mapped interval silenced, one collector stall cycle per event a
+        slice's burst spills beyond scan drain plus FIFO slack.  Returns
+        ``(sample, out_ch, out_x, out_y, stall)``: the emitted events as
+        int64 arrays with their sample, and the ``(samples, slices)``
+        stall cycles — ``None`` when no slice can have stalled.
+        """
+        late = int(self.tlus.max())
+        if t < late:
+            raise ValueError(
+                f"fire time {t} precedes cluster TLU {late}; "
+                "streams must be time-sorted"
+            )
+        program = self.program
+        rows, out_ch, out_x, out_y, fires = kernels.fire_step(
+            self.state, t - self.tlus, program.leak, program.threshold,
+            self.row_base, self.row_cap, self._plane, program.geometry.out_width,
+        )
+        self.counters[:, FIRES] += fires
+        stall = None
+        if rows.size > self._slack:
+            per_slice = np.bincount(
+                rows // self.config.clusters_per_slice,
+                minlength=self.n_samples * self.n_slices,
+            ).reshape(self.n_samples, self.n_slices)
+            stall = np.maximum(per_slice - self._slack, 0)
+        return rows // self.sample_rows, out_ch, out_x, out_y, stall

@@ -6,6 +6,9 @@ list of :class:`JobResult` — the contract :func:`~repro.runtime.executor.run_j
 is built on.  Three ship with the package:
 
 * ``serial``  — in-process loop, the reference for result equivalence;
+  it runs each run of consecutive compatible ``sample_eval`` jobs as
+  one stacked simulation (:func:`~repro.runtime.jobs.batch_signature`),
+  and so does each chunk of the ``process`` pool;
 * ``thread``  — a ``ThreadPoolExecutor`` fan-out for IO-bound jobs
   (dataset generation, event-file replay) that release the GIL or wait
   on disk;
@@ -52,7 +55,7 @@ import traceback
 from dataclasses import dataclass
 from typing import AsyncIterator, Callable, Protocol, runtime_checkable
 
-from .jobs import JobSpec, execute_job
+from .jobs import JobSpec, batch_signature, execute_job, execute_sample_batch
 
 __all__ = [
     "JobResult",
@@ -111,9 +114,48 @@ def _execute_one(spec: JobSpec) -> JobResult:
     )
 
 
+def _batches(specs: list[JobSpec]) -> list[list[JobSpec]]:
+    """Split ``specs`` into runs of consecutive specs that share one
+    :func:`~repro.runtime.jobs.batch_signature`; every other spec is a
+    run of its own."""
+    runs: list[list[JobSpec]] = []
+    last = None
+    for spec in specs:
+        signature = batch_signature(spec)
+        if signature is not None and signature == last:
+            runs[-1].append(spec)
+        else:
+            runs.append([spec])
+        last = signature
+    return runs
+
+
+def _execute_run(specs: list[JobSpec]) -> list[JobResult]:
+    """Run one :func:`_batches` run, preserving order.
+
+    A run of several ``sample_eval`` specs simulates as one stacked
+    batch and each result's ``duration_s`` is an equal share of the
+    batch's wall time.  If the batch raises, it is re-run one spec at a
+    time, so only the failing spec fails, with its own traceback.
+    """
+    if len(specs) == 1:
+        return [_execute_one(specs[0])]
+    start = time.perf_counter()
+    try:
+        values = execute_sample_batch(specs)
+    except Exception:
+        return [_execute_one(spec) for spec in specs]
+    share = (time.perf_counter() - start) / len(specs)
+    return [
+        JobResult(job_hash=spec.job_hash, kind=spec.kind, ok=True, value=value,
+                  error=None, duration_s=share)
+        for spec, value in zip(specs, values)
+    ]
+
+
 def _execute_chunk(specs: list[JobSpec]) -> list[JobResult]:
     """Worker-side entry point: run one chunk, preserving order."""
-    return [_execute_one(s) for s in specs]
+    return [result for run in _batches(specs) for result in _execute_run(run)]
 
 
 @runtime_checkable
@@ -294,23 +336,28 @@ class SerialBackend:
             raise ValueError("workers must be positive")
 
     def run(self, specs: list[JobSpec], on_result=None) -> list[JobResult]:
-        """Execute ``specs`` one after another in this process.
+        """Execute ``specs`` one run after another in this process.
+
+        Consecutive ``sample_eval`` specs of one deployment, kernel and
+        stream envelope run as one stacked batch; every other spec runs
+        on its own.
 
         Args:
             specs: jobs to run, in order.
-            on_result: optional callback fired after each job with its
-                :class:`JobResult`.
+            on_result: optional callback fired with each
+                :class:`JobResult` once its run (batch) has finished.
 
         Returns:
             One result per spec, in input order; raising jobs become
             structured ``ok=False`` records, never exceptions.
         """
         out = []
-        for spec in specs:
-            result = _execute_one(spec)
-            out.append(result)
+        for run in _batches(list(specs)):
+            results = _execute_run(run)
+            out.extend(results)
             if on_result is not None:
-                on_result(result)
+                for result in results:
+                    on_result(result)
         return out
 
 

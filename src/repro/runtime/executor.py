@@ -144,7 +144,12 @@ def run_jobs(
                 counter["done"] += 1
                 progress.on_job(counter["done"], len(specs), result)
 
-            computed = executor.run([spec for _, spec in pending], on_result=on_result)
+            computed = list(executor.run([spec for _, spec in pending], on_result=on_result))
+            if len(computed) != len(pending):
+                raise RuntimeError(
+                    f"backend {stats.executor!r} returned {len(computed)} results "
+                    f"for {len(pending)} specs — contract requires one result per spec"
+                )
             for (i, spec), result in zip(pending, computed):
                 slots[i] = result
                 if result.ok:

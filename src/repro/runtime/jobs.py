@@ -48,6 +48,8 @@ __all__ = [
     "sample_eval_job",
     "deployment_fingerprint",
     "execute_job",
+    "execute_sample_batch",
+    "batch_signature",
     "register_runner",
     "spec_to_doc",
     "spec_from_doc",
@@ -616,6 +618,42 @@ def _run_baseline_compare(params: dict, payload: Any) -> dict:
         "platform_efficiency_tsops_w": other.efficiency_tops_w,
         "improvement_x": improvement_over(sne, other),
     }
+
+
+def batch_signature(spec: JobSpec) -> dict | None:
+    """What consecutive ``sample_eval`` specs must share to run as one
+    stacked batch (:func:`execute_sample_batch`), or ``None`` for a
+    spec that runs on its own.
+
+    Batchable specs carry their payload, are not profile jobs (a
+    profile summarises one sample's simulation) and agree on the
+    deployment (config, program digests, power), the kernel and the
+    stream envelope; the stream content and the label may differ.
+    """
+    if spec.kind != "sample_eval" or spec.payload is None:
+        return None
+    params = spec.params
+    if params.get("profile"):
+        return None
+    signature = {k: v for k, v in params.items() if k not in ("stream", "label")}
+    signature["shape"] = params["stream"]["shape"]
+    return signature
+
+
+def execute_sample_batch(specs: list[JobSpec]) -> list[dict]:
+    """Run specs of one :func:`batch_signature` as one stacked
+    simulation; one result dict per spec, in order, each equal to what
+    :func:`execute_job` returns for that spec alone."""
+    from ..hw.runner import HardwareEvaluator
+
+    first = specs[0].payload
+    evaluator = HardwareEvaluator(first["programs"], first["config"], first["power"])
+    results = evaluator.run_samples(
+        [spec.payload["stream"] for spec in specs],
+        [spec.payload["label"] for spec in specs],
+        kernel=specs[0].params.get("kernel", "auto"),
+    )
+    return [dataclasses.asdict(result) for result in results]
 
 
 @register_runner("sample_eval")

@@ -235,3 +235,72 @@ class TestRegistry:
         a, b = dse_point_job(6, voltage=0.85), dse_point_job(6, voltage=0.85)
         assert a.job_hash == b.job_hash
         assert canonical_json({"x": (1, 2)}) == canonical_json({"x": [1, 2]})
+
+
+class TestSampleBatchGrouping:
+    """Backends run consecutive compatible sample_eval jobs as one stacked
+    batch.  A mixed list — two deployments, a dse_point between them, a
+    profile job and one sample job that raises inside a batch — must give
+    the values of running every job alone, on every backend, with the one
+    failure in place and carrying its own traceback."""
+
+    FAILING = 2
+
+    @pytest.fixture(scope="class")
+    def grouped_jobs(self):
+        from repro.events import SyntheticDVSGesture
+        from repro.hw import PAPER_CONFIG, HardwareEvaluator, compile_network
+        from repro.runtime import JobSpec
+        from repro.snn import build_small_network
+
+        data = SyntheticDVSGesture(size=16, n_steps=6).generate(n_per_class=1, seed=5)
+        net = build_small_network(input_size=16, n_classes=11, channels=4,
+                                  hidden=16, seed=4)
+        programs = compile_network(net, (2, 16, 16))
+        one = HardwareEvaluator(programs, PAPER_CONFIG.with_slices(2))
+        two = HardwareEvaluator(programs, PAPER_CONFIG.with_slices(4))
+        a = one.sample_jobs(data, max_samples=5)
+        b = two.sample_jobs(data, max_samples=3)
+        # Same key (so same batch), but a stream whose envelope the
+        # network does not accept: the batch raises, this job alone fails.
+        bad = JobSpec(a[2].kind, a[2].key, {
+            **a[2].payload, "stream": a[2].payload["stream"].pad_spatial(18, 18)})
+        profiled = one.sample_jobs(data, max_samples=1, profile=True)[0]
+        return [a[0], a[1], bad, a[3], dse_point_job(4), b[0], b[1], b[2], profiled, a[4]]
+
+    @staticmethod
+    def comparable(results):
+        return [
+            (r.job_hash, r.ok, None if r.value is None
+             else {k: v for k, v in r.value.items() if k != "profile"})
+            for r in results
+        ]
+
+    def test_runs_split_on_deployment_kind_and_profile(self, grouped_jobs):
+        from repro.runtime.backends import _batches
+
+        assert [len(run) for run in _batches(grouped_jobs)] == [4, 1, 3, 1, 1]
+
+    @pytest.mark.parametrize("name", ["serial", "thread", "process", "cluster"])
+    def test_backends_match_running_each_job_alone(self, name, grouped_jobs):
+        from repro.runtime.backends import _execute_one
+
+        alone = [_execute_one(spec) for spec in grouped_jobs]
+        run = run_jobs(grouped_jobs, executor=make_backend(name, workers=2))
+        assert self.comparable(run.results) == self.comparable(alone)
+        assert [i for i, r in enumerate(run.results) if not r.ok] == [self.FAILING]
+        error = run.results[self.FAILING].error
+        assert error.startswith("ValueError: stream envelope") and "Traceback" in error
+        assert "profile" in run.results[8].value
+
+    def test_batch_members_share_the_batch_wall_time(self, grouped_jobs):
+        results = SerialBackend().run(grouped_jobs)
+        batch = [r.duration_s for r in results[5:8]]
+        assert batch[0] > 0 and batch.count(batch[0]) == 3
+        # The batch that raised re-ran job by job: own timings.
+        assert len({r.duration_s for r in results[:4]}) == 4
+
+    def test_on_result_fires_once_per_job_in_order(self, grouped_jobs):
+        seen = []
+        SerialBackend().run(grouped_jobs, on_result=seen.append)
+        assert [r.job_hash for r in seen] == [s.job_hash for s in grouped_jobs]

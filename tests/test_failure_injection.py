@@ -100,19 +100,23 @@ class TestProtocolViolations:
 
     def test_time_unsorted_batched_feed_rejected(self):
         """The kernel path refuses the same violation: once per plan
-        against the slice's TLU registers, and in the packed fire scan."""
-        from repro.hw import fanout_table, resolve_kernel
+        against the stacked TLU registers, and in the packed fire scan."""
+        from repro.hw import SliceStack, fanout_table, resolve_kernel
 
         ks = resolve_kernel("numpy")
         prog = conv_program()
-        sl = Slice(SNEConfig(n_slices=1))
+        cfg = SNEConfig(n_slices=1)
+        sl = Slice(cfg)
         sl.configure(prog, 0, 64)
         sl.process_update(5, 0, 4, 4)
+        stack = SliceStack(cfg, prog, 0, 64, state=sl.state, tlus=sl.tlus,
+                           counters=sl.counters)
         entries = fanout_table(prog).gather(np.array([0]), np.array([4]), np.array([4]))
         with pytest.raises(ValueError, match="time-sorted"):
-            sl.plan_updates(entries, np.array([3], dtype=np.int64), 3, 1, ks)
+            stack.plan(entries, np.array([3], dtype=np.int64),
+                       np.zeros(1, dtype=np.int64), 3, 1, ks)
         with pytest.raises(ValueError, match="time-sorted"):
-            sl.process_fire_packed(3, kernels=ks)
+            stack.fire(3, ks)
 
     def test_register_write_to_unmapped_slice(self):
         rf = RegisterFile(n_slices=2)

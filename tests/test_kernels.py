@@ -18,14 +18,19 @@ from repro.events import EventStream
 from repro.hw import (
     SNE,
     ActivityTrace,
+    BatchStats,
+    EventBatch,
     LayerGeometry,
     LayerKind,
     LayerProgram,
     SNEConfig,
     fanout_table,
+    fuzz_kernel_batches,
     fuzz_kernels,
     program_content_hash,
+    random_kernel_batch,
     random_kernel_case,
+    run_kernel_batch,
     run_kernel_case,
     sat_add,
 )
@@ -329,8 +334,14 @@ class TestNumbaKernelBodies:
                 snaps.append(run_snapshot(sne, out, stats))
             assert_identical(snaps[1], snaps[0], f"{mode}, seed {seed}")
 
+    def test_batch_fuzz_seeds(self, numba_bodies):
+        for seed in range(9):
+            res = run_kernel_batch(random_kernel_batch(seed), kernels=("numba",))
+            assert res.matched, (seed, res.mismatches)
+
     def test_plan_matches_numpy_plan(self):
-        """Both plan kernels return the same arrays, field by field."""
+        """Both plan kernels return the same arrays, field by field, on a
+        two-sample stack (the stream twice, interleaved step by step)."""
         from repro.hw.kernels import numba_impl, numpy_impl
 
         for seed in range(8):
@@ -338,19 +349,24 @@ class TestNumbaKernelBodies:
             table = fanout_table(case.program)
             packed = table.packed()
             s = case.stream
-            flat = table.flat_ids(s.ch, s.x, s.y)
+            order = np.argsort(np.concatenate([s.t, s.t]), kind="stable")
+            event_t = np.concatenate([s.t, s.t]).astype(np.int64)[order]
+            event_sample = np.repeat([0, 1], len(s))[order]
+            flat = np.concatenate([table.flat_ids(s.ch, s.x, s.y)] * 2)[order]
             entries = numpy_impl.assemble(packed.offsets, packed.idx, packed.w, flat)
             assert all(
                 np.array_equal(a, b)
                 for a, b in zip(entries, numba_impl.assemble(
                     packed.offsets, packed.idx, packed.w, flat))
             )
-            tlus = np.zeros(16, dtype=np.int64)
             n_out = case.program.geometry.n_outputs
-            args = (*entries, s.t.astype(np.int64), 0, s.n_steps, tlus,
-                    n_out // 3, n_out, 64, 48)
+            lo = n_out // 3
+            sample_rows = -(-(n_out - lo) // 1024) * 16
+            tlus = np.zeros(2 * sample_rows, dtype=np.int64)
+            args = (*entries, event_t, event_sample * sample_rows, 0, s.n_steps,
+                    tlus, lo, n_out - lo, 64, 16, 48)
             got, want = numba_impl.plan(*args), numpy_impl.plan(*args)
-            assert len(got) == len(want) == 12
+            assert len(got) == len(want) == 8
             for k, (a, b) in enumerate(zip(got, want)):
                 assert np.array_equal(a, b), f"seed {seed}, field {k}"
                 assert type(a) is type(b), f"seed {seed}, field {k}"
@@ -392,8 +408,9 @@ class TestAccumulateRails:
         idx = np.array([e[0] for e in self.ENTRIES], dtype=np.int64)
         w = np.array([e[1] for e in self.ENTRIES], dtype=np.int64)
         total, risk = numpy_impl.at_risk(self.start(), idx, w, -128, 127)
-        assert risk.tolist() == [True, True, True, False]  # neuron 3: one add
-        assert total.tolist() == [0, 0, 5, 1]
+        # Per entry: neurons 0-2 could clip, neuron 3 takes one add.
+        assert risk.tolist() == [i != 3 for i in idx.tolist()]
+        assert total.tolist() == [[0, 0, 5, 1][i] for i in idx.tolist()]
 
 
 class TestKernelFuzzHarness:
@@ -414,6 +431,43 @@ class TestKernelFuzzHarness:
         # flavour 2: a single output neuron (degenerate TDM range)
         solo = random_kernel_case(2)
         assert solo.program.geometry.n_outputs == 1
+
+    def test_fuzz_kernel_batches_clean(self):
+        results = fuzz_kernel_batches(18)
+        assert all(r.matched for r in results), [
+            (r.case.seed, r.mismatches) for r in results if not r.matched
+        ]
+
+    def test_batch_draws_cover_the_suspects(self):
+        cases = [random_kernel_batch(seed) for seed in range(9)]
+        assert {len(c.streams) for c in cases} == {1, 2, 7}
+        several = [c for c in cases if len(c.streams) > 1]
+        assert all(any(len(s) == 0 for s in c.streams) for c in several)
+        assert any(len({len(s) for s in c.streams}) > 2 for c in several)
+        assert any((s.counts_per_step()[1:-1] == 0).all() and len(s)
+                   for c in several for s in c.streams)
+        sat = cases[3]  # forced saturation with a leak
+        assert int(np.abs(sat.programs[0].weights).max()) == 7
+        assert sat.programs[0].leak > 0
+        assert any(len(s) == s.n_sites for s in sat.streams)
+        wide = cases[6]  # multi-pass
+        assert wide.programs[0].n_passes(SNEConfig(n_slices=wide.n_slices)) > 1
+        assert all(len(c.programs) == 2 for c in cases)
+
+    def test_run_layer_batch_equals_per_sample_runs(self):
+        case = random_kernel_batch(5)
+        cfg = SNEConfig(n_slices=case.n_slices)
+        out, stats = SNE(cfg).run_layer(case.programs[0], EventBatch(case.streams),
+                                        kernel="numpy")
+        assert isinstance(stats, BatchStats) and len(stats.samples) == len(case.streams)
+        assert len(out) == sum(len(s) for s in out.streams)
+        for b, stream in enumerate(case.streams):
+            want = SNE(cfg).run_layer(case.programs[0], stream, kernel="reference")
+            assert out.streams[b] == want[0]
+            assert dataclasses.asdict(stats.samples[b]) == dataclasses.asdict(want[1])
+        with pytest.raises(ValueError, match="one sample"):
+            SNE(cfg).run_layer(case.programs[0], EventBatch(case.streams),
+                               trace=ActivityTrace())
 
     def test_run_kernel_case_reports_mismatch_fields(self):
         case = random_kernel_case(3)

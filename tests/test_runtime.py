@@ -152,6 +152,18 @@ class TestExecutors:
         assert mixed.stats.hits == 2 and mixed.stats.misses == 2
 
 
+    def test_run_jobs_rejects_a_short_result_list(self):
+        class Lossy:
+            name = "lossy"
+            workers = 1
+
+            def run(self, specs, on_result=None):
+                return []
+
+        with pytest.raises(RuntimeError, match=r"'lossy' returned 0 results for 2 specs"):
+            run_jobs([dse_point_job(1), dse_point_job(2)], executor=Lossy())
+
+
 class TestCache:
     def test_roundtrip_is_deterministic(self, tmp_path):
         cache = ResultStore(tmp_path)
@@ -395,6 +407,13 @@ class TestHardwareEvaluatorRuntime:
         assert len(progress.results) == 2
         assert all(r.ok and not r.cached for r in progress.results)
         assert report.results == evaluator.evaluate(data, max_samples=2).results
+
+    def test_run_samples_equals_run_sample(self, tiny_eval):
+        evaluator, data = tiny_eval
+        streams = [s.stream for s in data.samples[:4]]
+        labels = [s.label for s in data.samples[:4]]
+        batch = evaluator.run_samples(streams, labels)
+        assert batch == [evaluator.run_sample(s, y) for s, y in zip(streams, labels)]
 
     def test_max_samples_zero_rejected(self, tiny_eval):
         evaluator, data = tiny_eval

@@ -170,3 +170,30 @@ class TestAccounting:
         s = sl.stats
         total = cfg.clusters_per_slice * cfg.cycles_per_event
         assert s.active_cluster_cycles + s.gated_cluster_cycles == total
+
+
+class TestLazyClusters:
+    def test_clusters_built_after_a_run_keep_its_state(self):
+        """The kernel path never builds the Cluster views; building them
+        afterwards must adopt the membranes, TLUs and counters as left."""
+        from repro.events import EventStream
+        from repro.hw import SNE
+
+        prog = small_program(plane=8, threshold=100, leak=1, weight=2)
+        dense = np.zeros((5, 1, 8, 8), dtype=np.uint8)
+        dense[3, 0, 2:6, 2:6] = 1
+        sne = SNE(SNEConfig(n_slices=1))
+        sne.run_layer(prog, EventStream.from_dense(dense), kernel="numpy")
+        sl = sne.slices[0]
+        assert sl._clusters is None
+        state, tlus, counters = sl.state.copy(), sl.tlus.copy(), sl.counters.copy()
+        assert state.any() and tlus.any()
+        clusters = sl.clusters
+        assert len(clusters) == sl.config.clusters_per_slice
+        for i, cluster in enumerate(clusters):
+            assert np.array_equal(cluster.state, state[i])
+            assert cluster.tlu == tlus[i]
+            assert cluster.stats.updates == counters[i, 0]
+        assert np.array_equal(sl.state, state)
+        assert np.array_equal(sl.tlus, tlus)
+        assert np.array_equal(sl.counters, counters)
