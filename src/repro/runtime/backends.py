@@ -412,7 +412,7 @@ class ThreadBackend:
 class ProcessBackend:
     """Chunked dispatch over a ``multiprocessing`` pool.
 
-    Jobs are split into ``workers * chunks_per_worker`` chunks (or
+    Jobs are split into ``workers * CHUNKS_PER_WORKER`` chunks (or
     fixed-size ``chunk_size`` chunks) and streamed through
     ``Pool.imap``, which preserves chunk order — so the flattened
     result list is always in input order.  ``workers=1`` degrades to
@@ -420,28 +420,21 @@ class ProcessBackend:
     """
 
     name = "process"
+    #: Chunks per worker when ``chunk_size`` is not given.
+    CHUNKS_PER_WORKER = 4
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        chunk_size: int | None = None,
-        chunks_per_worker: int = 4,
-        start_method: str | None = None,
-    ) -> None:
+    def __init__(self, workers: int | None = None,
+                 chunk_size: int | None = None) -> None:
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if chunks_per_worker < 1:
-            raise ValueError("chunks_per_worker must be positive")
         self.chunk_size = chunk_size
-        self.chunks_per_worker = chunks_per_worker
-        self.start_method = start_method
 
     def _chunks(self, specs: list[JobSpec]) -> list[list[JobSpec]]:
         size = self.chunk_size or max(
-            1, math.ceil(len(specs) / (self.workers * self.chunks_per_worker))
+            1, math.ceil(len(specs) / (self.workers * self.CHUNKS_PER_WORKER))
         )
         return [specs[i : i + size] for i in range(0, len(specs), size)]
 
@@ -457,9 +450,8 @@ class ProcessBackend:
             return []
         if self.workers == 1 or len(specs) == 1:
             return SerialBackend().run(specs, on_result=on_result)
-        ctx = multiprocessing.get_context(self.start_method)
         out: list[JobResult] = []
-        with ctx.Pool(processes=self.workers) as pool:
+        with multiprocessing.Pool(processes=self.workers) as pool:
             for chunk_results in pool.imap(_execute_chunk, self._chunks(specs)):
                 out.extend(chunk_results)
                 if on_result is not None:

@@ -719,8 +719,8 @@ def _cmd_profile(args) -> int:
     _warn_kernel_fleet(args)
     jobs = evaluator.sample_jobs(data, max_samples=args.max_samples,
                                  profile=True, kernel=args.kernel)
-    executor = _make_executor(args)
-    run = run_jobs(jobs, executor=executor, progress=_make_progress(args))
+    run = run_jobs(jobs, executor=_make_executor(args),
+                   progress=_make_progress(args))
     if run.failures():
         print(run.failures()[0].error, file=sys.stderr)
         return 1
@@ -731,12 +731,6 @@ def _cmd_profile(args) -> int:
                  if r.value.get("profile")]
     for job_summary in summaries:
         profiler.merge(job_summary)
-    # Cluster backends additionally collect the workers' own runtime
-    # spans (store round-trips, chunk wall time) broker-side; fold
-    # them into the job-level profile so the table covers the fleet.
-    worker_prof = getattr(executor, "last_worker_profile", None)
-    if worker_prof:
-        profiler.merge(worker_prof)
     summary = profiler.summary()
     profiled = len(summaries)
     mode = "vectorised" if args.kernel == "auto" else f"{args.kernel}-kernel"

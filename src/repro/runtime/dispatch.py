@@ -18,16 +18,10 @@ with two implementations behind it:
 * :class:`LocalDispatcher` — today's path: one in-process backend,
   awaited through :func:`~repro.runtime.backends.arun`.
 * :class:`BrokerDispatcher` — the fleet path: each submitted batch is
-  written into a spool as a broker chunk, external workers (``repro
+  written into a spool as one broker chunk, external workers (``repro
   worker`` agents, typically operated by ``repro supervise``) claim and
-  execute it, and a single non-blocking **watcher task** tails the
-  spool's result files — the same incremental-poll pattern as
-  :class:`~repro.runtime.obs.JournalTailer`: only outstanding chunks
-  are examined each poll, every published file is consumed exactly
-  once, and the event loop never blocks on filesystem I/O (each scan
-  runs in a worker thread).  As a chunk's result file lands, the
-  batch's future resolves and the per-job results stream back to the
-  submitters.
+  execute it, and the submission polls its own broker off the event
+  loop until the chunk's per-job results land.
 
 Because each submission runs through a private
 :class:`~repro.runtime.dist.Broker`, the fleet path inherits the whole
@@ -41,13 +35,12 @@ from __future__ import annotations
 
 import asyncio
 import pathlib
-import threading
 import time
-from dataclasses import dataclass, field
 from typing import AsyncIterator, Iterable, Protocol, runtime_checkable
 
 from . import obs
 from .backends import Backend, JobResult, arun, make_backend
+from .dist import DEFAULT_MAX_ATTEMPTS, Broker
 from .jobs import JobSpec
 
 __all__ = [
@@ -137,38 +130,24 @@ class LocalDispatcher:
         }
 
 
-@dataclass
-class _Flight:
-    """One in-flight submission on the broker plane: its private broker
-    (chunk bookkeeping, requeue, retry budget), the future its submitter
-    awaits (resolves to the ordered result list) and the wall-clock
-    deadline after which outstanding chunks fail structurally."""
-
-    broker: object
-    future: asyncio.Future
-    deadline: float | None = None
-    submitted_at: float = field(default=0.0)
-
-
 class BrokerDispatcher:
     """The fleet execution plane: serve batches as spool chunks.
 
-    Each :meth:`submit` writes the batch into the shared spool through
-    a private :class:`~repro.runtime.dist.Broker` (one chunk per batch
-    by default), so the chunk inherits the queue's full crash story —
-    atomic spool writes, lease TTL + heartbeat, requeue on dead
-    workers, bounded retries, structured failures.  External ``repro
-    worker`` agents (usually a ``repro supervise``-managed fleet)
-    execute the chunks through the ordinary runner registry; payload
-    -carrying ``sample_eval`` jobs cross the spool via the ``events``
-    codec (:func:`~repro.runtime.jobs.spec_to_doc`).
+    Each :meth:`submit` writes its batch into the shared spool as one
+    chunk through a private :class:`~repro.runtime.dist.Broker`, so the
+    chunk inherits the queue's full crash story — atomic spool writes,
+    lease TTL + heartbeat, requeue on dead workers, bounded retries
+    (the broker's default budget), structured failures.  External
+    ``repro worker`` agents (usually a ``repro supervise``-managed
+    fleet) execute the chunks through the ordinary runner registry;
+    payload-carrying ``sample_eval`` jobs cross the spool via the
+    ``events`` codec (:func:`~repro.runtime.jobs.spec_to_doc`).
 
-    A single watcher task tails the spool's result files for all
-    in-flight submissions, the :class:`~repro.runtime.obs.JournalTailer`
-    way: non-blocking (each scan runs in a worker thread), incremental
-    (only outstanding chunks are examined), and consume-once.  When a
-    submission's chunks have all resolved, its future fires and
-    :meth:`submit` streams the per-job results back in input order.
+    The submission then polls its own broker until the chunk resolves:
+    one :meth:`~repro.runtime.dist.Broker.poll_once` in a worker thread
+    per ``poll_s``, so the event loop never blocks on filesystem I/O.
+    A submission that exits unresolved (timeout aside: cancelled, or
+    woken by :meth:`aclose`) removes its spool files on the way out.
 
     The dispatcher itself holds no worker processes: point
     ``repro serve --dispatch broker --spool DIR`` and any number of
@@ -183,47 +162,31 @@ class BrokerDispatcher:
         spool_dir: str | pathlib.Path,
         lease_ttl_s: float = 30.0,
         poll_s: float = 0.02,
-        max_attempts: int = 3,
-        chunk_size: int | None = None,
         timeout: float | None = None,
-        clock=None,
     ) -> None:
         """Args:
             spool_dir: the shared spool directory the worker fleet
                 watches (created if missing).
             lease_ttl_s: worker lease TTL per chunk; an expired lease
                 requeues the chunk (dead-worker recovery).
-            poll_s: result-watcher poll cadence.
-            max_attempts: per-chunk retry budget before the chunk's
-                jobs resolve as structured failures.
-            chunk_size: jobs per spool chunk (None = one chunk per
-                submitted batch, matching the serve micro-batch).
+            poll_s: how often a submission polls for its result.
             timeout: per-submission deadline in seconds; on expiry the
                 outstanding jobs resolve as structured ``ok=False``
                 failures (None = wait for the fleet forever).
-            clock: wall-clock override for lease expiry checks (tests).
 
         Raises:
-            ValueError: non-positive ``poll_s``, ``chunk_size`` or
-                ``timeout``.
+            ValueError: non-positive ``poll_s`` or ``timeout``.
         """
         if poll_s <= 0:
             raise ValueError("poll_s must be positive")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         self.spool = pathlib.Path(spool_dir)
         self.lease_ttl_s = lease_ttl_s
         self.poll_s = poll_s
-        self.max_attempts = max_attempts
-        self.chunk_size = chunk_size
         self.timeout = timeout
-        self.clock = clock
-        self._flights: list[_Flight] = []
-        self._lock = threading.Lock()
-        self._watcher: asyncio.Task | None = None
-        self._closing = False
+        self._closed = asyncio.Event()
+        self._in_flight = 0
         registry = obs.get_registry()
         self._m_batches = registry.counter(
             "repro_dispatch_batches_total",
@@ -232,21 +195,8 @@ class BrokerDispatcher:
             "repro_dispatch_broker_in_flight",
             "Serve batches currently spooled and awaiting the fleet.")
 
-    def _make_broker(self):
-        """A fresh private broker for one submission (fresh run nonce,
-        so chunk ids can never collide across a server's lifetime)."""
-        from .dist import Broker
-
-        return Broker(
-            self.spool,
-            lease_ttl_s=self.lease_ttl_s,
-            poll_s=self.poll_s,
-            max_attempts=self.max_attempts,
-            clock=self.clock,
-        )
-
     async def submit(self, specs: Iterable[JobSpec]) -> AsyncIterator[JobResult]:
-        """Spool ``specs`` as broker chunk(s) and stream the fleet's
+        """Spool ``specs`` as one broker chunk and stream the fleet's
         results back in input order.
 
         The call returns results only when the fleet (or the retry
@@ -260,107 +210,45 @@ class BrokerDispatcher:
         specs = list(specs)
         if not specs:
             return
-        if self._closing:
+        if self._closed.is_set():
             raise RuntimeError("dispatcher is closed")
-        loop = asyncio.get_running_loop()
-        broker = self._make_broker()
-        chunk_size = self.chunk_size if self.chunk_size is not None else len(specs)
-        # Spool writes are filesystem I/O: off the event loop.
-        await asyncio.to_thread(broker.submit, specs, chunk_size)
-        self._m_batches.inc(dispatcher=self.name)
-        flight = _Flight(
-            broker=broker,
-            future=loop.create_future(),
-            deadline=(None if self.timeout is None
-                      else time.monotonic() + self.timeout),
-            submitted_at=time.monotonic(),
-        )
-        with self._lock:
-            self._flights.append(flight)
-        self._g_in_flight.set(len(self._flights))
-        self._ensure_watcher()
+        # A fresh broker per submission: a fresh run nonce, so chunk
+        # ids never collide across a server's lifetime.
+        broker = Broker(self.spool, lease_ttl_s=self.lease_ttl_s,
+                        poll_s=self.poll_s)
+        deadline = None if self.timeout is None else time.monotonic() + self.timeout
+        results = None
+        self._in_flight += 1
+        self._g_in_flight.set(self._in_flight)
         try:
-            results: list[JobResult] = await flight.future
+            await _off_loop(broker.submit, specs, len(specs))
+            self._m_batches.inc(dispatcher=self.name)
+            while not await _off_loop(broker.poll_once):
+                if deadline is not None and time.monotonic() > deadline:
+                    await _off_loop(
+                        broker.fail_outstanding,
+                        f"no fleet answer within {self.timeout:g}s "
+                        f"(spool {self.spool})")
+                    break
+                try:
+                    await asyncio.wait_for(self._closed.wait(), self.poll_s)
+                except asyncio.TimeoutError:
+                    continue
+                raise RuntimeError("dispatcher is closed")
+            results = broker.results_in_order()
         finally:
-            with self._lock:
-                if flight in self._flights:
-                    self._flights.remove(flight)
-            self._g_in_flight.set(len(self._flights))
+            self._in_flight -= 1
+            self._g_in_flight.set(self._in_flight)
+            if results is None:
+                broker.close()
         for result in results:
             yield result
 
-    # -- the result watcher ----------------------------------------------
-    def _ensure_watcher(self) -> None:
-        if self._watcher is None or self._watcher.done():
-            self._watcher = asyncio.get_running_loop().create_task(
-                self._watch_loop())
-
-    def _scan_blocking(self) -> list[tuple[_Flight, list[JobResult]]]:
-        """One incremental pass over every in-flight submission (runs in
-        a worker thread).  For each, ingest any published result files,
-        requeue expired leases, fail out past-deadline chunks — and
-        collect the submissions that are now fully resolved."""
-        done = []
-        now = time.monotonic()
-        with self._lock:
-            for flight in self._flights:
-                if flight.future.done():
-                    continue
-                broker = flight.broker
-                if (flight.deadline is not None and now > flight.deadline
-                        and broker.outstanding()):
-                    broker.fail_outstanding(
-                        f"no fleet answer within {self.timeout:g}s "
-                        f"(spool {self.spool})")
-                if broker.poll_once():
-                    done.append((flight, broker.results_in_order()))
-        return done
-
-    async def _watch_loop(self) -> None:
-        """Poll the spool until no submission is in flight, resolving
-        each submission's future as its chunks land.  A watcher-level
-        fault (unreadable spool root, for instance) fails every pending
-        future rather than hanging its submitters."""
-        try:
-            while True:
-                done = await asyncio.to_thread(self._scan_blocking)
-                for flight, results in done:
-                    if not flight.future.done():
-                        flight.future.set_result(results)
-                with self._lock:
-                    idle = not self._flights
-                if idle:
-                    return
-                await asyncio.sleep(self.poll_s)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            with self._lock:
-                pending = list(self._flights)
-            for flight in pending:
-                if not flight.future.done():
-                    flight.future.set_exception(
-                        RuntimeError(f"broker dispatch watcher failed: {exc!r}"))
-
     async def aclose(self) -> None:
-        """Stop the watcher, fail any still-pending submissions and
-        drop this dispatcher's leftover spool files.  Safe to call more
-        than once."""
-        self._closing = True
-        if self._watcher is not None:
-            self._watcher.cancel()
-            try:
-                await self._watcher
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._watcher = None
-        with self._lock:
-            pending, self._flights = list(self._flights), []
-        for flight in pending:
-            if not flight.future.done():
-                flight.future.set_exception(RuntimeError("dispatcher is closed"))
-            await asyncio.to_thread(flight.broker.close)
-        self._g_in_flight.set(0)
+        """Close the dispatcher: new submissions are rejected, and every
+        waiting one wakes at once, removes its spool files and raises
+        ``RuntimeError``.  Safe to call more than once."""
+        self._closed.set()
 
     def describe(self) -> dict:
         """Identity document: dispatcher, spool path and queue knobs."""
@@ -368,6 +256,18 @@ class BrokerDispatcher:
             "dispatcher": self.name,
             "spool": str(self.spool),
             "lease_ttl_s": self.lease_ttl_s,
-            "max_attempts": self.max_attempts,
+            "max_attempts": DEFAULT_MAX_ATTEMPTS,
             "timeout": self.timeout,
         }
+
+
+async def _off_loop(fn, *args):
+    """Run blocking spool I/O in a worker thread.  On cancellation, wait
+    for the thread to finish before re-raising (a thread cannot be
+    interrupted), so the caller's cleanup never races a spool write."""
+    hop = asyncio.ensure_future(asyncio.to_thread(fn, *args))
+    try:
+        return await asyncio.shield(hop)
+    except asyncio.CancelledError:
+        await asyncio.wait([hop])
+        raise

@@ -67,7 +67,6 @@ from . import obs
 from ._fsutil import atomic_write_bytes
 from .backends import JobResult, _execute_one, register_backend
 from .jobs import JobSpec, spec_from_doc, spec_to_doc
-from .profile import Profiler
 
 __all__ = [
     "DIST_SCHEMA",
@@ -85,6 +84,9 @@ __all__ = [
 #: Version stamp on every chunk, claim and result envelope; a spool
 #: written by a different schema reads as corrupt, never as wrong work.
 DIST_SCHEMA = 1
+
+#: A broker's default per-chunk retry budget.
+DEFAULT_MAX_ATTEMPTS = 3
 
 #: Subdirectories making up a spool.
 _SPOOL_DIRS = ("chunks", "claims", "results")
@@ -356,9 +358,9 @@ def write_chunk_result(
     :class:`~repro.runtime.backends.JobResult` fields) or
     ``chunk_error`` (a chunk-level failure such as a corrupt chunk
     file, which the broker expands into per-job structured failures).
-    ``obs_doc`` optionally piggybacks the worker's observability
-    payload — ``{"metrics": <snapshot>, "profile": <summary>}`` — which
-    the broker merges on ingest; old brokers ignore the extra key.
+    ``obs_doc`` optionally piggybacks the worker's chunk metrics —
+    ``{"metrics": <snapshot>}`` — which the broker merges on ingest;
+    old brokers ignore the extra key.
     """
     doc: dict = {"schema": DIST_SCHEMA, "chunk": chunk_id, "worker": worker_id}
     if chunk_error is not None:
@@ -372,19 +374,11 @@ def write_chunk_result(
 
 # -- worker -----------------------------------------------------------------
 
-def _execute_spec(spec: JobSpec, store, profiler: Profiler | None = None) -> JobResult:
-    """Run one spec, short-circuiting and write-through-ing ``store``.
-
-    With a ``profiler``, the store read, the execution and the store
-    write-through are timed as ``worker.store.get`` /
-    ``worker.execute`` / ``worker.store.put`` spans — the worker's own
-    runtime profile shipped back to the broker in the result envelope.
-    """
-    prof = profiler or Profiler(enabled=False)
+def _execute_spec(spec: JobSpec, store) -> JobResult:
+    """Run one spec, short-circuiting and write-through-ing ``store``."""
     if store is not None:
         try:
-            with prof.span("worker.store.get"):
-                hit = store.get(spec)
+            hit = store.get(spec)
         except OSError:
             hit = None
         if hit is not None:
@@ -392,12 +386,10 @@ def _execute_spec(spec: JobSpec, store, profiler: Profiler | None = None) -> Job
                 job_hash=hit.job_hash, kind=hit.kind, ok=True, value=hit.value,
                 error=None, duration_s=hit.duration_s, cached=True,
             )
-    with prof.span("worker.execute"):
-        result = _execute_one(spec)
+    result = _execute_one(spec)
     if store is not None and result.ok:
         try:
-            with prof.span("worker.store.put"):
-                store.put(spec, result.value, result.duration_s)
+            store.put(spec, result.value, result.duration_s)
         except (OSError, TypeError, ValueError):
             pass  # memoisation lost, result kept
     return result
@@ -512,18 +504,16 @@ def worker_loop(
                 continue
             # Execute under the chunk's trace (embedded by the broker at
             # submit and preserved across requeues), so store writes and
-            # any nested spans share the sweep's trace ID.  The worker's
-            # own runtime spans ship back as a profile summary in the
-            # result envelope — the broker may be on another machine —
-            # and the broker merges it into ``Broker.worker_profile``.
-            prof = Profiler()
+            # any nested spans share the sweep's trace ID.
             with obs.activate(trace):
                 obs.emit("worker.claim", worker=worker_id, chunk=chunk_id,
                          jobs=len(specs))
-                records = [_safe_record(_execute_spec(spec, store, prof))
+                records = [_safe_record(_execute_spec(spec, store))
                            for spec in specs]
             chunk_s = time.perf_counter() - started
-            prof.add("worker.chunk", chunk_s)
+            # The chunk's metrics ship back in the result envelope (the
+            # broker may be on another machine), which the broker merges
+            # into its own registry.
             chunk_metrics = obs.MetricsRegistry()
             chunk_metrics.counter(
                 "repro_worker_chunks_total",
@@ -538,8 +528,7 @@ def worker_loop(
                         chunk_s, worker=worker_id)
             write_chunk_result(
                 spool, chunk_id, worker_id, records=records,
-                obs_doc={"metrics": chunk_metrics.snapshot(),
-                         "profile": prof.summary()})
+                obs_doc={"metrics": chunk_metrics.snapshot()})
         claimed.unlink(missing_ok=True)
         release_claim(spool, chunk_id)
         done += 1
@@ -602,7 +591,7 @@ class Broker:
         spool_dir: str | os.PathLike,
         lease_ttl_s: float = 30.0,
         poll_s: float = 0.05,
-        max_attempts: int = 3,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         clock=None,
     ) -> None:
         """Args: the spool directory, the worker lease TTL, the collect
@@ -620,10 +609,6 @@ class Broker:
         self.max_attempts = max_attempts
         self.clock = clock or time.time
         self.stats = BrokerStats()
-        #: Fleet-wide merge of the workers' own runtime spans
-        #: (``worker.execute``, ``worker.store.*``), accumulated from
-        #: the ``obs`` payload of every ingested result envelope.
-        self.worker_profile = Profiler()
         self._chunks: list[_Chunk] = []
         self._run = uuid.uuid4().hex[:8]
         self._metrics = obs.get_registry().counter(
@@ -820,10 +805,9 @@ class Broker:
         self._cleanup_chunk(chunk)
 
     def _merge_obs(self, chunk: _Chunk, doc: dict) -> None:
-        """Fold the worker's piggybacked observability payload (chunk
-        metrics snapshot + the worker's own runtime profile) into the
-        broker's registry and :attr:`worker_profile`; malformed payloads
-        are dropped rather than failing the ingest."""
+        """Fold the worker's piggybacked chunk metrics snapshot into the
+        broker's registry; malformed payloads are dropped rather than
+        failing the ingest."""
         payload = doc.get("obs")
         if not isinstance(payload, dict):
             return
@@ -831,12 +815,6 @@ class Broker:
         if isinstance(metrics, dict):
             try:
                 obs.get_registry().merge(metrics)
-            except (ValueError, TypeError, KeyError):
-                pass
-        profile = payload.get("profile")
-        if isinstance(profile, dict):
-            try:
-                self.worker_profile.merge(profile)
             except (ValueError, TypeError, KeyError):
                 pass
 
@@ -866,11 +844,11 @@ class Broker:
 
         Ingests any published result files for outstanding chunks and
         requeues expired/corrupt leases — exactly one iteration of the
-        :meth:`collect` loop, exposed so an async caller (the serving
-        front end's :class:`~repro.runtime.dispatch.BrokerDispatcher`)
-        can drive the broker from a watcher task instead of blocking in
-        ``collect``.  The scan is incremental: already-resolved chunks
-        are never re-examined.
+        :meth:`collect` loop, exposed so an async caller (each
+        :class:`~repro.runtime.dispatch.BrokerDispatcher` submission)
+        can poll its broker from a worker thread between waits instead
+        of blocking in ``collect``.  The scan is incremental:
+        already-resolved chunks are never re-examined.
         """
         for chunk in self._chunks:
             if chunk.results is None:
@@ -986,55 +964,48 @@ class ClusterBackend:
     """
 
     name = "cluster"
+    #: Chunks per worker when ``chunk_size`` is not given.
+    CHUNKS_PER_WORKER = 2
 
     def __init__(
         self,
         workers: int | None = None,
         spool_dir: str | os.PathLike | None = None,
         chunk_size: int | None = None,
-        chunks_per_worker: int = 2,
         lease_ttl_s: float = 30.0,
         poll_s: float = 0.02,
-        max_attempts: int = 3,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         spawn_workers: bool = True,
-        start_method: str | None = None,
         timeout: float | None = None,
     ) -> None:
-        """Args mirror the process backend (workers, chunk sizing,
-        start method) plus the queue knobs: ``spool_dir`` (None = a
-        private temp spool per run), ``lease_ttl_s``/``max_attempts``
-        for dead-worker recovery, ``spawn_workers=False`` to attach to
-        an external fleet, and ``timeout`` as a hard bound on one run."""
+        """Args mirror the process backend (``workers``; ``chunk_size``,
+        else ``CHUNKS_PER_WORKER`` chunks per worker) plus the queue
+        knobs: ``spool_dir`` (None = a private temp spool per run),
+        ``lease_ttl_s``/``max_attempts`` for dead-worker recovery,
+        ``spawn_workers=False`` to attach to an external fleet, and
+        ``timeout`` as a hard bound on one run."""
         self.workers = workers if workers is not None else max(2, min(4, os.cpu_count() or 2))
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if chunks_per_worker < 1:
-            raise ValueError("chunks_per_worker must be positive")
         self.spool_dir = spool_dir
         self.chunk_size = chunk_size
-        self.chunks_per_worker = chunks_per_worker
         self.lease_ttl_s = lease_ttl_s
         self.poll_s = poll_s
         self.max_attempts = max_attempts
         self.spawn_workers = spawn_workers
-        self.start_method = start_method
         self.timeout = timeout
         self.last_stats: BrokerStats | None = None
-        #: After a run: the fleet-merged worker runtime profile summary
-        #: (``repro profile --backend cluster`` folds this in so
-        #: distributed profiles match local ones).
-        self.last_worker_profile: dict | None = None
 
     def _chunk_size_for(self, n_specs: int) -> int:
         if self.chunk_size is not None:
             return self.chunk_size
-        return max(1, math.ceil(n_specs / (self.workers * self.chunks_per_worker)))
+        return max(1, math.ceil(n_specs / (self.workers * self.CHUNKS_PER_WORKER)))
 
-    def _spawn(self, ctx, spool: pathlib.Path, seq: int):
+    def _spawn(self, spool: pathlib.Path, seq: int):
         worker_id = f"local-{self._run_nonce}-{seq}"
-        proc = ctx.Process(
+        proc = multiprocessing.Process(
             target=_spawned_worker,
             args=(str(spool), worker_id, self.poll_s, self.lease_ttl_s),
             daemon=True,
@@ -1073,11 +1044,10 @@ class ClusterBackend:
             broker.submit(specs, chunk_size=self._chunk_size_for(len(specs)))
             watchdog = None
             if self.spawn_workers:
-                ctx = multiprocessing.get_context(self.start_method)
                 n_procs = min(self.workers, len(broker.chunk_ids))
                 seq = [0]
                 for _ in range(n_procs):
-                    wid, proc = self._spawn(ctx, spool, seq[0])
+                    wid, proc = self._spawn(spool, seq[0])
                     procs[wid] = proc
                     seq[0] += 1
                 respawn_budget = [2 * self.workers]
@@ -1093,7 +1063,7 @@ class ClusterBackend:
                             broker.expire_worker(wid)
                             if broker.outstanding() and respawn_budget[0] > 0:
                                 respawn_budget[0] -= 1
-                                new_id, new_proc = self._spawn(ctx, spool, seq[0])
+                                new_id, new_proc = self._spawn(spool, seq[0])
                                 procs[new_id] = new_proc
                                 seq[0] += 1
                     if (not procs and broker.outstanding()
@@ -1106,7 +1076,6 @@ class ClusterBackend:
             results = broker.collect(on_result=on_result, timeout=self.timeout,
                                      watchdog=watchdog)
             self.last_stats = broker.stats
-            self.last_worker_profile = broker.worker_profile.summary()
             return results
         finally:
             obs.flush_metrics()

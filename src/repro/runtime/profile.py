@@ -60,21 +60,13 @@ class Profiler:
     merge, so per-worker profiles combine into one fleet view.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        """Start an empty profiler; elapsed time counts from here.
-
-        ``enabled=False`` makes every :meth:`add` (and therefore every
-        :meth:`span`) a no-op, so call sites can thread one profiler
-        object unconditionally and pay nothing when profiling is off.
-        """
-        self.enabled = enabled
+    def __init__(self) -> None:
+        """Start an empty profiler; elapsed time counts from here."""
         self.spans: dict[str, SpanStats] = {}
         self._started = time.perf_counter()
 
     def add(self, name: str, wall_s: float, count: int = 1, events: int = 0) -> None:
         """Accumulate one measurement into the span called ``name``."""
-        if not self.enabled:
-            return
         span = self.spans.get(name)
         if span is None:
             span = self.spans[name] = SpanStats(name)

@@ -167,7 +167,6 @@ class Supervisor:
         respawn_budget: int = 16,
         cache_dir: str | None = None,
         max_bytes: int | None = None,
-        start_method: str | None = None,
         worker_factory=None,
         clock=None,
         slo_rules=None,
@@ -191,8 +190,6 @@ class Supervisor:
             cache_dir: optional result-store directory for workers'
                 read/write-through (None = no store).
             max_bytes: optional size cap for that store.
-            start_method: multiprocessing start method for the default
-                worker factory (None = platform default).
             worker_factory: ``factory(seq) -> (worker_id, handle)``
                 override; handles need ``is_alive()``, ``terminate()``,
                 ``join(timeout)`` and ``pid``.  Default spawns
@@ -228,7 +225,6 @@ class Supervisor:
         self.gc_ttl_s = gc_ttl_s
         self.cache_dir = cache_dir
         self.max_bytes = max_bytes
-        self.start_method = start_method
         self.clock = clock or time.time
         self.stats = SupervisorStats()
         self.desired = min_workers
@@ -272,9 +268,8 @@ class Supervisor:
 
     def _default_factory(self, seq: int):
         """Spawn one daemon worker process; returns ``(wid, process)``."""
-        ctx = multiprocessing.get_context(self.start_method)
         wid = f"sup-{self._nonce}-{seq}"
-        proc = ctx.Process(
+        proc = multiprocessing.Process(
             target=_supervised_worker,
             args=(str(self.spool), wid, self.worker_poll_s, self.lease_ttl_s,
                   self.cache_dir, self.max_bytes),

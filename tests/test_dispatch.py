@@ -12,8 +12,10 @@ codes against, so these tests pin what clients of the seam depend on:
   broker-per-submission rule);
 * a fleet that never answers resolves as structured ``ok=False``
   failures at the per-submission timeout, never as a hang;
-* ``aclose()`` fails pending submissions instead of stranding them,
-  and a closed dispatcher rejects new work;
+* ``aclose()`` wakes pending submissions at once and fails them
+  instead of stranding them, and a closed dispatcher rejects new work;
+* a submission that exits unresolved (cancelled, or closed) leaves no
+  file behind in the spool;
 * ``AsyncServer()`` defaults to a local ``thread`` plane and takes
   keyword arguments only, so a stale positional backend name fails
   loudly instead of binding to ``cache``.
@@ -21,6 +23,7 @@ codes against, so these tests pin what clients of the seam depend on:
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -36,7 +39,7 @@ from repro.runtime import (
     register_runner,
 )
 from repro.runtime.backends import arun
-from repro.runtime.dist import worker_loop
+from repro.runtime.dist import Broker, worker_loop
 from tests.test_wire_codec import make_sample_spec
 
 
@@ -171,7 +174,7 @@ class TestBrokerDispatcher:
         assert got.job_hash == spec.job_hash
         assert got.value == reference
 
-    def test_concurrent_submissions_share_one_watcher(self, fleet):
+    def test_concurrent_submissions_each_get_their_own_results(self, fleet):
         async def body():
             bd = BrokerDispatcher(fleet, poll_s=0.01)
             try:
@@ -221,11 +224,57 @@ class TestBrokerDispatcher:
 
         run_async(body())
 
+    def test_aclose_wakes_a_waiting_submission_at_once(self, tmp_path):
+        # poll_s far beyond the bound: only the close event can wake the
+        # submitter in time.
+        async def body():
+            bd = BrokerDispatcher(tmp_path / "dead", poll_s=5.0)
+
+            async def consume():
+                return [r async for r in bd.submit([disp_spec(0)])]
+
+            task = asyncio.ensure_future(consume())
+            await asyncio.sleep(0.05)  # spooled, waiting out poll_s
+            await bd.aclose()
+            with pytest.raises(RuntimeError, match="closed"):
+                await asyncio.wait_for(task, 1.0)
+
+        run_async(body())
+
+    @pytest.mark.parametrize("spool_write_s", [0.0, 0.2])
+    def test_cancelled_submission_leaves_no_spool_files(
+            self, tmp_path, monkeypatch, spool_write_s):
+        # With a 0.2 s spool write the cancel lands while the write still
+        # runs in its thread: the cleanup must wait for it, not race it.
+        spool = tmp_path / "dead"
+        write = Broker.submit
+
+        def slow_write(self, specs, chunk_size=None):
+            time.sleep(spool_write_s)
+            return write(self, specs, chunk_size)
+
+        monkeypatch.setattr(Broker, "submit", slow_write)
+
+        async def body():
+            bd = BrokerDispatcher(spool, poll_s=0.01)
+
+            async def consume():
+                return [r async for r in bd.submit([disp_spec(0)])]
+
+            task = asyncio.ensure_future(consume())
+            await asyncio.sleep(0.05)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            await bd.aclose()
+
+        run_async(body())
+        for sub in ("chunks", "claims", "results"):
+            assert list((spool / sub).iterdir()) == [], sub
+
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="poll_s"):
             BrokerDispatcher("s", poll_s=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            BrokerDispatcher("s", chunk_size=0)
         with pytest.raises(ValueError, match="timeout"):
             BrokerDispatcher("s", timeout=0)
 

@@ -532,8 +532,6 @@ class TestClusterBackend:
             ClusterBackend(workers=0)
         with pytest.raises(ValueError):
             ClusterBackend(chunk_size=0)
-        with pytest.raises(ValueError):
-            ClusterBackend(chunks_per_worker=0)
 
 
 class TestShardedSweep:
@@ -665,10 +663,8 @@ class TestTracePropagation:
         assert len({evs[0]["trace_id"] for evs in by_chunk.values()}) == 1
 
     def test_worker_telemetry_merges_broker_side(self, tmp_path, obs_dir):
-        """Workers ship their own runtime spans and chunk metrics in
-        the result envelope; the broker folds them into the submitting
-        process's profile and registry (the `repro profile --backend
-        cluster` fix)."""
+        """Workers ship their chunk metrics in the result envelope; the
+        broker folds them into the submitting process's registry."""
         from repro.runtime import obs
 
         jobs = [sleep_job(i) for i in range(4)]
@@ -676,10 +672,6 @@ class TestTracePropagation:
                                  chunk_size=2, timeout=120.0)
         run = run_jobs(jobs, executor=backend)
         assert all(r.ok for r in run.results)
-        prof = backend.last_worker_profile
-        assert prof is not None
-        assert {"worker.chunk", "worker.execute"} <= set(prof["spans"])
-        assert prof["spans"]["worker.execute"]["count"] == 4
         chunks = obs.get_registry().counter("repro_worker_chunks_total")
         assert chunks.total() == 2
         seconds = obs.get_registry().histogram("repro_worker_chunk_seconds")
