@@ -53,6 +53,14 @@ Subcommands:
   a breach (``--watch`` re-evaluates continuously);
 * ``repro --version`` — the package version.
 
+A flag shared by several commands is declared by one ``_add_*``
+helper, so it parses alike everywhere: ``--lease-ttl`` is a positive
+number of seconds, and the store location and size cap default from
+``$REPRO_CACHE_DIR`` and ``$REPRO_CACHE_MAX_BYTES`` (``supervise``
+hands the resolved cap to its workers).  The daemons (``serve`` over
+TCP, ``worker``, ``supervise``) stop on SIGTERM as on Ctrl-C: draining
+requests, finishing the chunk, closing the fleet.
+
 Observability is enabled by ``--obs-dir DIR`` (or ``$REPRO_OBS_DIR``):
 every command then journals structured events to
 ``DIR/journal.ndjson`` and flushes its metric registry snapshot under
@@ -66,8 +74,7 @@ backend registered via
 ``cluster`` queue backend), so results are bit-identical across
 backends and late-registered names need no CLI edits.  ``repro sweep
 --shards N`` fans the grid out as hash-assigned shards that compose in
-one store.  The store location and size cap default from
-``$REPRO_CACHE_DIR`` and ``$REPRO_CACHE_MAX_BYTES``.
+one store.
 
 ``--kernel`` pins the SNE kernel implementation
 (:mod:`repro.hw.kernels`) on the simulation commands: every kernel is
@@ -86,6 +93,7 @@ hit rates and worker counts from the output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Sequence
 
@@ -194,6 +202,50 @@ def _add_kernel_flag(p: argparse.ArgumentParser) -> None:
                         "'auto' prefers numba when importable, default auto)")
 
 
+def _add_store_flags(p: argparse.ArgumentParser, store: str = "result store",
+                     no_cache: str | None = None) -> None:
+    """``--cache-dir`` and ``--max-bytes`` (read by :func:`_make_cache`),
+    plus ``--no-cache`` with help ``no_cache`` when given."""
+    p.add_argument("--cache-dir", default=None,
+                   help=f"{store} directory (default {default_cache_dir()})")
+    p.add_argument("--max-bytes", type=int, default=None,
+                   help="store size cap in bytes, LRU-evicted "
+                        "(default $REPRO_CACHE_MAX_BYTES or uncapped)")
+    if no_cache:
+        p.add_argument("--no-cache", action="store_true", help=no_cache)
+
+
+def _add_lease_flag(p: argparse.ArgumentParser, default: float, what: str) -> None:
+    p.add_argument("--lease-ttl", type=_positive_float, default=default,
+                   metavar="SECONDS", help=f"{what} (default {default:g})")
+
+
+def _add_quiet_flag(p: argparse.ArgumentParser, unit: str = "job") -> None:
+    p.add_argument("--quiet", action="store_true",
+                   help=f"suppress per-{unit} progress output")
+
+
+def _add_slo_flag(p: argparse.ArgumentParser, use: str) -> None:
+    # Read by _load_slo_rules; unset means the built-in rule set.
+    p.add_argument("--slo-rules", default=None, metavar="FILE",
+                   help=f"SLO rules file (JSON/TOML) {use} (default: the "
+                        "built-in rule set)")
+
+
+def _add_deployment_flags(p: argparse.ArgumentParser, per_class: int) -> None:
+    """The synthetic deployment :func:`_build_deployment` builds, plus
+    ``--kernel``."""
+    p.add_argument("--dataset", choices=("gesture", "nmnist"), default="gesture")
+    p.add_argument("--size", type=int, default=16, help="sensor plane size")
+    p.add_argument("--steps", type=int, default=12, help="timesteps per recording")
+    p.add_argument("--per-class", type=int, default=per_class,
+                   help="recordings per class")
+    p.add_argument("--slices", type=int, default=8, help="SNE slice count")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-samples", type=int, default=None)
+    _add_kernel_flag(p)
+
+
 def _warn_kernel_fleet(args) -> None:
     """Surface kernel capability gaps before a run starts.
 
@@ -234,6 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(name: str, run, summary: str) -> argparse.ArgumentParser:
+        # Each subcommand is wired to the function main() runs for it here.
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
+
     def add_common(p: argparse.ArgumentParser) -> None:
         _add_backend_flag(p, "serial, or process when --workers > 1")
         p.add_argument("--workers", type=_positive_int, default=None,
@@ -245,18 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "receive the chunks (default: a private "
                             "per-run temp spool served by spawned local "
                             "workers)")
-        p.add_argument("--cache-dir", default=None,
-                       help=f"result store directory (default {default_cache_dir()})")
-        p.add_argument("--max-bytes", type=int, default=None,
-                       help="store size cap in bytes, LRU-evicted "
-                            "(default $REPRO_CACHE_MAX_BYTES or uncapped)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="bypass the result store entirely")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress per-job progress output")
+        _add_store_flags(p, no_cache="bypass the result store entirely")
+        _add_quiet_flag(p)
         _add_obs_flag(p)
 
-    p_sweep = sub.add_parser("sweep", help="run a design-space sweep")
+    p_sweep = add("sweep", _cmd_sweep, "run a design-space sweep")
     p_sweep.add_argument("--slices", type=_int_list, default=[1, 2, 4, 8],
                          help="comma-separated slice counts (default 1,2,4,8)")
     p_sweep.add_argument("--voltages", type=_voltage_list, default=[None],
@@ -271,47 +322,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flag(p_sweep)
     add_common(p_sweep)
 
-    p_eval = sub.add_parser("eval", help="hardware-in-the-loop dataset evaluation")
-    p_eval.add_argument("--dataset", choices=("gesture", "nmnist"), default="gesture")
-    p_eval.add_argument("--size", type=int, default=16, help="sensor plane size")
-    p_eval.add_argument("--steps", type=int, default=12, help="timesteps per recording")
-    p_eval.add_argument("--per-class", type=int, default=2, help="recordings per class")
+    p_eval = add("eval", _cmd_eval, "hardware-in-the-loop dataset evaluation")
+    _add_deployment_flags(p_eval, per_class=2)
     p_eval.add_argument("--epochs", type=int, default=0,
                         help="training epochs before deployment (0 = untrained weights)")
-    p_eval.add_argument("--slices", type=int, default=8, help="SNE slice count")
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--max-samples", type=int, default=None)
-    _add_kernel_flag(p_eval)
     add_common(p_eval)
 
-    p_prof = sub.add_parser(
-        "profile",
-        help="per-stage hot-path profile of the cycle-level simulator",
-    )
-    p_prof.add_argument("--dataset", choices=("gesture", "nmnist"), default="gesture")
-    p_prof.add_argument("--size", type=int, default=16, help="sensor plane size")
-    p_prof.add_argument("--steps", type=int, default=12, help="timesteps per recording")
-    p_prof.add_argument("--per-class", type=int, default=1, help="recordings per class")
-    p_prof.add_argument("--slices", type=int, default=8, help="SNE slice count")
-    p_prof.add_argument("--seed", type=int, default=0)
-    p_prof.add_argument("--max-samples", type=int, default=None)
+    p_prof = add("profile", _cmd_profile,
+                 "per-stage hot-path profile of the cycle-level simulator")
+    _add_deployment_flags(p_prof, per_class=1)
     p_prof.add_argument("--json", metavar="PATH", default=None,
                         help="also write the span summary as JSON "
                              "('-' for stdout)")
-    _add_kernel_flag(p_prof)
     _add_backend_flag(p_prof, "serial — profiles merge across workers either way")
     p_prof.add_argument("--workers", type=_positive_int, default=None,
                         help="worker threads/processes for the chosen backend")
-    p_prof.add_argument("--quiet", action="store_true",
-                        help="suppress per-job progress output")
+    _add_quiet_flag(p_prof)
     _add_obs_flag(p_prof)
 
-    p_cache = sub.add_parser("cache", help="inspect, evict or clear the result store")
+    p_cache = add("cache", _cmd_cache, "inspect, evict or clear the result store")
     p_cache.add_argument("action", choices=("stats", "evict", "clear"))
-    p_cache.add_argument("--cache-dir", default=None)
-    p_cache.add_argument("--max-bytes", type=int, default=None,
-                         help="size target for evict (default "
-                              "$REPRO_CACHE_MAX_BYTES)")
+    _add_store_flags(p_cache)
     p_cache.add_argument("--detail", action="store_true",
                          help="with stats: per-entry hit counts (top "
                               "entries with kind and compute cost) and "
@@ -319,11 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--top", type=_positive_int, default=10,
                          help="how many entries --detail lists (default 10)")
 
-    p_worker = sub.add_parser(
-        "worker",
-        help="cluster work-queue agent: claim, execute and publish "
-             "spooled job chunks",
-    )
+    p_worker = add("worker", _cmd_worker,
+                   "cluster work-queue agent: claim, execute and publish "
+                   "spooled job chunks")
     p_worker.add_argument("--spool", required=True, metavar="DIR",
                           help="the shared spool directory a broker "
                                "(`repro sweep --backend cluster --spool "
@@ -334,30 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--poll", type=_positive_float, default=0.1,
                           metavar="SECONDS",
                           help="sleep between empty spool scans (default 0.1)")
-    p_worker.add_argument("--lease-ttl", type=_positive_float, default=30.0,
-                          metavar="SECONDS",
-                          help="claim lifetime; heartbeats refresh it at "
-                               "ttl/3 (default 30)")
+    _add_lease_flag(p_worker, 30.0, "claim lifetime; heartbeats refresh it at ttl/3")
     p_worker.add_argument("--drain", action="store_true",
                           help="exit once the spool has no unfinished "
                                "chunks (default: poll forever)")
     p_worker.add_argument("--max-chunks", type=_positive_int, default=None,
                           help="exit after publishing this many chunks")
-    p_worker.add_argument("--cache-dir", default=None,
-                          help="shared result store for read/write-through "
-                               f"(default {default_cache_dir()})")
-    p_worker.add_argument("--max-bytes", type=int, default=None,
-                          help="store size cap in bytes (default "
-                               "$REPRO_CACHE_MAX_BYTES or uncapped)")
-    p_worker.add_argument("--no-cache", action="store_true",
-                          help="execute without the shared store")
-    p_worker.add_argument("--quiet", action="store_true",
-                          help="suppress per-chunk progress output")
+    _add_store_flags(p_worker, "shared result store for read/write-through",
+                     no_cache="execute without the shared store")
+    _add_quiet_flag(p_worker, "chunk")
     _add_obs_flag(p_worker)
 
-    p_serve = sub.add_parser(
-        "serve", help="async streaming server: NDJSON requests over TCP/stdio"
-    )
+    p_serve = add("serve", _cmd_serve,
+                  "async streaming server: NDJSON requests over TCP/stdio")
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="TCP bind address (default 127.0.0.1; the "
                               "protocol is unauthenticated, bind wider "
@@ -389,26 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-connection in-flight window; a "
                               "connection at the limit stops being read "
                               "until answers drain (default 64)")
-    p_serve.add_argument("--lease-ttl", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="broker dispatch only: worker lease TTL per "
-                              "spooled batch (default 30)")
+    _add_lease_flag(p_serve, 30.0,
+                    "broker dispatch only: worker lease TTL per spooled batch")
     p_serve.add_argument("--dispatch-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="broker dispatch only: per-batch fleet "
                               "deadline; past it outstanding jobs fail "
                               "structurally (default: wait forever)")
-    p_serve.add_argument("--slo-rules", default=None, metavar="FILE",
-                         help="SLO rules file (JSON/TOML) backing the "
-                              "wire protocol's 'health' op (default: "
-                              "the built-in rule set)")
+    _add_slo_flag(p_serve, "backing the wire protocol's 'health' op")
     add_common(p_serve)
 
-    p_sup = sub.add_parser(
-        "supervise",
-        help="autoscaling fleet supervisor: operate workers off spool "
-             "signals and GC abandoned spool state",
-    )
+    p_sup = add("supervise", _cmd_supervise,
+                "autoscaling fleet supervisor: operate workers off spool "
+                "signals and GC abandoned spool state")
     p_sup.add_argument("--spool", required=True, metavar="DIR",
                        help="the shared spool directory to watch and serve")
     p_sup.add_argument("--min-workers", type=int, default=1,
@@ -430,10 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sup.add_argument("--idle-ticks", type=_positive_int, default=4,
                        help="consecutive empty ticks before scaling down "
                             "(default 4)")
-    p_sup.add_argument("--lease-ttl", type=_positive_float, default=30.0,
-                       metavar="SECONDS",
-                       help="lease TTL handed to spawned workers "
-                            "(default 30)")
+    _add_lease_flag(p_sup, 30.0, "lease TTL handed to spawned workers")
     p_sup.add_argument("--gc-ttl", type=_positive_float, default=900.0,
                        metavar="SECONDS",
                        help="age beyond which abandoned claims, chunks "
@@ -444,28 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sup.add_argument("--max-ticks", type=_positive_int, default=None,
                        help="exit after this many ticks (smoke/CI; "
                             "default: run until interrupted)")
-    p_sup.add_argument("--cache-dir", default=None,
-                       help="result store for workers' read/write-through "
-                            f"(default {default_cache_dir()})")
-    p_sup.add_argument("--max-bytes", type=int, default=None,
-                       help="store size cap in bytes (default "
-                            "$REPRO_CACHE_MAX_BYTES or uncapped)")
-    p_sup.add_argument("--no-cache", action="store_true",
-                       help="spawn workers without the shared store")
-    p_sup.add_argument("--slo-rules", default=None, metavar="FILE",
-                       help="SLO rules file (JSON/TOML); the supervisor "
-                            "then journals an slo.breach event when a "
-                            "rule newly starts burning (default: the "
-                            "built-in rule set; needs --obs-dir)")
-    p_sup.add_argument("--quiet", action="store_true",
-                       help="suppress per-event progress output")
+    _add_store_flags(p_sup, "result store for workers' read/write-through",
+                     no_cache="spawn workers without the shared store")
+    _add_slo_flag(p_sup, "whose rules journal an slo.breach event when they "
+                         "newly start burning (needs --obs-dir)")
+    _add_quiet_flag(p_sup, "event")
     _add_obs_flag(p_sup)
 
-    p_chaos = sub.add_parser(
-        "chaos-soak",
-        help="seeded chaos soak: supervised fleet + fault injection, "
-             "verified bit-identical to a serial run",
-    )
+    p_chaos = add("chaos-soak", _cmd_chaos,
+                  "seeded chaos soak: supervised fleet + fault injection, "
+                  "verified bit-identical to a serial run")
     p_chaos.add_argument("--spool", default=None, metavar="DIR",
                          help="spool directory (default: a private temp "
                               "spool, removed afterwards)")
@@ -495,18 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="supervisor fleet floor (default 1)")
     p_chaos.add_argument("--max-workers", type=_positive_int, default=3,
                          help="supervisor fleet ceiling (default 3)")
-    p_chaos.add_argument("--lease-ttl", type=_positive_float, default=1.5,
-                         metavar="SECONDS",
-                         help="worker lease TTL; bounds requeue latency "
-                              "after a kill (default 1.5)")
-    p_chaos.add_argument("--quiet", action="store_true",
-                         help="suppress per-round progress output")
+    _add_lease_flag(p_chaos, 1.5,
+                    "worker lease TTL; bounds requeue latency after a kill")
+    _add_quiet_flag(p_chaos, "round")
     _add_obs_flag(p_chaos)
 
-    p_metrics = sub.add_parser(
-        "metrics",
-        help="snapshot the merged observability metrics registry",
-    )
+    p_metrics = add("metrics", _cmd_metrics,
+                    "snapshot the merged observability metrics registry")
     group = p_metrics.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true",
                        help="emit the raw merged snapshot document")
@@ -514,10 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit Prometheus text exposition format")
     _add_obs_flag(p_metrics)
 
-    p_top = sub.add_parser(
-        "top",
-        help="live fleet dashboard over the observability journal",
-    )
+    p_top = add("top", _cmd_top,
+                "live fleet dashboard over the observability journal")
     p_top.add_argument("--interval", type=_positive_float, default=1.0,
                        metavar="SECONDS",
                        help="refresh cadence (default 1.0)")
@@ -526,16 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="throughput averaging window (default 10)")
     p_top.add_argument("--once", action="store_true",
                        help="render a single frame and exit (scripts/CI)")
-    p_top.add_argument("--slo-rules", default=None, metavar="FILE",
-                       help="SLO rules file for the alerts panel "
-                            "(default: the built-in rule set)")
+    _add_slo_flag(p_top, "for the alerts panel")
     _add_obs_flag(p_top)
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="trace analytics: list, waterfall and critical-path the "
-             "journal's span trees",
-    )
+    p_trace = add("trace", _cmd_trace,
+                  "trace analytics: list, waterfall and critical-path the "
+                  "journal's span trees")
     p_trace.add_argument("action", choices=("ls", "show", "critical-path"),
                          help="ls = slowest/failed traces; show = one "
                               "trace's cross-process waterfall; "
@@ -552,11 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 20)")
     _add_obs_flag(p_trace)
 
-    p_slo = sub.add_parser(
-        "slo",
-        help="evaluate declarative SLO rules against the journal and "
-             "metrics registry",
-    )
+    p_slo = add("slo", _cmd_slo,
+                "evaluate declarative SLO rules against the journal and "
+                "metrics registry")
     p_slo.add_argument("action", choices=("check",),
                        help="check = evaluate every rule once (or "
                             "continuously with --watch)")
@@ -586,6 +569,8 @@ def _make_executor(args):
 
 
 def _make_cache(args) -> ResultStore | None:
+    """The store named by :func:`_add_store_flags` (location and cap
+    defaulting from the environment), or None under ``--no-cache``."""
     if getattr(args, "no_cache", False):
         return None
     return open_store(args.cache_dir, max_bytes=args.max_bytes)
@@ -593,6 +578,83 @@ def _make_cache(args) -> ResultStore | None:
 
 def _make_progress(args) -> Progress:
     return Progress() if args.quiet else ConsoleProgress()
+
+
+def _load_slo_rules(path: str | None):
+    """The rules in ``path``; None (read by ``AsyncServer``, ``Supervisor``
+    and ``SLOMonitor`` as the built-in rule set) when no file is named."""
+    from .slo import load_rules
+
+    return load_rules(path) if path else None
+
+
+def _build_deployment(args):
+    """The ``(dataset, HardwareEvaluator)`` pair ``eval`` and ``profile``
+    run: a synthetic dataset and the small network on it, trained for
+    ``--epochs`` when positive, compiled onto ``--slices`` slices."""
+    from ..events.datasets import SyntheticDVSGesture, SyntheticNMNIST
+    from ..hw.config import PAPER_CONFIG
+    from ..hw.mapper import compile_network
+    from ..hw.runner import HardwareEvaluator
+    from ..snn.topology import build_small_network
+
+    if args.dataset == "gesture":
+        maker = SyntheticDVSGesture(size=args.size, n_steps=args.steps)
+    else:
+        # Largest glyph magnification whose 7x5 bitmap (+2px margin) fits.
+        scale = max(1, min((args.size - 2) // 7, 3))
+        maker = SyntheticNMNIST(size=args.size, n_steps=args.steps, scale=scale)
+    data = maker.generate(n_per_class=args.per_class, seed=args.seed)
+    net = build_small_network(
+        input_size=maker.size, n_classes=data.n_classes, channels=6, hidden=32,
+        seed=args.seed,
+    )
+    if getattr(args, "epochs", 0) > 0:
+        from ..snn.training import TrainConfig, Trainer
+
+        Trainer(net, TrainConfig(epochs=args.epochs, batch_size=min(8, len(data)),
+                                 seed=args.seed)).fit(data)
+    programs = compile_network(net, (2, maker.size, maker.size))
+    return data, HardwareEvaluator(programs, PAPER_CONFIG.with_slices(args.slices))
+
+
+@contextlib.contextmanager
+def _sigterm_stops(stop):
+    """Within the block SIGTERM (what service managers and ``kill`` send)
+    calls ``stop()``, so a daemon exits through its normal path; a forked
+    child that inherited the handler (a pool or fleet worker) dies as asked."""
+    import os
+    import signal
+
+    main_pid = os.getpid()
+
+    def on_sigterm(signum, frame):
+        if os.getpid() == main_pid:
+            return stop()
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+
+    previous = signal.signal(signal.SIGTERM, on_sigterm)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _refresh(frame, interval: float) -> int:
+    """Redraw ``frame()`` every ``interval`` seconds until Ctrl-C."""
+    import time
+
+    try:
+        while True:
+            # Clear + home between frames, like watch(1); the frame
+            # itself stays escape-free so one-shot output is grep-able.
+            sys.stdout.write("\x1b[2J\x1b[H" + frame() + "\n")
+            sys.stdout.flush()
+            time.sleep(interval)
+    except KeyboardInterrupt:
+        print()  # leave the last frame intact; exit on the next line
+        return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -632,34 +694,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # Local imports keep the command functions self-documenting about
-    # their dependencies (the repro package itself loads eagerly anyway).
     from ..analysis.tables import render_table
-    from ..events.datasets import SyntheticDVSGesture, SyntheticNMNIST
-    from ..hw.config import PAPER_CONFIG
-    from ..hw.mapper import compile_network
-    from ..hw.runner import HardwareEvaluator, report_from_job_results
-    from ..snn.topology import build_small_network
-    from ..snn.training import TrainConfig, Trainer
+    from ..hw.runner import report_from_job_results
     from .executor import run_jobs
 
-    if args.dataset == "gesture":
-        maker = SyntheticDVSGesture(size=args.size, n_steps=args.steps)
-    else:
-        # Largest glyph magnification whose 7x5 bitmap (+2px margin) fits.
-        scale = max(1, min((args.size - 2) // 7, 3))
-        maker = SyntheticNMNIST(size=args.size, n_steps=args.steps, scale=scale)
-    data = maker.generate(n_per_class=args.per_class, seed=args.seed)
-    net = build_small_network(
-        input_size=maker.size, n_classes=data.n_classes, channels=6, hidden=32,
-        seed=args.seed,
-    )
-    if args.epochs > 0:
-        Trainer(net, TrainConfig(epochs=args.epochs, batch_size=min(8, len(data)),
-                                 seed=args.seed)).fit(data)
-    programs = compile_network(net, (2, maker.size, maker.size))
-    evaluator = HardwareEvaluator(programs, PAPER_CONFIG.with_slices(args.slices))
-
+    data, evaluator = _build_deployment(args)
     _warn_kernel_fleet(args)
     jobs = evaluator.sample_jobs(data, max_samples=args.max_samples,
                                  kernel=args.kernel)
@@ -695,27 +734,10 @@ def _cmd_profile(args) -> int:
     # under a Profiler and the merged per-stage spans are the product.
     import json as _json
 
-    from ..events.datasets import SyntheticDVSGesture, SyntheticNMNIST
-    from ..hw.config import PAPER_CONFIG
-    from ..hw.mapper import compile_network
-    from ..hw.runner import HardwareEvaluator
-    from ..snn.topology import build_small_network
     from .executor import run_jobs
     from .profile import Profiler, render_profile
 
-    if args.dataset == "gesture":
-        maker = SyntheticDVSGesture(size=args.size, n_steps=args.steps)
-    else:
-        scale = max(1, min((args.size - 2) // 7, 3))
-        maker = SyntheticNMNIST(size=args.size, n_steps=args.steps, scale=scale)
-    data = maker.generate(n_per_class=args.per_class, seed=args.seed)
-    net = build_small_network(
-        input_size=maker.size, n_classes=data.n_classes, channels=6, hidden=32,
-        seed=args.seed,
-    )
-    programs = compile_network(net, (2, maker.size, maker.size))
-    evaluator = HardwareEvaluator(programs, PAPER_CONFIG.with_slices(args.slices))
-
+    data, evaluator = _build_deployment(args)
     _warn_kernel_fleet(args)
     jobs = evaluator.sample_jobs(data, max_samples=args.max_samples,
                                  profile=True, kernel=args.kernel)
@@ -755,16 +777,14 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    store = open_store(args.cache_dir, max_bytes=args.max_bytes)
+    store = _make_cache(args)
     if args.action == "clear":
         removed = store.clear()
         print(f"cache: removed {removed} entr{'y' if removed == 1 else 'ies'} from {store.root}")
         return 0
     if args.action == "evict":
         if store.max_bytes is None:
-            print("repro cache: error: evict needs --max-bytes "
-                  "(or $REPRO_CACHE_MAX_BYTES)", file=sys.stderr)
-            return 2
+            raise ValueError("evict needs --max-bytes (or $REPRO_CACHE_MAX_BYTES)")
         removed = store.evict()
         u = store.usage()
         print(f"cache: evicted {removed} entr{'y' if removed == 1 else 'ies'}; "
@@ -825,11 +845,6 @@ def _cmd_serve(args) -> int:
         # default_backend_name).
         dispatcher = LocalDispatcher(args.backend or "thread",
                                      workers=args.workers)
-    slo_rules = None
-    if args.slo_rules:
-        from . import slo as slo_mod
-
-        slo_rules = slo_mod.load_rules(args.slo_rules)
     server = AsyncServer(
         dispatcher=dispatcher,
         cache=_make_cache(args),
@@ -837,7 +852,7 @@ def _cmd_serve(args) -> int:
         max_batch=args.max_batch,
         max_queue_depth=args.max_queue_depth,
         conn_credits=args.conn_credits,
-        slo_rules=slo_rules,
+        slo_rules=_load_slo_rules(args.slo_rules),
     )
 
     # Capability line first, so fleet operators can audit which kernel
@@ -848,18 +863,24 @@ def _cmd_serve(args) -> int:
         print(f"repro serve: {kernel_summary()}", file=sys.stderr)
 
     async def _tcp() -> None:
+        # SIGTERM sets `stopped` from the signal handler (not the loop's
+        # own add_signal_handler, which pool workers forked by
+        # --backend process would inherit); the finally then drains.
+        stopped = asyncio.Event()
+        loop = asyncio.get_running_loop()
         tcp = await serve_tcp(server, host=args.host, port=args.port)
-        host, port = tcp.sockets[0].getsockname()[:2]
-        shed = ("unbounded" if args.max_queue_depth is None
-                else str(args.max_queue_depth))
-        print(f"repro serve: listening on {host}:{port} "
-              f"(dispatch {dispatcher.name}/"
-              f"{server.stats_backend_name()}, proto v2, "
-              f"window {args.batch_window:g}s, max batch {args.max_batch}, "
-              f"queue depth {shed})", file=sys.stderr)
         try:
-            async with tcp:
-                await tcp.serve_forever()
+            with _sigterm_stops(lambda: loop.call_soon_threadsafe(stopped.set)):
+                host, port = tcp.sockets[0].getsockname()[:2]
+                shed = ("unbounded" if args.max_queue_depth is None
+                        else str(args.max_queue_depth))
+                print(f"repro serve: listening on {host}:{port} "
+                      f"(dispatch {dispatcher.name}/"
+                      f"{server.stats_backend_name()}, proto v2, "
+                      f"window {args.batch_window:g}s, max batch {args.max_batch}, "
+                      f"queue depth {shed})", file=sys.stderr)
+                async with tcp:
+                    await stopped.wait()
         finally:
             await server.aclose()
             await dispatcher.aclose()
@@ -889,40 +910,43 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from .dist import worker_loop
+    import threading
 
-    store = None
-    if not args.no_cache:
-        store = open_store(args.cache_dir, max_bytes=args.max_bytes)
+    from .dist import worker_loop
 
     def on_chunk(chunk_id: str, n_jobs: int, elapsed: float) -> None:
         if not args.quiet:
             print(f"[worker] chunk {chunk_id}: {n_jobs} job(s) in "
                   f"{elapsed:.3f}s", file=sys.stderr)
 
-    if not args.quiet:
-        from ..hw.kernels import kernel_summary
+    # SIGTERM ends the loop after the current chunk; worker_loop then
+    # flushes the store's counters and the metrics.
+    stop = threading.Event()
+    with _sigterm_stops(stop.set):
+        if not args.quiet:
+            from ..hw.kernels import kernel_summary
 
-        mode = "drain" if args.drain else "daemon"
-        print(f"[worker] attached to spool {args.spool} ({mode} mode, "
-              f"lease ttl {args.lease_ttl:g}s)", file=sys.stderr)
-        # Per-worker capability line: `repro profile --json` reports the
-        # submitting host's kernels; a fleet mixing numba and numpy
-        # workers is only detectable from each worker's own log.
-        print(f"[worker] {kernel_summary()}", file=sys.stderr)
-    try:
-        done = worker_loop(
-            args.spool,
-            worker_id=args.worker_id,
-            store=store,
-            poll_s=args.poll,
-            lease_ttl_s=args.lease_ttl,
-            drain=args.drain,
-            max_chunks=args.max_chunks,
-            on_chunk=on_chunk,
-        )
-    except KeyboardInterrupt:
-        done = None  # Ctrl-C is the normal way to stop a daemon worker
+            mode = "drain" if args.drain else "daemon"
+            print(f"[worker] attached to spool {args.spool} ({mode} mode, "
+                  f"lease ttl {args.lease_ttl:g}s)", file=sys.stderr)
+            # Per-worker capability line: `repro profile --json` reports
+            # the submitting host's kernels; a fleet mixing numba and
+            # numpy workers is only detectable from each worker's own log.
+            print(f"[worker] {kernel_summary()}", file=sys.stderr)
+        try:
+            done = worker_loop(
+                args.spool,
+                worker_id=args.worker_id,
+                store=_make_cache(args),
+                poll_s=args.poll,
+                lease_ttl_s=args.lease_ttl,
+                drain=args.drain,
+                max_chunks=args.max_chunks,
+                stop=stop,
+                on_chunk=on_chunk,
+            )
+        except KeyboardInterrupt:
+            done = None  # Ctrl-C is the normal way to stop a daemon worker
     if not args.quiet and done is not None:
         print(f"[worker] done: {done} chunk(s) published", file=sys.stderr)
     return 0
@@ -930,17 +954,11 @@ def _cmd_worker(args) -> int:
 
 def _cmd_supervise(args) -> int:
     import logging
-    import os
-    import signal
     import threading
 
     from .supervisor import Supervisor, log as supervisor_log
 
-    slo_rules = None
-    if args.slo_rules:
-        from . import slo as slo_mod
-
-        slo_rules = slo_mod.load_rules(args.slo_rules)
+    store = _make_cache(args)
     supervisor = Supervisor(
         args.spool,
         min_workers=args.min_workers,
@@ -952,10 +970,9 @@ def _cmd_supervise(args) -> int:
         lease_ttl_s=args.lease_ttl,
         gc_ttl_s=args.gc_ttl,
         respawn_budget=args.respawn_budget,
-        cache_dir=None if args.no_cache else str(
-            open_store(args.cache_dir, max_bytes=args.max_bytes).root),
-        max_bytes=args.max_bytes,
-        slo_rules=slo_rules,
+        cache_dir=None if store is None else str(store.root),
+        max_bytes=None if store is None else store.max_bytes,
+        slo_rules=_load_slo_rules(args.slo_rules),
     )
     # The supervisor logs each scaling decision; print them unless quiet.
     handler = logging.StreamHandler(sys.stderr)
@@ -968,28 +985,16 @@ def _cmd_supervise(args) -> int:
               file=sys.stderr)
         supervisor_log.addHandler(handler)
         supervisor_log.setLevel(logging.INFO)
-    # SIGTERM (what service managers and `kill` send) stops the loop the
-    # same way the max-ticks limit does, so run()'s finally closes the
-    # fleet instead of orphaning it.
+    # SIGTERM stops the loop the same way the max-ticks limit does, so
+    # run()'s finally closes the fleet instead of orphaning it.
     stop = threading.Event()
-    main_pid = os.getpid()
-
-    def on_sigterm(signum, frame):
-        if os.getpid() != main_pid:
-            # A forked worker inherited this handler: die as asked.
-            signal.signal(signum, signal.SIG_DFL)
-            os.kill(os.getpid(), signum)
-            return
-        stop.set()
-
-    previous = signal.signal(signal.SIGTERM, on_sigterm)
     try:
-        stats = supervisor.run(stop=stop, max_ticks=args.max_ticks)
+        with _sigterm_stops(stop.set):
+            stats = supervisor.run(stop=stop, max_ticks=args.max_ticks)
     except KeyboardInterrupt:
         supervisor.close()  # Ctrl-C is the normal way to stop a daemon
         stats = supervisor.stats
     finally:
-        signal.signal(signal.SIGTERM, previous)
         supervisor_log.removeHandler(handler)
         supervisor_log.setLevel(level)
     if not args.quiet:
@@ -1037,13 +1042,15 @@ def _cmd_chaos(args) -> int:
 
 
 def _resolved_obs_dir(args):
-    """The observability directory for metrics/top, or None (with a
-    usage message printed) when neither --obs-dir nor $REPRO_OBS_DIR
-    names one."""
+    """The observability directory the read commands work on.
+
+    Raises:
+        ValueError: neither ``--obs-dir`` nor ``$REPRO_OBS_DIR`` names one.
+    """
     target = obs.configure(args.obs_dir)
     if target is None:
-        print(f"repro {args.command}: error: no observability directory "
-              "(pass --obs-dir or set $REPRO_OBS_DIR)", file=sys.stderr)
+        raise ValueError("no observability directory "
+                         "(pass --obs-dir or set $REPRO_OBS_DIR)")
     return target
 
 
@@ -1051,8 +1058,6 @@ def _cmd_metrics(args) -> int:
     import json as _json
 
     target = _resolved_obs_dir(args)
-    if target is None:
-        return 2
     registry = obs.read_metrics(target)
     if args.json:
         print(_json.dumps(registry.snapshot(), indent=2, sort_keys=True))
@@ -1198,53 +1203,38 @@ def _cmd_top(args) -> int:
     from . import slo as slo_mod
 
     target = _resolved_obs_dir(args)
-    if target is None:
-        return 2
     state = _TopState(window_s=args.window)
-    rules = (slo_mod.load_rules(args.slo_rules) if args.slo_rules
-             else slo_mod.default_rules())
-    monitor = slo_mod.SLOMonitor(rules)
+    monitor = slo_mod.SLOMonitor(_load_slo_rules(args.slo_rules))
     # The tailer survives the journal being truncated or rotated
     # mid-watch (an operator resetting the obs dir): it restarts from
     # the top of the new file instead of stalling on a stale offset.
     tailer = obs.JournalTailer(target / "journal.ndjson")
-    try:
-        while True:
-            events = tailer.poll()
-            for ev in events:
-                state.apply(ev)
-            monitor.feed(events)
-            registry = obs.read_metrics(target)
-            statuses = monitor.evaluate(registry=registry)
-            alerts = [s for s in statuses if not s.ok]
-            frame = state.render(registry, now=_time.time(), alerts=alerts)
-            if args.once:
-                print(frame)
-                return 0
-            # Clear + home between frames, like watch(1); the frame
-            # itself stays escape-free so --once output is grep-able.
-            sys.stdout.write("\x1b[2J\x1b[H" + frame + "\n")
-            sys.stdout.flush()
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        print()  # leave the last frame intact; exit on the next line
+
+    def frame() -> str:
+        events = tailer.poll()
+        for ev in events:
+            state.apply(ev)
+        monitor.feed(events)
+        registry = obs.read_metrics(target)
+        alerts = [s for s in monitor.evaluate(registry=registry) if not s.ok]
+        return state.render(registry, now=_time.time(), alerts=alerts)
+
+    if args.once:
+        print(frame())
         return 0
+    return _refresh(frame, args.interval)
 
 
 def _cmd_trace(args) -> int:
     from . import tracequery as tq
 
     target = _resolved_obs_dir(args)
-    if target is None:
-        return 2
     # TraceQueryError is a ValueError: a missing/empty journal becomes
     # main()'s one-line error, never a traceback.
     traces = tq.build_traces(tq.load_events(target))
     if args.action == "show":
         if not args.trace_id:
-            print("repro trace: error: 'show' needs a trace ID "
-                  "(see `repro trace ls`)", file=sys.stderr)
-            return 2
+            raise ValueError("'show' needs a trace ID (see `repro trace ls`)")
         print(tq.render_waterfall(tq.find_trace(traces, args.trace_id)))
         return 0
     selected = tq.filter_traces(traces, kind=args.kind, status=args.status,
@@ -1258,16 +1248,13 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_slo(args) -> int:
-    import time as _time
-
     from . import slo as slo_mod
     from . import tracequery as tq
 
     target = _resolved_obs_dir(args)
-    if target is None:
-        return 2
-    rules = (slo_mod.load_rules(args.rules) if args.rules
-             else slo_mod.default_rules())
+    rules = _load_slo_rules(args.rules)
+    if rules is None:
+        rules = slo_mod.default_rules()
 
     def _check() -> tuple[str, bool]:
         try:
@@ -1282,35 +1269,11 @@ def _cmd_slo(args) -> int:
         table = slo_mod.render_slo_table(statuses)
         return table, all(s.ok for s in statuses)
 
-    if not args.watch:
-        table, ok = _check()
-        print(table)
-        return 0 if ok else 1
-    try:
-        while True:
-            table, ok = _check()
-            sys.stdout.write("\x1b[2J\x1b[H" + table + "\n")
-            sys.stdout.flush()
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        print()
-        return 0
-
-
-_COMMANDS = {
-    "sweep": _cmd_sweep,
-    "eval": _cmd_eval,
-    "profile": _cmd_profile,
-    "cache": _cmd_cache,
-    "serve": _cmd_serve,
-    "worker": _cmd_worker,
-    "supervise": _cmd_supervise,
-    "chaos-soak": _cmd_chaos,
-    "metrics": _cmd_metrics,
-    "top": _cmd_top,
-    "trace": _cmd_trace,
-    "slo": _cmd_slo,
-}
+    if args.watch:
+        return _refresh(lambda: _check()[0], args.interval)
+    table, ok = _check()
+    print(table)
+    return 0 if ok else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1326,7 +1289,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     obs.configure(getattr(args, "obs_dir", None))
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         # Domain validation (slice counts, dataset geometry, an unusable
         # --cache-dir, ...) surfaces as a clean usage error; executor-level

@@ -175,8 +175,11 @@ class BrokerDispatcher:
                 failures (None = wait for the fleet forever).
 
         Raises:
-            ValueError: non-positive ``poll_s`` or ``timeout``.
+            ValueError: non-positive ``lease_ttl_s``, ``poll_s`` or
+                ``timeout``.
         """
+        if lease_ttl_s <= 0:
+            raise ValueError("lease_ttl_s must be positive")
         if poll_s <= 0:
             raise ValueError("poll_s must be positive")
         if timeout is not None and timeout <= 0:

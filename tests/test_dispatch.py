@@ -278,6 +278,12 @@ class TestBrokerDispatcher:
         with pytest.raises(ValueError, match="timeout"):
             BrokerDispatcher("s", timeout=0)
 
+    @pytest.mark.parametrize("ttl", [0, -5])
+    def test_rejects_non_positive_lease_ttl(self, ttl):
+        # Caught at construction, not inside every submission's broker.
+        with pytest.raises(ValueError, match="lease_ttl_s"):
+            BrokerDispatcher("s", lease_ttl_s=ttl)
+
     def test_describe_names_the_spool(self, tmp_path):
         desc = BrokerDispatcher(tmp_path / "sp", lease_ttl_s=7.0).describe()
         assert desc["dispatcher"] == "broker"

@@ -1,11 +1,20 @@
 """CLI surface: ``python -m repro sweep|eval|cache`` and ``--version``."""
 
+import contextlib
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import __version__
-from repro.runtime.cli import main
+from repro.runtime.cli import build_parser, main
 
 
 def test_version_flag(capsys):
@@ -348,3 +357,107 @@ def test_metrics_p99_reports_overflow_direction(tmp_path, capsys):
     finally:
         obs.configure(False)
         obs.set_registry(obs.MetricsRegistry())
+
+
+_SUBCOMMANDS = ("sweep", "eval", "profile", "cache", "worker", "serve",
+                "supervise", "chaos-soak", "metrics", "top", "trace", "slo")
+#: Each command taking --lease-ttl, with the arguments it requires.
+_LEASE_COMMANDS = {"worker": ["--spool", "s"], "serve": [],
+                   "supervise": ["--spool", "s"], "chaos-soak": []}
+
+
+@pytest.mark.parametrize("argv, status", [
+    *[pytest.param([cmd, "--help"], 0, id=f"{cmd}-help") for cmd in _SUBCOMMANDS],
+    *[pytest.param([cmd, *extra, "--lease-ttl", "0"], 2, id=f"{cmd}-lease-ttl-0")
+      for cmd, extra in _LEASE_COMMANDS.items()],
+])
+def test_parser_consistency(argv, status, capsys):
+    """Every subcommand renders its help, and a lease TTL is a positive
+    number of seconds on every command that takes one (rejected at
+    parse time, before any server or fleet starts)."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == status
+    if status == 2:
+        assert "expected a positive number" in capsys.readouterr().err
+
+
+def test_supervise_takes_the_store_cap_from_the_environment(tmp_path, monkeypatch):
+    from repro.runtime import supervisor
+
+    seen = {}
+    real = supervisor.Supervisor
+
+    def capture(*args, **kwargs):
+        seen.update(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(supervisor, "Supervisor", capture)
+    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "4096")
+    store = tmp_path / "store"
+    assert main(["supervise", "--spool", str(tmp_path / "spool"),
+                 "--min-workers", "0", "--max-ticks", "1", "--tick", "0.05",
+                 "--cache-dir", str(store), "--quiet"]) == 0
+    assert seen["max_bytes"] == 4096
+    assert seen["cache_dir"] == str(store)
+
+
+class TestSigterm:
+    """`serve` (TCP) and `worker` stop on SIGTERM the way they stop on
+    Ctrl-C: through their normal exit path, with exit status 0."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _daemon(*args):
+        """A `repro` subprocess, killed on exit if still running."""
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "repro", *args], env=env,
+                                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True)
+        watchdog = threading.Timer(60, proc.kill)  # never hang the suite
+        watchdog.start()
+        try:
+            yield proc
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
+    @staticmethod
+    def _wait_for(proc, marker: str) -> str:
+        while True:
+            line = proc.stderr.readline()
+            assert line, f"exited {proc.wait()} before printing {marker!r}"
+            if marker in line:
+                return line
+
+    @staticmethod
+    def _sigterm(proc) -> tuple[int, str]:
+        proc.send_signal(signal.SIGTERM)
+        err = proc.stderr.read()
+        return proc.wait(timeout=30), err
+
+    def test_serve_drains_and_flushes_the_store(self, tmp_path):
+        store = tmp_path / "store"
+        with self._daemon("serve", "--port", "0", "--cache-dir", str(store)) as proc:
+            line = self._wait_for(proc, "listening on")
+            port = int(line.split("listening on ")[1].split()[0].rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(json.dumps({"id": "t", "kind": "dse_point",
+                                         "params": {"n_slices": 4}}).encode() + b"\n")
+                answer = json.loads(sock.makefile().readline())
+            assert answer["ok"], answer
+            status, err = self._sigterm(proc)
+        assert status == 0, err
+        assert "serve: 1 request(s)" in err
+        assert json.loads((store / "stats.json").read_text())["stores"] == 1
+
+    def test_worker_finishes_and_reports(self, tmp_path):
+        spool = tmp_path / "spool"
+        with self._daemon("worker", "--spool", str(spool), "--no-cache") as proc:
+            self._wait_for(proc, "[worker] attached")
+            status, err = self._sigterm(proc)
+        assert status == 0, err
+        assert "[worker] done: 0 chunk(s) published" in err
