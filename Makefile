@@ -4,7 +4,7 @@
 #   make test-parity - cross-backend parity + store eviction suites only
 #   make test-serve  - async serving front end suite only
 #   make test-dist   - distributed queue suite only (broker, workers,
-#                      fault injection, sharding)
+#                      fault injection, worker store write-through)
 #   make test-soak   - minutes-scale chaos-soak scenarios (supervised
 #                      fleet under seeded kills/corruption/eviction)
 #   make test-obs    - observability stack only: registry/journal core,
@@ -98,7 +98,7 @@ sweep-smoke:
 	$(PYTHON) -m repro sweep --slices 4,8 --backend process --workers 2 --cache-dir .repro_cache_smoke
 	$(PYTHON) -m repro sweep --slices 4,8 --backend thread --cache-dir .repro_cache_smoke
 	$(PYTHON) -m repro sweep --slices 4,8 --backend serial --cache-dir .repro_cache_smoke
-	$(PYTHON) -m repro sweep --slices 4,8 --backend cluster --workers 2 --shards 2 --cache-dir .repro_cache_smoke
+	$(PYTHON) -m repro sweep --slices 4,8 --backend cluster --workers 2 --cache-dir .repro_cache_smoke
 	$(PYTHON) -m repro cache stats --detail --cache-dir .repro_cache_smoke
 
 bench:

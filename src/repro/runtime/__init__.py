@@ -18,7 +18,12 @@ fan-out-able, memoised workloads.  The flow is a straight pipeline::
    :class:`~repro.runtime.store.ResultStore` stores one validated JSON
    envelope per job hash on disk.  Lookups that fail
    schema/kind/key/hash validation are treated as corruption: the
-   entry is deleted and the job recomputed.  Hit/miss/store/corrupt
+   entry is deleted and the job recomputed.  ``get`` answers with a
+   ``cached=True`` :class:`~repro.runtime.backends.JobResult`;
+   ``put(spec, result)`` stores only successes, and a write that fails
+   returns False (one ``put_error``) instead of raising, so every
+   caller — ``run_jobs``, the worker, the server — loses at most the
+   cached copy.  Hit/miss/store/corrupt
    counters feed every run report.  The store is built to be
    *shared*: content-addressed two-level layout (``ab/abcd….json``),
    each entry's mtime as its recency, and LRU eviction under a size cap, so
@@ -28,7 +33,9 @@ fan-out-able, memoised workloads.  The flow is a straight pipeline::
 3. **Backends** (:mod:`.backends`).  A registry of execution backends
    — in-process ``serial``, thread-pool ``thread`` for IO-bound jobs,
    ``multiprocessing`` ``process`` for CPU-bound sweeps — behind one
-   contract: per-job timing, structured failure capture, and results
+   contract: per-job timing, structured failure capture (a runner
+   value that is not a JSON-serialisable ``dict`` fails too, in one
+   place for every backend and plane), and results
    **in input order**, so every backend is bit-identical to serial
    (``tests/test_backend_parity.py`` enforces this differentially).
    :func:`~repro.runtime.backends.register_backend` adds new ones;
@@ -83,10 +90,8 @@ runner registry, and :class:`~repro.runtime.dist.ClusterBackend`
 (registered as ``cluster``) puts the whole queue behind the standard
 backend contract — bit-identical ordered results, even across a
 worker kill.  Dataset sharding
-(:class:`repro.events.ShardedDataset`,
-:func:`~repro.runtime.sweep.shard_jobs`, ``repro sweep --shards N``)
-splits big workloads into hash-assigned shards whose job subtrees
-compose in one shared store.
+(:class:`repro.events.ShardedDataset`) splits big workloads into
+hash-assigned shards whose job subtrees compose in one shared store.
 
 :mod:`.supervisor` and :mod:`.chaos` make the fleet self-operating
 and prove it: :class:`~repro.runtime.supervisor.Supervisor`
@@ -163,7 +168,6 @@ from .backends import (
 from .executor import JobResult, RunReport, RunStats, run_jobs
 from .store import (
     MAX_BYTES_ENV,
-    CachedResult,
     CacheStats,
     ResultStore,
     default_cache_dir,
@@ -244,7 +248,6 @@ from .sweep import (
     dse_grid,
     dse_jobs,
     run_dse_sweep,
-    shard_jobs,
 )
 
 __all__ = [
@@ -259,7 +262,6 @@ __all__ = [
     "deployment_fingerprint",
     "execute_job",
     "register_runner",
-    "CachedResult",
     "CacheStats",
     "default_cache_dir",
     "ResultStore",
@@ -300,7 +302,6 @@ __all__ = [
     "dse_grid",
     "dse_jobs",
     "run_dse_sweep",
-    "shard_jobs",
     "DSE_HEADERS",
     "spec_to_doc",
     "spec_from_doc",

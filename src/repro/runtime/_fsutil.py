@@ -1,7 +1,7 @@
 """Shared filesystem primitives for the runtime package.
 
 One canonical implementation of the temp-file + ``os.replace`` atomic
-write that the store sidecar (``stats.json``) and the
+write that the store entries, its sidecar (``stats.json``) and the
 distributed spool (chunks, claims, results) all rely on — readers of
 any of those files must never observe a torn write.
 """
@@ -15,14 +15,16 @@ import tempfile
 __all__ = ["atomic_write_bytes"]
 
 
-def atomic_write_bytes(path: pathlib.Path | str, data: bytes) -> None:
+def atomic_write_bytes(path: pathlib.Path | str, data: bytes,
+                       mtime_ns: int | None = None) -> None:
     """Write ``data`` to ``path`` atomically (temp file + ``os.replace``).
 
     The temp file lives in the target's own directory so the final
-    replace stays on one filesystem.  On failure the temp file is
-    removed and the ``OSError`` propagates — the caller decides whether
-    a failed write is fatal (a spool publish) or merely lossy (a
-    telemetry sidecar).
+    replace stays on one filesystem.  ``mtime_ns`` stamps the temp file
+    before the replace, so the file appears already carrying that
+    mtime.  On failure the temp file is removed and the ``OSError``
+    propagates — the caller decides whether a failed write is fatal (a
+    spool publish) or merely lossy (a store entry or sidecar).
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -30,6 +32,8 @@ def atomic_write_bytes(path: pathlib.Path | str, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        if mtime_ns is not None:
+            os.utime(tmp, ns=(mtime_ns, mtime_ns))
         os.replace(tmp, path)
     except BaseException:
         pathlib.Path(tmp).unlink(missing_ok=True)

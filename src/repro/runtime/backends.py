@@ -27,7 +27,10 @@ All of them uphold the same invariants, enforced by
    order, so any backend is bit-identical to ``serial``;
 2. a raising job becomes a structured ``ok=False`` record carrying the
    traceback text — never a crashed sweep — and failure positions are
-   identical across backends;
+   identical across backends; so does a job whose runner returns
+   anything but a JSON-serialisable ``dict`` (:func:`_execute_one` and
+   :func:`_execute_run` are the only places a computed result is made,
+   so they check that once for every backend and plane);
 3. ``on_result`` callbacks fire in the parent, in input order, so
    progress sinks need no locks.
 
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import json
 import math
 import multiprocessing
 import os
@@ -90,6 +94,26 @@ class JobResult:
         return self.value
 
 
+def _computed(spec: JobSpec, value, duration_s: float) -> JobResult:
+    """The result of a runner that returned ``value``, held to the runner
+    contract: the value must be a ``dict`` that ``json.dumps`` accepts,
+    so the store, the spool and the wire can all carry it.  Anything
+    else becomes a structured ``ok=False`` result, the same on every
+    backend."""
+    if not isinstance(value, dict):
+        error = f"TypeError: result must be a dict, not {type(value).__name__}"
+    else:
+        try:
+            json.dumps(value)
+        except (TypeError, ValueError, RecursionError) as exc:
+            error = f"TypeError: result not JSON-serialisable: {exc}"
+        else:
+            return JobResult(job_hash=spec.job_hash, kind=spec.kind, ok=True,
+                             value=value, error=None, duration_s=duration_s)
+    return JobResult(job_hash=spec.job_hash, kind=spec.kind, ok=False,
+                     value=None, error=error, duration_s=duration_s)
+
+
 def _execute_one(spec: JobSpec) -> JobResult:
     """Run one spec, capturing any exception as a structured record."""
     start = time.perf_counter()
@@ -104,14 +128,7 @@ def _execute_one(spec: JobSpec) -> JobResult:
             error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
             duration_s=time.perf_counter() - start,
         )
-    return JobResult(
-        job_hash=spec.job_hash,
-        kind=spec.kind,
-        ok=True,
-        value=value,
-        error=None,
-        duration_s=time.perf_counter() - start,
-    )
+    return _computed(spec, value, time.perf_counter() - start)
 
 
 def _batches(specs: list[JobSpec]) -> list[list[JobSpec]]:
@@ -146,11 +163,7 @@ def _execute_run(specs: list[JobSpec]) -> list[JobResult]:
     except Exception:
         return [_execute_one(spec) for spec in specs]
     share = (time.perf_counter() - start) / len(specs)
-    return [
-        JobResult(job_hash=spec.job_hash, kind=spec.kind, ok=True, value=value,
-                  error=None, duration_s=share)
-        for spec, value in zip(specs, values)
-    ]
+    return [_computed(spec, value, share) for spec, value in zip(specs, values)]
 
 
 def _execute_chunk(specs: list[JobSpec]) -> list[JobResult]:

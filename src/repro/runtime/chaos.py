@@ -191,10 +191,7 @@ class ChaosScheduler:
     def _evict_store(self) -> str | None:
         if self.store is None:
             return None
-        try:
-            removed = self.store.shrink(fraction=1.0)
-        except (OSError, ValueError):
-            return None
+        removed = self.store.shrink(fraction=1.0)
         if not removed:
             return None  # nothing cached yet; retry under more traffic
         return f"evicted {removed} entr{'y' if removed == 1 else 'ies'}"

@@ -72,9 +72,7 @@ accepted names are derived from the live registry at parse time (any
 backend registered via
 :func:`repro.runtime.backends.register_backend`, including the
 ``cluster`` queue backend), so results are bit-identical across
-backends and late-registered names need no CLI edits.  ``repro sweep
---shards N`` fans the grid out as hash-assigned shards that compose in
-one store.
+backends and late-registered names need no CLI edits.
 
 ``--kernel`` pins the SNE kernel implementation
 (:mod:`repro.hw.kernels`) on the simulation commands: every kernel is
@@ -315,10 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--utilizations", type=_float_list, default=[1.0],
                          help="comma-separated cluster utilisations in [0,1]")
     p_sweep.add_argument("--csv", action="store_true", help="emit CSV instead of a table")
-    p_sweep.add_argument("--shards", type=_positive_int, default=None,
-                         help="fan the grid out as N hash-assigned shards "
-                              "(each shard is its own restartable run; "
-                              "shard results compose in one store)")
     _add_kernel_flag(p_sweep)
     add_common(p_sweep)
 
@@ -675,7 +669,6 @@ def _cmd_sweep(args) -> int:
         executor=_make_executor(args),
         cache=cache,
         progress=_make_progress(args),
-        shards=args.shards,
     )
     if args.csv:
         sys.stdout.write(report.to_csv())

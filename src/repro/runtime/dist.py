@@ -320,18 +320,6 @@ def _result_path(spool: pathlib.Path, chunk_id: str) -> pathlib.Path:
     return spool / "results" / f"{chunk_id}.json"
 
 
-def _result_to_record(result: JobResult) -> dict:
-    return {
-        "job_hash": result.job_hash,
-        "kind": result.kind,
-        "ok": result.ok,
-        "value": result.value,
-        "error": result.error,
-        "duration_s": result.duration_s,
-        "cached": result.cached,
-    }
-
-
 def _record_to_result(record: dict) -> JobResult:
     return JobResult(
         job_hash=record["job_hash"],
@@ -373,44 +361,6 @@ def write_chunk_result(
 
 
 # -- worker -----------------------------------------------------------------
-
-def _execute_spec(spec: JobSpec, store) -> JobResult:
-    """Run one spec, short-circuiting and write-through-ing ``store``."""
-    if store is not None:
-        try:
-            hit = store.get(spec)
-        except OSError:
-            hit = None
-        if hit is not None:
-            return JobResult(
-                job_hash=hit.job_hash, kind=hit.kind, ok=True, value=hit.value,
-                error=None, duration_s=hit.duration_s, cached=True,
-            )
-    result = _execute_one(spec)
-    if store is not None and result.ok:
-        try:
-            store.put(spec, result.value, result.duration_s)
-        except (OSError, TypeError, ValueError):
-            pass  # memoisation lost, result kept
-    return result
-
-
-def _safe_record(result: JobResult) -> dict:
-    """A result record guaranteed to survive ``json.dumps`` — a runner
-    returning non-JSON values becomes a structured failure, matching
-    the cache layer's treatment of unserialisable results."""
-    record = _result_to_record(result)
-    try:
-        json.dumps(record)
-        return record
-    except (TypeError, ValueError) as exc:
-        return {
-            "job_hash": result.job_hash, "kind": result.kind, "ok": False,
-            "value": None,
-            "error": f"TypeError: result not JSON-serialisable: {exc}",
-            "duration_s": result.duration_s, "cached": False,
-        }
-
 
 def _pending_chunks(spool: pathlib.Path) -> list[pathlib.Path]:
     """Chunk files with no published result yet, oldest run first."""
@@ -508,8 +458,16 @@ def worker_loop(
             with obs.activate(trace):
                 obs.emit("worker.claim", worker=worker_id, chunk=chunk_id,
                          jobs=len(specs))
-                records = [_safe_record(_execute_spec(spec, store))
-                           for spec in specs]
+                records = []
+                for spec in specs:
+                    result = None if store is None else store.get(spec)
+                    if result is None:
+                        result = _execute_one(spec)
+                        if store is not None:
+                            store.put(spec, result)
+                    # The record is the result's own field dict (JSON by
+                    # the runner contract); no copy, unlike asdict().
+                    records.append(vars(result))
             chunk_s = time.perf_counter() - started
             # The chunk's metrics ship back in the result envelope (the
             # broker may be on another machine), which the broker merges
@@ -537,10 +495,7 @@ def worker_loop(
         if max_chunks is not None and done >= max_chunks:
             break
     if store is not None:
-        try:
-            store.flush_stats()
-        except (OSError, AttributeError):
-            pass
+        store.flush_stats()
     obs.flush_metrics()
     return done
 

@@ -91,7 +91,8 @@ def run_jobs(
     (default serial).  Results come back in input order.  With a cache,
     previously-computed jobs are served from disk without dispatch, and
     newly computed successes are stored for the next run; failures are
-    never cached.
+    never cached.  A write the store refuses costs only the cached copy
+    and counts in ``stats.cache_errors``.
     """
     specs = list(specs)
     if executor is None:
@@ -121,15 +122,7 @@ def run_jobs(
         for i, spec in enumerate(specs):
             hit = cache.get(spec) if cache is not None else None
             if hit is not None:
-                slots[i] = JobResult(
-                    job_hash=hit.job_hash,
-                    kind=hit.kind,
-                    ok=True,
-                    value=hit.value,
-                    error=None,
-                    duration_s=hit.duration_s,
-                    cached=True,
-                )
+                slots[i] = hit
                 stats.hits += 1
                 done += 1
                 jobs_total.inc(kind=spec.kind, status="cached")
@@ -156,14 +149,8 @@ def run_jobs(
                     stats.misses += 1
                     jobs_total.inc(kind=spec.kind, status="ok")
                     job_seconds.observe(result.duration_s, kind=spec.kind)
-                    if cache is not None:
-                        # A write failure (disk full, read-only directory, a
-                        # custom runner returning non-JSON values) costs the
-                        # memoisation, never the already-computed results.
-                        try:
-                            cache.put(spec, result.value, result.duration_s)
-                        except (OSError, TypeError, ValueError):
-                            stats.cache_errors += 1
+                    if cache is not None and not cache.put(spec, result):
+                        stats.cache_errors += 1
                 else:
                     stats.failures += 1
                     jobs_total.inc(kind=spec.kind, status="failed")

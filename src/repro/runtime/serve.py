@@ -304,17 +304,13 @@ class AsyncServer:
             self._queue.put_nowait(_CLOSE)
             await self._batcher
         await self._drain_dispatches()
-        self._flush_cache_stats()
+        if self.cache is not None:
+            self.cache.flush_stats()
         obs.flush_metrics()
 
     async def _drain_dispatches(self) -> None:
         while self._dispatches:
             await asyncio.gather(*list(self._dispatches), return_exceptions=True)
-
-    def _flush_cache_stats(self) -> None:
-        if self.cache is not None:
-            with contextlib.suppress(OSError):
-                self.cache.flush_stats()
 
     # -- request paths ----------------------------------------------------
     async def submit(self, spec: JobSpec) -> JobResult:
@@ -343,19 +339,11 @@ class AsyncServer:
         start = loop.time()
         self._g_in_flight.add(1)
         try:
-            hit = await self._cache_get(spec)
+            hit = None if self.cache is None else await self.cache.aget(spec)
             if hit is not None:
                 self._m_requests.inc(kind=spec.kind, status="cached")
                 self._m_latency.observe(loop.time() - start)
-                return JobResult(
-                    job_hash=hit.job_hash,
-                    kind=hit.kind,
-                    ok=True,
-                    value=hit.value,
-                    error=None,
-                    duration_s=hit.duration_s,
-                    cached=True,
-                )
+                return hit
             if self._closing:
                 # The server closed while the cache lookup was in
                 # flight; the sentinel is already queued, so this
@@ -415,23 +403,6 @@ class AsyncServer:
         ``repro_serve_queue_depth`` gauge (read by the ``stats`` op and
         ``repro top`` alike)."""
         self._g_queue_depth.set(self._queue.qsize())
-
-    async def _cache_get(self, spec: JobSpec):
-        if self.cache is None:
-            return None
-        return await self.cache.aget(spec)
-
-    async def _cache_put(self, spec: JobSpec, result: JobResult) -> None:
-        if self.cache is None or not result.ok:
-            return
-        try:
-            await self.cache.aput(spec, result.value, result.duration_s)
-        except Exception:
-            # Same policy as run_jobs, but broader: *any* cache-write
-            # failure costs the memoisation, never the already-computed
-            # answer — an exotic error escaping here would leave the
-            # request's future unresolved and hang its client.
-            self._m_store.inc(op="put_error")
 
     # -- batching ---------------------------------------------------------
     async def _batch_loop(self) -> None:
@@ -493,8 +464,10 @@ class AsyncServer:
                     # just had answered must hit the store
                     # (read-your-writes).  The cost is that one entry
                     # write sits on the latency path of this and later
-                    # results in the batch.
-                    await self._cache_put(pending.spec, result)
+                    # results in the batch.  A failed write costs only
+                    # the cached copy (the store counts it as put_error).
+                    if self.cache is not None:
+                        await self.cache.aput(pending.spec, result)
                     if not pending.future.done():
                         pending.future.set_result(result)
                     # Count a request delivered only once its future is

@@ -10,7 +10,11 @@ version, kind, hash *and* the full canonical key must all match — so a
 truncated write, a hand-edited file, a hash collision across schema
 versions or a partially-copied directory degrades to a miss (the
 offending file is deleted and the job recomputed), never to a wrong
-result.  Hit/miss/store/corrupt counters accumulate in
+result.  The store reads and writes
+:class:`~repro.runtime.backends.JobResult` records: ``get`` answers a hit
+with ``cached=True``, and ``put`` stores only successes and turns a
+failed write into ``False`` (one ``put_error``), so every caller loses
+at most the cached copy.  Hit/miss/store/corrupt counters accumulate in
 :class:`CacheStats`; the sweep engine and CLI report them after every
 run, and they merge — with each entry's hit count — into one
 ``stats.json`` sidecar that totals them across every run of the store.
@@ -42,18 +46,17 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import itertools
 import json
 import os
 import pathlib
 import re
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 
 from . import obs
 from ._fsutil import atomic_write_bytes
+from .backends import JobResult
 from .jobs import SCHEMA_VERSION, JobSpec
 
 try:  # pragma: no cover - fcntl is POSIX-only; Windows degrades gracefully
@@ -63,7 +66,6 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "CacheStats",
-    "CachedResult",
     "ResultStore",
     "open_store",
     "default_cache_dir",
@@ -84,7 +86,7 @@ _JOB_HASH = re.compile(r"^[0-9a-f]{64}$")
 def _store_events():
     """The shared ``repro_store_events_total`` counter (labels:
     ``op=hit|miss|store|evict|put_error``) on the process-wide registry;
-    ``put_error`` counts serve write-throughs the store refused."""
+    ``put_error`` counts :meth:`ResultStore.put` calls whose write failed."""
     return obs.get_registry().counter(
         "repro_store_events_total",
         "Result-store operations by op (hit, miss, store, evict, put_error).")
@@ -106,10 +108,6 @@ _DEBRIS_GRACE_S = 3600.0
 #: Where those temp files land: sidecar writes in the root, entry
 #: writes in their shard.
 _DEBRIS_PATTERNS = ("*.tmp", "??/*.tmp")
-
-#: How often a store that found no flat-layout entries re-checks for
-#: them (a collaborator still on an older version may write some).
-_FLAT_RECHECK_S = 60.0
 
 #: Counter fields persisted to the ``stats.json`` sidecar — the
 #: lifetime hit/miss/store/corrupt totals ``repro cache stats`` prints.
@@ -161,16 +159,6 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-@dataclass(frozen=True)
-class CachedResult:
-    """A value served from disk, with its original compute time."""
-
-    job_hash: str
-    kind: str
-    value: dict
-    duration_s: float
-
-
 @dataclass
 class ResultStore:
     """A sharded, size-capped, LRU-evicting directory of job results,
@@ -197,13 +185,6 @@ class ResultStore:
         # so under contention the cap is enforced approximately — each
         # writer still converges on it at its own next over-cap put.
         self._approx_bytes: int | None = None
-        # Whether the root may still hold older versions' flat entries;
-        # resolved on first use (and re-checked at most every
-        # _FLAT_RECHECK_S while negative, in case a legacy writer is
-        # still active) so stores that never saw the old layout pay an
-        # occasional glob, not a stat per operation.
-        self._may_have_flat: bool | None = None
-        self._flat_checked_at = 0.0
         # Per-entry hit-count deltas, merged into the stats.json
         # sidecar alongside the lifetime counters — the telemetry
         # cost-aware eviction will be built on.
@@ -225,43 +206,7 @@ class ResultStore:
 
     def _iter_entries(self):
         """Every entry file currently on disk."""
-        # Root-level hash-named *.json files are entries from the flat
-        # layout older versions wrote; counting (and evicting/
-        # clearing) them too keeps an upgraded directory fully
-        # administered.  Non-hash names (``stats.json``, stray files)
-        # are metadata, never entries.
-        return itertools.chain(
-            self.root.glob("??/*.json"), self._iter_flat_entries()
-        )
-
-    def _iter_flat_entries(self):
-        return (p for p in self.root.glob("*.json") if _JOB_HASH.match(p.stem))
-
-    def _adopt_flat(self, job_hash: str) -> None:
-        """Move a flat-layout entry (an older version's ``<hash>.json``
-        in the root) into its shard, so results cached before the upgrade stay
-        hittable.  Atomic rename on one filesystem; a concurrent
-        adopter losing the race is harmless."""
-        # Re-resolve periodically in both directions: a legacy writer
-        # may add flat entries after a negative check, and adoption
-        # eventually empties the root after a positive one.
-        if (
-            self._may_have_flat is None
-            or time.monotonic() - self._flat_checked_at > _FLAT_RECHECK_S
-        ):
-            self._may_have_flat = any(True for _ in self._iter_flat_entries())
-            self._flat_checked_at = time.monotonic()
-        if not self._may_have_flat:
-            return
-        flat = self.root / f"{job_hash}.json"
-        if not flat.exists():
-            return
-        target = self.path(job_hash)
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(flat, target)
-        except OSError:
-            pass
+        return self.root.glob("??/*.json")
 
     @property
     def stats_path(self) -> pathlib.Path:
@@ -470,11 +415,11 @@ class ResultStore:
         }
 
     # -- cache interface --------------------------------------------------
-    def get(self, spec: JobSpec) -> CachedResult | None:
-        """The stored result for ``spec``, or None (miss / corruption);
-        hits re-stamp the entry's recency and count in the per-entry
-        usage telemetry."""
-        self._adopt_flat(spec.job_hash)
+    def get(self, spec: JobSpec) -> JobResult | None:
+        """The stored result for ``spec`` as a ``cached=True``
+        :class:`JobResult` carrying its original compute time, or None
+        (miss / corruption); hits re-stamp the entry's recency and count
+        in the per-entry usage telemetry."""
         path = self.path(spec.job_hash)
         entry = self._load(path)
         if entry is not None and not self._valid_for(entry, spec):
@@ -490,11 +435,14 @@ class ResultStore:
         self._stamp(path)
         _store_events().inc(op="hit")
         self._maybe_flush_stats()
-        return CachedResult(
+        return JobResult(
             job_hash=spec.job_hash,
-            kind=entry["kind"],
+            kind=spec.kind,
+            ok=True,
             value=entry["value"],
+            error=None,
             duration_s=float(entry["duration_s"]),
+            cached=True,
         )
 
     def _load(self, path: pathlib.Path) -> dict | None:
@@ -530,15 +478,15 @@ class ResultStore:
             and isinstance(entry.get("duration_s"), (int, float))
         )
 
-    def _locked_get(self, spec: JobSpec) -> CachedResult | None:
+    def _locked_get(self, spec: JobSpec) -> JobResult | None:
         with self._mutex:
             return self.get(spec)
 
-    def _locked_put(self, spec: JobSpec, value: dict, duration_s: float) -> None:
+    def _locked_put(self, spec: JobSpec, result: JobResult) -> bool:
         with self._mutex:
-            self.put(spec, value, duration_s)
+            return self.put(spec, result)
 
-    async def aget(self, spec: JobSpec) -> CachedResult | None:
+    async def aget(self, spec: JobSpec) -> JobResult | None:
         """Async-safe read-through: :meth:`get` off the event loop.
 
         The lookup (file read + validation + recency stamp) runs in a
@@ -548,32 +496,34 @@ class ResultStore:
         """
         return await asyncio.to_thread(self._locked_get, spec)
 
-    async def aput(self, spec: JobSpec, value: dict, duration_s: float) -> None:
+    async def aput(self, spec: JobSpec, result: JobResult) -> bool:
         """Async-safe write-through: :meth:`put` off the event loop."""
-        await asyncio.to_thread(self._locked_put, spec, value, duration_s)
+        return await asyncio.to_thread(self._locked_put, spec, result)
 
     def invalidate(self, spec: JobSpec) -> bool:
-        """Drop one entry (sharded or legacy flat); True if this call
-        removed it.  One unlink, so an entry a concurrent evictor
-        deletes first reads as False, never as a removal."""
-        self._adopt_flat(spec.job_hash)
+        """Drop one entry; True if this call removed it.  One unlink, so
+        an entry a concurrent evictor deletes first reads as False,
+        never as a removal."""
         try:
             self.path(spec.job_hash).unlink()
         except FileNotFoundError:
             return False
         return True
 
-    def put(self, spec: JobSpec, value: dict, duration_s: float) -> None:
-        """Persist one result atomically into its shard, stamped as the
-        most recently used entry, and enforce ``max_bytes`` (evicting
-        LRU entries if the running size estimate crosses the cap).
+    def put(self, spec: JobSpec, result: JobResult) -> bool:
+        """Persist a successful ``result`` atomically into its shard,
+        stamped as the most recently used entry, and enforce
+        ``max_bytes`` (evicting LRU entries if the running size estimate
+        crosses the cap).  Returns whether the entry was written.
 
-        The temp file lives in the target's own shard so the final
-        ``os.replace`` stays on one filesystem and is atomic; it is
-        stamped before the replace, so the entry appears already
-        carrying its recency.
+        A failed result is never stored.  A write that fails (disk
+        full, read-only directory, a value JSON cannot encode) costs
+        only the cached copy: it returns False and counts one
+        ``repro_store_events_total{op=put_error}``, never raises — so a
+        computed answer is never lost to its write-through.
         """
-        self._adopt_flat(spec.job_hash)  # else the old flat copy would linger
+        if not result.ok:
+            return False
         target = self.path(spec.job_hash)
         old_size = 0
         if self.max_bytes is not None and self._approx_bytes is not None:
@@ -586,19 +536,15 @@ class ResultStore:
             "kind": spec.kind,
             "key": spec.key,
             "job_hash": spec.job_hash,
-            "value": value,
-            "duration_s": float(duration_s),
+            "value": result.value,
+            "duration_s": float(result.duration_s),
         }
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
-            self._stamp(tmp)
-            os.replace(tmp, target)
-        except BaseException:
-            pathlib.Path(tmp).unlink(missing_ok=True)
-            raise
+            atomic_write_bytes(target, json.dumps(entry).encode(),
+                               mtime_ns=time.time_ns())
+        except (OSError, TypeError, ValueError):
+            _store_events().inc(op="put_error")
+            return False
         self.stats.stores += 1
         _store_events().inc(op="store")
         # The write-through step of the trace chain: journaled under the
@@ -606,7 +552,7 @@ class ResultStore:
         obs.emit("store.put", job_hash=spec.job_hash, kind=spec.kind)
         self._maybe_flush_stats()
         if self.max_bytes is None:
-            return
+            return True
         if self._approx_bytes is None:
             self._approx_bytes = sum(size for _, _, size, _ in self._scan())
         else:
@@ -616,6 +562,7 @@ class ResultStore:
                 pass
         if self._approx_bytes > self.max_bytes:
             self.evict(int(self.max_bytes * _EVICT_WATERMARK))
+        return True
 
     def clear(self) -> int:
         """Remove every entry and the lifetime counters, returning how

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from ..analysis.tables import render_table, to_csv
 from .backends import Backend
-from .executor import RunReport, RunStats, run_jobs
+from .executor import RunReport, run_jobs
 from .jobs import JobSpec, dse_point_job
 from .progress import Progress
 from .store import ResultStore
@@ -29,7 +29,6 @@ __all__ = [
     "SweepGrid",
     "dse_grid",
     "dse_jobs",
-    "shard_jobs",
     "SweepReport",
     "run_dse_sweep",
     "DSE_HEADERS",
@@ -101,27 +100,6 @@ def dse_jobs(grid: SweepGrid) -> list[JobSpec]:
     ]
 
 
-def shard_jobs(specs: Sequence[JobSpec], n_shards: int) -> list[list[JobSpec]]:
-    """Partition jobs into ``n_shards`` stable, hash-assigned shards.
-
-    Each job lands in the shard named by its own ``job_hash``, so the
-    assignment is a pure function of job identity: the same job always
-    maps to the same shard regardless of list order, grid shape or
-    which machine computes it.  Shard job subtrees therefore *compose*
-    in one shared :class:`~repro.runtime.store.ResultStore` — running
-    shard 2 on one machine and shard 0 on another fills exactly the
-    entries a later whole-grid run replays.  Within a shard the input
-    order is preserved; empty shards are legal (fewer jobs than
-    shards).
-    """
-    if n_shards < 1:
-        raise ValueError("n_shards must be positive")
-    shards: list[list[JobSpec]] = [[] for _ in range(n_shards)]
-    for spec in specs:
-        shards[int(spec.job_hash[:8], 16) % n_shards].append(spec)
-    return shards
-
-
 DSE_HEADERS = (
     "slices", "V [V]", "util", "synth.", "area [kGE]", "area [mm2]",
     "dyn [mW]", "leak [mW]", "perf [GSOP/s]", "E/SOP [pJ]", "eff [TSOP/s/W]",
@@ -177,59 +155,17 @@ def run_dse_sweep(
     executor: Backend | str | None = None,
     cache: ResultStore | None = None,
     progress: Progress | None = None,
-    shards: int | None = None,
 ) -> SweepReport:
     """Sweep the design space and tabulate every point.
 
     ``executor`` may be a backend instance or a registered backend name
     (``"serial"``, ``"thread"``, ``"process"``, ``"cluster"``, …).  The
     job list, execution order and row order are all deterministic, so
-    two sweeps over the same grid — any backend, cached or cold,
-    sharded or whole — produce identical tables.
-
-    ``shards=N`` (N > 1) fans the grid out as N hash-assigned shards
-    (:func:`shard_jobs`), each dispatched as its own run through the
-    same executor and cache; because shard membership is a function of
-    job identity, the shard runs compose in one shared store and the
-    merged report is identical to the unsharded one.  This is the
-    ``repro sweep --backend cluster --shards N`` path: each shard is a
-    restartable unit a fleet can pick up independently.
+    two sweeps over the same grid — any backend, cached or cold —
+    produce identical tables.
     """
     grid = dse_grid(slices=slices, voltages=voltages, utilizations=utilizations)
-    jobs = dse_jobs(grid)
-    if shards is not None and shards > 1:
-        run = _run_sharded(jobs, shards, executor=executor, cache=cache,
-                           progress=progress)
-    else:
-        run = run_jobs(jobs, executor=executor, cache=cache, progress=progress)
+    run = run_jobs(dse_jobs(grid), executor=executor, cache=cache,
+                   progress=progress)
     rows = tuple(tuple(_dse_row(r)) for r in run.results)
     return SweepReport(run=run, headers=DSE_HEADERS, rows=rows)
-
-
-def _run_sharded(
-    jobs: Sequence[JobSpec],
-    n_shards: int,
-    executor: Backend | str | None,
-    cache: ResultStore | None,
-    progress: Progress | None,
-) -> RunReport:
-    """Run ``jobs`` shard by shard and merge back into grid order."""
-    shard_lists = shard_jobs(jobs, n_shards)
-    by_hash: dict[str, object] = {}
-    merged = RunStats(total=len(jobs))
-    for shard in shard_lists:
-        if not shard:
-            continue
-        run = run_jobs(shard, executor=executor, cache=cache, progress=progress)
-        merged.hits += run.stats.hits
-        merged.misses += run.stats.misses
-        merged.failures += run.stats.failures
-        merged.cache_errors += run.stats.cache_errors
-        merged.elapsed_s += run.stats.elapsed_s
-        merged.executor = run.stats.executor
-        merged.workers = run.stats.workers
-        for result in run.results:
-            by_hash[result.job_hash] = result
-    return RunReport(
-        results=tuple(by_hash[j.job_hash] for j in jobs), stats=merged
-    )

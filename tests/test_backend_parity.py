@@ -14,9 +14,11 @@ contract the moment it is registered.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.runtime import (
+    JobSpec,
     Progress,
     ResultStore,
     available_backends,
@@ -26,6 +28,7 @@ from repro.runtime import (
     inference_energy_job,
     make_backend,
     register_backend,
+    register_runner,
     run_jobs,
 )
 from repro.runtime.backends import _BACKENDS, SerialBackend
@@ -41,12 +44,20 @@ class RecordingProgress(Progress):
         self.results.append(result)
 
 
+# Registered at import time so fork-started pool and fleet workers
+# inherit it.
+@register_runner("parity_numpy_scalar")
+def _run_numpy_scalar(params, payload):
+    return {"x": np.int64(params["x"])}
+
+
 def mixed_jobs():
-    """DSE + energy + baseline jobs, with two deliberate failures.
+    """DSE + energy + baseline jobs, with three deliberate failures.
 
     ``Dynapsel`` publishes no efficiency figure (ValueError inside the
-    runner) and ``NoSuchChip`` is an unknown platform (KeyError), so the
-    list exercises both failure shapes in fixed positions.
+    runner), ``NoSuchChip`` is an unknown platform (KeyError) and the
+    ``parity_numpy_scalar`` runner returns a value JSON cannot encode,
+    so the list exercises all three failure shapes in fixed positions.
     """
     return [
         dse_point_job(1),
@@ -56,12 +67,14 @@ def mixed_jobs():
         dse_point_job(4, utilization=0.5),
         baseline_compare_job("NoSuchChip"),      # fails: unknown platform
         inference_energy_job("nmnist", n_slices=4),
+        JobSpec(kind="parity_numpy_scalar",      # fails: np.int64 value
+                key=canonical_json({"x": 1})),
         baseline_compare_job("Tianjic"),
         dse_point_job(2, voltage=0.7, utilization=0.25),
     ]
 
 
-FAILING_POSITIONS = (1, 5)
+FAILING_POSITIONS = (1, 5, 7)
 
 
 def payload_bytes(report):
@@ -95,6 +108,9 @@ class TestBackendParity:
         )
         assert "ValueError" in run.results[FAILING_POSITIONS[0]].error
         assert "KeyError" in run.results[FAILING_POSITIONS[1]].error
+        assert run.results[FAILING_POSITIONS[2]].error == (
+            "TypeError: result not JSON-serialisable: "
+            "Object of type int64 is not JSON serializable")
         assert run.stats.failures == len(FAILING_POSITIONS)
         for r in run.results:
             assert r.ok == (r.value is not None)

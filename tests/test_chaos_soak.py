@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.runtime import ResultStore
+from repro.runtime import JobResult, ResultStore
 from repro.runtime.chaos import (
     _GARBAGE,
     ChaosScheduler,
@@ -131,8 +131,10 @@ class TestFaultApplication:
         spool = make_spool(tmp_path)
         store = ResultStore(tmp_path / "cache")
         for i in range(4):
-            store.put(chaos_job(seed=1, round_no=0, i=i),
-                      {"x": i, "squared": i * i, "round": 0}, 0.0)
+            spec = chaos_job(seed=1, round_no=0, i=i)
+            store.put(spec, JobResult(spec.job_hash, spec.kind, True,
+                                      {"x": i, "squared": i * i, "round": 0},
+                                      None, 0.0))
         sched = self._scheduler(spool, evictions=1, store=store).start()
         try:
             assert wait_for(sched.done)

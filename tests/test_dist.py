@@ -6,9 +6,7 @@ structured-failure contract; this suite covers what parity cannot see:
 the spool protocol itself (atomic claims, duplicate-claim races, lease
 expiry and takeover), fault injection (a worker SIGKILLed mid-chunk, a
 corrupt spool entry, a corrupt result file, a poison job that keeps
-killing its workers), worker-side store read/write-through, and the
-hash-assigned sharding that lets one sweep span machines and still
-compose in a single result store.
+killing its workers) and worker-side store read/write-through.
 """
 
 import json
@@ -27,13 +25,10 @@ from repro.runtime import (
     ResultStore,
     available_backends,
     canonical_json,
-    dse_point_job,
     make_backend,
     obs,
     register_runner,
-    run_dse_sweep,
     run_jobs,
-    shard_jobs,
     spec_from_doc,
     spec_to_doc,
     worker_loop,
@@ -405,6 +400,32 @@ class TestWorkerLoop:
         replay = run_jobs(jobs, executor="serial", cache=ResultStore(tmp_path / "store"))
         assert replay.stats.hits == 3 and replay.stats.misses == 0
 
+    def test_store_write_failure_costs_only_the_cached_copy(
+            self, tmp_path, registry, monkeypatch):
+        import pathlib
+        import tempfile
+
+        store_root = tmp_path / "store"
+        real_mkstemp = tempfile.mkstemp
+
+        def mkstemp(*args, dir=None, **kwargs):
+            # The store's disk is full; the spool's is not.
+            if dir is not None and store_root in pathlib.Path(dir).parents:
+                raise OSError("disk full")
+            return real_mkstemp(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        jobs = [sleep_job(i) for i in range(2)]
+        broker = Broker(tmp_path / "spool")
+        broker.submit(jobs, chunk_size=2)
+        store = ResultStore(store_root)
+        assert drain_worker(tmp_path / "spool", store=store) == 1
+        results = broker.collect(timeout=30)
+        assert [(r.ok, r.cached) for r in results] == [(True, False)] * 2
+        assert registry.counter("repro_store_events_total").value(
+            op="put_error") == 2
+        assert len(store) == 0
+
     def test_corrupt_chunk_does_not_stall_the_worker(self, tmp_path):
         broker = Broker(tmp_path)
         ids = broker.submit([sleep_job(i) for i in range(2)], chunk_size=1)
@@ -532,44 +553,6 @@ class TestClusterBackend:
             ClusterBackend(workers=0)
         with pytest.raises(ValueError):
             ClusterBackend(chunk_size=0)
-
-
-class TestShardedSweep:
-    def test_shard_jobs_is_a_stable_partition(self):
-        jobs = [dse_point_job(n) for n in range(1, 13)]
-        shards = shard_jobs(jobs, 4)
-        assert sum(len(s) for s in shards) == len(jobs)
-        flat = {j.job_hash for s in shards for j in s}
-        assert flat == {j.job_hash for j in jobs}
-        # Pure function of job identity: order and grid shape don't matter.
-        again = shard_jobs(list(reversed(jobs)), 4)
-        assert [{j.job_hash for j in s} for s in again] == [
-            {j.job_hash for j in s} for s in shards
-        ]
-        with pytest.raises(ValueError):
-            shard_jobs(jobs, 0)
-
-    def test_sharded_sweep_composes_in_one_store(self, tmp_path):
-        """Acceptance: a sweep across 2+ shards meets in one store and
-        replays >=90% from cache, with a table identical to unsharded."""
-        store = ResultStore(tmp_path)
-        sharded = run_dse_sweep(slices=(1, 2, 4, 8), voltages=(None, 0.9),
-                                shards=3, cache=store)
-        whole = run_dse_sweep(slices=(1, 2, 4, 8), voltages=(None, 0.9))
-        assert sharded.rows == whole.rows
-        assert sharded.run.stats.total == 8
-        replay = run_dse_sweep(slices=(1, 2, 4, 8), voltages=(None, 0.9),
-                               cache=ResultStore(tmp_path))
-        assert replay.run.stats.hit_rate >= 0.9
-        assert replay.rows == whole.rows
-
-    def test_sharded_sweep_through_cluster_backend(self, tmp_path):
-        store = ResultStore(tmp_path)
-        sharded = run_dse_sweep(slices=(1, 8), shards=2,
-                                executor=make_backend("cluster", workers=2),
-                                cache=store)
-        whole = run_dse_sweep(slices=(1, 8))
-        assert sharded.rows == whole.rows
 
 
 class TestResultSchemaDrift:

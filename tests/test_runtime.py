@@ -23,6 +23,9 @@ from repro.hw import (
 )
 from repro.runtime import (
     ConsoleProgress,
+    JobResult,
+    JobSpec,
+    MetricsRegistry,
     ProcessBackend,
     Progress,
     ResultStore,
@@ -35,10 +38,17 @@ from repro.runtime import (
     dse_jobs,
     dse_point_job,
     execute_job,
+    obs,
+    register_runner,
     run_dse_sweep,
     run_jobs,
 )
 from repro.snn import build_small_network
+
+
+@register_runner("runtime_returns_list")
+def _run_returns_list(params, payload):
+    return [1, 2, 3]
 
 
 class RecordingProgress(Progress):
@@ -199,7 +209,8 @@ class TestCache:
 
     def test_schema_version_mismatch_is_a_miss(self, tmp_path):
         spec = dse_point_job(2)
-        ResultStore(tmp_path).put(spec, execute_job(spec), 0.0)
+        ResultStore(tmp_path).put(spec, JobResult(
+            spec.job_hash, spec.kind, True, execute_job(spec), None, 0.0))
         newer = ResultStore(tmp_path, schema_version=99)
         assert newer.get(spec) is None
         assert newer.stats.corrupt == 1
@@ -220,16 +231,37 @@ class TestCache:
         assert cache.stats.corrupt == 1
 
     def test_write_failure_degrades_to_uncached_results(self, tmp_path, monkeypatch):
+        import tempfile
+
         cache = ResultStore(tmp_path)
 
-        def broken_put(spec, value, duration_s):
+        def full_disk(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(cache, "put", broken_put)
-        run = run_jobs([dse_point_job(n) for n in (1, 8)], cache=cache)
+        monkeypatch.setattr(tempfile, "mkstemp", full_disk)
+        old = obs.set_registry(MetricsRegistry())
+        try:
+            run = run_jobs([dse_point_job(n) for n in (1, 8)], cache=cache)
+            put_errors = obs.get_registry().counter(
+                "repro_store_events_total").value(op="put_error")
+        finally:
+            obs.set_registry(old)
         assert all(r.ok for r in run.results)
         assert run.stats.cache_errors == 2
+        assert put_errors == 2
         assert "could not be cached" in run.stats.summary()
+        assert len(cache) == 0
+
+    def test_non_dict_runner_value_fails_and_is_never_stored(self, tmp_path):
+        cache = ResultStore(tmp_path)
+        spec = JobSpec(kind="runtime_returns_list", key=canonical_json({}))
+        for _ in range(3):
+            run = run_jobs([spec], cache=cache)
+            (result,) = run.results
+            assert not result.ok and result.value is None
+            assert result.error == "TypeError: result must be a dict, not list"
+            assert run.stats.failures == 1 and run.stats.cache_errors == 0
+        assert (cache.stats.hits, cache.stats.corrupt) == (0, 0)
         assert len(cache) == 0
 
     def test_size_bytes_skips_entries_evicted_mid_scan(self, tmp_path, monkeypatch):

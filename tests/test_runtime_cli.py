@@ -171,19 +171,6 @@ def test_sweep_cluster_backend_matches_serial_csv(tmp_path, capsys):
     assert capsys.readouterr().out == serial_csv
 
 
-def test_sweep_shards_compose_in_one_store(tmp_path, capsys):
-    cache_dir = str(tmp_path)
-    base = ["sweep", "--slices", "1,2,4,8", "--cache-dir", cache_dir, "--quiet"]
-    assert main(base + ["--shards", "3"]) == 0
-    sharded_out = capsys.readouterr().out
-    assert "4 job(s)" in sharded_out
-    # The whole-grid rerun replays the shard runs' entries: 100% hits.
-    assert main(base) == 0
-    out = capsys.readouterr().out
-    assert "4 cache hit(s), 0 computed" in out
-    assert "hit rate 100%" in out
-
-
 def test_cache_stats_detail_lists_entries(tmp_path, capsys):
     cache_dir = str(tmp_path)
     argv = ["sweep", "--slices", "1,8", "--cache-dir", cache_dir, "--quiet"]

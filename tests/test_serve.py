@@ -32,6 +32,7 @@ import pytest
 
 from repro.runtime import (
     AsyncServer,
+    JobResult,
     JobSpec,
     ResultStore,
     canonical_json,
@@ -262,7 +263,8 @@ class TestCacheShortCircuit:
     def test_hit_never_touches_the_pool(self, tmp_path):
         store = ResultStore(tmp_path)
         spec = quick_spec(7)
-        store.put(spec, {"i": 7}, 0.25)
+        store.put(spec, JobResult(spec.job_hash, spec.kind, True, {"i": 7},
+                                  None, 0.25))
 
         async def body():
             async with AsyncServer(dispatcher=LocalDispatcher(ExplodingBackend()),
@@ -608,7 +610,9 @@ class TestTelemetry:
     def test_snapshot_ratios(self, tmp_path):
         store = ResultStore(tmp_path)
         for i in (100, 101):
-            store.put(quick_spec(i), {"i": i}, 0.0)
+            spec = quick_spec(i)
+            store.put(spec, JobResult(spec.job_hash, spec.kind, True, {"i": i},
+                                      None, 0.0))
         rec = RecordingBackend()
 
         async def body():

@@ -19,12 +19,11 @@ import pathlib
 import pytest
 
 from repro.runtime import (
-    SCHEMA_VERSION,
+    JobResult,
     JobSpec,
     ResultStore,
     canonical_json,
     dse_point_job,
-    execute_job,
     open_store,
     run_jobs,
 )
@@ -37,9 +36,14 @@ def blob_spec(tag: str) -> JobSpec:
     return JobSpec(kind="blob", key=canonical_json({"tag": tag}))
 
 
+def ok_result(spec: JobSpec, value: dict, duration_s: float = 0.0) -> JobResult:
+    """A successful computed result for ``spec``."""
+    return JobResult(spec.job_hash, spec.kind, True, value, None, duration_s)
+
+
 def put_blob(store: ResultStore, tag: str, pad: int = 200) -> JobSpec:
     spec = blob_spec(tag)
-    store.put(spec, {"tag": tag, "pad": "x" * pad}, 0.0)
+    store.put(spec, ok_result(spec, {"tag": tag, "pad": "x" * pad}))
     return spec
 
 
@@ -80,28 +84,6 @@ class TestLayout:
         assert cold.stats.misses == 4
         assert warm.stats.hits == 4
         assert [r.value for r in warm.results] == [r.value for r in cold.results]
-
-    def test_flat_layout_entries_adopted_on_upgrade(self, tmp_path):
-        # A directory written by an older version's flat layout
-        # (``<hash>.json`` in the root) keeps serving hits (and stays
-        # administerable) through a ResultStore.
-        jobs = [dse_point_job(n) for n in (1, 2)]
-        values = [execute_job(spec) for spec in jobs]
-        for spec, value in zip(jobs, values):
-            (tmp_path / f"{spec.job_hash}.json").write_text(json.dumps({
-                "schema": SCHEMA_VERSION, "kind": spec.kind, "key": spec.key,
-                "job_hash": spec.job_hash, "value": value, "duration_s": 0.0,
-            }))
-
-        store = ResultStore(tmp_path)
-        assert len(store) == 2          # visible before adoption
-        warm = run_jobs(jobs, cache=store)
-        assert warm.stats.hits == 2     # served, not recomputed
-        assert [r.value for r in warm.results] == values
-        # Adopted into shards; the flat copies are gone.
-        assert store.path(jobs[0].job_hash).exists()
-        assert not (tmp_path / f"{jobs[0].job_hash}.json").exists()
-        assert store.clear() == 2
 
     def test_open_store_env_defaults(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env_store"))
@@ -375,7 +357,7 @@ class TestLifetimeStats:
 
         async def body():
             assert await store.aget(spec) is None
-            await store.aput(spec, {"tag": "async"}, 0.1)
+            assert await store.aput(spec, ok_result(spec, {"tag": "async"}, 0.1))
             hit = await store.aget(spec)
             assert hit is not None and hit.value["tag"] == "async"
 

@@ -34,6 +34,7 @@ from repro.hw import LayerGeometry, LayerKind, LayerProgram, SNEConfig  # noqa: 
 from repro.runtime import (  # noqa: E402
     AsyncServer,
     BrokerDispatcher,
+    JobResult,
     ResultStore,
     baseline_compare_job,
     dse_point_job,
@@ -94,7 +95,7 @@ def main() -> int:
     # exercises the cached path next to genuinely fleet-computed jobs.
     store = ResultStore(cache_dir)
     for spec, value in list(zip(specs, reference))[:3]:
-        store.put(spec, value, 0.0)
+        store.put(spec, JobResult(spec.job_hash, spec.kind, True, value, None, 0.0))
 
     log = (workdir / "supervise.log").open("w")
     supervisor = subprocess.Popen(
