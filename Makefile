@@ -27,6 +27,8 @@
 #   make profile-smoke - hot-path profile of a small workload via the CLI
 #   make fuzz-kernels - kernel parity fuzz matrix (reference vs numpy vs
 #                      numba when importable) over adversarial draws
+#   make loc         - line totals of src/repro/runtime/ and of the paper
+#                      model (src/repro/{hw,energy,events,snn})
 #   make bench       - the full benchmark suite (slow)
 #   make clean-cache - drop the CLI's default on-disk result store
 
@@ -44,7 +46,7 @@ BENCH_JSON_SUITE = benchmarks/bench_fig5b_perf.py \
 
 .PHONY: test test-parity test-serve test-dist test-soak test-obs fleet-smoke docs-check \
         lint bench-smoke bench-serve bench-gate bench-baseline sweep-smoke \
-        profile-smoke fuzz-kernels bench clean-cache
+        profile-smoke fuzz-kernels loc bench clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -100,6 +102,11 @@ sweep-smoke:
 	$(PYTHON) -m repro sweep --slices 4,8 --backend serial --cache-dir .repro_cache_smoke
 	$(PYTHON) -m repro sweep --slices 4,8 --backend cluster --workers 2 --cache-dir .repro_cache_smoke
 	$(PYTHON) -m repro cache stats --detail --cache-dir .repro_cache_smoke
+
+loc:
+	@printf 'runtime: '; find src/repro/runtime -name '*.py' -exec cat {} + | wc -l
+	@printf 'model:   '; find src/repro/hw src/repro/energy src/repro/events src/repro/snn \
+	    -name '*.py' -exec cat {} + | wc -l
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q

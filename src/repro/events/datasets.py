@@ -254,6 +254,8 @@ class SyntheticNMNIST:
     ) -> None:
         if size < 12:
             raise ValueError("size must be at least 12 pixels")
+        if n_steps < 1:
+            raise ValueError("n_steps must be positive")
         self.size = size
         self.n_steps = n_steps
         self.scale = scale
@@ -393,6 +395,8 @@ class SyntheticDVSGesture:
     ) -> None:
         if size < 16:
             raise ValueError("size must be at least 16 pixels")
+        if n_steps < 1:
+            raise ValueError("n_steps must be positive")
         self.size = size
         self.n_steps = n_steps
         self.sprite_radius = max(1, int(round(sprite_radius_fraction * size)))

@@ -178,7 +178,6 @@ class HardwareEvaluator:
         self,
         dataset: EventDataset,
         max_samples: int | None = None,
-        profile: bool = False,
         kernel: str = "auto",
     ) -> list:
         """One runtime :class:`~repro.runtime.jobs.JobSpec` per sample.
@@ -186,15 +185,11 @@ class HardwareEvaluator:
         Each job is independently executable in a worker process and
         hashes the full deployment identity (config, program weights,
         stream content), so repeated evaluations of the same deployment
-        are served from the result cache.  ``profile=True`` builds
-        profiling jobs: each result carries the per-stage span summary
-        of its simulation (and hashes differently, so profiled and
-        plain results never share cache entries).  ``kernel`` pins the
-        SNE kernel the workers run; like ``profile`` it enters the job
-        hash only when it deviates from ``"auto"``, so default jobs
-        keep their historical hashes and explicitly pinned runs (whose
-        profile spans reflect that kernel's timings) never share cache
-        entries with them.
+        are served from the result cache.  ``kernel`` pins the SNE
+        kernel the workers run; it enters the job hash only when it
+        deviates from ``"auto"``, so default jobs keep their historical
+        hashes and explicitly pinned runs never share cache entries
+        with them.
         """
         from ..runtime.jobs import deployment_fingerprint, sample_eval_job
 
@@ -202,8 +197,7 @@ class HardwareEvaluator:
         return [
             sample_eval_job(
                 self.programs, self.config, sample.stream, sample.label,
-                power=self.power, deployment=deployment, profile=profile,
-                kernel=kernel,
+                power=self.power, deployment=deployment, kernel=kernel,
             )
             for sample in self._select(dataset, max_samples)
         ]
@@ -216,6 +210,7 @@ class HardwareEvaluator:
         cache=None,
         progress=None,
         kernel: str = "auto",
+        profiler=None,
     ) -> EvaluationReport:
         """Evaluate ``dataset``, optionally through the runtime stack.
 
@@ -230,13 +225,21 @@ class HardwareEvaluator:
         through :func:`repro.runtime.executor.run_jobs`; results are
         identical to the serial path and come back in dataset order.
         ``kernel`` selects the SNE kernel on every path (bit-identical
-        results either way).
+        results either way).  ``profiler`` (a
+        :class:`repro.runtime.profile.Profiler`) receives the spans of
+        every in-process batch; it cannot time jobs dispatched to an
+        executor or served from a cache, so combining it with either
+        raises ``ValueError``.
         """
         if executor is None and cache is None:
             from ..runtime.progress import Progress
 
             return self._evaluate_inline(self._select(dataset, max_samples),
-                                         progress or Progress(), kernel=kernel)
+                                         progress or Progress(), kernel=kernel,
+                                         profiler=profiler)
+        if profiler is not None:
+            raise ValueError("profiler times the in-process loop only; "
+                             "it cannot be combined with executor or cache")
         from ..runtime.executor import run_jobs
 
         run = run_jobs(
@@ -245,7 +248,8 @@ class HardwareEvaluator:
         )
         return report_from_job_results(run.results)
 
-    def _evaluate_inline(self, samples, progress, kernel: str = "auto") -> EvaluationReport:
+    def _evaluate_inline(self, samples, progress, kernel: str = "auto",
+                         profiler=None) -> EvaluationReport:
         """The plain serial loop, narrated through a progress sink.
 
         Deliberately does NOT delegate to ``run_jobs``: building job
@@ -266,7 +270,7 @@ class HardwareEvaluator:
         for run in _envelope_runs(samples):
             t0 = time.perf_counter()
             batch = self.run_samples([s.stream for s in run], [s.label for s in run],
-                                     kernel=kernel)
+                                     profiler=profiler, kernel=kernel)
             share = (time.perf_counter() - t0) / len(run)
             for result in batch:
                 results.append(result)
@@ -295,13 +299,8 @@ def report_from_job_results(results) -> EvaluationReport:
     """Rehydrate an :class:`EvaluationReport` from runtime job results.
 
     Raises on the first failed job (a failed sample invalidates the
-    accuracy aggregate, unlike a failed sweep point).  The ``profile``
-    summary attached by profiling jobs is dropped here — merge it into
-    a :class:`repro.runtime.profile.Profiler` instead.
+    accuracy aggregate, unlike a failed sweep point).
     """
     return EvaluationReport(
-        results=tuple(
-            SampleResult(**{k: v for k, v in r.unwrap().items() if k != "profile"})
-            for r in results
-        )
+        results=tuple(SampleResult(**r.unwrap()) for r in results)
     )

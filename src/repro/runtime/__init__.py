@@ -74,8 +74,9 @@ through (:class:`~repro.runtime.progress.Progress` and the console
 ticker :class:`~repro.runtime.progress.ConsoleProgress`);
 :mod:`.profile` is the hot-path profiling
 layer — :class:`~repro.runtime.profile.Profiler` spans threaded through
-the SNE event loop and the hardware-in-the-loop runner, attached to
-``sample_eval`` job results as JSON and surfaced by ``repro profile``;
+the SNE event loop and the hardware-in-the-loop runner, which
+``repro profile`` collects in-process over the same stacked batches
+the backends run;
 :mod:`.cli` exposes the whole pipeline as
 ``python -m repro sweep|eval|profile|cache|serve|worker|supervise`` (also
 installed as the ``repro`` console script), with ``--backend``

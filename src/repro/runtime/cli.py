@@ -8,8 +8,8 @@ Subcommands:
 * ``repro eval``  — hardware-in-the-loop evaluation of a synthetic
   dataset on the cycle-level SNE model, parallelised per sample;
 * ``repro profile`` — per-stage hot-path profile of the simulator:
-  runs a synthetic workload as profiling jobs through any backend,
-  merges the per-job span summaries and prints wall time, share and
+  runs a synthetic workload in-process, in the same stacked batches
+  the backends run, under one profiler and prints wall time, share and
   events/s per stage (``--json`` dumps the structured summary;
   ``--kernel reference`` times the per-event reference loop);
 * ``repro cache`` — inspect (``stats``, with ``--detail`` adding
@@ -67,9 +67,9 @@ every command then journals structured events to
 ``DIR/metrics/`` on exit, which ``repro metrics``/``repro top`` merge
 into one fleet-wide view.
 
-``--backend`` selects the execution backend on every run command; the
-accepted names are derived from the live registry at parse time (any
-backend registered via
+``--backend`` selects the execution backend of ``sweep`` and ``eval``;
+the accepted names are derived from the live registry at parse time
+(any backend registered via
 :func:`repro.runtime.backends.register_backend`, including the
 ``cluster`` queue backend), so results are bit-identical across
 backends and late-registered names need no CLI edits.
@@ -178,16 +178,6 @@ def _add_obs_flag(p: argparse.ArgumentParser) -> None:
                         "else off)")
 
 
-def _add_backend_flag(p: argparse.ArgumentParser, default_hint: str) -> None:
-    # One definition for every command so the flag's validation and
-    # help can never drift apart; the name list in the help is rendered
-    # from the registry, not hand-edited.
-    p.add_argument("--backend", type=_backend_arg, default=None, metavar="NAME",
-                   help="execution backend: "
-                        f"{', '.join(available_backends())} "
-                        f"(default: {default_hint})")
-
-
 def _add_kernel_flag(p: argparse.ArgumentParser) -> None:
     # One definition so every simulation command pins kernels with the
     # same vocabulary as the registry (repro.hw.kernels); every choice
@@ -291,7 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        _add_backend_flag(p, "serial, or process when --workers > 1")
+        # The name list in the help is rendered from the registry.
+        p.add_argument("--backend", type=_backend_arg, default=None, metavar="NAME",
+                       help="execution backend: "
+                            f"{', '.join(available_backends())} "
+                            "(default: serial, or process when --workers > 1)")
         p.add_argument("--workers", type=_positive_int, default=None,
                        help="worker threads/processes (default: 1, or the "
                             "backend's own sizing when --backend is given)")
@@ -328,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--json", metavar="PATH", default=None,
                         help="also write the span summary as JSON "
                              "('-' for stdout)")
-    _add_backend_flag(p_prof, "serial — profiles merge across workers either way")
-    p_prof.add_argument("--workers", type=_positive_int, default=None,
-                        help="worker threads/processes for the chosen backend")
     _add_quiet_flag(p_prof)
     _add_obs_flag(p_prof)
 
@@ -723,31 +714,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    # Same deployment pipeline as `repro eval`, but every sample runs
-    # under a Profiler and the merged per-stage spans are the product.
+    # Same deployment pipeline as `repro eval`, run in-process in the
+    # backends' stacked batches under one Profiler.
     import json as _json
 
-    from .executor import run_jobs
     from .profile import Profiler, render_profile
 
     data, evaluator = _build_deployment(args)
     _warn_kernel_fleet(args)
-    jobs = evaluator.sample_jobs(data, max_samples=args.max_samples,
-                                 profile=True, kernel=args.kernel)
-    run = run_jobs(jobs, executor=_make_executor(args),
-                   progress=_make_progress(args))
-    if run.failures():
-        print(run.failures()[0].error, file=sys.stderr)
-        return 1
-    # Each profiled result carries its job's Profiler.summary(); fold
-    # them into one fleet-wide profile.
     profiler = Profiler()
-    summaries = [r.value["profile"] for r in run.results
-                 if r.value.get("profile")]
-    for job_summary in summaries:
-        profiler.merge(job_summary)
+    report = evaluator.evaluate(data, max_samples=args.max_samples,
+                                progress=_make_progress(args),
+                                kernel=args.kernel, profiler=profiler)
     summary = profiler.summary()
-    profiled = len(summaries)
+    profiled = len(report.results)
     mode = "vectorised" if args.kernel == "auto" else f"{args.kernel}-kernel"
     title = (f"hot-path profile — {data.name}, {profiled} sample(s), "
              f"{args.slices} slice(s), {mode} event loop")

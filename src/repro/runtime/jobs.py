@@ -29,6 +29,7 @@ import enum
 import functools
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -349,6 +350,24 @@ def calibration_fingerprint() -> str:
     return hashlib.sha256(material.encode()).hexdigest()[:16]
 
 
+def _check_slices(n_slices) -> None:
+    # numpy ints (what the sweep grid yields) pass; bools and floats do
+    # not, so 4.5 or 4.0 never hash apart from 4.
+    if not isinstance(n_slices, numbers.Integral) or isinstance(n_slices, bool):
+        raise ValueError(f"n_slices must be an integer, got {n_slices!r}")
+    if n_slices < 1:
+        raise ValueError("n_slices must be positive")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_voltage(voltage) -> None:
+    if voltage is not None and not _is_number(voltage):
+        raise ValueError(f"voltage must be a number or null, got {voltage!r}")
+
+
 def dse_point_job(
     n_slices: int,
     voltage: float | None = None,
@@ -357,10 +376,15 @@ def dse_point_job(
     """One design-space point: area/power/efficiency at a configuration.
 
     ``voltage=None`` means the paper's nominal 0.8 V operating point
-    (anchor-exact at the synthesised slice counts via Fig. 5a).
+    (anchor-exact at the synthesised slice counts via Fig. 5a).  Like
+    the other analytic factories it raises ``ValueError`` for malformed
+    parameters before hashing, so a bad wire request never reaches a
+    batch; accepted values enter the key unchanged.
     """
-    if n_slices < 1:
-        raise ValueError("n_slices must be positive")
+    _check_slices(n_slices)
+    _check_voltage(voltage)
+    if not _is_number(utilization) or not 0.0 <= utilization <= 1.0:
+        raise ValueError(f"utilization must be a number in [0, 1], got {utilization!r}")
     key = canonical_json(
         {
             "n_slices": n_slices,
@@ -376,6 +400,13 @@ def inference_energy_job(
     dataset: str, n_slices: int = 8, voltage: float | None = None
 ) -> JobSpec:
     """Table I energy/timing interval query for an anchored dataset."""
+    from ..energy.efficiency import DATASET_EVENT_ANCHORS
+
+    if not isinstance(dataset, str) or dataset not in DATASET_EVENT_ANCHORS:
+        raise ValueError(f"unknown dataset {dataset!r}; "
+                         f"known: {sorted(DATASET_EVENT_ANCHORS)}")
+    _check_slices(n_slices)
+    _check_voltage(voltage)
     key = canonical_json(
         {
             "dataset": dataset,
@@ -389,6 +420,12 @@ def inference_energy_job(
 
 def baseline_compare_job(platform: str, n_slices: int = 8) -> JobSpec:
     """Efficiency comparison of SNE against one Table II platform."""
+    from ..baselines.soa import TABLE2_LITERATURE
+
+    known = [p.name for p in TABLE2_LITERATURE]
+    if platform not in known:
+        raise ValueError(f"unknown Table II platform {platform!r}; known: {sorted(known)}")
+    _check_slices(n_slices)
     key = canonical_json(
         {
             "platform": platform,
@@ -458,7 +495,6 @@ def sample_eval_job(
     label: int,
     power=None,
     deployment: dict | None = None,
-    profile: bool = False,
     kernel: str = "auto",
 ) -> JobSpec:
     """One hardware-in-the-loop inference: a stream through a network.
@@ -470,19 +506,12 @@ def sample_eval_job(
     ``deployment`` takes a precomputed :func:`deployment_fingerprint`
     for the programs/config/power triple.
 
-    ``profile=True`` runs the sample under a
-    :class:`~repro.runtime.profile.Profiler` and attaches the span
-    summary to the result dict under ``"profile"`` — structured JSON
-    that survives process pools and the result store.  Profiling enters
-    the key only when enabled, so plain jobs keep their historical
-    hashes and profiled results never shadow unprofiled ones.
-
     ``kernel`` pins the SNE kernel implementation
-    (:mod:`repro.hw.kernels`) the runner selects.  Like ``profile`` it
-    enters the key only when it deviates from ``"auto"`` — every kernel
-    is bit-identical, so default jobs keep their historical hashes,
-    while an explicitly pinned run (say, profiling the numba path) is
-    hash-isolated from the default and from other pins.
+    (:mod:`repro.hw.kernels`) the runner selects.  It enters the key
+    only when it deviates from ``"auto"`` — every kernel is
+    bit-identical, so default jobs keep their historical hashes, while
+    an explicitly pinned run is hash-isolated from the default and from
+    other pins.
     """
     from ..hw.kernels import KERNEL_CHOICES
 
@@ -495,8 +524,6 @@ def sample_eval_job(
         "stream": _stream_digest(stream),
         "label": int(label),
     }
-    if profile:
-        identity["profile"] = True
     if kernel != "auto":
         identity["kernel"] = kernel
     key = canonical_json(identity)
@@ -625,16 +652,13 @@ def batch_signature(spec: JobSpec) -> dict | None:
     stacked batch (:func:`execute_sample_batch`), or ``None`` for a
     spec that runs on its own.
 
-    Batchable specs carry their payload, are not profile jobs (a
-    profile summarises one sample's simulation) and agree on the
-    deployment (config, program digests, power), the kernel and the
-    stream envelope; the stream content and the label may differ.
+    Batchable specs carry their payload and agree on the deployment
+    (config, program digests, power), the kernel and the stream
+    envelope; the stream content and the label may differ.
     """
     if spec.kind != "sample_eval" or spec.payload is None:
         return None
     params = spec.params
-    if params.get("profile"):
-        return None
     signature = {k: v for k, v in params.items() if k not in ("stream", "label")}
     signature["shape"] = params["stream"]["shape"]
     return signature
@@ -668,15 +692,6 @@ def _run_sample_eval(params: dict, payload: Any) -> dict:
     evaluator = HardwareEvaluator(
         payload["programs"], payload["config"], payload["power"]
     )
-    profiler = None
-    if params.get("profile"):
-        from .profile import Profiler
-
-        profiler = Profiler()
     result = evaluator.run_sample(payload["stream"], payload["label"],
-                                  profiler=profiler,
                                   kernel=params.get("kernel", "auto"))
-    out = dataclasses.asdict(result)
-    if profiler is not None:
-        out["profile"] = profiler.summary()
-    return out
+    return dataclasses.asdict(result)

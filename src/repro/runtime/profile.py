@@ -6,24 +6,23 @@ anything instrumented to report spans: the SNE cycle model threads one
 through :meth:`~repro.hw.sne.SNE.run_layer` /
 :meth:`~repro.hw.sne.SNE.run_network` (stages ``sne.assemble``,
 ``sne.update``, ``sne.fire``, ``sne.reset``, plus one
-``sne.layer.<name>`` per layer), the hardware-in-the-loop runner wraps
-whole samples (``runner.sample``), and ``sample_eval`` jobs built with
-``profile=True`` attach the summary JSON to their results so profiles
-survive process pools and the result cache.
+``sne.layer.<name>`` per layer), and the hardware-in-the-loop runner
+wraps each stacked batch of samples (``runner.sample``).
+``repro profile`` runs its samples in-process through
+:meth:`~repro.hw.runner.HardwareEvaluator.evaluate` under one
+profiler, so the spans time the same batched loop the backends run.
 
 Summaries are plain JSON (``{"total_s": ..., "spans": {name: {...}}}``)
-so they can ride in job results, merge across workers
-(:meth:`Profiler.merge`) and render as the table the ``repro profile``
-CLI command prints.  Spans may nest
-(``runner.sample`` contains the ``sne.*`` stages), so shares are
-relative to each profiler's elapsed wall time and do not sum to 100%.
+and render as the table the ``repro profile`` CLI command prints
+(:func:`render_profile`).  Spans may nest (``runner.sample`` contains
+the ``sne.*`` stages), so shares are relative to the profiler's
+elapsed wall time and do not sum to 100%.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = ["SpanStats", "Profiler", "render_profile"]
 
@@ -53,11 +52,9 @@ class SpanStats:
 
 
 class Profiler:
-    """Accumulates per-stage spans for one run (or many merged runs).
+    """Accumulates per-stage spans for one run.
 
-    Hot loops call :meth:`add` with pre-measured durations (cheapest);
-    coarser call sites use the :meth:`span` context manager.  Profilers
-    merge, so per-worker profiles combine into one fleet view.
+    Instrumented loops call :meth:`add` with pre-measured durations.
     """
 
     def __init__(self) -> None:
@@ -74,27 +71,9 @@ class Profiler:
         span.wall_s += wall_s
         span.events += events
 
-    def span(self, name: str, events: int = 0) -> "_SpanContext":
-        """Context manager timing one occurrence of stage ``name``."""
-        return _SpanContext(self, name, events)
-
     def elapsed_s(self) -> float:
         """Wall time since this profiler was created."""
         return time.perf_counter() - self._started
-
-    def merge(self, other: "Profiler | dict") -> None:
-        """Fold another profiler (or a :meth:`summary` dict) into this one.
-
-        Span counts/wall/events add; the other profiler's ``total_s``
-        does not extend this profiler's own elapsed clock (merged
-        workers overlap in time).
-        """
-        spans = other.spans.values() if isinstance(other, Profiler) else [
-            SpanStats(name, int(s["count"]), float(s["wall_s"]), int(s["events"]))
-            for name, s in dict(other).get("spans", {}).items()
-        ]
-        for span in spans:
-            self.add(span.name, span.wall_s, count=span.count, events=span.events)
 
     def summary(self) -> dict:
         """The structured JSON view: ``total_s`` + per-span statistics.
@@ -108,34 +87,6 @@ class Profiler:
             "total_s": self.elapsed_s(),
             "spans": {s.name: s.as_dict() for s in ordered},
         }
-
-    def render(self, title: str = "profile") -> str:
-        """Human-readable per-stage table of the recorded spans."""
-        return render_profile(self.summary(), title=title)
-
-    def __iter__(self) -> Iterator[SpanStats]:
-        """Iterate spans in descending wall-time order."""
-        return iter(sorted(self.spans.values(), key=lambda s: -s.wall_s))
-
-
-class _SpanContext:
-    """Context manager produced by :meth:`Profiler.span`."""
-
-    __slots__ = ("_profiler", "_name", "_events", "_t0")
-
-    def __init__(self, profiler: Profiler, name: str, events: int) -> None:
-        self._profiler = profiler
-        self._name = name
-        self._events = events
-
-    def __enter__(self) -> "_SpanContext":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._profiler.add(
-            self._name, time.perf_counter() - self._t0, events=self._events
-        )
 
 
 def render_profile(summary: dict, title: str = "profile") -> str:

@@ -32,6 +32,7 @@ from repro.runtime import (
     run_jobs,
 )
 from repro.runtime.backends import _BACKENDS, SerialBackend
+from repro.runtime.jobs import calibration_fingerprint
 
 
 class RecordingProgress(Progress):
@@ -58,6 +59,9 @@ def mixed_jobs():
     runner), ``NoSuchChip`` is an unknown platform (KeyError) and the
     ``parity_numpy_scalar`` runner returns a value JSON cannot encode,
     so the list exercises all three failure shapes in fixed positions.
+    ``baseline_compare_job`` refuses unknown platforms, so the
+    ``NoSuchChip`` spec is built from its key, as a spool document
+    would carry it.
     """
     return [
         dse_point_job(1),
@@ -65,7 +69,9 @@ def mixed_jobs():
         dse_point_job(8, voltage=0.9),
         inference_energy_job("ibm_dvs_gesture", n_slices=8),
         dse_point_job(4, utilization=0.5),
-        baseline_compare_job("NoSuchChip"),      # fails: unknown platform
+        JobSpec(kind="baseline_compare",         # fails: unknown platform
+                key=canonical_json({"platform": "NoSuchChip", "n_slices": 8,
+                                    "calibration": calibration_fingerprint()})),
         inference_energy_job("nmnist", n_slices=4),
         JobSpec(kind="parity_numpy_scalar",      # fails: np.int64 value
                 key=canonical_json({"x": 1})),
@@ -256,9 +262,9 @@ class TestRegistry:
 class TestSampleBatchGrouping:
     """Backends run consecutive compatible sample_eval jobs as one stacked
     batch.  A mixed list — two deployments, a dse_point between them, a
-    profile job and one sample job that raises inside a batch — must give
-    the values of running every job alone, on every backend, with the one
-    failure in place and carrying its own traceback."""
+    kernel-pinned job and one sample job that raises inside a batch —
+    must give the values of running every job alone, on every backend,
+    with the one failure in place and carrying its own traceback."""
 
     FAILING = 2
 
@@ -281,18 +287,16 @@ class TestSampleBatchGrouping:
         # network does not accept: the batch raises, this job alone fails.
         bad = JobSpec(a[2].kind, a[2].key, {
             **a[2].payload, "stream": a[2].payload["stream"].pad_spatial(18, 18)})
-        profiled = one.sample_jobs(data, max_samples=1, profile=True)[0]
-        return [a[0], a[1], bad, a[3], dse_point_job(4), b[0], b[1], b[2], profiled, a[4]]
+        # Sample 0 again, but pinned to a kernel: a batch of its own that
+        # splits the run of `one`'s jobs around it.
+        pinned = one.sample_jobs(data, max_samples=1, kernel="numpy")[0]
+        return [a[0], a[1], bad, a[3], dse_point_job(4), b[0], b[1], b[2], pinned, a[4]]
 
     @staticmethod
     def comparable(results):
-        return [
-            (r.job_hash, r.ok, None if r.value is None
-             else {k: v for k, v in r.value.items() if k != "profile"})
-            for r in results
-        ]
+        return [(r.job_hash, r.ok, r.value) for r in results]
 
-    def test_runs_split_on_deployment_kind_and_profile(self, grouped_jobs):
+    def test_runs_split_on_deployment_kind_and_kernel(self, grouped_jobs):
         from repro.runtime.backends import _batches
 
         assert [len(run) for run in _batches(grouped_jobs)] == [4, 1, 3, 1, 1]
@@ -307,7 +311,7 @@ class TestSampleBatchGrouping:
         assert [i for i, r in enumerate(run.results) if not r.ok] == [self.FAILING]
         error = run.results[self.FAILING].error
         assert error.startswith("ValueError: stream envelope") and "Traceback" in error
-        assert "profile" in run.results[8].value
+        assert run.results[8].value == run.results[0].value
 
     def test_batch_members_share_the_batch_wall_time(self, grouped_jobs):
         results = SerialBackend().run(grouped_jobs)

@@ -108,6 +108,13 @@ class TestSyntheticDVSGesture:
         assert not np.array_equal(cw, ccw)
 
 
+@pytest.mark.parametrize("generator_cls", [SyntheticNMNIST, SyntheticDVSGesture])
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_nonpositive_n_steps_rejected(generator_cls, n_steps):
+    with pytest.raises(ValueError, match="n_steps must be positive"):
+        generator_cls(size=34, n_steps=n_steps)
+
+
 class TestEventDataset:
     def make_dataset(self, n=30):
         stream = EventStream([0], [0], [0], [0], (2, 1, 2, 2))

@@ -12,11 +12,11 @@ from repro.runtime import (
     render_profile,
     run_jobs,
 )
-from repro.runtime.cli import main
+from repro.runtime.cli import _build_deployment, build_parser, main
 from repro.snn import build_small_network
 
 #: Every profile-span record must carry exactly this shape (the JSON
-#: contract the CLI, job results and aggregator all share).
+#: contract of Profiler.summary and the CLI's --json document).
 SPAN_KEYS = {"count", "wall_s", "events", "events_per_s"}
 
 
@@ -46,14 +46,6 @@ class TestProfiler:
         p.add("idle", 0.0, events=100)
         assert p.spans["idle"].events_per_s == 0.0
 
-    def test_span_context_manager_measures(self):
-        p = Profiler()
-        with p.span("work", events=4):
-            pass
-        assert p.spans["work"].count == 1
-        assert p.spans["work"].wall_s >= 0.0
-        assert p.spans["work"].events == 4
-
     def test_summary_shape_and_ordering(self):
         p = Profiler()
         p.add("fast", 0.1, events=1)
@@ -65,19 +57,6 @@ class TestProfiler:
         for span in summary["spans"].values():
             assert set(span) == SPAN_KEYS
         json.dumps(summary)  # the summary must be pure JSON
-
-    def test_merge_profiler_and_summary_dict(self):
-        a, b = Profiler(), Profiler()
-        a.add("stage", 0.5, events=5)
-        b.add("stage", 0.5, events=5)
-        b.add("other", 0.1)
-        a.merge(b)
-        assert a.spans["stage"].wall_s == pytest.approx(1.0)
-        assert a.spans["stage"].events == 10
-        c = Profiler()
-        c.merge(a.summary())
-        assert c.spans["stage"].count == a.spans["stage"].count
-        assert c.spans["other"].wall_s == pytest.approx(0.1)
 
     def test_render_mentions_every_span(self):
         p = Profiler()
@@ -133,54 +112,33 @@ class TestSNEProfileSpans:
 
 
 class TestProfiledJobs:
-    def test_profile_flag_changes_job_hash_only_when_set(self):
-        data, evaluator = small_deployment()
-        plain_a = evaluator.sample_jobs(data)[0]
-        plain_b = evaluator.sample_jobs(data, profile=False)[0]
-        profiled = evaluator.sample_jobs(data, profile=True)[0]
-        assert plain_a.job_hash == plain_b.job_hash
-        assert profiled.job_hash != plain_a.job_hash
-        assert profiled.params["profile"] is True
-        assert "profile" not in plain_a.params
-
-    def test_profiled_results_carry_span_json(self):
-        data, evaluator = small_deployment()
-        run = run_jobs(evaluator.sample_jobs(data, max_samples=2, profile=True))
-        for result in run.results:
-            summary = result.unwrap()["profile"]
-            assert set(summary) == {"total_s", "spans"}
-            assert "runner.sample" in summary["spans"]
-            assert set(summary["spans"]["sne.update"]) == SPAN_KEYS
+    """Profiling is in-process only: job results carry no profile."""
 
     def test_plain_results_carry_no_profile(self):
         data, evaluator = small_deployment()
         run = run_jobs(evaluator.sample_jobs(data, max_samples=1))
         assert "profile" not in run.results[0].unwrap()
 
-    def test_aggregator_merges_across_process_backend(self, tmp_path, capsys):
-        """``repro profile`` folds every worker's job profile into one."""
-        out_path = tmp_path / "profile.json"
-        rc = main(["profile", "--size", "16", "--steps", "4", "--per-class", "1",
-                   "--max-samples", "4", "--slices", "2", "--backend", "process",
-                   "--workers", "2", "--quiet", "--json", str(out_path)])
-        assert rc == 0
-        doc = json.loads(out_path.read_text())
-        assert doc["workload"]["samples"] == 4
-        assert doc["spans"]["runner.sample"]["count"] == 4
-        assert set(doc["spans"]["sne.update"]) == SPAN_KEYS
 
-    def test_aggregator_ignores_plain_jobs(self):
-        """Only profiled results carry a summary to merge; plain ones
-        in the same run add nothing."""
-        data, evaluator = small_deployment()
-        jobs = (evaluator.sample_jobs(data, max_samples=2)
-                + evaluator.sample_jobs(data, max_samples=1, profile=True))
-        run = run_jobs(jobs)
+class TestProfiledEvaluate:
+    def test_evaluate_profiler_records_batched_spans(self):
+        data, evaluator = small_deployment(n_per_class=1)
         profiler = Profiler()
-        for result in run.results:
-            if "profile" in result.unwrap():
-                profiler.merge(result.value["profile"])
-        assert profiler.spans["runner.sample"].count == 1
+        report = evaluator.evaluate(data, max_samples=3, profiler=profiler)
+        summary = profiler.summary()
+        assert set(summary) == {"total_s", "spans"}
+        # Equal envelopes run as one stacked batch: one runner.sample
+        # span counting every sample, one fire scan per layer and step.
+        assert summary["spans"]["runner.sample"]["count"] == len(report.results) == 3
+        n_steps = data.samples[0].stream.n_steps
+        assert profiler.spans["sne.fire"].count == n_steps * len(evaluator.programs)
+        assert set(summary["spans"]["sne.update"]) == SPAN_KEYS
+
+    @pytest.mark.parametrize("kw", [{"executor": "serial"}, {"cache": object()}])
+    def test_profiler_refuses_executor_and_cache(self, kw):
+        data, evaluator = small_deployment()
+        with pytest.raises(ValueError, match="in-process loop only"):
+            evaluator.evaluate(data, profiler=Profiler(), **kw)
 
 
 class TestProfileCLI:
@@ -196,9 +154,36 @@ class TestProfileCLI:
         assert doc["workload"]["samples"] == 2
         assert set(doc["spans"]["sne.update"]) == SPAN_KEYS
 
+    def test_profile_command_times_the_batched_path(self, capsys):
+        """`repro profile` runs the samples in one stacked batch under one
+        profiler: the total spans the batch, and the fire scans are those
+        of a single run_samples call over the same streams."""
+        argv = ["profile", "--per-class", "1", "--max-samples", "4",
+                "--quiet", "--json", "-"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out[out.index("\n{") + 1:])
+        runner = doc["spans"]["runner.sample"]
+        assert doc["total_s"] >= runner["wall_s"]
+        row = next(line for line in out.splitlines() if line.startswith("runner.sample"))
+        assert float(row.split()[3].rstrip("%")) <= 100.0
+
+        data, evaluator = _build_deployment(build_parser().parse_args(argv))
+        samples = data.samples[:4]
+        expected = Profiler()
+        evaluator.run_samples([s.stream for s in samples], [s.label for s in samples],
+                              profiler=expected)
+        assert doc["spans"]["sne.fire"]["count"] == expected.spans["sne.fire"].count
+        assert runner["count"] == 4
+
+    def test_profile_command_has_no_backend_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--backend", "process"])
+        assert exc.value.code == 2
+
     def test_profile_command_per_event_mode(self, capsys):
-        # The per-event reference loop is profiled through the job path
-        # like every other kernel, with the same stage and layer spans.
+        # The per-event reference loop is profiled like every other
+        # kernel, with the same stage and layer spans.
         rc = main(["profile", "--size", "16", "--steps", "4", "--per-class", "1",
                    "--max-samples", "1", "--slices", "2", "--kernel", "reference",
                    "--quiet", "--json", "-"])

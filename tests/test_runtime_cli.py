@@ -72,6 +72,13 @@ def test_domain_errors_exit_cleanly(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dataset", ["gesture", "nmnist"])
+@pytest.mark.parametrize("command", ["eval", "profile"])
+def test_zero_steps_exit_cleanly(command, dataset, capsys):
+    assert main([command, "--dataset", dataset, "--steps", "0", "--quiet"]) == 2
+    assert "n_steps must be positive" in capsys.readouterr().err
+
+
 def test_eval_runs_tiny_dataset(capsys):
     argv = [
         "eval", "--size", "16", "--steps", "6", "--per-class", "1",

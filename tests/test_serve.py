@@ -436,6 +436,35 @@ class TestRequestToSpec:
         with pytest.raises(ValueError, match="bad params"):
             request_to_spec({"kind": "dse_point", "params": {"bogus": 1}})
 
+    @pytest.mark.parametrize("kind, params", [
+        ("dse_point", {"n_slices": 4.5}),
+        ("dse_point", {"n_slices": True}),
+        ("dse_point", {"n_slices": "4"}),
+        ("dse_point", {"n_slices": 4, "utilization": 1.5}),
+        ("dse_point", {"n_slices": 4, "utilization": -0.1}),
+        ("dse_point", {"n_slices": 4, "utilization": "high"}),
+        ("dse_point", {"n_slices": 4, "voltage": "0.8"}),
+        ("inference_energy", {"dataset": "imagenet"}),
+        ("inference_energy", {"dataset": "nmnist", "n_slices": 2.0}),
+        ("inference_energy", {"dataset": "nmnist", "voltage": [0.8]}),
+        ("baseline_compare", {"platform": "NoSuchChip"}),
+        ("baseline_compare", {"platform": "Loihi", "n_slices": 0}),
+    ])
+    def test_malformed_params_rejected_before_hashing(self, kind, params):
+        with pytest.raises(ValueError, match="bad params"):
+            request_to_spec({"kind": kind, "params": params})
+
+    def test_accepted_params_keep_their_keys(self):
+        # Validation must not normalise what it accepts: a numpy int is
+        # the int it equals, and utilization 1 stays 1 (not 1.0).
+        import numpy as np
+
+        assert dse_point_job(np.int64(4)).key == dse_point_job(4).key
+        spec = request_to_spec({"kind": "dse_point",
+                                "params": {"n_slices": 4, "utilization": 1}})
+        assert '"utilization":1,' in spec.key
+        assert spec.key != dse_point_job(4).key
+
 
 class TestTCPProtocol:
     def _roundtrip(self, lines, tmp_path, n_responses=None):
