@@ -42,15 +42,18 @@ MAX_OVERHEAD = 1.03
 
 
 def _fig5b_jobs():
-    # Long enough (~0.3 s serial) that per-job instrumentation cost is
-    # resolvable above scheduler jitter at the 3% bar.
+    # The 22 sample jobs run as stacked batches in ~0.05 s, so the
+    # fixed per-run cost (snapshot flush plus one SLO evaluation) would
+    # be ~3% of an arm.  Twelve copies make one serial arm 0.35-0.38 s
+    # of CPU (2-CPU x86 host, numpy kernels), long enough that per-job
+    # instrumentation cost is what the 3% bar measures.
     data = SyntheticDVSGesture(size=16, n_steps=16).generate(n_per_class=2, seed=7)
     net = build_small_network(input_size=16, n_classes=11, channels=4,
                               hidden=16, seed=2)
     evaluator = HardwareEvaluator(
         compile_network(net, (2, 16, 16)), PAPER_CONFIG.with_slices(2)
     )
-    return evaluator.sample_jobs(data)
+    return evaluator.sample_jobs(data) * 12
 
 
 def _timed_run(jobs):

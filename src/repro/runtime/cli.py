@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Sequence
 
@@ -1257,12 +1258,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     Returns:
         Process exit status — 0 on success, 1 on a run with failed
-        jobs, 2 on usage/domain errors (which print to stderr).
+        jobs or a closed stdout, 2 on usage/domain errors (which print
+        to stderr).
     """
     args = build_parser().parse_args(argv)
     obs.configure(getattr(args, "obs_dir", None))
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader went away (`repro ... | head`): no error line.
+        # Point stdout at devnull so the exit-time flush cannot raise
+        # again (the Python docs' SIGPIPE recipe).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:
         # Domain validation (slice counts, dataset geometry, an unusable
         # --cache-dir, ...) surfaces as a clean usage error; executor-level

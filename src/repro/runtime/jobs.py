@@ -29,6 +29,7 @@ import enum
 import functools
 import hashlib
 import json
+import marshal
 import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -106,12 +107,14 @@ class JobSpec:
     kind: str
     key: str
     payload: Any = field(default=None, compare=False, repr=False)
+    #: Stable SHA-256 identity: schema version + kind + key.  Computed
+    #: once, at construction; a store hit reads it several times.
+    job_hash: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def job_hash(self) -> str:
-        """Stable SHA-256 identity: schema version + kind + key."""
+    def __post_init__(self) -> None:
         material = f"v{SCHEMA_VERSION}:{self.kind}:{self.key}"
-        return hashlib.sha256(material.encode()).hexdigest()
+        object.__setattr__(
+            self, "job_hash", hashlib.sha256(material.encode()).hexdigest())
 
     @property
     def params(self) -> dict:
@@ -323,6 +326,11 @@ def spec_from_doc(doc: dict) -> JobSpec:
 
 # -- spec factories ---------------------------------------------------------
 
+#: Single-slot memo of :func:`calibration_fingerprint`: the exact-content
+#: key of the tables it last digested, and that digest.
+_calibration_memo: tuple[bytes, str] | None = None
+
+
 def calibration_fingerprint() -> str:
     """Digest of every constant the analytic models are calibrated on.
 
@@ -330,24 +338,44 @@ def calibration_fingerprint() -> str:
     anchor (Fig. 5a totals, Fig. 4 areas, technology parameters, the
     gating residual) invalidates cached sweep results instead of
     silently serving the old model's numbers.
-    """
-    from .. import __version__
-    from ..energy.area import COMPONENTS, FIG4_ANCHORS
-    from ..energy.power import FIG5A_TOTAL_MW, FIG5B_PJ_PER_SOP, PowerModel
-    from ..energy.technology import GF22FDX
 
+    Each call reads the live tables and ``marshal``s them into a key
+    (a few µs); the canonical JSON and SHA-256 run only when that key
+    differs from the last call's.  The key is exact in type and sign
+    (``30`` vs ``30.0``, ``0.0`` vs ``-0.0``), which ``==`` is not but
+    the canonical encoding is, so an edited table never meets a stale
+    digest.  Tables ``marshal`` cannot encode skip the memo.
+    """
+    global _calibration_memo
+    from .. import __version__
+    from ..energy import area, power, technology
+
+    try:
+        memo_key = marshal.dumps((
+            __version__, vars(technology.GF22FDX),
+            power.PowerModel.gating_residual, power.FIG5A_TOTAL_MW,
+            power.FIG5B_PJ_PER_SOP, area.FIG4_ANCHORS, area.COMPONENTS,
+        ), 2)  # version 2 writes no refcount-dependent back-references
+    except (TypeError, ValueError):
+        memo_key = None
+    memo = _calibration_memo
+    if memo is not None and memo[0] == memo_key:
+        return memo[1]
     material = canonical_json(
         {
             "version": __version__,
-            "tech": dataclasses.asdict(GF22FDX),
-            "gating_residual": float(PowerModel.gating_residual),
-            "fig5a_total_mw": FIG5A_TOTAL_MW,
-            "fig5b_pj_per_sop": FIG5B_PJ_PER_SOP,
-            "fig4_anchors": FIG4_ANCHORS,
-            "area_components": COMPONENTS,
+            "tech": dataclasses.asdict(technology.GF22FDX),
+            "gating_residual": float(power.PowerModel.gating_residual),
+            "fig5a_total_mw": power.FIG5A_TOTAL_MW,
+            "fig5b_pj_per_sop": power.FIG5B_PJ_PER_SOP,
+            "fig4_anchors": area.FIG4_ANCHORS,
+            "area_components": area.COMPONENTS,
         }
     )
-    return hashlib.sha256(material.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(material.encode()).hexdigest()[:16]
+    if memo_key is not None:
+        _calibration_memo = (memo_key, digest)
+    return digest
 
 
 def _check_slices(n_slices) -> None:

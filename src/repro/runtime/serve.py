@@ -740,7 +740,14 @@ async def _answer_line(server: AsyncServer, line: bytes | str, send,
 def _parse_hello(line: bytes | str) -> dict | None:
     """The pump's cheap peek: the decoded request if this line is a
     well-formed ``hello`` op, else None (the line goes down the normal
-    concurrent path, which re-reports any JSON error properly)."""
+    concurrent path, which re-reports any JSON error properly).
+
+    Only a line that spells ``hello`` is decoded here, so a job request
+    is decoded once, by :func:`_answer_line`.  A ``hello`` written with
+    JSON escapes is still answered there, just not inline.
+    """
+    if (b"hello" if isinstance(line, bytes) else "hello") not in line:
+        return None
     try:
         doc = json.loads(line)
     except (ValueError, RecursionError):

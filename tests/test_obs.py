@@ -12,6 +12,7 @@ that keep all of it a no-op when observability is off.
 import json
 import multiprocessing
 import os
+import re
 import threading
 
 import pytest
@@ -182,6 +183,12 @@ class TestSpans:
             assert ctx.parent_id is None
             assert len(ctx.trace_id) == 16
         assert obs.current_span() is None
+
+    def test_new_ids_are_16_hex_digits(self):
+        ids = {obs.new_id() for _ in range(64)}
+        assert len(ids) == 64
+        for span_id in ids:
+            assert re.fullmatch("[0-9a-f]{16}", span_id)
 
     def test_nested_span_shares_trace_and_links_parent(self):
         with obs.span("outer") as outer:

@@ -11,6 +11,7 @@ The contracts under test are the ones every later scaling PR relies on:
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.runtime import (
     SweepAxis,
     SweepGrid,
     baseline_compare_job,
+    calibration_fingerprint,
     canonical_json,
     dse_grid,
     dse_jobs,
@@ -42,6 +44,8 @@ from repro.runtime import (
     register_runner,
     run_dse_sweep,
     run_jobs,
+    spec_from_doc,
+    spec_to_doc,
 )
 from repro.snn import build_small_network
 
@@ -109,6 +113,126 @@ class TestJobSpecs:
         before = dse_point_job(8).job_hash
         monkeypatch.setitem(power_mod.FIG5A_TOTAL_MW, 8, 99.9)
         assert dse_point_job(8).job_hash != before
+
+
+#: ``calibration_fingerprint()`` and ``dse_point_job(8).job_hash`` of the
+#: shipped calibration tables (unchanged since before the memo).
+PINNED_CALIBRATION = "5ece49786aa99281"
+PINNED_DSE8_HASH = "456537df570f4b49b376dfbd54315aca59e008fd28b3df4f1ba5d04887aa99f9"
+
+
+class TestJobIdentityOnce:
+    """A job's identity costs one computation per distinct input: the
+    calibration digest is memoised on the exact table content, and a
+    spec hashes its key once."""
+
+    def test_fingerprint_and_hash_are_pinned(self):
+        assert calibration_fingerprint() == PINNED_CALIBRATION
+        assert dse_point_job(8).job_hash == PINNED_DSE8_HASH
+
+    def test_equal_but_differently_encoded_edits_change_the_fingerprint(
+            self, monkeypatch):
+        import repro.energy.area as area_mod
+        import repro.energy.power as power_mod
+
+        # (30, ...) == (30.0, ...) and 0.0 == -0.0, but the canonical
+        # encoding tells each pair apart, so the memo must as well.
+        monkeypatch.setitem(area_mod.FIG4_ANCHORS, "streamers", (30, 30, 30, 30))
+        assert calibration_fingerprint() != PINNED_CALIBRATION
+        monkeypatch.undo()
+        assert calibration_fingerprint() == PINNED_CALIBRATION
+
+        monkeypatch.setitem(power_mod.FIG5B_PJ_PER_SOP, 8, 0.0)
+        positive_zero = calibration_fingerprint()
+        monkeypatch.setitem(power_mod.FIG5B_PJ_PER_SOP, 8, -0.0)
+        negative_zero = calibration_fingerprint()
+        assert len({positive_zero, negative_zero, PINNED_CALIBRATION}) == 3
+        monkeypatch.undo()
+        assert calibration_fingerprint() == PINNED_CALIBRATION
+
+    def test_rebound_tables_change_the_fingerprint(self, monkeypatch):
+        import repro.energy.power as power_mod
+        import repro.energy.technology as tech_mod
+
+        monkeypatch.setattr(power_mod, "FIG5A_TOTAL_MW",
+                            {**power_mod.FIG5A_TOTAL_MW, 8: 99.9})
+        assert calibration_fingerprint() != PINNED_CALIBRATION
+        monkeypatch.undo()
+        assert calibration_fingerprint() == PINNED_CALIBRATION
+
+        monkeypatch.setattr(tech_mod, "GF22FDX",
+                            tech_mod.TechnologyParams(nd2_area_um2=0.2))
+        assert calibration_fingerprint() != PINNED_CALIBRATION
+        monkeypatch.setattr(power_mod.PowerModel, "gating_residual", 0.25)
+        assert calibration_fingerprint() != PINNED_CALIBRATION
+        monkeypatch.undo()
+        assert calibration_fingerprint() == PINNED_CALIBRATION
+
+    def test_unmarshalable_tables_skip_the_memo(self, monkeypatch):
+        import numpy as np
+
+        import repro.energy.area as area_mod
+
+        # numpy scalars canonicalise like Python floats but have no
+        # memo key: every call digests the live content.
+        monkeypatch.setitem(area_mod.FIG4_ANCHORS, "streamers",
+                            tuple(np.float32(30.0) for _ in range(4)))
+        assert calibration_fingerprint() == PINNED_CALIBRATION
+        monkeypatch.setitem(area_mod.FIG4_ANCHORS, "streamers",
+                            tuple(np.float32(31.0) for _ in range(4)))
+        assert calibration_fingerprint() != PINNED_CALIBRATION
+        monkeypatch.undo()
+        assert calibration_fingerprint() == PINNED_CALIBRATION
+
+    def test_requests_digest_the_calibration_once(self, monkeypatch):
+        import repro.energy.power as power_mod
+        from repro.runtime import jobs as jobs_mod
+        from repro.runtime.serve import request_to_spec
+
+        digested = []
+        real = jobs_mod.canonical_json
+
+        def counting(obj):
+            if isinstance(obj, dict) and "fig4_anchors" in obj:
+                digested.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(jobs_mod, "canonical_json", counting)
+        # New table content, so the first request cannot hit a memo.
+        monkeypatch.setitem(power_mod.FIG5B_PJ_PER_SOP, 8, 0.25)
+        specs = [request_to_spec({"id": i, "kind": "dse_point",
+                                  "params": {"n_slices": 8}})
+                 for i in range(100)]
+        assert len(digested) == 1
+        assert len({spec.job_hash for spec in specs}) == 1
+        assert specs[0].job_hash != PINNED_DSE8_HASH
+
+    def test_job_hash_is_computed_once_per_spec(self, monkeypatch):
+        import hashlib
+
+        key = dse_point_job(8).key
+        hashed = []
+        real = hashlib.sha256
+
+        def counting(*args):
+            hashed.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        spec = JobSpec(kind="dse_point", key=key)
+        assert {spec.job_hash for _ in range(10)} == {PINNED_DSE8_HASH}
+        assert len(hashed) == 1
+        assert "job_hash" not in repr(spec)
+        with pytest.raises(TypeError):
+            JobSpec(kind="dse_point", key=key, job_hash="0" * 64)
+
+    def test_copies_carry_the_same_hash(self, tiny_eval):
+        evaluator, data = tiny_eval
+        for spec in [dse_point_job(8), *evaluator.sample_jobs(data, max_samples=2)]:
+            for copy in (pickle.loads(pickle.dumps(spec)),
+                         spec_from_doc(spec_to_doc(spec))):
+                assert copy == spec
+                assert copy.job_hash == spec.job_hash
 
     def test_dse_runner_matches_direct_models(self):
         from repro.energy import AreaModel, EfficiencyModel

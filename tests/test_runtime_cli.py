@@ -79,6 +79,29 @@ def test_zero_steps_exit_cleanly(command, dataset, capsys):
     assert "n_steps must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--slices", "8", "--no-cache", "--quiet"],
+    ["profile", "--per-class", "1", "--max-samples", "2", "--steps", "4",
+     "--json", "-", "--quiet"],
+])
+def test_closed_stdout_exits_quietly(args, tmp_path):
+    """`repro ... | head`: a reader that went away is not a usage
+    error — exit 1 with nothing on stderr (no error line, no
+    traceback from the interpreter's exit-time flush)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the first write: every write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "repro", *args],
+                              cwd=tmp_path, env=env, stdin=subprocess.DEVNULL,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_eval_runs_tiny_dataset(capsys):
     argv = [
         "eval", "--size", "16", "--steps", "6", "--per-class", "1",

@@ -827,6 +827,29 @@ class TestWireV2:
         assert by_id["u"]["code"] == "bad_request"
         assert by_id["o"]["code"] == "bad_request"
 
+    def test_v2_malformed_lines_are_coded(self, tmp_path):
+        # The pump decodes only lines that spell "hello"; malformed
+        # lines, with or without that word, answer a coded bad_request.
+        out = self._roundtrip(
+            [
+                json.dumps({"id": "h", "op": "hello", "proto": 2}),
+                "not json",
+                '{"id": "t", "op": "hello"',
+                '["hello"]',
+            ],
+            tmp_path,
+        )
+        assert out[0]["id"] == "h" and out[0]["proto"] == 2
+        assert len(out) == 4
+        for o in out[1:]:
+            assert not o["ok"]
+            assert o["code"] == "bad_request"
+
+    def test_escaped_hello_still_negotiates(self, tmp_path):
+        out = self._roundtrip(['{"id": "e", "op": "\\u0068ello", "proto": 2}'],
+                              tmp_path)
+        assert out[0]["ok"] and out[0]["proto"] == 2
+
     def test_v2_runner_failure_is_backend_error(self, tmp_path, monkeypatch):
         from repro.runtime import serve as serve_mod
 
