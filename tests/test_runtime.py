@@ -114,6 +114,17 @@ class TestJobSpecs:
         monkeypatch.setitem(power_mod.FIG5A_TOTAL_MW, 8, 99.9)
         assert dse_point_job(8).job_hash != before
 
+    def test_dse_runner_matches_direct_models(self):
+        from repro.energy import AreaModel, EfficiencyModel
+
+        value = execute_job(dse_point_job(4))
+        assert value["area_kge"] == pytest.approx(AreaModel().total_kge(4))
+        assert value["efficiency_tsops_w"] == pytest.approx(
+            EfficiencyModel().efficiency_tsops_w(PAPER_CONFIG.with_slices(4))
+        )
+        assert value["synthesised"] is True
+        assert execute_job(dse_point_job(3))["synthesised"] is False
+
 
 #: ``calibration_fingerprint()`` and ``dse_point_job(8).job_hash`` of the
 #: shipped calibration tables (unchanged since before the memo).
@@ -233,17 +244,6 @@ class TestJobIdentityOnce:
                          spec_from_doc(spec_to_doc(spec))):
                 assert copy == spec
                 assert copy.job_hash == spec.job_hash
-
-    def test_dse_runner_matches_direct_models(self):
-        from repro.energy import AreaModel, EfficiencyModel
-
-        value = execute_job(dse_point_job(4))
-        assert value["area_kge"] == pytest.approx(AreaModel().total_kge(4))
-        assert value["efficiency_tsops_w"] == pytest.approx(
-            EfficiencyModel().efficiency_tsops_w(PAPER_CONFIG.with_slices(4))
-        )
-        assert value["synthesised"] is True
-        assert execute_job(dse_point_job(3))["synthesised"] is False
 
 
 class TestExecutors:
