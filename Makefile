@@ -101,7 +101,7 @@ sweep-smoke:
 	$(PYTHON) -m repro sweep --slices 4,8 --backend thread --cache-dir .repro_cache_smoke
 	$(PYTHON) -m repro sweep --slices 4,8 --backend serial --cache-dir .repro_cache_smoke
 	$(PYTHON) -m repro sweep --slices 4,8 --backend cluster --workers 2 --cache-dir .repro_cache_smoke
-	$(PYTHON) -m repro cache stats --detail --cache-dir .repro_cache_smoke
+	$(PYTHON) -m repro cache stats --cache-dir .repro_cache_smoke
 
 loc:
 	@printf 'runtime: '; find src/repro/runtime -name '*.py' -exec cat {} + | wc -l

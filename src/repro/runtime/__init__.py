@@ -23,8 +23,9 @@ fan-out-able, memoised workloads.  The flow is a straight pipeline::
    ``put(spec, result)`` stores only successes, and a write that fails
    returns False (one ``put_error``) instead of raising, so every
    caller — ``run_jobs``, the worker, the server — loses at most the
-   cached copy.  Hit/miss/store/corrupt
-   counters feed every run report.  The store is built to be
+   cached copy.  Each lookup and write counts once in the
+   ``repro_store_events_total`` counter of :mod:`.obs` (lifetime
+   totals: ``repro metrics --obs-dir DIR``).  The store is built to be
    *shared*: content-addressed two-level layout (``ab/abcd….json``),
    each entry's mtime as its recency, and LRU eviction under a size cap, so
    concurrent sweeps, CI jobs and collaborators can reuse one
@@ -169,7 +170,6 @@ from .backends import (
 from .executor import JobResult, RunReport, RunStats, run_jobs
 from .store import (
     MAX_BYTES_ENV,
-    CacheStats,
     ResultStore,
     default_cache_dir,
     default_max_bytes,
@@ -263,7 +263,6 @@ __all__ = [
     "deployment_fingerprint",
     "execute_job",
     "register_runner",
-    "CacheStats",
     "default_cache_dir",
     "ResultStore",
     "open_store",

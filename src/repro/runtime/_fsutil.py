@@ -1,9 +1,9 @@
 """Shared filesystem primitives for the runtime package.
 
 One canonical implementation of the temp-file + ``os.replace`` atomic
-write that the store entries, its sidecar (``stats.json``) and the
-distributed spool (chunks, claims, results) all rely on — readers of
-any of those files must never observe a torn write.
+write that the store entries and the distributed spool (chunks,
+claims, results) both rely on — readers of any of those files must
+never observe a torn write.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def atomic_write_bytes(path: pathlib.Path | str, data: bytes,
     before the replace, so the file appears already carrying that
     mtime.  On failure the temp file is removed and the ``OSError``
     propagates — the caller decides whether a failed write is fatal (a
-    spool publish) or merely lossy (a store entry or sidecar).
+    spool publish) or merely lossy (a store entry).
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

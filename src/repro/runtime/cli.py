@@ -12,8 +12,7 @@ Subcommands:
   the backends run, under one profiler and prints wall time, share and
   events/s per stage (``--json`` dumps the structured summary;
   ``--kernel reference`` times the per-event reference loop);
-* ``repro cache`` — inspect (``stats``, with ``--detail`` adding
-  per-entry hit counts and the entry-age histogram), size-cap
+* ``repro cache`` — inspect (``stats``: entries, bytes and shards), size-cap
   (``evict --max-bytes N``) or ``clear`` the shared on-disk result
   store;
 * ``repro worker`` — the distributed work-queue agent: attach to a
@@ -329,12 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = add("cache", _cmd_cache, "inspect, evict or clear the result store")
     p_cache.add_argument("action", choices=("stats", "evict", "clear"))
     _add_store_flags(p_cache)
-    p_cache.add_argument("--detail", action="store_true",
-                         help="with stats: per-entry hit counts (top "
-                              "entries with kind and compute cost) and "
-                              "the entry-age histogram")
-    p_cache.add_argument("--top", type=_positive_int, default=10,
-                         help="how many entries --detail lists (default 10)")
 
     p_worker = add("worker", _cmd_worker,
                    "cluster work-queue agent: claim, execute and publish "
@@ -653,13 +646,12 @@ def _cmd_sweep(args) -> int:
         # hygiene — say so instead of silently accepting it.
         print("repro sweep: note: DSE points are analytic; --kernel "
               "affects simulation commands (eval, profile)", file=sys.stderr)
-    cache = _make_cache(args)
     report = run_dse_sweep(
         slices=args.slices,
         voltages=args.voltages,
         utilizations=args.utilizations,
         executor=_make_executor(args),
-        cache=cache,
+        cache=_make_cache(args),
         progress=_make_progress(args),
     )
     if args.csv:
@@ -669,12 +661,6 @@ def _cmd_sweep(args) -> int:
         print(report.render(title="SNE design-space sweep (Figs. 4 + 5 axes)"))
         stats_out = sys.stdout
     print(f"run: {report.run.stats.summary()}", file=stats_out)
-    if cache is not None:
-        s = cache.stats
-        print(f"cache: {s.hits} hit(s), {s.misses} miss(es), "
-              f"{s.stores} stored, {s.corrupt} corrupt @ {cache.root}",
-              file=stats_out)
-        cache.flush_stats()  # make this run's counters visible to `cache stats`
     return 0 if report.ok else 1
 
 
@@ -687,11 +673,8 @@ def _cmd_eval(args) -> int:
     _warn_kernel_fleet(args)
     jobs = evaluator.sample_jobs(data, max_samples=args.max_samples,
                                  kernel=args.kernel)
-    cache = _make_cache(args)
-    run = run_jobs(jobs, executor=_make_executor(args), cache=cache,
-                   progress=_make_progress(args))
-    if cache is not None:
-        cache.flush_stats()
+    run = run_jobs(jobs, executor=_make_executor(args),
+                   cache=_make_cache(args), progress=_make_progress(args))
     if run.failures():
         print(f"run: {run.stats.summary()}")
         print(run.failures()[0].error, file=sys.stderr)
@@ -769,30 +752,6 @@ def _cmd_cache(args) -> int:
     cap = "uncapped" if u["max_bytes"] is None else f"cap {u['max_bytes']} bytes"
     print(f"cache: {u['entries']} entr{'y' if u['entries'] == 1 else 'ies'}, "
           f"{u['bytes']} bytes ({cap}), {u['shards']} shard dir(s) @ {u['root']}")
-    life = u["lifetime"]
-    print(f"lifetime: {life['hits']} hit(s), {life['misses']} miss(es) "
-          f"(hit rate {life['hit_rate']:.0%}), {life['stores']} stored, "
-          f"{life['corrupt']} corrupt")
-    if args.detail:
-        from ..analysis.tables import render_table
-
-        detail = store.entry_stats(limit=args.top)
-        hist = "  ".join(f"{label}:{n}" for label, n in
-                         detail["age_histogram"].items())
-        print(f"entry ages: {hist}")
-        rows = [
-            [r["hash"][:12], r["hits"], r["kind"] or "?",
-             f"{r['age_s']:.0f}", r["bytes"],
-             "?" if r["duration_s"] is None else f"{r['duration_s']:.3f}"]
-            for r in detail["top"]
-        ]
-        print(render_table(
-            ["entry", "hits", "kind", "age [s]", "bytes", "compute [s]"],
-            rows,
-            title=f"top {len(rows)} of {detail['entries']} entr"
-                  f"{'y' if detail['entries'] == 1 else 'ies'} by hits "
-                  f"({detail['tracked_hits']} recorded hit(s))",
-        ))
     return 0
 
 
@@ -1130,7 +1089,8 @@ class _TopState:
         store = registry._metrics.get("repro_store_events_total")
         if store is not None:
             hits = store.value(op="hit")
-            misses = store.value(op="miss")
+            # A lookup that found an invalid entry missed too.
+            misses = store.value(op="miss") + store.value(op="corrupt")
         hit_rate = hits / (hits + misses) if hits + misses else 0.0
         # Serve-side queue depth comes from the same process-wide gauge
         # the serve `stats` op reports (repro_serve_queue_depth), so the

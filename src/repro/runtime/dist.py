@@ -106,7 +106,7 @@ def _spool_dirs(spool: pathlib.Path) -> tuple[pathlib.Path, pathlib.Path, pathli
     return dirs
 
 
-#: The spool's atomic-write primitive (shared with the store sidecars).
+#: The spool's atomic-write primitive (shared with the store entries).
 _atomic_write = atomic_write_bytes
 
 
@@ -494,8 +494,6 @@ def worker_loop(
             on_chunk(chunk_id, len(records), time.perf_counter() - started)
         if max_chunks is not None and done >= max_chunks:
             break
-    if store is not None:
-        store.flush_stats()
     obs.flush_metrics()
     return done
 

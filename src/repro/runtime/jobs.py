@@ -66,8 +66,8 @@ def _jsonable(obj: Any) -> Any:
     """Reduce ``obj`` to plain JSON types, deterministically."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        return float(repr(obj)) if obj == obj else "nan"
+    if isinstance(obj, float):  # np.float64 is a float subclass
+        return float(obj) if obj == obj else "nan"
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, np.generic):

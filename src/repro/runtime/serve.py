@@ -304,8 +304,6 @@ class AsyncServer:
             self._queue.put_nowait(_CLOSE)
             await self._batcher
         await self._drain_dispatches()
-        if self.cache is not None:
-            self.cache.flush_stats()
         obs.flush_metrics()
 
     async def _drain_dispatches(self) -> None:

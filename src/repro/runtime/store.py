@@ -14,10 +14,10 @@ result.  The store reads and writes
 :class:`~repro.runtime.backends.JobResult` records: ``get`` answers a hit
 with ``cached=True``, and ``put`` stores only successes and turns a
 failed write into ``False`` (one ``put_error``), so every caller loses
-at most the cached copy.  Hit/miss/store/corrupt counters accumulate in
-:class:`CacheStats`; the sweep engine and CLI report them after every
-run, and they merge — with each entry's hit count — into one
-``stats.json`` sidecar that totals them across every run of the store.
+at most the cached copy.  Every lookup and write counts once, into the
+process-wide ``repro_store_events_total{op=…}`` counter of :mod:`.obs`;
+``repro metrics --obs-dir DIR`` merges the per-process snapshots into
+lifetime, fleet-wide totals.
 
 :class:`ResultStore` is built for a directory many runs, users and CI
 jobs can share:
@@ -31,8 +31,8 @@ jobs can share:
   until the store fits ``max_bytes``;
 * **concurrent-safe by construction** — entry writes are temp file +
   ``os.replace`` (no torn entries), a hit's recency stamp lands on the
-  entry itself so every process sees it at once, eviction and sidecar
-  merges run under an ``fcntl`` file lock, and every scan/stat/unlink
+  entry itself so every process sees it at once, eviction runs under
+  an ``fcntl`` file lock, and every scan/stat/unlink
   tolerates entries vanishing mid-operation because another process
   evicted them.
 
@@ -49,10 +49,9 @@ import contextlib
 import json
 import os
 import pathlib
-import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import obs
 from ._fsutil import atomic_write_bytes
@@ -65,7 +64,6 @@ except ImportError:  # pragma: no cover
     fcntl = None
 
 __all__ = [
-    "CacheStats",
     "ResultStore",
     "open_store",
     "default_cache_dir",
@@ -79,44 +77,30 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Environment variable giving the default store size cap in bytes.
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
-#: A full SHA-256 job hash: an entry's file stem and sidecar key.
-_JOB_HASH = re.compile(r"^[0-9a-f]{64}$")
-
 
 def _store_events():
     """The shared ``repro_store_events_total`` counter (labels:
-    ``op=hit|miss|store|evict|put_error``) on the process-wide registry;
+    ``op=hit|miss|store|corrupt|evict|put_error``) on the process-wide
+    registry — the store's only counter.  A lookup counts one of
+    ``hit``, ``miss`` or ``corrupt`` (an invalid entry it deleted);
     ``put_error`` counts :meth:`ResultStore.put` calls whose write failed."""
     return obs.get_registry().counter(
         "repro_store_events_total",
-        "Result-store operations by op (hit, miss, store, evict, put_error).")
+        "Result-store operations by op "
+        "(hit, miss, store, corrupt, evict, put_error).")
 
 #: Cap-triggered evictions clear down to this fraction of ``max_bytes``
 #: so a store sitting at its cap doesn't pay a full scan-and-evict on
 #: every subsequent put — one eviction buys ~10% of cap in headroom.
 _EVICT_WATERMARK = 0.9
 
-#: Counter deltas merge into the ``stats.json`` sidecar once this many
-#: have accumulated, so the warm replay path pays a counter bump per hit
-#: instead of a locked read-modify-write per hit.
-_TOUCH_FLUSH_COUNT = 32
-
 #: How long an orphaned temp file (mkstemp leftover from a SIGKILLed
 #: writer) must sit untouched before eviction sweeps it.
 _DEBRIS_GRACE_S = 3600.0
 
-#: Where those temp files land: sidecar writes in the root, entry
-#: writes in their shard.
+#: Where those temp files land: entry writes in their shard; the root
+#: pattern also sweeps any left beside the shards.
 _DEBRIS_PATTERNS = ("*.tmp", "??/*.tmp")
-
-#: Counter fields persisted to the ``stats.json`` sidecar — the
-#: lifetime hit/miss/store/corrupt totals ``repro cache stats`` prints.
-_STATS_FIELDS = ("hits", "misses", "stores", "corrupt")
-
-#: Upper edges (seconds) of the entry-age histogram buckets reported by
-#: :meth:`ResultStore.entry_stats`; the last bucket is unbounded.
-_AGE_BUCKETS = ((60.0, "<1m"), (600.0, "<10m"), (3600.0, "<1h"),
-                (86400.0, "<1d"), (float("inf"), ">=1d"))
 
 
 def default_cache_dir() -> pathlib.Path:
@@ -140,26 +124,6 @@ def default_max_bytes() -> int | None:
 
 
 @dataclass
-class CacheStats:
-    """Counters for one store instance's lifetime."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups: hits plus misses."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from disk (0.0 with no lookups)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-@dataclass
 class ResultStore:
     """A sharded, size-capped, LRU-evicting directory of job results,
     validated on every read.
@@ -171,7 +135,6 @@ class ResultStore:
 
     root: pathlib.Path
     schema_version: int = SCHEMA_VERSION
-    stats: CacheStats = field(default_factory=CacheStats)
     max_bytes: int | None = None
 
     def __post_init__(self) -> None:
@@ -185,19 +148,10 @@ class ResultStore:
         # so under contention the cap is enforced approximately — each
         # writer still converges on it at its own next over-cap put.
         self._approx_bytes: int | None = None
-        # Per-entry hit-count deltas, merged into the stats.json
-        # sidecar alongside the lifetime counters — the telemetry
-        # cost-aware eviction will be built on.
-        self._entry_hits: dict[str, int] = {}
-        # Counter values already merged into the stats sidecar; the
-        # delta against ``self.stats`` is what the next flush adds.
-        self._merged_stats = CacheStats()
-        # Serialises get/put/stats when the asyncio wrappers drive this
+        # Serialises get/put when the asyncio wrappers drive this
         # instance from executor worker threads (the synchronous API
         # stays lock-free for the single-threaded sweep path).
-        # Re-entrant because a locked get/put can itself reach
-        # flush_stats through the counter-merge cadence.
-        self._mutex = threading.RLock()
+        self._mutex = threading.Lock()
 
     # -- layout -----------------------------------------------------------
     def path(self, job_hash: str) -> pathlib.Path:
@@ -209,15 +163,9 @@ class ResultStore:
         return self.root.glob("??/*.json")
 
     @property
-    def stats_path(self) -> pathlib.Path:
-        """The ``stats.json`` sidecar: lifetime counter totals plus
-        per-entry hit counts."""
-        return self.root / "stats.json"
-
-    @property
     def _lock_path(self) -> pathlib.Path:
         # Named for the recency index older versions kept, so their
-        # sidecar merges still serialise against this version's.
+        # evictions still serialise against this version's.
         return self.root / "index.lock"
 
     @staticmethod
@@ -234,8 +182,8 @@ class ResultStore:
 
     @contextlib.contextmanager
     def _lock(self):
-        """Exclusive flock on the sidecar lock file (best effort),
-        serialising eviction and sidecar merges across processes."""
+        """Exclusive flock on ``index.lock`` (best effort), serialising
+        eviction across processes."""
         if fcntl is None:
             yield
             return
@@ -250,191 +198,26 @@ class ResultStore:
         finally:
             os.close(fd)  # closing drops the flock
 
-    # -- persisted counters -----------------------------------------------
-    def _read_sidecar(self) -> tuple[dict[str, int], dict[str, int]]:
-        """``stats.json`` as (lifetime totals, per-entry hit counts):
-        zeroes and no entries where it is absent or corrupt — telemetry
-        damage must never crash a sweep."""
-        try:
-            raw = json.loads(self.stats_path.read_bytes())
-        except (OSError, ValueError):
-            raw = None
-        if not isinstance(raw, dict):
-            raw = {}
-        totals = {}
-        for f in _STATS_FIELDS:
-            try:
-                totals[f] = int(raw.get(f, 0))
-            except (TypeError, ValueError):
-                totals[f] = 0
-        hits: dict[str, int] = {}
-        entries = raw.get("entries")
-        for k, v in (entries.items() if isinstance(entries, dict) else ()):
-            if _JOB_HASH.match(k):
-                try:
-                    hits[k] = int(v)
-                except (TypeError, ValueError):
-                    continue
-        return totals, hits
-
-    def _write_sidecar(self, totals: dict[str, int], hits: dict[str, int]) -> None:
-        """Atomically replace ``stats.json`` (caller holds the lock)."""
-        atomic_write_bytes(self.stats_path,
-                           json.dumps({**totals, "entries": hits}).encode())
-
-    def _forget_hits(self, dead: set[str]) -> None:
-        """Drop the ``dead`` entries' hit counts from the sidecar (caller
-        holds the lock), so it tracks live entries, not the store's
-        history.  Best effort: a failed write leaves the records for
-        the next pruner."""
-        totals, hits = self._read_sidecar()
-        if dead & hits.keys():
-            with contextlib.suppress(OSError):
-                self._write_sidecar(
-                    totals, {h: n for h, n in hits.items() if h not in dead})
-
-    def _maybe_flush_stats(self) -> None:
-        """Merge counter deltas once at least :data:`_TOUCH_FLUSH_COUNT`
-        have accumulated."""
-        delta = sum(
-            getattr(self.stats, f) - getattr(self._merged_stats, f)
-            for f in _STATS_FIELDS
-        )
-        if delta >= _TOUCH_FLUSH_COUNT:
-            self.flush_stats()
-
-    def flush_stats(self) -> None:
-        """Merge this instance's counter and per-entry hit deltas into
-        ``stats.json``.
-
-        The read-modify-write runs under the exclusive lock and lands
-        as one temp file + ``os.replace``, so concurrent runs each add
-        exactly their own delta — the sidecar accumulates lifetime
-        hit/miss/store/corrupt totals across every process that ever
-        used the store.  Hits on entries evicted since are dropped.  A
-        write failure (read-only store) keeps every delta local for the
-        next flush, which then adds each exactly once.  The instance
-        mutex serialises this against concurrent async accessors, so
-        two threads can never merge the same delta twice.
-        """
-        with self._mutex:
-            delta = {
-                f: getattr(self.stats, f) - getattr(self._merged_stats, f)
-                for f in _STATS_FIELDS
-            }
-            if not any(delta.values()) and not self._entry_hits:
-                return
-            try:
-                with self._lock():
-                    totals, hits = self._read_sidecar()
-                    for f in _STATS_FIELDS:
-                        totals[f] += delta[f]
-                    for job_hash, n in self._entry_hits.items():
-                        if self.path(job_hash).exists():
-                            hits[job_hash] = hits.get(job_hash, 0) + n
-                    self._write_sidecar(totals, hits)
-            except OSError:
-                return
-            for f in _STATS_FIELDS:
-                setattr(self._merged_stats, f, getattr(self.stats, f))
-            self._entry_hits = {}
-
-    def lifetime_stats(self) -> dict:
-        """Hit/miss/store/corrupt totals across every run of this store.
-
-        Flushes this instance's unmerged counters first, then returns
-        the sidecar totals plus a derived ``hit_rate`` — the number the
-        serve path and ``repro cache stats`` report as the store's
-        all-time cache-hit ratio.
-        """
-        self.flush_stats()
-        totals: dict = self._read_sidecar()[0]
-        # Include any delta a failed flush (read-only store) kept local.
-        for f in _STATS_FIELDS:
-            totals[f] += getattr(self.stats, f) - getattr(self._merged_stats, f)
-        lookups = totals["hits"] + totals["misses"]
-        totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
-        return totals
-
-    def entry_stats(self, limit: int | None = 20) -> dict:
-        """Per-entry usage telemetry: hit counts and an age histogram.
-
-        Flushes buffered counters first, then reports, for every live
-        entry, its lifetime hit count (from ``stats.json``) and its age
-        (seconds since the entry was last written or hit).  The ``top``
-        list holds the ``limit`` most-hit entries enriched with each
-        envelope's ``kind`` and original compute ``duration_s`` — the
-        inputs a cost-aware eviction policy needs (hot, slow-to-
-        recompute entries are the ones worth keeping past plain LRU).
-
-        Returns a dict with ``entries`` (total live entries),
-        ``tracked_hits`` (sum of recorded hit counts),
-        ``age_histogram`` (bucket label → entry count) and ``top``
-        (list of ``{hash, hits, age_s, bytes, kind, duration_s}``).
-        """
-        self.flush_stats()
-        usage = self._read_sidecar()[1]
-        scanned = self._scan()
-        # Drop records whose entry is gone (evicted by a process whose
-        # buffered hits merged after the prune).
-        dead = usage.keys() - {job_hash for job_hash, _, _, _ in scanned}
-        if dead:
-            usage = {h: n for h, n in usage.items() if h not in dead}
-            with contextlib.suppress(OSError), self._lock():
-                self._forget_hits(dead)
-        now_ns = time.time_ns()
-        hist = {label: 0 for _, label in _AGE_BUCKETS}
-        rows = []
-        for job_hash, path, size, mtime_ns in scanned:
-            age = max(0.0, (now_ns - mtime_ns) / 1e9)
-            for edge, label in _AGE_BUCKETS:
-                if age < edge:
-                    hist[label] += 1
-                    break
-            rows.append({"hash": job_hash, "hits": usage.get(job_hash, 0),
-                         "age_s": age, "bytes": size, "path": path})
-        rows.sort(key=lambda r: (-r["hits"], r["hash"]))
-        top = rows if limit is None else rows[:limit]
-        for row in top:
-            path = row.pop("path")
-            row["kind"], row["duration_s"] = None, None
-            try:
-                entry = json.loads(path.read_text())
-                if isinstance(entry, dict):  # valid JSON non-objects stay None
-                    row["kind"] = entry.get("kind")
-                    row["duration_s"] = float(entry.get("duration_s", 0.0))
-            except (OSError, ValueError, TypeError):
-                pass  # entry evicted or corrupt mid-scan: telemetry only
-        for row in rows[len(top):]:
-            row.pop("path", None)
-        return {
-            "entries": len(scanned),
-            "tracked_hits": sum(usage.values()),
-            "age_histogram": hist,
-            "top": top,
-        }
-
     # -- cache interface --------------------------------------------------
     def get(self, spec: JobSpec) -> JobResult | None:
         """The stored result for ``spec`` as a ``cached=True``
-        :class:`JobResult` carrying its original compute time, or None
-        (miss / corruption); hits re-stamp the entry's recency and count
-        in the per-entry usage telemetry."""
+        :class:`JobResult` carrying its original compute time, or None;
+        hits re-stamp the entry's recency.  Each call counts exactly one
+        ``op``: ``hit``, ``miss`` (no entry) or ``corrupt`` (an invalid
+        entry, deleted best effort — an unwritable store degrades to
+        recomputation, not a crash)."""
         path = self.path(spec.job_hash)
         entry = self._load(path)
-        if entry is not None and not self._valid_for(entry, spec):
-            self.stats.corrupt += 1
-            self._evict(path)
-            entry = None
         if entry is None:
-            self.stats.misses += 1
             _store_events().inc(op="miss")
             return None
-        self.stats.hits += 1
-        self._entry_hits[spec.job_hash] = self._entry_hits.get(spec.job_hash, 0) + 1
+        if not self._valid_for(entry, spec):
+            _store_events().inc(op="corrupt")
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+            return None
         self._stamp(path)
         _store_events().inc(op="hit")
-        self._maybe_flush_stats()
         return JobResult(
             job_hash=spec.job_hash,
             kind=spec.kind,
@@ -445,28 +228,19 @@ class ResultStore:
             cached=True,
         )
 
-    def _load(self, path: pathlib.Path) -> dict | None:
+    @staticmethod
+    def _load(path: pathlib.Path) -> dict | None:
+        """The entry at ``path``: None when absent, ``{}`` (never valid)
+        when it is not a JSON object — undecodable bytes included."""
         try:
-            raw = path.read_text()
+            raw = path.read_bytes()
         except OSError:
             return None
         try:
             entry = json.loads(raw)
-        except json.JSONDecodeError:
-            self.stats.corrupt += 1
-            self._evict(path)
-            return None
-        # Signal "present but needs validation" vs "absent" to get().
+        except ValueError:
+            return {}
         return entry if isinstance(entry, dict) else {}
-
-    @staticmethod
-    def _evict(path: pathlib.Path) -> None:
-        """Best-effort removal: an unwritable store (read-only mount,
-        shared CI directory) degrades to recomputation, not a crash."""
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:
-            pass
 
     def _valid_for(self, entry: dict, spec: JobSpec) -> bool:
         return (
@@ -545,12 +319,10 @@ class ResultStore:
         except (OSError, TypeError, ValueError):
             _store_events().inc(op="put_error")
             return False
-        self.stats.stores += 1
         _store_events().inc(op="store")
         # The write-through step of the trace chain: journaled under the
         # ambient span, so a chunk's store writes share its trace ID.
         obs.emit("store.put", job_hash=spec.job_hash, kind=spec.kind)
-        self._maybe_flush_stats()
         if self.max_bytes is None:
             return True
         if self._approx_bytes is None:
@@ -565,19 +337,11 @@ class ResultStore:
         return True
 
     def clear(self) -> int:
-        """Remove every entry and the lifetime counters, returning how
-        many entries were deleted."""
+        """Remove every entry, returning how many were deleted."""
         n = 0
         for path in self._iter_entries():
             path.unlink(missing_ok=True)
             n += 1
-        self._entry_hits = {}
-        self.stats_path.unlink(missing_ok=True)
-        # Forget unmerged deltas too: a cleared store starts its
-        # lifetime counters from zero.
-        self._merged_stats = CacheStats(**{
-            f: getattr(self.stats, f) for f in _STATS_FIELDS
-        })
         self._lock_path.unlink(missing_ok=True)
         for pattern in _DEBRIS_PATTERNS:
             for p in self.root.glob(pattern):
@@ -597,13 +361,6 @@ class ResultStore:
     def size_bytes(self) -> int:
         """Total bytes currently held by entry files."""
         return sum(size for _, _, size, _ in self._scan())
-
-    def __del__(self):  # pragma: no cover - interpreter-exit best effort
-        """Flush buffered counter deltas on teardown."""
-        try:
-            self.flush_stats()
-        except Exception:
-            pass
 
     # -- eviction ---------------------------------------------------------
     def _sweep_debris(self) -> int:
@@ -659,8 +416,7 @@ class ResultStore:
             # filesystems.
             entries.sort(key=lambda e: (e[3], e[0]))
             removed = 0
-            removed_hashes: set[str] = set()
-            for job_hash, path, size, _ in entries:
+            for _, path, size, _ in entries:
                 if total <= target_bytes:
                     break
                 try:
@@ -670,11 +426,8 @@ class ResultStore:
                     pass  # someone else removed it
                 except OSError:
                     continue
-                removed_hashes.add(job_hash)
                 total -= size
             self._approx_bytes = total
-            if removed_hashes:
-                self._forget_hits(removed_hashes)
             if removed:
                 _store_events().inc(removed, op="evict")
                 obs.emit("store.evict", removed=removed,
@@ -700,13 +453,9 @@ class ResultStore:
 
     # -- reporting --------------------------------------------------------
     def usage(self) -> dict:
-        """Entry/byte totals plus lifetime hit/miss counters.
-
-        This is the document the CLI's ``cache stats`` prints: current
-        disk usage (``entries``, ``bytes``, ``shards``, ``max_bytes``)
-        and the persisted all-run counters under ``lifetime`` (hits,
-        misses, stores, corrupt, hit_rate) from :meth:`lifetime_stats`.
-        """
+        """Current disk usage — ``entries``, ``bytes``, ``shards`` and
+        ``max_bytes`` — the document the CLI's ``cache stats`` prints.
+        Hit/miss totals live in ``repro_store_events_total``."""
         entries = self._scan()
         return {
             "root": str(self.root),
@@ -715,7 +464,6 @@ class ResultStore:
             "max_bytes": self.max_bytes,
             "shards": sum(1 for p in self.root.iterdir()
                           if p.is_dir() and len(p.name) == 2),
-            "lifetime": self.lifetime_stats(),
         }
 
 

@@ -59,7 +59,7 @@ import uuid
 from dataclasses import dataclass, field
 
 from . import obs
-from .dist import claim_state, worker_loop
+from .dist import _SPOOL_DIRS, _spool_dirs, claim_state, worker_loop
 
 __all__ = [
     "SpoolSnapshot",
@@ -212,8 +212,7 @@ class Supervisor:
         if scale_up_ticks < 1 or idle_ticks < 1:
             raise ValueError("scale_up_ticks and idle_ticks must be >= 1")
         self.spool = pathlib.Path(spool_dir)
-        for sub in ("chunks", "claims", "results"):
-            (self.spool / sub).mkdir(parents=True, exist_ok=True)
+        _spool_dirs(self.spool)
         self.min_workers = min_workers
         self.max_workers = max_workers
         self.tick_s = tick_s
@@ -485,7 +484,7 @@ class Supervisor:
             if _stale(path):
                 path.unlink(missing_ok=True)
                 removed.results += 1
-        for sub in ("chunks", "claims", "results"):
+        for sub in _SPOOL_DIRS:
             for path in (self.spool / sub).glob("*.tmp"):
                 if _stale(path):
                     path.unlink(missing_ok=True)

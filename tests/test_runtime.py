@@ -245,6 +245,23 @@ class TestJobIdentityOnce:
                 assert copy == spec
                 assert copy.job_hash == spec.job_hash
 
+    def test_numpy_floats_hash_like_builtin_floats(self):
+        import numpy as np
+
+        # np.float64 subclasses float; its numpy-2 repr is not a float
+        # literal, so canonicalisation must not round-trip through repr.
+        assert canonical_json(np.float64(0.5)) == canonical_json(0.5) == "0.5"
+        assert (dse_point_job(8, voltage=np.float64(0.9)).job_hash
+                == dse_point_job(8, voltage=0.9).job_hash)
+        voltages = np.linspace(0.6, 0.9, 4)
+        jobs = dse_jobs(dse_grid(slices=(8,), voltages=voltages))
+        assert [j.job_hash for j in jobs] == [
+            dse_point_job(8, voltage=float(v)).job_hash for v in voltages]
+        assert canonical_json(np.float64(-0.0)) == canonical_json(-0.0) == "-0.0"
+        assert (dse_point_job(8, voltage=0.0).job_hash
+                != dse_point_job(8, voltage=-0.0).job_hash)
+        assert dse_point_job(8).job_hash == PINNED_DSE8_HASH
+
 
 class TestExecutors:
     def test_serial_and_process_results_identical(self):
@@ -298,6 +315,18 @@ class TestExecutors:
             run_jobs([dse_point_job(1), dse_point_job(2)], executor=Lossy())
 
 
+@pytest.fixture
+def store_events():
+    """A fresh process-wide obs registry; ``store_events(op)`` reads its
+    ``repro_store_events_total{op=…}``."""
+    old = obs.set_registry(MetricsRegistry())
+    try:
+        counter = obs.get_registry().counter("repro_store_events_total")
+        yield lambda op: counter.value(op=op)
+    finally:
+        obs.set_registry(old)
+
+
 class TestCache:
     def test_roundtrip_is_deterministic(self, tmp_path):
         cache = ResultStore(tmp_path)
@@ -308,18 +337,18 @@ class TestCache:
         assert [r.value for r in warm.results] == [r.value for r in cold.results]
         assert all(r.cached for r in warm.results)
 
-    def test_corrupted_entry_recomputed(self, tmp_path):
+    def test_corrupted_entry_recomputed(self, tmp_path, store_events):
         cache = ResultStore(tmp_path)
         spec = dse_point_job(8)
         run_jobs([spec], cache=cache)
         cache.path(spec.job_hash).write_text("{ not json")
         again = run_jobs([spec], cache=cache)
-        assert cache.stats.corrupt == 1
+        assert store_events("corrupt") == 1
         assert again.stats.misses == 1 and again.results[0].ok
         # The recomputed entry is persisted again and valid.
         assert run_jobs([spec], cache=cache).stats.hits == 1
 
-    def test_tampered_envelope_rejected(self, tmp_path):
+    def test_tampered_envelope_rejected(self, tmp_path, store_events):
         cache = ResultStore(tmp_path)
         spec = dse_point_job(4)
         run_jobs([spec], cache=cache)
@@ -328,18 +357,19 @@ class TestCache:
         entry["key"] = canonical_json({"n_slices": 999, "voltage": None, "utilization": 1.0})
         path.write_text(json.dumps(entry))
         assert cache.get(spec) is None
-        assert cache.stats.corrupt == 1
+        assert store_events("corrupt") == 1
         assert not path.exists()  # corrupt file evicted
 
-    def test_schema_version_mismatch_is_a_miss(self, tmp_path):
+    def test_schema_version_mismatch_is_a_miss(self, tmp_path, store_events):
         spec = dse_point_job(2)
         ResultStore(tmp_path).put(spec, JobResult(
             spec.job_hash, spec.kind, True, execute_job(spec), None, 0.0))
         newer = ResultStore(tmp_path, schema_version=99)
         assert newer.get(spec) is None
-        assert newer.stats.corrupt == 1
+        assert store_events("corrupt") == 1
 
-    def test_unremovable_corrupt_entry_degrades_to_miss(self, tmp_path, monkeypatch):
+    def test_unremovable_corrupt_entry_degrades_to_miss(self, tmp_path, monkeypatch,
+                                                        store_events):
         import pathlib
 
         cache = ResultStore(tmp_path)
@@ -352,7 +382,7 @@ class TestCache:
 
         monkeypatch.setattr(pathlib.Path, "unlink", broken_unlink)
         assert cache.get(spec) is None  # miss, not a crash
-        assert cache.stats.corrupt == 1
+        assert store_events("corrupt") == 1
 
     def test_write_failure_degrades_to_uncached_results(self, tmp_path, monkeypatch):
         import tempfile
@@ -376,7 +406,8 @@ class TestCache:
         assert "could not be cached" in run.stats.summary()
         assert len(cache) == 0
 
-    def test_non_dict_runner_value_fails_and_is_never_stored(self, tmp_path):
+    def test_non_dict_runner_value_fails_and_is_never_stored(self, tmp_path,
+                                                             store_events):
         cache = ResultStore(tmp_path)
         spec = JobSpec(kind="runtime_returns_list", key=canonical_json({}))
         for _ in range(3):
@@ -385,7 +416,7 @@ class TestCache:
             assert not result.ok and result.value is None
             assert result.error == "TypeError: result must be a dict, not list"
             assert run.stats.failures == 1 and run.stats.cache_errors == 0
-        assert (cache.stats.hits, cache.stats.corrupt) == (0, 0)
+        assert (store_events("hit"), store_events("corrupt")) == (0, 0)
         assert len(cache) == 0
 
     def test_size_bytes_skips_entries_evicted_mid_scan(self, tmp_path, monkeypatch):

@@ -143,18 +143,19 @@ def test_cache_evict_needs_a_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_cache_evict_keeps_the_entry_that_was_hit(tmp_path, capsys):
-    from repro.runtime import ResultStore
+    from repro.runtime import ResultStore, dse_point_job
 
     cache_dir = str(tmp_path)
     main(["sweep", "--slices", "1,8", "--cache-dir", cache_dir, "--quiet"])
     main(["sweep", "--slices", "8", "--cache-dir", cache_dir, "--quiet"])
     capsys.readouterr()
     store = ResultStore(tmp_path)
-    (hot,) = [r for r in store.entry_stats()["top"] if r["hits"] == 1]
-    assert main(["cache", "evict", "--max-bytes", str(hot["bytes"]),
+    hot = dse_point_job(8).job_hash
+    assert main(["cache", "evict", "--max-bytes",
+                 str(store.path(hot).stat().st_size),
                  "--cache-dir", cache_dir]) == 0
     assert "evicted 1 entry; 1 left" in capsys.readouterr().out
-    assert [path.stem for path in store._iter_entries()] == [hot["hash"]]
+    assert [path.stem for path in store._iter_entries()] == [hot]
 
 
 def test_cache_clear_leaves_an_empty_store(tmp_path, capsys):
@@ -199,21 +200,6 @@ def test_sweep_cluster_backend_matches_serial_csv(tmp_path, capsys):
     serial_csv = capsys.readouterr().out
     assert main(base + ["--backend", "cluster", "--workers", "2"]) == 0
     assert capsys.readouterr().out == serial_csv
-
-
-def test_cache_stats_detail_lists_entries(tmp_path, capsys):
-    cache_dir = str(tmp_path)
-    argv = ["sweep", "--slices", "1,8", "--cache-dir", cache_dir, "--quiet"]
-    main(argv)
-    main(argv)  # second run: two cache hits to count
-    capsys.readouterr()
-    assert main(["cache", "stats", "--detail", "--top", "1",
-                 "--cache-dir", cache_dir]) == 0
-    out = capsys.readouterr().out
-    assert "entry ages:" in out
-    assert "top 1 of 2 entries" in out
-    assert "dse_point" in out
-    assert "2 recorded hit(s)" in out
 
 
 def test_worker_drains_a_spool(tmp_path, capsys):
@@ -457,8 +443,12 @@ class TestSigterm:
         return proc.wait(timeout=30), err
 
     def test_serve_drains_and_flushes_the_store(self, tmp_path):
-        store = tmp_path / "store"
-        with self._daemon("serve", "--port", "0", "--cache-dir", str(store)) as proc:
+        from repro.runtime import ResultStore
+        from repro.runtime.obs import read_metrics
+
+        store, obs_dir = tmp_path / "store", tmp_path / "obs"
+        with self._daemon("serve", "--port", "0", "--cache-dir", str(store),
+                          "--obs-dir", str(obs_dir)) as proc:
             line = self._wait_for(proc, "listening on")
             port = int(line.split("listening on ")[1].split()[0].rsplit(":", 1)[1])
             with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
@@ -469,7 +459,10 @@ class TestSigterm:
             status, err = self._sigterm(proc)
         assert status == 0, err
         assert "serve: 1 request(s)" in err
-        assert json.loads((store / "stats.json").read_text())["stores"] == 1
+        assert len(list((obs_dir / "metrics").glob("*.json"))) == 1
+        events = read_metrics(obs_dir).counter("repro_store_events_total")
+        assert events.value(op="store") == 1
+        assert len(ResultStore(store)) == 1
 
     def test_worker_finishes_and_reports(self, tmp_path):
         spool = tmp_path / "spool"

@@ -296,19 +296,29 @@ class TestCacheShortCircuit:
         # The write-through landed in the shared store for other runs.
         assert ResultStore(tmp_path).get(spec).value == {"i": 3}
 
-    def test_serve_lifetime_counters_reach_the_store(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_close_flushes_store_counters_to_the_obs_dir(self, tmp_path):
+        # The served round's store counts outlive the process: closing
+        # the server writes the registry snapshot `repro metrics` reads.
+        from repro.runtime import obs
+
+        store = ResultStore(tmp_path / "store")
         spec = quick_spec(4)
+        old = obs.set_registry(obs.MetricsRegistry())
+        obs.configure(tmp_path / "obs")
+        try:
+            async def body():
+                async with AsyncServer(dispatcher=LocalDispatcher("serial"),
+                                       cache=store) as srv:
+                    await srv.submit(spec)
+                    await srv.submit(spec)
 
-        async def body():
-            async with AsyncServer(dispatcher=LocalDispatcher("serial"), cache=store) as srv:
-                await srv.submit(spec)
-                await srv.submit(spec)
-
-        run_async(body())
-        life = ResultStore(tmp_path).lifetime_stats()
-        assert life["hits"] == 1 and life["misses"] == 1
-        assert life["stores"] == 1
+            run_async(body())
+        finally:
+            obs.configure(False)
+            obs.set_registry(old)
+        events = obs.read_metrics(tmp_path / "obs").counter(
+            "repro_store_events_total")
+        assert [events.value(op=op) for op in ("hit", "miss", "store")] == [1, 1, 1]
 
 
 # -- failure propagation ----------------------------------------------------

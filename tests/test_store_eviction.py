@@ -7,11 +7,14 @@ tests pin down exactly the behaviours concurrent sharing relies on:
 * content-addressed two-level layout (``ab/abcdef….json``);
 * LRU eviction under a size cap, with hits — in any instance —
   promoting entries through the entry file's own mtime;
-* recovery from corrupted entries and a corrupted ``stats.json``;
+* recovery from corrupted entries;
 * two concurrent writer processes sharing one store without lost or
-  torn entries, with and without a size cap.
+  torn entries, with and without a size cap;
+* one ``repro_store_events_total`` count per lookup or write, and no
+  sidecar file beside the entries.
 """
 
+import asyncio
 import json
 import multiprocessing
 import pathlib
@@ -19,6 +22,8 @@ import pathlib
 import pytest
 
 from repro.runtime import (
+    AsyncServer,
+    Broker,
     JobResult,
     JobSpec,
     ResultStore,
@@ -26,8 +31,15 @@ from repro.runtime import (
     dse_point_job,
     open_store,
     run_jobs,
+    worker_loop,
 )
+from repro.runtime import obs
+from repro.runtime.dispatch import LocalDispatcher
+from repro.runtime.obs import MetricsRegistry
 from repro.runtime.store import MAX_BYTES_ENV, default_max_bytes
+
+#: Every op ``repro_store_events_total`` counts.
+STORE_OPS = ("hit", "miss", "store", "corrupt", "evict", "put_error")
 
 
 def blob_spec(tag: str) -> JobSpec:
@@ -47,12 +59,24 @@ def put_blob(store: ResultStore, tag: str, pad: int = 200) -> JobSpec:
     return spec
 
 
-def entry_hits(store: ResultStore) -> dict:
-    """The per-entry hit counts persisted in ``stats.json``."""
+@pytest.fixture
+def events():
+    """A fresh process-wide obs registry; ``events()`` reads its
+    ``repro_store_events_total`` as ``{op: count}``."""
+    old = obs.set_registry(MetricsRegistry())
     try:
-        return json.loads(store.stats_path.read_text())["entries"]
-    except FileNotFoundError:
-        return {}
+        counter = obs.get_registry().counter("repro_store_events_total")
+        yield lambda: {op: counter.value(op=op) for op in STORE_OPS}
+    finally:
+        obs.set_registry(old)
+
+
+def moved(events, before: dict) -> dict:
+    """The ops whose count changed since ``before`` (a reading of
+    ``events()``; ``{}`` for all zeroes), with their deltas."""
+    after = events()
+    delta = {op: after[op] - before.get(op, 0) for op in STORE_OPS}
+    return {op: n for op, n in delta.items() if n}
 
 
 class TestLayout:
@@ -221,7 +245,8 @@ class TestLRUEviction:
                             for s in (a, b))
         assert stamp_b in handed and stamp_a == handed[-1] > stamp_b
 
-    def test_failed_stamp_still_serves_the_hit(self, tmp_path, monkeypatch):
+    def test_failed_stamp_still_serves_the_hit(self, tmp_path, monkeypatch,
+                                               events):
         import os
 
         store = ResultStore(tmp_path)
@@ -232,21 +257,21 @@ class TestLRUEviction:
 
         monkeypatch.setattr(os, "utime", read_only)
         assert store.get(spec).value["tag"] == "a"
-        assert store.stats.hits == 1
+        assert events()["hit"] == 1
 
 
 class TestCorruptionRecovery:
-    def test_corrupted_entry_recomputed(self, tmp_path):
+    def test_corrupted_entry_recomputed(self, tmp_path, events):
         store = ResultStore(tmp_path)
         spec = dse_point_job(8)
         run_jobs([spec], cache=store)
         store.path(spec.job_hash).write_text("{ torn write")
         again = run_jobs([spec], cache=store)
-        assert store.stats.corrupt == 1
+        assert events()["corrupt"] == 1
         assert again.stats.misses == 1 and again.results[0].ok
         assert run_jobs([spec], cache=store).stats.hits == 1
 
-    def test_tampered_envelope_evicted(self, tmp_path):
+    def test_tampered_envelope_evicted(self, tmp_path, events):
         store = ResultStore(tmp_path)
         spec = put_blob(store, "a")
         path = store.path(spec.job_hash)
@@ -254,7 +279,16 @@ class TestCorruptionRecovery:
         entry["key"] = canonical_json({"tag": "tampered"})
         path.write_text(json.dumps(entry))
         assert store.get(spec) is None
-        assert store.stats.corrupt == 1
+        assert events()["corrupt"] == 1
+        assert not path.exists()
+
+    def test_undecodable_entry_is_corrupt(self, tmp_path, events):
+        store = ResultStore(tmp_path)
+        spec = put_blob(store, "a")
+        path = store.path(spec.job_hash)
+        path.write_bytes(b"\xff\xfe\x00 binary garbage \x80")
+        assert store.get(spec) is None     # a miss, not a UnicodeDecodeError
+        assert events()["corrupt"] == 1
         assert not path.exists()
 
     def test_debris_swept_on_evict_and_clear(self, tmp_path):
@@ -276,82 +310,10 @@ class TestCorruptionRecovery:
         assert not live.exists()             # clear wipes unconditionally
 
 
-class TestLifetimeStats:
-    """The persisted hit/miss counters behind ``repro cache stats`` and
-    the serve path's cache-hit ratio."""
+class TestAsyncAccess:
+    """The asyncio wrappers the serve path reads and writes through."""
 
-    def test_counters_accumulate_across_instances(self, tmp_path):
-        s1 = ResultStore(tmp_path)
-        spec = put_blob(s1, "a")           # 1 store
-        assert s1.get(spec) is not None    # 1 hit
-        s1.flush_stats()
-
-        s2 = ResultStore(tmp_path)
-        assert s2.get(spec) is not None    # 1 hit (second run)
-        assert s2.get(blob_spec("absent")) is None  # 1 miss
-        s2.flush_stats()
-
-        life = ResultStore(tmp_path).lifetime_stats()
-        assert life["hits"] == 2
-        assert life["misses"] == 1
-        assert life["stores"] == 1
-        assert life["hit_rate"] == pytest.approx(2 / 3)
-
-    def test_lifetime_includes_unflushed_deltas(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = put_blob(store, "a")
-        store.get(spec)                    # hit still buffered
-        life = store.lifetime_stats()      # flushes, then reads
-        assert life["hits"] == 1 and life["stores"] == 1
-        assert store.stats_path.exists()
-
-    def test_clear_resets_lifetime_counters(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = put_blob(store, "a")
-        store.get(spec)
-        store.flush_stats()
-        store.clear()
-        assert not store.stats_path.exists()
-        life = ResultStore(tmp_path).lifetime_stats()
-        assert life["hits"] == 0 and life["stores"] == 0
-        # The clearing instance's already-merged counters don't re-merge.
-        store.flush_stats()
-        assert ResultStore(tmp_path).lifetime_stats()["hits"] == 0
-
-    def test_corrupt_sidecar_degrades_to_zeroes(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = put_blob(store, "a")
-        store.stats_path.write_text("{ torn")
-        store.get(spec)
-        life = store.lifetime_stats()      # rewrites through the damage
-        assert life["hits"] == 1
-        assert json.loads(store.stats_path.read_text())["hits"] == 1
-
-    def test_sidecar_is_not_an_entry(self, tmp_path):
-        store = ResultStore(tmp_path)
-        put_blob(store, "a")
-        store.flush_stats()
-        assert store.stats_path.exists()
-        assert len(store) == 1             # stats.json never counted
-        assert store.usage()["entries"] == 1
-        store.evict(0)                     # ... and never evicted
-        assert store.stats_path.exists()
-        assert len(store) == 0
-
-    def test_cli_stats_reports_lifetime_counters(self, tmp_path, capsys):
-        from repro.runtime.cli import main
-
-        cache_dir = str(tmp_path)
-        main(["sweep", "--slices", "1,8", "--cache-dir", cache_dir, "--quiet"])
-        main(["sweep", "--slices", "1,8", "--cache-dir", cache_dir, "--quiet"])
-        capsys.readouterr()
-        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
-        out = capsys.readouterr().out
-        assert "lifetime: 2 hit(s), 2 miss(es) (hit rate 50%), 2 stored" in out
-
-    def test_async_read_write_through(self, tmp_path):
-        import asyncio
-
+    def test_async_read_write_through(self, tmp_path, events):
         store = ResultStore(tmp_path)
         spec = blob_spec("async")
 
@@ -362,7 +324,7 @@ class TestLifetimeStats:
             assert hit is not None and hit.value["tag"] == "async"
 
         asyncio.run(body())
-        assert store.lifetime_stats()["hits"] == 1
+        assert moved(events, {}) == {"miss": 1, "store": 1, "hit": 1}
 
 
 def _writer(root: str, writer_id: int, n: int, max_bytes) -> None:
@@ -431,172 +393,77 @@ class TestConcurrentWriters:
         assert len(ResultStore(tmp_path)) == 0
 
 
-def _hitter(root: str, n: int) -> None:
-    store = ResultStore(pathlib.Path(root))
-    specs = [blob_spec(t) for t in "abc"]
-    for i in range(n):
-        assert store.get(specs[i % 3]) is not None
-    store.flush_stats()
 
 
-class TestEntryTelemetry:
-    """Per-entry hit counts + age histogram (`repro cache stats --detail`)."""
+class TestStoreEvents:
+    """``repro_store_events_total`` is the store's only counter: each
+    lookup or write moves exactly its own ``op`` by one."""
 
-    def test_hits_are_counted_per_entry(self, tmp_path):
-        store = ResultStore(tmp_path)
-        a, b = put_blob(store, "a"), put_blob(store, "b")
-        for _ in range(3):
-            assert store.get(a) is not None
-        assert store.get(b) is not None
-        detail = store.entry_stats()
-        assert detail["entries"] == 2
-        assert detail["tracked_hits"] == 4
-        by_hash = {r["hash"]: r for r in detail["top"]}
-        assert by_hash[a.job_hash]["hits"] == 3
-        assert by_hash[b.job_hash]["hits"] == 1
-        # Top list is sorted by hits, carries kind and compute cost.
-        assert detail["top"][0]["hash"] == a.job_hash
-        assert detail["top"][0]["kind"] == "blob"
-        assert detail["top"][0]["duration_s"] == 0.0
-
-    def test_counts_accumulate_across_instances(self, tmp_path):
-        a = put_blob(ResultStore(tmp_path), "a")
-        for _ in range(2):
-            s = ResultStore(tmp_path)
-            assert s.get(a) is not None
-            s.flush_stats()
-        detail = ResultStore(tmp_path).entry_stats()
-        assert detail["tracked_hits"] == 2
-
-    def test_age_histogram_buckets_every_entry(self, tmp_path):
-        store = ResultStore(tmp_path)
-        for tag in "abc":
-            put_blob(store, tag)
-        hist = store.entry_stats()["age_histogram"]
-        assert sum(hist.values()) == 3
-        assert hist["<1m"] == 3
-
-    def test_top_limit(self, tmp_path):
-        store = ResultStore(tmp_path)
-        for tag in "abcdef":
-            put_blob(store, tag)
-        detail = store.entry_stats(limit=2)
-        assert len(detail["top"]) == 2 and detail["entries"] == 6
-
-    def test_eviction_prunes_usage_records(self, tmp_path):
-        store = ResultStore(tmp_path)
-        specs = [put_blob(store, t) for t in "abcd"]
-        for spec in specs:
-            assert store.get(spec) is not None
-        store.flush_stats()
-        assert len(entry_hits(store)) == 4
-        store.evict(0)  # everything goes
-        assert entry_hits(store) == {}
-        assert store.entry_stats()["entries"] == 0
-
-    def test_clear_removes_usage_sidecar(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = put_blob(store, "a")
-        assert store.get(spec) is not None
-        store.flush_stats()
-        assert entry_hits(store) == {spec.job_hash: 1}
-        store.clear()
-        assert not store.stats_path.exists()
-        assert store.entry_stats()["tracked_hits"] == 0
-
-    def test_corrupt_usage_sidecar_degrades_to_empty(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = put_blob(store, "a")
-        store.stats_path.write_text(json.dumps(
-            {"hits": 5, "entries": {spec.job_hash: "many", "not-a-hash": 3}}))
-        assert store.get(spec) is not None  # reads still work
-        store.flush_stats()                 # merge over the bad records
-        detail = store.entry_stats()
-        assert detail["top"][0]["hits"] == 1
-        assert store.lifetime_stats()["hits"] == 6
-        store.stats_path.write_bytes(b"\xff\xfe binary garbage")
-        assert store.entry_stats()["tracked_hits"] == 0
-
-    def test_failed_usage_merge_never_double_counts_lifetime_stats(
-            self, tmp_path, monkeypatch):
-        """A sidecar write that fails once and is retried counts each
-        hit — lifetime and per-entry — exactly once."""
-        import repro.runtime.store as store_mod
+    def test_each_outcome_moves_exactly_its_own_op(
+            self, tmp_path, events, monkeypatch):
+        import tempfile
 
         store = ResultStore(tmp_path)
-        spec = put_blob(store, "a")
-        assert store.get(spec) is not None
-        original = store_mod.atomic_write_bytes
-        calls = {"n": 0}
+        spec = blob_spec("a")
+        result = ok_result(spec, {"tag": "a"})
 
-        def flaky(path, data):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise OSError("disk full")
-            return original(path, data)
+        before = events()
+        assert store.get(spec) is None
+        assert moved(events, before) == {"miss": 1}
 
-        monkeypatch.setattr(store_mod, "atomic_write_bytes", flaky)
-        store.flush_stats()  # the one sidecar write fails: nothing merged
-        assert not store.stats_path.exists()
-        store.flush_stats()  # retry merges every delta once
-        store.flush_stats()  # nothing left to add
-        assert calls["n"] == 2
-        doc = json.loads(store.stats_path.read_text())
-        assert doc == {"hits": 1, "misses": 0, "stores": 1, "corrupt": 0,
-                       "entries": {spec.job_hash: 1}}
+        before = events()
+        assert store.put(spec, result) is True
+        assert moved(events, before) == {"store": 1}
 
-    def test_buffered_hits_for_evicted_entries_are_dropped(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = put_blob(store, "a")
-        assert store.get(spec) is not None  # hit buffered, not yet merged
-        store.evict(0)                      # entry gone before the flush
-        store.flush_stats()
-        assert entry_hits(store) == {}
+        before = events()
+        assert store.get(spec).value == {"tag": "a"}
+        assert moved(events, before) == {"hit": 1}
 
-    def test_entry_stats_prunes_dead_usage_records(self, tmp_path):
-        store = ResultStore(tmp_path)
-        put_blob(store, "a")
-        dead = "f" * 64
-        store.stats_path.write_text(json.dumps({"hits": 7, "entries": {dead: 7}}))
-        detail = store.entry_stats()
-        assert detail["tracked_hits"] == 0
-        assert dead not in entry_hits(store)
-        assert store.lifetime_stats()["hits"] == 7  # totals survive the prune
+        before = events()
+        store.path(spec.job_hash).write_text("{ torn write")
+        assert store.get(spec) is None
+        assert moved(events, before) == {"corrupt": 1}
 
-    def test_one_sidecar_and_no_recency_log(self, tmp_path):
-        store = ResultStore(tmp_path)
-        specs = [put_blob(store, t) for t in "ab"]
-        for spec in specs:
-            assert store.get(spec) is not None
-        store.flush_stats()
-        store.evict(store.path(specs[1].job_hash).stat().st_size)
-        names = {p.name for p in tmp_path.iterdir() if p.is_file()}
-        assert names == {"stats.json", "index.lock"}
+        before = events()
+        failed = JobResult(spec.job_hash, spec.kind, False, None, "boom", 0.0)
+        assert store.put(spec, failed) is False  # never stored, never counted
+        assert moved(events, before) == {}
 
-    def test_entry_stats_tolerates_non_dict_entry_json(self, tmp_path):
-        store = ResultStore(tmp_path)
-        spec = put_blob(store, "a")
-        store.path(spec.job_hash).write_text("[]")  # valid JSON, not an object
-        detail = store.entry_stats()
-        assert detail["top"][0]["kind"] is None
-        assert detail["top"][0]["duration_s"] is None
+        def full_disk(*args, **kwargs):
+            raise OSError("disk full")
 
-    def test_concurrent_sidecar_merges_lose_no_hit(self, tmp_path):
-        # Four processes (more than cores) re-stamp the same entries and
-        # merge into stats.json every few dozen hits: a lost update in
-        # the locked read-modify-write would drop counts.
-        seed = ResultStore(tmp_path)
-        for t in "abc":
-            put_blob(seed, t)
-        seed.flush_stats()
-        ctx = multiprocessing.get_context()
-        procs = [ctx.Process(target=_hitter, args=(str(tmp_path), 100))
-                 for _ in range(4)]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=60)
-            assert p.exitcode == 0
-        life = ResultStore(tmp_path).lifetime_stats()
-        assert life["hits"] == 400 and life["stores"] == 3
-        assert sum(entry_hits(seed).values()) == 400
+        before = events()
+        with monkeypatch.context() as m:
+            m.setattr(tempfile, "mkstemp", full_disk)
+            assert store.put(spec, result) is False
+        assert moved(events, before) == {"put_error": 1}
+
+        assert store.put(spec, result) is True
+        before = events()
+        assert store.evict(0) == 1
+        assert moved(events, before) == {"evict": 1}
+
+    def test_root_holds_only_shards_and_the_lock(self, tmp_path, events):
+        """A sweep, a served round and a worker chunk on one store leave
+        entries in their shards and no sidecar beside them."""
+        root = tmp_path / "store"
+        store = ResultStore(root)
+        run_jobs([dse_point_job(n) for n in (1, 2)], cache=store)
+
+        async def serve():
+            async with AsyncServer(dispatcher=LocalDispatcher("serial"),
+                                   cache=store) as srv:
+                assert (await srv.submit(dse_point_job(1))).cached
+                assert not (await srv.submit(dse_point_job(4))).cached
+
+        asyncio.run(serve())
+        broker = Broker(tmp_path / "spool")
+        broker.submit([dse_point_job(n) for n in (2, 8)], chunk_size=2)
+        assert worker_loop(tmp_path / "spool", store=store, drain=True,
+                           poll_s=0.01) == 1
+        assert [r.cached for r in broker.collect(timeout=30)] == [True, False]
+        assert store.evict(store.size_bytes()) == 0  # takes index.lock
+        assert moved(events, {}) == {"miss": 4, "store": 4, "hit": 2}
+        assert len(store) == 4
+        assert {p.name for p in root.iterdir() if p.is_file()} == {"index.lock"}
+        assert all(len(p.name) == 2 for p in root.iterdir() if p.is_dir())
