@@ -65,23 +65,23 @@ def test_sweep_parallel_parity_and_cache_hits(benchmark, report, tmp_path):
     benchmark(lambda: run_jobs(SWEEP_JOBS, cache=cache))  # warm-path timing stats
 
     # Acceptance: the repeat invocation is served >= 90 % from the cache.
-    assert warm.stats.hit_rate >= 0.9
-    assert warm.stats.misses == 0 and warm.stats.failures == 0
+    assert warm.hit_rate >= 0.9
+    assert warm.misses == 0 and len(warm.failures()) == 0
     assert [r.value for r in warm.results] == [r.value for r in cold.results]
-    assert cold.stats.misses == len(SWEEP_JOBS)
+    assert cold.misses == len(SWEEP_JOBS)
 
     report.add(
         render_table(
             ["path", "jobs", "cache hits", "computed", "time [s]"],
             [
-                ["serial", serial.stats.total, serial.stats.hits, serial.stats.misses, f"{t_serial:.4f}"],
-                ["process x2", parallel.stats.total, parallel.stats.hits, parallel.stats.misses, f"{t_parallel:.4f}"],
-                ["cache cold", cold.stats.total, cold.stats.hits, cold.stats.misses, f"{t_cold:.4f}"],
-                ["cache warm", warm.stats.total, warm.stats.hits, warm.stats.misses, f"{t_warm:.4f}"],
+                ["serial", len(serial.results), serial.hits, serial.misses, f"{t_serial:.4f}"],
+                ["process x2", len(parallel.results), parallel.hits, parallel.misses, f"{t_parallel:.4f}"],
+                ["cache cold", len(cold.results), cold.hits, cold.misses, f"{t_cold:.4f}"],
+                ["cache warm", len(warm.results), warm.hits, warm.misses, f"{t_warm:.4f}"],
             ],
             title=(
                 "runtime scaling — 64-point DSE sweep "
-                f"(warm hit rate {warm.stats.hit_rate:.0%})"
+                f"(warm hit rate {warm.hit_rate:.0%})"
             ),
         )
     )
@@ -105,7 +105,7 @@ def test_three_backend_scaling_comparison(benchmark, report, tmp_path):
         assert [r.value for r in run.results] == [
             r.value for r in reference.results
         ], f"backend {name!r} diverged from serial"
-        rows.append([name, run.stats.workers, run.stats.total, f"{elapsed:.4f}"])
+        rows.append([name, run.workers, len(run.results), f"{elapsed:.4f}"])
 
     # One backend fills the shared store; every other backend replays it.
     store = ResultStore(tmp_path / "shared")
@@ -114,10 +114,10 @@ def test_three_backend_scaling_comparison(benchmark, report, tmp_path):
         warm, elapsed = _timed(
             lambda n=name: run_jobs(SWEEP_JOBS, executor=n, cache=store)
         )
-        assert warm.stats.hit_rate == 1.0, f"backend {name!r} missed the shared store"
+        assert warm.hit_rate == 1.0, f"backend {name!r} missed the shared store"
         assert [r.value for r in warm.results] == [r.value for r in reference.results]
-        rows.append([f"{name} (warm store)", warm.stats.workers,
-                     warm.stats.total, f"{elapsed:.4f}"])
+        rows.append([f"{name} (warm store)", warm.workers,
+                     len(warm.results), f"{elapsed:.4f}"])
     benchmark(lambda: run_jobs(SWEEP_JOBS, executor="serial", cache=store))
 
     report.add(
@@ -152,8 +152,8 @@ def test_hw_eval_parallel_parity_and_cache_speedup(benchmark, report, tmp_path,
     warm, t_warm = _timed(lambda: run_jobs(evaluator.sample_jobs(data), cache=cache))
     benchmark(lambda: run_jobs(evaluator.sample_jobs(data), cache=cache))
 
-    assert warm.stats.hit_rate >= 0.9
-    assert warm.stats.misses == 0
+    assert warm.hit_rate >= 0.9
+    assert warm.misses == 0
     assert report_from_job_results(warm.results) == report_from_job_results(cold.results)
     speedup = t_cold / t_warm if t_warm > 0 else float("inf")
 
@@ -161,14 +161,14 @@ def test_hw_eval_parallel_parity_and_cache_speedup(benchmark, report, tmp_path,
         render_table(
             ["path", "samples", "cache hits", "time [s]"],
             [
-                ["serial", serial.stats.total, serial.stats.hits, f"{t_serial:.4f}"],
-                ["process x2", parallel.stats.total, parallel.stats.hits, f"{t_parallel:.4f}"],
-                ["cache cold", cold.stats.total, cold.stats.hits, f"{t_cold:.4f}"],
-                ["cache warm", warm.stats.total, warm.stats.hits, f"{t_warm:.4f}"],
+                ["serial", len(serial.results), serial.hits, f"{t_serial:.4f}"],
+                ["process x2", len(parallel.results), parallel.hits, f"{t_parallel:.4f}"],
+                ["cache cold", len(cold.results), cold.hits, f"{t_cold:.4f}"],
+                ["cache warm", len(warm.results), warm.hits, f"{t_warm:.4f}"],
             ],
             title=(
                 "runtime scaling — hardware-in-the-loop per-sample jobs "
-                f"(cache speedup {speedup:.1f}x, warm hit rate {warm.stats.hit_rate:.0%})"
+                f"(cache speedup {speedup:.1f}x, warm hit rate {warm.hit_rate:.0%})"
             ),
         )
     )
@@ -177,6 +177,6 @@ def test_hw_eval_parallel_parity_and_cache_speedup(benchmark, report, tmp_path,
     # same-run speedup ratio carries the regression signal instead.
     bench_json.metric("hw_eval_warm_s", t_warm, direction="info", unit="s")
     bench_json.metric("cache_speedup_x", speedup, direction="info", unit="x")
-    bench_json.metric("warm_hit_rate", warm.stats.hit_rate, direction="higher")
+    bench_json.metric("warm_hit_rate", warm.hit_rate, direction="higher")
     # The cache must beat recomputation, with margin for timer noise.
     assert t_warm < t_cold

@@ -1,14 +1,17 @@
 """Shared benchmark plumbing.
 
+Both outputs land in the gitignored ``.bench/`` directory at the
+repository root, so a benchmark run leaves the checkout clean.
+
 Every benchmark prints its paper-vs-measured table and also appends it
-to ``benchmarks/results_last_run.md`` through the ``report`` fixture, so
+to ``.bench/results_last_run.md`` through the ``report`` fixture, so
 one ``pytest benchmarks/ --benchmark-only`` run regenerates the full
-comparison record that EXPERIMENTS.md quotes.
+comparison record.
 
 The ``bench_json`` fixture is the machine-readable side of the same
 story: each ``bench_<name>.py`` module records named metrics (timings,
-throughputs, accuracies) into ``BENCH_<name>.json`` at the repository
-root.  ``tools/bench_compare.py`` diffs those files against the
+throughputs, accuracies) into ``.bench/BENCH_<name>.json``.
+``tools/bench_compare.py`` diffs those files against the
 committed baselines in ``benchmarks/baselines/`` and fails CI on a
 >20% regression — the ``make bench-gate`` target wires both halves
 together.
@@ -23,11 +26,9 @@ import time
 import numpy as np
 import pytest
 
-RESULTS_PATH = pathlib.Path(__file__).parent / "results_last_run.md"
-
-#: Machine-readable benchmark records land next to CHANGES.md so the
-#: perf trajectory of the repository is one `git diff BENCH_*.json` away.
-BENCH_JSON_DIR = pathlib.Path(__file__).parent.parent
+#: Where benchmark runs write their records (gitignored).
+BENCH_JSON_DIR = pathlib.Path(__file__).parent.parent / ".bench"
+RESULTS_PATH = BENCH_JSON_DIR / "results_last_run.md"
 
 BENCH_SCHEMA = 1
 
@@ -44,6 +45,7 @@ class Reporter:
 
     def flush(self) -> None:
         if self.sections:
+            RESULTS_PATH.parent.mkdir(exist_ok=True)
             RESULTS_PATH.write_text("\n\n".join(self.sections) + "\n")
 
 
@@ -122,6 +124,7 @@ class BenchRecorder:
         """Write ``BENCH_<name>.json`` (skipped while empty)."""
         if not self.metrics:
             return
+        BENCH_JSON_DIR.mkdir(exist_ok=True)
         path = BENCH_JSON_DIR / f"BENCH_{self.name}.json"
         doc = {
             "schema": BENCH_SCHEMA,

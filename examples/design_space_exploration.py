@@ -50,7 +50,7 @@ def main() -> None:
     print(report.render(
         title="SNE design space (Figs. 4 + 5): anchors exact, rest interpolated"
     ))
-    print(f"run: {report.run.stats.summary()}")
+    print(f"run: {report.run.summary()}")
 
     print("\nTable II row computed from the models:")
     sne = sne_record()

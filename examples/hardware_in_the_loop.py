@@ -80,7 +80,7 @@ def main() -> None:
     print(f"per-inference energy: {lo:.3f} - {hi:.3f} uJ "
           f"(Table I shape: an activity-driven interval)")
     print(f"energy-events correlation: {report.energy_follows_events():.3f}")
-    print(f"runtime: {run.stats.summary()}\n")
+    print(f"runtime: {run.summary()}\n")
 
     # Power waveform of the first layer of one inference.
     trace = ActivityTrace()

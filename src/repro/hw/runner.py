@@ -261,12 +261,11 @@ class HardwareEvaluator:
         """
         import time
 
-        from ..runtime.executor import JobResult, RunStats
+        from ..runtime.executor import JobResult, RunReport
 
-        stats = RunStats(total=len(samples), executor="inline", workers=1)
         start = time.perf_counter()
         progress.on_start(len(samples))
-        results = []
+        results, jobs = [], []
         for run in _envelope_runs(samples):
             t0 = time.perf_counter()
             batch = self.run_samples([s.stream for s in run], [s.label for s in run],
@@ -274,13 +273,13 @@ class HardwareEvaluator:
             share = (time.perf_counter() - t0) / len(run)
             for result in batch:
                 results.append(result)
-                stats.misses += 1
-                progress.on_job(len(results), len(samples), JobResult(
+                jobs.append(JobResult(
                     job_hash="", kind="sample_eval", ok=True, value=None,
                     error=None, duration_s=share,
                 ))
-        stats.elapsed_s = time.perf_counter() - start
-        progress.on_finish(stats)
+                progress.on_job(len(jobs), len(samples), jobs[-1])
+        progress.on_finish(RunReport(results=tuple(jobs), backend="inline",
+                                     elapsed_s=time.perf_counter() - start))
         return EvaluationReport(results=tuple(results))
 
 

@@ -41,8 +41,9 @@ fan-out-able, memoised workloads.  The flow is a straight pipeline::
    (``tests/test_backend_parity.py`` enforces this differentially).
    :func:`~repro.runtime.backends.register_backend` adds new ones;
    :func:`~repro.runtime.executor.run_jobs` layers the store over a
-   backend (instance or registered name) and reports
-   :class:`~repro.runtime.executor.RunStats`.
+   backend (instance or registered name) and returns a
+   :class:`~repro.runtime.executor.RunReport` whose hit, computed and
+   failure counts are derived from its ordered results.
 
 4. **Sweeps** (:mod:`.sweep`).  :class:`~repro.runtime.sweep.SweepGrid`
    builds cartesian products over design axes (slice count, supply
@@ -167,7 +168,7 @@ from .backends import (
     make_backend,
     register_backend,
 )
-from .executor import JobResult, RunReport, RunStats, run_jobs
+from .executor import JobResult, RunReport, run_jobs
 from .store import (
     MAX_BYTES_ENV,
     ResultStore,
@@ -179,18 +180,12 @@ from .profile import Profiler, SpanStats, render_profile
 from .progress import ConsoleProgress, Progress
 from .dist import (
     Broker,
-    BrokerStats,
     ClusterBackend,
     DistError,
     claim_state,
     worker_loop,
 )
-from .supervisor import (
-    GCStats,
-    SpoolSnapshot,
-    Supervisor,
-    SupervisorStats,
-)
+from .supervisor import SpoolSnapshot, Supervisor
 from .chaos import (
     ChaosScheduler,
     SoakReport,
@@ -278,7 +273,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "JobResult",
-    "RunStats",
     "RunReport",
     "run_jobs",
     "Progress",
@@ -307,15 +301,12 @@ __all__ = [
     "spec_from_doc",
     "CODECS",
     "Broker",
-    "BrokerStats",
     "ClusterBackend",
     "DistError",
     "claim_state",
     "worker_loop",
     "Supervisor",
-    "SupervisorStats",
     "SpoolSnapshot",
-    "GCStats",
     "ChaosScheduler",
     "SoakReport",
     "run_chaos_soak",

@@ -45,6 +45,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from . import obs
 from .backends import make_backend
 from .dist import Broker
 from .jobs import JobSpec, canonical_json, register_runner
@@ -370,8 +371,12 @@ def run_chaos_soak(
         target=supervisor.run, kwargs={"stop": sup_stop}, daemon=True)
     mismatch = None
     round_no = 0
-    submitted = completed = requeues = failures = 0
     workers_peak = 0
+    # The soak's brokers count on the process registry: report the
+    # growth over this run, not whatever the process counted before.
+    broker_events = obs.get_registry().counter("repro_broker_events_total")
+    ops = ("submit", "complete", "requeue", "chunk_failed")
+    before = {op: broker_events.value(op=op) for op in ops}
     sup_thread.start()
     chaos.start()
     try:
@@ -389,10 +394,6 @@ def run_chaos_soak(
                 broker.submit(list(jobs), chunk_size=chunk_size)
                 got = broker.collect(timeout=collect_timeout_s)
             finally:
-                submitted += broker.stats.chunks_submitted
-                completed += broker.stats.chunks_completed
-                requeues += broker.stats.requeues
-                failures += broker.stats.chunk_failures
                 broker.close()
             workers_peak = max(workers_peak, supervisor.fleet_size())
             round_ok = True
@@ -416,6 +417,8 @@ def run_chaos_soak(
         chaos.stop()
         sup_stop.set()
         sup_thread.join(timeout=30.0)
+    submitted, completed, requeues, failures = (
+        int(broker_events.value(op=op) - before[op]) for op in ops)
     return SoakReport(
         ok=mismatch is None and failures == 0,
         mismatch=mismatch if mismatch is not None else (
@@ -431,7 +434,7 @@ def run_chaos_soak(
         chunks_completed=completed,
         requeues=requeues,
         chunk_failures=failures,
-        recoveries=list(supervisor.stats.recoveries),
+        recoveries=list(supervisor.recoveries),
         workers_peak=workers_peak,
         elapsed_s=time.perf_counter() - started,
     )

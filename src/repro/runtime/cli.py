@@ -660,7 +660,7 @@ def _cmd_sweep(args) -> int:
     else:
         print(report.render(title="SNE design-space sweep (Figs. 4 + 5 axes)"))
         stats_out = sys.stdout
-    print(f"run: {report.run.stats.summary()}", file=stats_out)
+    print(f"run: {report.run.summary()}", file=stats_out)
     return 0 if report.ok else 1
 
 
@@ -676,7 +676,7 @@ def _cmd_eval(args) -> int:
     run = run_jobs(jobs, executor=_make_executor(args),
                    cache=_make_cache(args), progress=_make_progress(args))
     if run.failures():
-        print(f"run: {run.stats.summary()}")
+        print(f"run: {run.summary()}")
         print(run.failures()[0].error, file=sys.stderr)
         return 1
     report = report_from_job_results(run.results)
@@ -693,7 +693,7 @@ def _cmd_eval(args) -> int:
     lo, hi = report.energy_range_uj
     print(f"hardware accuracy: {report.accuracy:.3f}   "
           f"per-inference energy: {lo:.3f} - {hi:.3f} uJ")
-    print(f"run: {run.stats.summary()}")
+    print(f"run: {run.summary()}")
     return 0
 
 
@@ -880,6 +880,7 @@ def _cmd_worker(args) -> int:
             )
         except KeyboardInterrupt:
             done = None  # Ctrl-C is the normal way to stop a daemon worker
+            obs.flush_metrics()  # worker_loop flushes on a normal exit only
     if not args.quiet and done is not None:
         print(f"[worker] done: {done} chunk(s) published", file=sys.stderr)
     return 0
@@ -923,19 +924,22 @@ def _cmd_supervise(args) -> int:
     stop = threading.Event()
     try:
         with _sigterm_stops(stop.set):
-            stats = supervisor.run(stop=stop, max_ticks=args.max_ticks)
+            supervisor.run(stop=stop, max_ticks=args.max_ticks)
     except KeyboardInterrupt:
         supervisor.close()  # Ctrl-C is the normal way to stop a daemon
-        stats = supervisor.stats
     finally:
         supervisor_log.removeHandler(handler)
         supervisor_log.setLevel(level)
     if not args.quiet:
-        print(f"[supervise] done: {stats.ticks} tick(s), "
-              f"{stats.spawned} spawned, {stats.retired} retired, "
-              f"{stats.respawned} respawned after {stats.crashes} crash(es), "
-              f"{stats.scale_ups} scale-up(s), {stats.scale_downs} "
-              f"scale-down(s), gc {stats.gc.total()} file(s)",
+        # The process runs one supervisor, so the registry's counts are
+        # its lifetime counts.
+        n = obs.get_registry().counter("repro_supervisor_events_total").value
+        gc = n(op="gc_claim") + n(op="gc_chunk") + n(op="gc_result")
+        print(f"[supervise] done: {supervisor.ticks} tick(s), "
+              f"{n(op='spawn'):.0f} spawned, {n(op='retire'):.0f} retired, "
+              f"{n(op='respawn'):.0f} respawned after {n(op='crash'):.0f} "
+              f"crash(es), {n(op='scale_up'):.0f} scale-up(s), "
+              f"{n(op='scale_down'):.0f} scale-down(s), gc {gc:.0f} file(s)",
               file=sys.stderr)
     return 0
 
@@ -1246,8 +1250,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         # Persist this process's metric snapshot so `repro metrics` /
         # `repro top` in another terminal can merge it (no-op when the
-        # observability directory is unset).
-        obs.flush_metrics()
+        # observability directory is unset).  `serve` and `worker` write
+        # it on their own way out (AsyncServer.aclose, worker_loop).
+        if args.run not in (_cmd_serve, _cmd_worker):
+            obs.flush_metrics()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -71,7 +71,6 @@ from .jobs import JobSpec, spec_from_doc, spec_to_doc
 __all__ = [
     "DIST_SCHEMA",
     "DistError",
-    "BrokerStats",
     "Broker",
     "ClusterBackend",
     "worker_loop",
@@ -501,17 +500,6 @@ def worker_loop(
 # -- broker -----------------------------------------------------------------
 
 @dataclass
-class BrokerStats:
-    """Counters for one broker run, reported by benchmarks and tests."""
-
-    chunks_submitted: int = 0
-    chunks_completed: int = 0
-    requeues: int = 0
-    chunk_failures: int = 0
-    elapsed_s: float = 0.0
-
-
-@dataclass
 class _Chunk:
     """Broker-side state for one spooled chunk."""
 
@@ -561,7 +549,6 @@ class Broker:
         self.poll_s = poll_s
         self.max_attempts = max_attempts
         self.clock = clock or time.time
-        self.stats = BrokerStats()
         self._chunks: list[_Chunk] = []
         self._run = uuid.uuid4().hex[:8]
         self._metrics = obs.get_registry().counter(
@@ -618,7 +605,6 @@ class Broker:
             self._chunks.append(
                 _Chunk(chunk_id=chunk_id, index=index, specs=members,
                        trace=trace, submitted_at=self.clock()))
-            self.stats.chunks_submitted += 1
             self._metrics.inc(op="submit")
             obs.emit("chunk.submit", ctx=trace, chunk=chunk_id, jobs=len(members))
         self._queue_gauge.set(len(self.outstanding()))
@@ -675,7 +661,6 @@ class Broker:
                           _encode_chunk(chunk.chunk_id, chunk.index, chunk.specs,
                                         trace=chunk.trace))
         release_claim(self.spool, chunk.chunk_id)
-        self.stats.requeues += 1
         self._metrics.inc(op="requeue")
         if "lease expired" in why:
             self._metrics.inc(op="lease_expired")
@@ -689,7 +674,6 @@ class Broker:
                       error=f"DistError: {error}", duration_s=0.0)
             for s in chunk.specs
         ]
-        self.stats.chunk_failures += 1
         self._metrics.inc(op="chunk_failed")
         self._queue_gauge.set(len(self.outstanding()))
         obs.emit("chunk.failed", ctx=chunk.trace, chunk=chunk.chunk_id,
@@ -742,7 +726,6 @@ class Broker:
                                  "specs or schema")
             return
         chunk.results = results
-        self.stats.chunks_completed += 1
         self._merge_obs(chunk, doc)
         self._metrics.inc(op="complete")
         # Observed under the chunk's own span so the bucket keeps a
@@ -878,7 +861,6 @@ class Broker:
                     f"{', '.join(self.outstanding()[:4])}"
                 )
             time.sleep(self.poll_s)
-        self.stats.elapsed_s = time.perf_counter() - start
         return out
 
     def close(self) -> None:
@@ -949,7 +931,6 @@ class ClusterBackend:
         self.max_attempts = max_attempts
         self.spawn_workers = spawn_workers
         self.timeout = timeout
-        self.last_stats: BrokerStats | None = None
 
     def _chunk_size_for(self, n_specs: int) -> int:
         if self.chunk_size is not None:
@@ -1026,10 +1007,8 @@ class ClusterBackend:
                             f"{len(broker.outstanding())} chunk(s) outstanding"
                         )
 
-            results = broker.collect(on_result=on_result, timeout=self.timeout,
-                                     watchdog=watchdog)
-            self.last_stats = broker.stats
-            return results
+            return broker.collect(on_result=on_result, timeout=self.timeout,
+                                  watchdog=watchdog)
         finally:
             obs.flush_metrics()
             for proc in procs.values():

@@ -24,8 +24,8 @@ class Progress:
     def on_job(self, done: int, total: int, result) -> None:
         """Called after each job completes (``result`` is a JobResult)."""
 
-    def on_finish(self, stats) -> None:  # pragma: no cover - trivial
-        """Called once after the last job with the run's RunStats."""
+    def on_finish(self, report) -> None:  # pragma: no cover - trivial
+        """Called once after the last job with the run's RunReport."""
 
 
 class ConsoleProgress(Progress):
@@ -59,7 +59,7 @@ class ConsoleProgress(Progress):
                 file=self.stream,
             )
 
-    def on_finish(self, stats) -> None:
+    def on_finish(self, report) -> None:
         """Print the run's closing summary line."""
-        print(f"[runtime] done: {stats.summary()}", file=self.stream)
+        print(f"[runtime] done: {report.summary()}", file=self.stream)
 

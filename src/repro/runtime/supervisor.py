@@ -32,11 +32,10 @@ Per tick the supervisor
   budget — the fleet's alerting hook.
 
 Everything observable is exported as ``repro_supervisor_*`` metrics
-and ``supervisor.*`` journal events; :class:`SupervisorStats`
-accumulates the same counters in-process for tests and the CLI exit
-summary, and each scaling decision is also an INFO record on this
-module's logger.  ``repro supervise --spool DIR --min-workers N --max-workers
-M`` runs the loop as a daemon; the chaos harness
+and ``supervisor.*`` journal events (the CLI exit summary reads the
+same registry counters), and each scaling decision is also an INFO
+record on this module's logger.  ``repro supervise --spool DIR
+--min-workers N --max-workers M`` runs the loop as a daemon; the chaos harness
 (:mod:`repro.runtime.chaos`) runs it under fault injection and asserts
 the recovery behaviour stays within the gated bench envelope.
 
@@ -56,15 +55,13 @@ import pathlib
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import obs
 from .dist import _SPOOL_DIRS, _spool_dirs, claim_state, worker_loop
 
 __all__ = [
     "SpoolSnapshot",
-    "GCStats",
-    "SupervisorStats",
     "Supervisor",
 ]
 
@@ -91,35 +88,6 @@ class SpoolSnapshot:
     results_waiting: int
     #: Age in seconds of the oldest pending chunk file (0 when none).
     oldest_pending_s: float
-
-
-@dataclass
-class GCStats:
-    """Removal counts from spool garbage collection."""
-
-    claims: int = 0
-    chunks: int = 0
-    results: int = 0
-
-    def total(self) -> int:
-        """Total files removed across all categories."""
-        return self.claims + self.chunks + self.results
-
-
-@dataclass
-class SupervisorStats:
-    """Counters accumulated over one supervisor's lifetime."""
-
-    ticks: int = 0
-    spawned: int = 0
-    retired: int = 0
-    respawned: int = 0
-    crashes: int = 0
-    scale_ups: int = 0
-    scale_downs: int = 0
-    gc: GCStats = field(default_factory=GCStats)
-    #: Crash-to-restored latencies, one per recovery episode.
-    recoveries: list = field(default_factory=list)
 
 
 def _supervised_worker(spool_dir: str, worker_id: str, poll_s: float,
@@ -225,7 +193,11 @@ class Supervisor:
         self.cache_dir = cache_dir
         self.max_bytes = max_bytes
         self.clock = clock or time.time
-        self.stats = SupervisorStats()
+        #: Control ticks run so far (``run(max_ticks=)`` counts these).
+        self.ticks = 0
+        #: Crash-to-restored latencies, one per recovery episode (exact
+        #: values; ``repro_supervisor_recovery_seconds`` buckets them).
+        self.recoveries: list[float] = []
         self.desired = min_workers
         self._factory = worker_factory or self._default_factory
         self._fleet: dict[str, object] = {}  # wid -> handle, spawn order
@@ -310,7 +282,6 @@ class Supervisor:
             if wid in self._retiring:
                 self._retiring.discard(wid)
                 continue
-            self.stats.crashes += 1
             self._crash_debt += 1
             self._events.inc(op="crash")
             obs.emit("supervisor.crash", worker=wid)
@@ -321,10 +292,8 @@ class Supervisor:
         wid, handle = self._factory(self._seq)
         self._seq += 1
         self._fleet[wid] = handle
-        self.stats.spawned += 1
         self._events.inc(op="spawn")
         if respawn:
-            self.stats.respawned += 1
             self._events.inc(op="respawn")
             obs.emit("supervisor.respawn", worker=wid)
             log.info("respawned crashed worker as %s", wid)
@@ -342,7 +311,6 @@ class Supervisor:
                 handle.terminate()
             except OSError:  # pragma: no cover - already gone
                 pass
-            self.stats.retired += 1
             self._events.inc(op="retire")
             obs.emit("supervisor.retire", worker=wid)
             return
@@ -393,7 +361,6 @@ class Supervisor:
             want = max(self.min_workers, min(self.max_workers, want))
             if want > self.desired:
                 self.desired = want
-                self.stats.scale_ups += 1
                 self._events.inc(op="scale_up")
                 why = (f"{snapshot.pending} pending chunk(s) for "
                        f"{self._busy_streak} tick(s)")
@@ -403,7 +370,6 @@ class Supervisor:
         elif (self._idle_streak >= self.idle_ticks
               and self.desired > self.min_workers):
             self.desired = self.min_workers
-            self.stats.scale_downs += 1
             self._events.inc(op="scale_down")
             why = f"spool idle for {self._idle_streak} tick(s)"
             obs.emit("supervisor.scale", direction="down",
@@ -439,13 +405,14 @@ class Supervisor:
         if self._deficit_since is not None and self.fleet_size() >= self.desired:
             recovery = max(0.0, self.clock() - self._deficit_since)
             self._deficit_since = None
-            self.stats.recoveries.append(recovery)
+            self.recoveries.append(recovery)
             self._recovery_hist.observe(recovery)
             obs.emit("supervisor.recovered", recovery_s=recovery)
             log.info("fleet restored in %.2fs", recovery)
 
-    def gc(self) -> GCStats:
-        """One spool GC pass; returns what was removed.
+    def gc(self) -> dict[str, int]:
+        """One spool GC pass; returns the ``claims``, ``chunks`` and
+        ``results`` files removed.
 
         Removes, past ``gc_ttl_s``: claims whose lease *expired* that
         long ago (or corrupt claim files that stale), chunk files
@@ -455,7 +422,7 @@ class Supervisor:
         anything younger than the TTL, are never touched — an active
         run's spool state is indistinguishable from healthy traffic.
         """
-        removed = GCStats()
+        removed = {"claims": 0, "chunks": 0, "results": 0}
         now = self.clock()
         cutoff = now - self.gc_ttl_s
 
@@ -474,33 +441,29 @@ class Supervisor:
                 drop = _stale(path)
             if drop:
                 path.unlink(missing_ok=True)
-                removed.claims += 1
+                removed["claims"] += 1
         for path in (self.spool / "chunks").glob("*.chunk"):
             state, _ = claim_state(self.spool, path.stem, clock=self.clock)
             if state != "live" and _stale(path):
                 path.unlink(missing_ok=True)
-                removed.chunks += 1
+                removed["chunks"] += 1
         for path in (self.spool / "results").glob("*.json"):
             if _stale(path):
                 path.unlink(missing_ok=True)
-                removed.results += 1
+                removed["results"] += 1
         for sub in _SPOOL_DIRS:
             for path in (self.spool / sub).glob("*.tmp"):
                 if _stale(path):
                     path.unlink(missing_ok=True)
-        if removed.total():
-            self.stats.gc.claims += removed.claims
-            self.stats.gc.chunks += removed.chunks
-            self.stats.gc.results += removed.results
-            for op, n in (("gc_claim", removed.claims),
-                          ("gc_chunk", removed.chunks),
-                          ("gc_result", removed.results)):
+        if any(removed.values()):
+            for op, n in (("gc_claim", removed["claims"]),
+                          ("gc_chunk", removed["chunks"]),
+                          ("gc_result", removed["results"])):
                 if n:
                     self._events.inc(n, op=op)
-            obs.emit("supervisor.gc", claims=removed.claims,
-                     chunks=removed.chunks, results=removed.results)
-            log.info("gc: %d claim(s), %d chunk(s), %d result(s)",
-                     removed.claims, removed.chunks, removed.results)
+            obs.emit("supervisor.gc", **removed)
+            log.info("gc: %(claims)d claim(s), %(chunks)d chunk(s), "
+                     "%(results)d result(s)", removed)
         return removed
 
     def tick(self) -> SpoolSnapshot:
@@ -515,7 +478,7 @@ class Supervisor:
         self._decide(snapshot)
         self._reconcile()
         self.gc()
-        self.stats.ticks += 1
+        self.ticks += 1
         self._workers_gauge.set(self.fleet_size())
         self._backlog_gauge.set(snapshot.pending)
         self._check_slos()
@@ -539,23 +502,21 @@ class Supervisor:
                      exemplar_trace=status.exemplar_trace)
 
     def run(self, stop: threading.Event | None = None,
-            max_ticks: int | None = None) -> SupervisorStats:
+            max_ticks: int | None = None) -> None:
         """Blocking control loop: tick every ``tick_s`` until stopped.
 
         Stops when ``stop`` is set or after ``max_ticks`` ticks; the
         owned fleet is terminated on the way out (:meth:`close`).
-        Returns the accumulated :class:`SupervisorStats`.
         """
         stop = stop if stop is not None else threading.Event()
         try:
             while not stop.is_set():
                 self.tick()
-                if max_ticks is not None and self.stats.ticks >= max_ticks:
+                if max_ticks is not None and self.ticks >= max_ticks:
                     break
                 stop.wait(self.tick_s)
         finally:
             self.close()
-        return self.stats
 
     def close(self) -> None:
         """Terminate and join every owned worker (idempotent)."""

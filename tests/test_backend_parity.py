@@ -117,7 +117,7 @@ class TestBackendParity:
         assert run.results[FAILING_POSITIONS[2]].error == (
             "TypeError: result not JSON-serialisable: "
             "Object of type int64 is not JSON serializable")
-        assert run.stats.failures == len(FAILING_POSITIONS)
+        assert len(run.failures()) == len(FAILING_POSITIONS)
         for r in run.results:
             assert r.ok == (r.value is not None)
             assert r.ok == (r.error is None)
@@ -127,13 +127,13 @@ class TestBackendParity:
         jobs = mixed_jobs()
         store = ResultStore(tmp_path / name)
         cold = run_jobs(jobs, executor=make_backend(name, workers=2), cache=store)
-        assert (cold.stats.hits, cold.stats.misses, cold.stats.failures) == (
+        assert (cold.hits, cold.misses, len(cold.failures())) == (
             0, len(jobs) - len(FAILING_POSITIONS), len(FAILING_POSITIONS)
         )
         warm = run_jobs(jobs, executor=make_backend(name, workers=2), cache=store)
         # Successes replay from the store; failures are never cached and
         # recompute — identically — on every backend.
-        assert (warm.stats.hits, warm.stats.misses, warm.stats.failures) == (
+        assert (warm.hits, warm.misses, len(warm.failures())) == (
             len(jobs) - len(FAILING_POSITIONS), 0, len(FAILING_POSITIONS)
         )
         assert payload_bytes(warm) == payload_bytes(cold)
@@ -145,8 +145,8 @@ class TestBackendParity:
         run_jobs(jobs, executor="serial", cache=store)
         for name in available_backends():
             warm = run_jobs(jobs, executor=make_backend(name, workers=2), cache=store)
-            assert warm.stats.misses == 0
-            assert warm.stats.hits == len(jobs) - len(FAILING_POSITIONS)
+            assert warm.misses == 0
+            assert warm.hits == len(jobs) - len(FAILING_POSITIONS)
 
     @pytest.mark.parametrize("name", available_backends())
     def test_progress_callback_sequence_is_serial_order(self, name):
@@ -163,7 +163,7 @@ class TestBackendParity:
     @pytest.mark.parametrize("name", available_backends())
     def test_empty_job_list(self, name):
         run = run_jobs([], executor=make_backend(name, workers=2))
-        assert run.results == () and run.stats.total == 0
+        assert run.results == () and run.hit_rate == 0.0
 
 
 class TestSampleEvalParity:

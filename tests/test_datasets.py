@@ -211,5 +211,5 @@ class TestShardedDataset:
                 run_jobs(evaluator.sample_jobs(shard), cache=store)
         whole = run_jobs(evaluator.sample_jobs(data),
                          cache=ResultStore(tmp_path))
-        assert whole.stats.hit_rate >= 0.9
-        assert whole.stats.misses == 0
+        assert whole.hit_rate >= 0.9
+        assert whole.misses == 0

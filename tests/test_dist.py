@@ -48,6 +48,11 @@ def registry():
         obs.set_registry(old)
 
 
+def broker_count(registry, op: str) -> float:
+    """The broker events of one ``op`` counted on ``registry``."""
+    return registry.counter("repro_broker_events_total").value(op=op)
+
+
 # Registered at import time so fork-started worker processes inherit
 # them (the same rule the production runners follow).
 
@@ -231,7 +236,7 @@ class TestSpoolProtocol:
 
 
 class TestBrokerCollect:
-    def test_in_thread_worker_produces_serial_results(self, tmp_path):
+    def test_in_thread_worker_produces_serial_results(self, tmp_path, registry):
         jobs = [sleep_job(i) for i in range(7)]
         reference = run_jobs(jobs, executor="serial")
         broker = Broker(tmp_path)
@@ -244,12 +249,12 @@ class TestBrokerCollect:
         thread.join()
         assert payload_bytes(results) == payload_bytes(reference.results)
         assert seen == [j.job_hash for j in jobs]  # parent-side, input order
-        assert broker.stats.chunks_completed == 3
+        assert broker_count(registry, "complete") == 3
         # The spool is clean afterwards: no chunks, claims or results.
         for sub in ("chunks", "claims", "results"):
             assert list((tmp_path / sub).iterdir()) == []
 
-    def test_corrupt_spool_chunk_heals_by_requeue(self, tmp_path):
+    def test_corrupt_spool_chunk_heals_by_requeue(self, tmp_path, registry):
         """A corrupt spool entry is not terminal: the broker holds the
         authoritative specs, so it re-spools the chunk and the retry
         merges bit-identically to serial."""
@@ -271,10 +276,11 @@ class TestBrokerCollect:
             stop.set()
             thread.join()
         assert payload_bytes(results) == payload_bytes(reference.results)
-        assert broker.stats.requeues >= 1
-        assert broker.stats.chunk_failures == 0
+        assert broker_count(registry, "requeue") >= 1
+        assert broker_count(registry, "chunk_failed") == 0
 
-    def test_corrupt_spool_chunk_fails_fast_without_retry_budget(self, tmp_path):
+    def test_corrupt_spool_chunk_fails_fast_without_retry_budget(self, tmp_path,
+                                                                 registry):
         """With max_attempts=1 the old semantics are pinned: the corrupt
         chunk's jobs resolve to structured failures, never a hang."""
         jobs = [sleep_job(i) for i in range(4)]
@@ -290,9 +296,10 @@ class TestBrokerCollect:
         for r in results[2:]:
             assert "corrupt spool chunk" in r.error
             assert r.job_hash in {j.job_hash for j in jobs[2:]}
-        assert broker.stats.chunk_failures == 1
+        assert broker_count(registry, "chunk_failed") == 1
 
-    def test_torn_claim_is_requeued_without_waiting_out_the_ttl(self, tmp_path):
+    def test_torn_claim_is_requeued_without_waiting_out_the_ttl(self, tmp_path,
+                                                                registry):
         """Regression: a torn (non-JSON) claim file used to wedge its
         chunk forever — the broker skipped it as unreadable instead of
         treating a dead writer's claim as reclaimable."""
@@ -301,7 +308,7 @@ class TestBrokerCollect:
         (chunk_id,) = broker.submit([sleep_job(1)], chunk_size=1)
         (tmp_path / "claims" / f"{chunk_id}.claim").write_bytes(b"\x00torn")
         broker._expire_leases()
-        assert broker.stats.requeues == 1
+        assert broker_count(registry, "requeue") == 1
         assert claim_state(tmp_path, chunk_id)[0] == "missing"
         thread = threading.Thread(target=drain_worker, args=(tmp_path,))
         thread.start()
@@ -309,16 +316,17 @@ class TestBrokerCollect:
         thread.join()
         assert [r.ok for r in results] == [True]
 
-    def test_expired_lease_requeues_without_sleeping(self, tmp_path):
+    def test_expired_lease_requeues_without_sleeping(self, tmp_path, registry):
         clock = FakeClock()
         broker = Broker(tmp_path, lease_ttl_s=30.0, poll_s=0.01, clock=clock)
         (chunk_id,) = broker.submit([sleep_job(1)], chunk_size=1)
         assert claim_chunk(tmp_path, chunk_id, "doomed", 30.0, clock=clock)
         broker._expire_leases()
-        assert broker.stats.requeues == 0  # live lease: untouched
+        assert broker_count(registry, "requeue") == 0  # live lease: untouched
         clock.advance(30.5)
         broker._expire_leases()
-        assert broker.stats.requeues == 1
+        assert broker_count(registry, "requeue") == 1
+        assert broker_count(registry, "lease_expired") == 1
         assert claim_state(tmp_path, chunk_id)[0] == "missing"
 
     def test_corrupt_result_file_requeues_and_recomputes(self, tmp_path, registry):
@@ -340,9 +348,8 @@ class TestBrokerCollect:
             thread.join()
         reference = run_jobs(jobs, executor="serial")
         assert payload_bytes(results) == payload_bytes(reference.results)
-        assert broker.stats.requeues >= 1
-        events = registry.counter("repro_broker_events_total")
-        assert events.value(op="requeue") == broker.stats.requeues
+        assert broker_count(registry, "requeue") >= 1
+        assert broker_count(registry, "lease_expired") == 0
 
     def test_retry_budget_exhaustion_fails_the_chunk(self, tmp_path):
         jobs = [sleep_job(1)]
@@ -398,7 +405,7 @@ class TestWorkerLoop:
         assert [r.ok for r in results] == [True] * 3
         # Fresh successes were written through: a replay hits everything.
         replay = run_jobs(jobs, executor="serial", cache=ResultStore(tmp_path / "store"))
-        assert replay.stats.hits == 3 and replay.stats.misses == 0
+        assert replay.hits == 3 and replay.misses == 0
 
     def test_store_write_failure_costs_only_the_cached_copy(
             self, tmp_path, registry, monkeypatch):
@@ -439,7 +446,8 @@ class TestWorkerLoop:
 class TestKillRecovery:
     """A worker SIGKILLed mid-chunk must not cost results or order."""
 
-    def test_lease_expiry_requeue_produces_identical_results(self, tmp_path):
+    def test_lease_expiry_requeue_produces_identical_results(self, tmp_path,
+                                                             registry):
         jobs = [sleep_job(i, sleep_s=0.3) for i in range(4)]
         reference = run_jobs(jobs, executor="serial")
         broker = Broker(tmp_path, lease_ttl_s=0.6, poll_s=0.02)
@@ -456,7 +464,7 @@ class TestKillRecovery:
             rescuer.kill()
             rescuer.join()
         assert payload_bytes(results) == payload_bytes(reference.results)
-        assert broker.stats.requeues >= 1
+        assert broker_count(registry, "requeue") >= 1
 
     def test_cluster_backend_survives_a_worker_kill(self, tmp_path, registry):
         """The acceptance bar: bit-identical ordered results from the
@@ -501,8 +509,7 @@ class TestKillRecovery:
         thread.join()
         assert requeues(), "the fault injector never landed a mid-chunk kill"
         assert payload_bytes(run.results) == payload_bytes(reference.results)
-        assert backend.last_stats is not None
-        assert backend.last_stats.requeues >= 1
+        assert broker_count(registry, "complete") == len(jobs)
 
     def test_poison_job_resolves_to_structured_failure(self, tmp_path):
         """A job that hard-kills every worker it touches must exhaust
@@ -622,7 +629,7 @@ class TestTracePropagation:
         finally:
             rescuer.kill()
             rescuer.join()
-        assert broker.stats.requeues >= 1
+        assert broker_count(obs.get_registry(), "requeue") >= 1
 
         events = read_journal(obs_dir / "journal.ndjson")
         by_chunk: dict = {}

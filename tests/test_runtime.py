@@ -30,6 +30,7 @@ from repro.runtime import (
     ProcessBackend,
     Progress,
     ResultStore,
+    RunReport,
     SerialBackend,
     SweepAxis,
     SweepGrid,
@@ -295,12 +296,12 @@ class TestExecutors:
     def test_run_jobs_preserves_order_with_partial_cache(self, tmp_path):
         cache = ResultStore(tmp_path)
         first = run_jobs([dse_point_job(2), dse_point_job(4)], cache=cache)
-        assert first.stats.misses == 2
+        assert first.misses == 2
         jobs = [dse_point_job(n) for n in (1, 2, 4, 8)]
         mixed = run_jobs(jobs, cache=cache)
         assert [r.value["n_slices"] for r in mixed.results] == [1, 2, 4, 8]
         assert [r.cached for r in mixed.results] == [False, True, True, False]
-        assert mixed.stats.hits == 2 and mixed.stats.misses == 2
+        assert mixed.hits == 2 and mixed.misses == 2
 
 
     def test_run_jobs_rejects_a_short_result_list(self):
@@ -313,6 +314,42 @@ class TestExecutors:
 
         with pytest.raises(RuntimeError, match=r"'lossy' returned 0 results for 2 specs"):
             run_jobs([dse_point_job(1), dse_point_job(2)], executor=Lossy())
+
+
+class TestRunReport:
+    """The report's counts are derived from its results alone."""
+
+    @staticmethod
+    def _result(ok=True, cached=False):
+        return JobResult(job_hash="h", kind="k", ok=ok, value={} if ok else None,
+                         error=None if ok else "boom", duration_s=0.0, cached=cached)
+
+    def test_summary_text_is_pinned(self):
+        r = self._result
+        report = RunReport(results=(r(cached=True), r(cached=True), r(), r(ok=False)),
+                           backend="process", workers=2, elapsed_s=1.25,
+                           cache_errors=1)
+        assert report.summary() == (
+            "4 job(s) via processx2 in 1.250s — 2 cache hit(s), 1 computed, "
+            "1 failed (hit rate 50%); 1 result(s) could not be cached")
+
+    def test_job_counter_equals_the_derived_counts(self, tmp_path):
+        cache = ResultStore(tmp_path)
+        run_jobs([dse_point_job(2), dse_point_job(4)], cache=cache)
+        jobs = [dse_point_job(n) for n in (1, 2, 4)] + [baseline_compare_job("Dynapsel")]
+        old = obs.set_registry(MetricsRegistry())
+        try:
+            run = run_jobs(jobs, cache=cache)
+            series = obs.get_registry().snapshot()["metrics"]["repro_jobs_total"]["series"]
+        finally:
+            obs.set_registry(old)
+        counted = {}
+        for s in series:
+            status = s["labels"]["status"]
+            counted[status] = counted.get(status, 0) + s["value"]
+        assert (run.hits, run.misses, len(run.failures())) == (2, 1, 1)
+        assert counted == {"cached": run.hits, "ok": run.misses,
+                           "failed": len(run.failures())}
 
 
 @pytest.fixture
@@ -333,7 +370,7 @@ class TestCache:
         jobs = dse_jobs(dse_grid(slices=(1, 8)))
         cold = run_jobs(jobs, cache=cache)
         warm = run_jobs(jobs, cache=ResultStore(tmp_path))  # fresh instance
-        assert warm.stats.hits == len(jobs) and warm.stats.misses == 0
+        assert warm.hits == len(jobs) and warm.misses == 0
         assert [r.value for r in warm.results] == [r.value for r in cold.results]
         assert all(r.cached for r in warm.results)
 
@@ -344,9 +381,9 @@ class TestCache:
         cache.path(spec.job_hash).write_text("{ not json")
         again = run_jobs([spec], cache=cache)
         assert store_events("corrupt") == 1
-        assert again.stats.misses == 1 and again.results[0].ok
+        assert again.misses == 1 and again.results[0].ok
         # The recomputed entry is persisted again and valid.
-        assert run_jobs([spec], cache=cache).stats.hits == 1
+        assert run_jobs([spec], cache=cache).hits == 1
 
     def test_tampered_envelope_rejected(self, tmp_path, store_events):
         cache = ResultStore(tmp_path)
@@ -401,9 +438,9 @@ class TestCache:
         finally:
             obs.set_registry(old)
         assert all(r.ok for r in run.results)
-        assert run.stats.cache_errors == 2
+        assert run.cache_errors == 2
         assert put_errors == 2
-        assert "could not be cached" in run.stats.summary()
+        assert "could not be cached" in run.summary()
         assert len(cache) == 0
 
     def test_non_dict_runner_value_fails_and_is_never_stored(self, tmp_path,
@@ -415,7 +452,7 @@ class TestCache:
             (result,) = run.results
             assert not result.ok and result.value is None
             assert result.error == "TypeError: result must be a dict, not list"
-            assert run.stats.failures == 1 and run.stats.cache_errors == 0
+            assert len(run.failures()) == 1 and run.cache_errors == 0
         assert (store_events("hit"), store_events("corrupt")) == (0, 0)
         assert len(cache) == 0
 
@@ -534,7 +571,7 @@ class TestSweep:
         run_dse_sweep(cache=cache, **kwargs)
         cached = run_dse_sweep(cache=cache, **kwargs)
         assert serial.rows == parallel.rows == cached.rows
-        assert cached.run.stats.hit_rate == 1.0
+        assert cached.run.hit_rate == 1.0
 
 
 class TestProgress:
@@ -577,8 +614,8 @@ class TestHardwareEvaluatorRuntime:
         jobs = evaluator.sample_jobs(data, max_samples=3)
         cold = run_jobs(jobs, cache=cache)
         warm = run_jobs(evaluator.sample_jobs(data, max_samples=3), cache=cache)
-        assert cold.stats.misses == 3
-        assert warm.stats.hits == 3 and warm.stats.misses == 0
+        assert cold.misses == 3
+        assert warm.hits == 3 and warm.misses == 0
         assert report_from_job_results(warm.results) == report_from_job_results(
             cold.results
         )

@@ -1,6 +1,7 @@
 """CLI surface: ``python -m repro sweep|eval|cache`` and ``--version``."""
 
 import contextlib
+import io
 import json
 import os
 import signal
@@ -221,7 +222,7 @@ def test_worker_drains_a_spool(tmp_path, capsys):
 
     replay = run_jobs(jobs, executor="serial",
                       cache=ResultStore(tmp_path / "store"))
-    assert replay.stats.hits == len(jobs)
+    assert replay.hits == len(jobs)
 
 
 def test_worker_requires_spool():
@@ -331,6 +332,44 @@ def test_sweep_then_metrics_and_top(tmp_path, capsys):
     finally:
         obs.configure(False)
         obs.set_registry(obs.MetricsRegistry())
+
+@pytest.mark.parametrize("command", ["serve", "worker", "sweep"])
+def test_each_exit_writes_the_metrics_snapshot_once(command, tmp_path, capsys,
+                                                     monkeypatch):
+    """`serve` (AsyncServer.aclose) and `worker` (worker_loop) write the
+    snapshot on their own way out, so main() must not write it again;
+    every other command relies on main()'s write."""
+    from repro.runtime import Broker, dse_point_job, obs
+
+    flush, writes = obs.flush_metrics, []
+
+    def counting_flush(*args, **kwargs):
+        path = flush(*args, **kwargs)
+        if path is not None:
+            writes.append(path)
+        return path
+
+    monkeypatch.setattr(obs, "flush_metrics", counting_flush)
+    store, spool = str(tmp_path / "store"), tmp_path / "spool"
+    request = {"id": "t", "kind": "dse_point", "params": {"n_slices": 4}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request) + "\n"))
+    Broker(spool).submit([dse_point_job(4)])
+    argv = {
+        "serve": ["serve", "--stdio"],
+        "worker": ["worker", "--spool", str(spool), "--drain"],
+        "sweep": ["sweep", "--slices", "4"],
+    }[command]
+    obs.set_registry(obs.MetricsRegistry())
+    try:
+        assert main(argv + ["--cache-dir", store, "--quiet",
+                            "--obs-dir", str(tmp_path / "obs")]) == 0
+        events = obs.read_metrics(tmp_path / "obs").counter("repro_store_events_total")
+    finally:
+        obs.configure(False)
+        obs.set_registry(obs.MetricsRegistry())
+    assert len(writes) == 1
+    assert events.value(op="store") == 1
+
 
 def test_metrics_p99_reports_overflow_direction(tmp_path, capsys):
     """Fleet-wide p99 says ``p99 > bound`` when the rank lands in the

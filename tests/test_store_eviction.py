@@ -105,8 +105,8 @@ class TestLayout:
         jobs = [dse_point_job(n) for n in (1, 2, 4, 8)]
         cold = run_jobs(jobs, cache=store)
         warm = run_jobs(jobs, cache=ResultStore(tmp_path))  # fresh instance
-        assert cold.stats.misses == 4
-        assert warm.stats.hits == 4
+        assert cold.misses == 4
+        assert warm.hits == 4
         assert [r.value for r in warm.results] == [r.value for r in cold.results]
 
     def test_open_store_env_defaults(self, tmp_path, monkeypatch):
@@ -268,8 +268,8 @@ class TestCorruptionRecovery:
         store.path(spec.job_hash).write_text("{ torn write")
         again = run_jobs([spec], cache=store)
         assert events()["corrupt"] == 1
-        assert again.stats.misses == 1 and again.results[0].ok
-        assert run_jobs([spec], cache=store).stats.hits == 1
+        assert again.misses == 1 and again.results[0].ok
+        assert run_jobs([spec], cache=store).hits == 1
 
     def test_tampered_envelope_evicted(self, tmp_path, events):
         store = ResultStore(tmp_path)

@@ -92,6 +92,12 @@ def fake_factory():
     return factory
 
 
+def events(op: str) -> float:
+    """The supervisor events of one ``op`` counted on the test's fresh
+    registry."""
+    return obs.get_registry().counter("repro_supervisor_events_total").value(op=op)
+
+
 def make_supervisor(tmp_path, clock, factory, **kw):
     kw.setdefault("min_workers", 1)
     kw.setdefault("max_workers", 4)
@@ -138,8 +144,8 @@ class TestScaling:
                               min_workers=2)
         sup.tick()
         assert sup.fleet_size() == 2
-        assert sup.stats.spawned == 2
-        assert sup.stats.respawned == 0  # boot is planned, not recovery
+        assert events("spawn") == 2
+        assert events("respawn") == 0  # boot is planned, not recovery
 
     def test_sustained_backlog_scales_up_to_demand(self, tmp_path):
         clock = FakeClock()
@@ -152,7 +158,7 @@ class TestScaling:
         assert sup.fleet_size() == 1  # one busy tick: debounced
         sup.tick()
         assert sup.fleet_size() == 3  # sustained: scaled to demand
-        assert sup.stats.scale_ups == 1
+        assert events("scale_up") == 1
         assert sup.worker_pids() == [10_000, 10_001, 10_002]
 
     def test_scale_up_is_capped_at_max_workers(self, tmp_path):
@@ -171,7 +177,7 @@ class TestScaling:
         clear_chunks(sup.spool)  # burst absorbed before the second tick
         sup.tick()
         assert sup.fleet_size() == 1
-        assert sup.stats.scale_ups == 0
+        assert events("scale_up") == 0
 
     def test_idle_spool_scales_down_to_floor_lifo(self, tmp_path):
         factory = fake_factory()
@@ -184,15 +190,15 @@ class TestScaling:
         sup.tick()  # idle x1: hold
         assert sup.fleet_size() == 4
         sup.tick()  # idle x2: scale down
-        assert sup.stats.scale_downs == 1
-        assert sup.stats.retired == 3
+        assert events("scale_down") == 1
+        assert events("retire") == 3
         # LIFO: the newest workers were retired, the veteran survives.
         retired = [h.terminated for _, h in factory.spawned]
         assert retired == [False, True, True, True]
         # Retirement exits are reaped as planned, never as crashes.
         sup.tick()
         assert sup.fleet_size() == 1
-        assert sup.stats.crashes == 0
+        assert events("crash") == 0
 
     def test_telemetry_sees_scale_events(self, tmp_path, caplog):
         sup = make_supervisor(tmp_path, FakeClock(), fake_factory(),
@@ -220,12 +226,12 @@ class TestCrashRecovery:
         clock.advance(0.25)
         sup.tick()
         assert sup.fleet_size() == 2
-        assert sup.stats.crashes == 1
-        assert sup.stats.respawned == 1
-        assert len(sup.stats.recoveries) == 1
+        assert events("crash") == 1
+        assert events("respawn") == 1
+        assert len(sup.recoveries) == 1
         # The stopwatch starts at crash *detection* (the reap), so the
         # instant respawn recovers within the same tick.
-        assert sup.stats.recoveries[0] < 0.25
+        assert sup.recoveries[0] < 0.25
 
     def test_respawn_budget_brakes_a_crash_loop(self, tmp_path):
         factory = fake_factory()
@@ -235,14 +241,14 @@ class TestCrashRecovery:
         for _ in range(4):  # keeps crashing every tick
             factory.spawned[-1][1].crash()
             sup.tick()
-        assert sup.stats.respawned == 2  # budget spent...
+        assert events("respawn") == 2  # budget spent...
         assert sup.fleet_size() == 0  # ...then the fleet shrinks
-        assert sup.stats.crashes == 3  # boot + 2 respawns, all dead
+        assert events("crash") == 3  # boot + 2 respawns, all dead
         sup.tick()
         sup.tick()
         # The braked slot stays down — no quiet planned refill.
         assert sup.fleet_size() == 0
-        assert sup.stats.spawned == 3
+        assert events("spawn") == 3
 
     def test_planned_scaling_never_consumes_the_budget(self, tmp_path):
         factory = fake_factory()
@@ -250,7 +256,7 @@ class TestCrashRecovery:
                               min_workers=2, respawn_budget=0)
         sup.tick()
         assert sup.fleet_size() == 2  # boot spawns despite zero budget
-        assert sup.stats.respawned == 0
+        assert events("respawn") == 0
 
     def test_metrics_exported(self, tmp_path):
         sup = make_supervisor(tmp_path, FakeClock(), fake_factory(),
@@ -316,8 +322,7 @@ class TestSpoolGC:
         (spool / "chunks" / "fresh.chunk").write_text("{}")
         (spool / "results" / "fresh.json").write_text("{}")
 
-        removed = sup.gc()
-        assert (removed.claims, removed.chunks, removed.results) == (1, 1, 1)
+        assert sup.gc() == {"claims": 1, "chunks": 1, "results": 1}
         assert not (spool / "chunks" / "dead.chunk").exists()
         assert not (spool / "claims" / "dead.claim").exists()
         assert not (spool / "results" / "orphan.json").exists()
@@ -326,7 +331,7 @@ class TestSpoolGC:
         assert (spool / "claims" / "busy.claim").exists()
         assert (spool / "chunks" / "fresh.chunk").exists()
         assert (spool / "results" / "fresh.json").exists()
-        assert sup.stats.gc.total() == 3
+        assert [events(op) for op in ("gc_claim", "gc_chunk", "gc_result")] == [1, 1, 1]
 
     def test_recently_expired_lease_is_left_for_the_broker(self, tmp_path):
         # An expired lease is the *broker's* requeue signal; GC only
@@ -335,7 +340,7 @@ class TestSpoolGC:
         sup = self._sup(tmp_path, clock)
         (sup.spool / "chunks" / "c1.chunk").write_text("{}")
         self._claim(sup.spool, "c1", expires=clock.now - 5)
-        assert sup.gc().total() == 0
+        assert sup.gc() == {"claims": 0, "chunks": 0, "results": 0}
         assert (sup.spool / "claims" / "c1.claim").exists()
 
     def test_stale_corrupt_claim_is_collected(self, tmp_path):
@@ -343,10 +348,11 @@ class TestSpoolGC:
         sup = self._sup(tmp_path, clock)
         path = sup.spool / "claims" / "torn.claim"
         path.write_bytes(b"\x00torn")
-        assert sup.gc().total() == 0  # fresh: a broker may yet heal it
+        # Fresh: a broker may yet heal it.
+        assert sup.gc() == {"claims": 0, "chunks": 0, "results": 0}
         self._age(path, clock, self.TTL + 60)
-        removed = sup.gc()
-        assert removed.claims == 1
+        assert sup.gc() == {"claims": 1, "chunks": 0, "results": 0}
+        assert events("gc_claim") == 1
         assert not path.exists()
 
 
@@ -376,8 +382,8 @@ class TestRealFleet:
         assert [r.ok for r in results] == [True] * 6
         assert ([r.value for r in results]
                 == [r.value for r in reference.results])
-        assert sup.stats.spawned >= 1
-        assert sup.stats.crashes == 0
+        assert events("spawn") >= 1
+        assert events("crash") == 0
 
 
 def _proc_stat(pid: int) -> list[str] | None:

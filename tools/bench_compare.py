@@ -3,7 +3,7 @@
 
 Benchmarks emit machine-readable records through the ``bench_json``
 fixture (``benchmarks/conftest.py``): one ``BENCH_<name>.json`` per
-module at the repository root, each metric tagged with a comparison
+module in the gitignored ``.bench/`` directory, each metric tagged with a comparison
 direction — ``lower`` (timings), ``higher`` (throughputs, hit rates)
 or ``info`` (never gated).
 
@@ -40,6 +40,7 @@ import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE_DIR = REPO / "benchmarks" / "baselines"
+DEFAULT_CURRENT_DIR = REPO / ".bench"
 DEFAULT_TOLERANCE = 0.2
 
 
@@ -152,9 +153,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--baseline-dir", type=pathlib.Path,
                         default=DEFAULT_BASELINE_DIR)
-    parser.add_argument("--current-dir", type=pathlib.Path, default=REPO,
+    parser.add_argument("--current-dir", type=pathlib.Path,
+                        default=DEFAULT_CURRENT_DIR,
                         help="where the fresh BENCH_*.json records live "
-                             "(default: repo root)")
+                             "(default: .bench/)")
     parser.add_argument("--tolerance", type=float,
                         default=float(os.environ.get("REPRO_BENCH_TOLERANCE",
                                                      DEFAULT_TOLERANCE)),
