@@ -86,7 +86,7 @@ def test_cache_hit_roundtrip_5x_faster_than_cold_compute(benchmark, report, tmp_
 
     async def both_passes():
         async with AsyncServer(dispatcher=LocalDispatcher("thread", workers=4),
-                               cache=store, batch_window_s=0.01, max_batch=8) as srv:
+                               cache=store, max_batch=8) as srv:
             cold = await _serve_pass(srv, jobs)
             warm = await _serve_pass(srv, jobs)
             return cold, warm, srv.stats()
@@ -112,7 +112,7 @@ def test_cache_hit_roundtrip_5x_faster_than_cold_compute(benchmark, report, tmp_
     # Steady-state warm timing for the benchmark record.
     async def warm_once():
         async with AsyncServer(dispatcher=LocalDispatcher("thread", workers=4),
-                               cache=store, batch_window_s=0.01, max_batch=8) as srv:
+                               cache=store, max_batch=8) as srv:
             results, _ = await _serve_pass(srv, jobs)
             assert all(r.cached for r in results)
 
@@ -151,7 +151,7 @@ def test_streamed_results_match_batch_mode_across_backends(report, tmp_path):
         async def streamed(backend_name=name):
             async with AsyncServer(
                 dispatcher=LocalDispatcher(backend_name, workers=2),
-                batch_window_s=0.005, max_batch=16,
+                max_batch=16,
             ) as srv:
                 out = [None] * len(jobs)
                 async for i, result in srv.stream(jobs):
@@ -182,7 +182,7 @@ def test_concurrent_clients_coalesce_into_micro_batches(report, tmp_path):
 
     async def fan_in():
         async with AsyncServer(dispatcher=LocalDispatcher("serial"),
-                               batch_window_s=0.05, max_batch=64) as srv:
+                               max_batch=64) as srv:
             results, lat = await _serve_pass(srv, jobs)
             return results, lat, srv.stats()
 
@@ -229,7 +229,7 @@ def test_broker_dispatch_leg_holds_cache_hit_slo(report, tmp_path, bench_json):
 
     async def run_leg(dispatcher, store):
         async with AsyncServer(dispatcher=dispatcher, cache=store,
-                               batch_window_s=0.01, max_batch=8) as srv:
+                               max_batch=8) as srv:
             cold = await _serve_pass(srv, jobs)
             warm = await _serve_pass(srv, jobs)
             stats = srv.stats()
@@ -320,8 +320,7 @@ def test_admission_control_sheds_without_losing_accepted_requests(
 
     async def burst():
         srv = AsyncServer(dispatcher=LocalDispatcher("serial"),
-                          batch_window_s=0.05, max_batch=4,
-                          max_queue_depth=4)
+                          max_batch=4, max_queue_depth=4)
         tasks = [asyncio.ensure_future(srv.submit(spec)) for spec in jobs]
         outcomes = await asyncio.gather(*tasks, return_exceptions=True)
         stats = srv.stats()

@@ -83,7 +83,6 @@ async def main_async(args) -> None:
     server = AsyncServer(
         dispatcher=LocalDispatcher(args.backend, workers=args.workers),
         cache=open_store(args.cache_dir),
-        batch_window_s=0.01,
     )
     tcp = await serve_tcp(server)  # ephemeral loopback port
     host, port = tcp.sockets[0].getsockname()[:2]

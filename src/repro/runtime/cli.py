@@ -30,9 +30,9 @@ Subcommands:
   0 only if every round merged bit-identical to a serial run;
 * ``repro serve`` — the async streaming front end: accept
   line-delimited-JSON job requests over TCP (``--host/--port``) or
-  stdio (``--stdio``), coalesce them into micro-batches
-  (``--batch-window``/``--max-batch``), answer cache hits straight
-  from the store and stream per-job results back as they complete;
+  stdio (``--stdio``), coalesce them into micro-batches without a
+  timer (``--max-batch``; `docs/ARCHITECTURE.md`, "Micro-batching"),
+  answer cache hits from the store, stream per-job results back;
 * ``repro metrics`` — snapshot the observability directory's merged
   metric registry (``--json`` for the raw snapshot, ``--prom`` for
   Prometheus text exposition, default a human summary);
@@ -365,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--stdio", action="store_true",
                          help="serve stdin/stdout instead of TCP (exits "
                               "at EOF after draining in-flight requests)")
-    p_serve.add_argument("--batch-window", type=float, default=0.005,
-                         metavar="SECONDS",
-                         help="micro-batch coalescing window (default 0.005)")
     p_serve.add_argument("--max-batch", type=_positive_int, default=32,
                          help="dispatch as soon as this many requests "
                               "coalesced (default 32)")
@@ -781,7 +778,6 @@ def _cmd_serve(args) -> int:
     server = AsyncServer(
         dispatcher=dispatcher,
         cache=_make_cache(args),
-        batch_window_s=args.batch_window,
         max_batch=args.max_batch,
         max_queue_depth=args.max_queue_depth,
         conn_credits=args.conn_credits,
@@ -810,7 +806,7 @@ def _cmd_serve(args) -> int:
                 print(f"repro serve: listening on {host}:{port} "
                       f"(dispatch {dispatcher.name}/"
                       f"{server.stats_backend_name()}, proto v2, "
-                      f"window {args.batch_window:g}s, max batch {args.max_batch}, "
+                      f"max batch {args.max_batch}, "
                       f"queue depth {shed})", file=sys.stderr)
                 async with tcp:
                     await stopped.wait()

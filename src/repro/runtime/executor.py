@@ -146,13 +146,14 @@ def run_jobs(
                 )
             for (i, spec), result in zip(pending, computed):
                 slots[i] = result
-                if result.ok:
-                    jobs_total.inc(kind=spec.kind, status="ok")
+                # A `repro worker --cache-dir` store hit is not a run.
+                status = ("cached" if result.cached
+                          else "ok" if result.ok else "failed")
+                jobs_total.inc(kind=spec.kind, status=status)
+                if status == "ok":
                     job_seconds.observe(result.duration_s, kind=spec.kind)
-                    if cache is not None and not cache.put(spec, result):
-                        cache_errors += 1
-                else:
-                    jobs_total.inc(kind=spec.kind, status="failed")
+                if result.ok and cache is not None and not cache.put(spec, result):
+                    cache_errors += 1
 
         report = RunReport(results=tuple(slots), backend=backend, workers=workers,
                            elapsed_s=time.perf_counter() - start,

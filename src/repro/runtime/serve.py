@@ -16,8 +16,8 @@ The pieces:
   Cache hits are served straight from the
   :class:`~repro.runtime.store.ResultStore` (async read-through, off
   the event loop) without ever touching the execution plane; misses are
-  queued, coalesced for up to ``batch_window_s`` (or ``max_batch``
-  jobs) and handed to a
+  queued, coalesced without a timer (`docs/ARCHITECTURE.md`,
+  "Micro-batching") into batches of up to ``max_batch`` jobs, handed to a
   :class:`~repro.runtime.dispatch.Dispatcher` — the server does not
   know whether the batch runs in-process
   (:class:`~repro.runtime.dispatch.LocalDispatcher`) or on a
@@ -149,14 +149,12 @@ def request_to_spec(request: dict) -> JobSpec:
 
 @dataclass
 class _Pending:
-    """One queued request: its spec, the future its caller awaits, the
-    enqueue timestamp the latency gauge is measured from, and the
-    span context ambient at submit time (the batcher task has its own
-    context, so the trace must ride the queue explicitly)."""
+    """One queued request: its spec, the future its caller awaits, and
+    the span context ambient at submit time (the batcher task has its
+    own context, so the trace must ride the queue explicitly)."""
 
     spec: JobSpec
     future: asyncio.Future
-    enqueued_at: float
     ctx: "obs.SpanContext | None" = None
 
 
@@ -175,8 +173,8 @@ class AsyncServer:
     hit short-circuits straight back (async read-through, never
     touching the execution plane).  Misses land on an internal queue —
     bounded by ``max_queue_depth``, past which admission control sheds
-    with :exc:`ServerOverloadedError` — the batcher coalesces them for
-    up to ``batch_window_s`` seconds or ``max_batch`` jobs, then hands
+    with :exc:`ServerOverloadedError` — the batcher coalesces them
+    (:meth:`_batch_loop`, up to ``max_batch`` jobs), then hands
     the batch to the configured
     :class:`~repro.runtime.dispatch.Dispatcher` as a concurrent task:
     the event loop stays free, later batches don't wait for earlier
@@ -196,7 +194,6 @@ class AsyncServer:
         self,
         *,
         cache: ResultStore | None = None,
-        batch_window_s: float = 0.005,
         max_batch: int = 32,
         dispatcher: Dispatcher | None = None,
         max_queue_depth: int | None = None,
@@ -207,8 +204,6 @@ class AsyncServer:
 
         Args:
             cache: optional read-through/write-through result store.
-            batch_window_s: how long the batcher waits for more requests
-                after the first one arrives (0 = dispatch immediately).
             max_batch: dispatch as soon as this many requests coalesced.
             dispatcher: the execution plane
                 (:class:`~repro.runtime.dispatch.Dispatcher`).  Default:
@@ -227,12 +222,10 @@ class AsyncServer:
 
         Raises:
             ValueError: non-positive ``max_batch``, ``max_queue_depth``
-                or ``conn_credits``, or negative ``batch_window_s``.
+                or ``conn_credits``.
         """
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be non-negative")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be positive")
         if conn_credits < 1:
@@ -240,7 +233,6 @@ class AsyncServer:
         self.dispatcher = (
             dispatcher if dispatcher is not None else LocalDispatcher("thread"))
         self.cache = cache
-        self.batch_window_s = batch_window_s
         self.max_batch = max_batch
         self.max_queue_depth = max_queue_depth
         self.conn_credits = conn_credits
@@ -249,6 +241,9 @@ class AsyncServer:
         self._batcher: asyncio.Task | None = None
         self._dispatches: set[asyncio.Task] = set()
         self._closing = False
+        self._lookups_begun = 0
+        self._lookups_ended = 0
+        self._lookup_ended = asyncio.Event()
         registry = obs.get_registry()
         self._m_requests = registry.counter(
             "repro_serve_requests_total",
@@ -337,7 +332,14 @@ class AsyncServer:
         start = loop.time()
         self._g_in_flight.add(1)
         try:
-            hit = None if self.cache is None else await self.cache.aget(spec)
+            hit = None
+            if self.cache is not None:
+                self._lookups_begun += 1
+                try:
+                    hit = await self.cache.aget(spec)
+                finally:  # every exit path: _batch_loop waits on it
+                    self._lookups_ended += 1
+                    self._lookup_ended.set()
             if hit is not None:
                 self._m_requests.inc(kind=spec.kind, status="cached")
                 self._m_latency.observe(loop.time() - start)
@@ -355,7 +357,7 @@ class AsyncServer:
                     f"queue depth {self._queue.qsize()} at max_queue_depth="
                     f"{self.max_queue_depth}; retry with backoff")
             pending = _Pending(spec=spec, future=loop.create_future(),
-                               enqueued_at=start, ctx=obs.current_span())
+                               ctx=obs.current_span())
             self._queue.put_nowait(pending)  # same loop step as the check
             self._set_queue_depth()
             result: JobResult = await pending.future
@@ -406,33 +408,33 @@ class AsyncServer:
     async def _batch_loop(self) -> None:
         """Coalesce queued requests into micro-batches and dispatch.
 
-        One batch = the first waiting request plus whatever else
-        arrives within ``batch_window_s``, capped at ``max_batch``.
-        Dispatch is a fire-and-forget task, so collection of the next
-        batch overlaps execution of the previous one.
+        A batch takes what is queued and closes at ``max_batch``, or once
+        the queue is empty and the cache lookups under way when it opened
+        have ended (`docs/ARCHITECTURE.md`, "Micro-batching").  Dispatch
+        is a fire-and-forget task, so collection of the next batch
+        overlaps execution of the previous one.
         """
-        loop = asyncio.get_running_loop()
         draining = False
         while not draining:
             item = await self._queue.get()
             if item is _CLOSE:
                 break
             batch = [item]
-            deadline = loop.time() + self.batch_window_s
+            under_way = self._lookups_begun
             while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
+                if not self._queue.empty():
+                    nxt = self._queue.get_nowait()
+                    if nxt is _CLOSE:
+                        draining = True
+                        break
+                    batch.append(nxt)
+                elif self._lookups_ended < under_way:
+                    self._lookup_ended.clear()
+                    await self._lookup_ended.wait()
+                else:
                     break
-                try:
-                    nxt = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                if nxt is _CLOSE:
-                    draining = True
-                    break
-                batch.append(nxt)
             self._set_queue_depth()
-            task = loop.create_task(self._run_batch(batch))
+            task = asyncio.create_task(self._run_batch(batch))
             self._dispatches.add(task)
             task.add_done_callback(self._dispatches.discard)
 
@@ -563,7 +565,6 @@ class AsyncServer:
             "dispatcher": desc,
             "backend": desc.get("backend", self.dispatcher.name),
             "workers": desc.get("workers", 0),
-            "batch_window_s": self.batch_window_s,
             "max_batch": self.max_batch,
             "max_queue_depth": self.max_queue_depth,
             "proto": PROTO_VERSION,

@@ -296,8 +296,7 @@ class TestServerOnBrokerPlane:
         async def body():
             bd = BrokerDispatcher(fleet, poll_s=0.01)
             try:
-                async with AsyncServer(dispatcher=bd,
-                                       batch_window_s=0.01) as srv:
+                async with AsyncServer(dispatcher=bd) as srv:
                     specs = [dse_point_job(n) for n in (1, 2, 4, 8)]
                     got = [r async for _, r in srv.stream(specs)]
                     stats = srv.stats()

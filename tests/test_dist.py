@@ -33,6 +33,7 @@ from repro.runtime import (
     spec_to_doc,
     worker_loop,
 )
+from repro.runtime.backends import SerialBackend
 from repro.runtime.dist import claim_chunk, claim_state, release_claim
 from repro.runtime.jobs import JobSpec
 
@@ -554,6 +555,34 @@ class TestClusterBackend:
             stop.set()
             agent.join()
         assert payload_bytes(run.results) == payload_bytes(reference.results)
+
+    def test_worker_store_hits_count_as_cached(self, tmp_path, registry):
+        """A result a worker served from its own store is a hit on the
+        registry too, as in the run's report: ``status=cached``, and no
+        job-duration sample."""
+        jobs = [sleep_job(i) for i in range(3)]
+        store = ResultStore(tmp_path / "store")
+        for spec, result in zip(jobs[:2], SerialBackend().run(jobs[:2])):
+            store.put(spec, result)
+        stop = threading.Event()
+        agent = threading.Thread(
+            target=worker_loop, args=(tmp_path / "spool",),
+            kwargs=dict(store=store, poll_s=0.01, stop=stop),
+        )
+        agent.start()
+        try:
+            backend = ClusterBackend(spool_dir=tmp_path / "spool",
+                                     spawn_workers=False, timeout=60.0)
+            run = run_jobs(jobs, executor=backend)
+        finally:
+            stop.set()
+            agent.join()
+        assert (run.hits, run.misses) == (2, 1)
+        jobs_total = registry.counter("repro_jobs_total")
+        assert jobs_total.value(kind="dist_sleep", status="cached") == 2
+        assert jobs_total.value(kind="dist_sleep", status="ok") == 1
+        assert registry.histogram("repro_job_duration_seconds").count(
+            kind="dist_sleep") == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

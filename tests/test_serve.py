@@ -5,7 +5,8 @@
 on:
 
 * requests arriving together coalesce into shared micro-batches,
-  bounded by ``max_batch``;
+  bounded by ``max_batch`` and closed when the cache lookups under
+  way have ended, never on a timer;
 * per-job results stream back **while the batch is still running**
   (proved by a deadlock-free gate, not by timing);
 * cache hits short-circuit straight from the store — the backend pool
@@ -171,7 +172,7 @@ class TestCoalescing:
         rec = RecordingBackend()
 
         async def body():
-            async with AsyncServer(dispatcher=LocalDispatcher(rec), batch_window_s=0.2,
+            async with AsyncServer(dispatcher=LocalDispatcher(rec),
                                    max_batch=16) as srv:
                 results = await asyncio.gather(
                     *(srv.submit(quick_spec(i)) for i in range(6))
@@ -189,7 +190,7 @@ class TestCoalescing:
         rec = RecordingBackend()
 
         async def body():
-            async with AsyncServer(dispatcher=LocalDispatcher(rec), batch_window_s=0.2,
+            async with AsyncServer(dispatcher=LocalDispatcher(rec),
                                    max_batch=2) as srv:
                 await asyncio.gather(*(srv.submit(quick_spec(i)) for i in range(6)))
 
@@ -198,25 +199,150 @@ class TestCoalescing:
         assert max(rec.batch_sizes) <= 2
         assert len(rec.batch_sizes) >= 3
 
-    def test_zero_window_still_answers_everything(self):
+    def test_sequential_requests_are_not_held_for_company(self):
+        # Nothing else is under way, so each request goes out alone.
         rec = RecordingBackend()
 
         async def body():
-            async with AsyncServer(dispatcher=LocalDispatcher(rec), batch_window_s=0.0,
+            async with AsyncServer(dispatcher=LocalDispatcher(rec),
                                    max_batch=8) as srv:
-                results = await asyncio.gather(
-                    *(srv.submit(quick_spec(i)) for i in range(4))
-                )
-            assert [r.value["i"] for r in results] == list(range(4))
+                return [(await srv.submit(quick_spec(i))).value["i"]
+                        for i in range(4)]
 
-        run_async(body())
-        assert sum(rec.batch_sizes) == 4
+        assert run_async(body()) == list(range(4))
+        assert rec.batch_sizes == [1, 1, 1, 1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_batch"):
             AsyncServer(dispatcher=LocalDispatcher(SerialBackend()), max_batch=0)
-        with pytest.raises(ValueError, match="batch_window_s"):
-            AsyncServer(dispatcher=LocalDispatcher(SerialBackend()), batch_window_s=-0.1)
+
+
+class GatedStore:
+    """A loop-only result store that always misses.  A lookup of a
+    spec in ``gates`` blocks until the test sets that spec's
+    ``asyncio.Event``; ``begun`` lists the job hashes looked up."""
+
+    def __init__(self, gates=None):
+        self.gates = gates or {}
+        self.begun = []
+
+    async def aget(self, spec):
+        self.begun.append(spec.job_hash)
+        gate = self.gates.get(spec.job_hash)
+        if gate is not None:
+            await gate.wait()
+        return None
+
+    async def aput(self, spec, result):
+        return True
+
+
+class InlineDispatcher:
+    """A loop-only execution plane: answers each batch at once and
+    records its job hashes, plus how many cache lookups of ``server``
+    were under way when the batch was dispatched."""
+
+    name = "inline"
+
+    def __init__(self):
+        self.batches = []
+        self.lookups_under_way = []
+        self.server = None
+
+    def describe(self):
+        return {"dispatcher": self.name}
+
+    async def aclose(self):
+        pass
+
+    async def submit(self, specs):
+        srv = self.server
+        self.batches.append([s.job_hash for s in specs])
+        self.lookups_under_way.append(srv._lookups_begun - srv._lookups_ended)
+        for spec in specs:
+            yield JobResult(spec.job_hash, spec.kind, True, {"ok": True},
+                            None, 0.0)
+
+
+async def yield_until(cond, turns=50):
+    """Give the event loop up to ``turns`` zero-length turns until
+    ``cond()`` holds.  Ordering by loop turns involves no clock, so
+    a test built on it is deterministic."""
+    for _ in range(turns):
+        if cond():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError(f"not within {turns} loop turns")
+
+
+class TestBatchRule:
+    """A batch opens on its first queued request and closes at
+    ``max_batch``, or once the queue is empty and the cache lookups
+    under way when it opened have ended; there is no timer."""
+
+    def test_concurrent_misses_form_one_batch(self, tmp_path):
+        rec = RecordingBackend()
+
+        async def body():
+            # A cap above the burst: only the lookup rule closes it.
+            async with AsyncServer(dispatcher=LocalDispatcher(rec),
+                                   cache=ResultStore(tmp_path),
+                                   max_batch=64) as srv:
+                await asyncio.gather(*(srv.submit(quick_spec(i))
+                                       for i in range(32)))
+            return srv.stats()
+
+        snap = run_async(body())
+        assert rec.batch_sizes == [32]
+        assert snap["batches"] == 1
+        assert snap["mean_batch"] == 32.0
+
+    def test_a_lookup_begun_after_the_batch_opened_does_not_hold_it(self):
+        held, first, late = quick_spec(0), quick_spec(1), quick_spec(2)
+        plane = InlineDispatcher()
+
+        async def body():
+            gates = {held.job_hash: asyncio.Event(),
+                     late.job_hash: asyncio.Event()}
+            store = GatedStore(gates)
+            async with AsyncServer(dispatcher=plane, cache=store) as srv:
+                plane.server = srv
+                try:
+                    t_held = asyncio.ensure_future(srv.submit(held))
+                    t_first = asyncio.ensure_future(srv.submit(first))
+                    # The batch opens on `first` and waits for `held`.
+                    await yield_until(lambda: first.job_hash in store.begun
+                                      and srv._queue.empty())
+                    assert plane.batches == []
+                    t_late = asyncio.ensure_future(srv.submit(late))
+                    await yield_until(lambda: late.job_hash in store.begun)
+                    gates[held.job_hash].set()
+                    await asyncio.wait_for(asyncio.gather(t_held, t_first), 5)
+                    assert not t_late.done()
+                    assert plane.batches == [[first.job_hash, held.job_hash]]
+                finally:
+                    # A broken rule fails above; the drain must not hang.
+                    gates[late.job_hash].set()
+                await t_late
+            assert plane.batches[1:] == [[late.job_hash]]
+
+        run_async(body())
+
+    def test_a_lone_miss_is_dispatched_at_once(self):
+        spec = quick_spec(0)
+        plane = InlineDispatcher()
+
+        async def body():
+            async with AsyncServer(dispatcher=plane, cache=GatedStore()) as srv:
+                plane.server = srv
+                task = asyncio.ensure_future(srv.submit(spec))
+                # A timer would hold the batch while the loop spins.
+                await yield_until(lambda: plane.batches)
+                assert (await task).ok
+
+        run_async(body())
+        assert plane.batches == [[spec.job_hash]]
+        assert plane.lookups_under_way == [0]
 
 
 # -- streaming: results arrive before the batch completes -------------------
@@ -233,7 +359,7 @@ class TestStreaming:
                      payload={"event": gate})
 
         async def body():
-            async with AsyncServer(dispatcher=LocalDispatcher("serial"), batch_window_s=0.2,
+            async with AsyncServer(dispatcher=LocalDispatcher("serial"),
                                    max_batch=8) as srv:
                 order = []
                 async for i, result in srv.stream([s0, s1]):
@@ -249,7 +375,7 @@ class TestStreaming:
         async def body():
             specs = [quick_spec(i) for i in range(8)]
             async with AsyncServer(dispatcher=LocalDispatcher("thread", workers=4),
-                                   batch_window_s=0.05, max_batch=8) as srv:
+                                   max_batch=8) as srv:
                 got = [(i, r.value["i"]) async for i, r in srv.stream(specs)]
             assert got == [(i, i) for i in range(8)]
 
@@ -347,7 +473,7 @@ class TestFailures:
         ]
 
         async def body():
-            async with AsyncServer(dispatcher=LocalDispatcher("serial"), batch_window_s=0.2,
+            async with AsyncServer(dispatcher=LocalDispatcher("serial"),
                                    max_batch=8) as srv:
                 results = [r async for _, r in srv.stream(specs)]
             assert [r.ok for r in results] == [True, False, True]
@@ -360,7 +486,7 @@ class TestFailures:
     def test_backend_crash_becomes_structured_errors_for_all_in_flight(self):
         async def body():
             async with AsyncServer(dispatcher=LocalDispatcher(CrashingBackend()),
-                                   batch_window_s=0.1, max_batch=8) as srv:
+                                   max_batch=8) as srv:
                 results = await asyncio.gather(
                     *(srv.submit(quick_spec(i)) for i in range(3))
                 )
@@ -378,7 +504,7 @@ class TestShutdown:
     def test_in_flight_requests_drain_before_close_returns(self):
         async def body():
             srv = AsyncServer(dispatcher=LocalDispatcher("thread", workers=2),
-                              batch_window_s=0.01, max_batch=2)
+                              max_batch=2)
             tasks = [
                 asyncio.ensure_future(srv.submit(sleep_spec(i, 0.05)))
                 for i in range(4)
@@ -483,8 +609,7 @@ class TestTCPProtocol:
 
         async def body():
             store = ResultStore(tmp_path)
-            srv = AsyncServer(dispatcher=LocalDispatcher("serial"), cache=store,
-                              batch_window_s=0.005)
+            srv = AsyncServer(dispatcher=LocalDispatcher("serial"), cache=store)
             tcp = await serve_tcp(srv)  # ephemeral loopback port
             port = tcp.sockets[0].getsockname()[1]
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -656,7 +781,7 @@ class TestTelemetry:
 
         async def body():
             async with AsyncServer(dispatcher=LocalDispatcher(rec), cache=store,
-                                   batch_window_s=0.2, max_batch=3) as srv:
+                                   max_batch=3) as srv:
                 empty = srv.stats()
                 specs = [quick_spec(i) for i in (100, 101, 0, 1, 2, 3, 4, 5)]
                 await asyncio.gather(*(srv.submit(s) for s in specs))
@@ -693,14 +818,29 @@ class TestTelemetry:
         assert second["latency"]["count"] == 1
 
     def test_cancelled_request_keeps_its_count(self):
+        entered, release = threading.Event(), threading.Event()
+
+        class BlockingBackend:
+            """Holds its batch until the test releases it."""
+
+            name = "blocking"
+            workers = 1
+
+            def run(self, specs, on_result=None):
+                entered.set()
+                assert release.wait(timeout=8), "backend never released"
+                return SerialBackend().run(specs, on_result=on_result)
+
         async def body():
-            async with AsyncServer(dispatcher=LocalDispatcher("serial"),
-                                   batch_window_s=0.2) as srv:
+            async with AsyncServer(
+                    dispatcher=LocalDispatcher(BlockingBackend())) as srv:
                 task = asyncio.ensure_future(srv.submit(quick_spec(0)))
-                await asyncio.sleep(0.01)  # queued, waiting for its batch
+                # In flight: dispatched, its backend blocked.
+                assert await asyncio.to_thread(entered.wait, 8)
                 task.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await task
+                release.set()
             return srv.stats()
 
         snap = run_async(body())
@@ -741,7 +881,7 @@ class TestTelemetry:
         async def body():
             before = _serve_requests_total()
             srv = AsyncServer(dispatcher=LocalDispatcher("serial"),
-                              batch_window_s=0.2, max_queue_depth=1)
+                              max_queue_depth=1)
             done = await asyncio.gather(
                 *(srv.submit(quick_spec(i)) for i in range(3)),
                 return_exceptions=True)
@@ -767,7 +907,7 @@ class TestWireV2:
 
         async def body():
             kw = dict(dispatcher=LocalDispatcher("serial"),
-                      cache=ResultStore(tmp_path), batch_window_s=0.005)
+                      cache=ResultStore(tmp_path))
             kw.update(server_kw)
             srv = AsyncServer(**kw)
             tcp = await serve_tcp(srv)
@@ -911,7 +1051,7 @@ class TestWireV2:
         lines += [json.dumps({"id": f"r{i}", "kind": "t_quick",
                               "params": {"i": i}}) for i in range(n)]
         out = self._roundtrip(lines, tmp_path, cache=None,
-                              max_queue_depth=2, batch_window_s=0.05)
+                              max_queue_depth=2)
         by_id = {o["id"]: o for o in out}
         assert by_id["h"]["proto"] == 2
         answered = [by_id[f"r{i}"] for i in range(n)]
@@ -931,7 +1071,7 @@ class TestWireV2:
 
         async def body():
             srv = AsyncServer(dispatcher=LocalDispatcher("serial"),
-                              batch_window_s=0.2, max_queue_depth=1)
+                              max_queue_depth=1)
             tasks = [asyncio.ensure_future(srv.submit(quick_spec(i)))
                      for i in range(4)]
             done = await asyncio.gather(*tasks, return_exceptions=True)
@@ -964,7 +1104,7 @@ class TestConnCredits:
             spec = JobSpec(kind="t_gate", key=canonical_json({"g": 1}),
                            payload={"event": gate})
             srv = AsyncServer(dispatcher=LocalDispatcher("thread"),
-                              batch_window_s=0.0, conn_credits=1)
+                              conn_credits=1)
             # Drive the pump directly with a scripted transport; the
             # gate spec goes through a patched wire factory.
             serve_mod.WIRE_KINDS["t_gate_cred"] = lambda **p: spec
@@ -1006,8 +1146,7 @@ class TestQueueDepthConsolidation:
         from repro.runtime import get_registry
 
         async def body():
-            srv = AsyncServer(dispatcher=LocalDispatcher("serial"),
-                              batch_window_s=0.0)
+            srv = AsyncServer(dispatcher=LocalDispatcher("serial"))
             await asyncio.gather(*(srv.submit(quick_spec(i)) for i in range(4)))
             await srv.aclose()
             gauge = get_registry()._metrics["repro_serve_queue_depth"]

@@ -323,8 +323,7 @@ class TestServeBrokerStitching:
 
         async def body():
             dispatcher = BrokerDispatcher(spool, lease_ttl_s=0.6)
-            server = AsyncServer(dispatcher=dispatcher, cache=None,
-                                 batch_window_s=0.0)
+            server = AsyncServer(dispatcher=dispatcher, cache=None)
             try:
                 with obs.span("serve.request", kind="tq_sleep") as ctx:
                     result = await server.submit(tq_job(7, sleep_s=0.4))

@@ -64,7 +64,7 @@ async def drive(specs, spool, store):
     dispatcher = BrokerDispatcher(spool, poll_s=0.02, timeout=120.0)
     try:
         async with AsyncServer(dispatcher=dispatcher, cache=store,
-                               batch_window_s=0.02, max_batch=4) as srv:
+                               max_batch=4) as srv:
             out = [None] * len(specs)
             async for i, result in srv.stream(specs):
                 out[i] = result
