@@ -18,9 +18,11 @@
 #                      locally it must be on PATH)
 #   make bench-smoke - one fast benchmark: runtime scaling (parity + cache)
 #   make bench-serve - serving latency benchmark (5x cache-hit bar)
-#   make bench-gate  - run the JSON-emitting benchmarks, then fail on
-#                      >20% regression vs benchmarks/baselines/
-#   make bench-baseline - promote the current BENCH_*.json to baselines
+#   make bench-gate  - run the JSON-emitting benchmarks on the parent
+#                      commit and on this checkout, interleaved, and fail
+#                      when a metric is worse than its parent by more
+#                      than max(20%, spread) (docs/ARCHITECTURE.md,
+#                      "Profiling and the benchmark gate")
 #   make sweep-smoke - tiny 2-point design-space sweep through the CLI,
 #                      run once per backend to demonstrate bit-identical
 #                      tables and the shared-store hit path
@@ -35,17 +37,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-#: The benchmark modules that emit BENCH_*.json for the regression gate.
-BENCH_JSON_SUITE = benchmarks/bench_fig5b_perf.py \
-                   benchmarks/bench_runtime_scaling.py \
-                   benchmarks/bench_serve_latency.py \
-                   benchmarks/bench_cosim_fuzz.py \
-                   benchmarks/bench_dist_throughput.py \
-                   benchmarks/bench_obs_overhead.py \
-                   benchmarks/bench_chaos_soak.py
-
 .PHONY: test test-parity test-serve test-dist test-soak test-obs fleet-smoke docs-check \
-        lint bench-smoke bench-serve bench-gate bench-baseline sweep-smoke \
+        lint bench-smoke bench-serve bench-gate sweep-smoke \
         profile-smoke fuzz-kernels loc bench clean-cache
 
 test:
@@ -83,12 +76,7 @@ bench-serve:
 	$(PYTHON) -m pytest benchmarks/bench_serve_latency.py -q
 
 bench-gate:
-	$(PYTHON) -m pytest $(BENCH_JSON_SUITE) -q
 	$(PYTHON) tools/bench_compare.py
-
-bench-baseline:
-	$(PYTHON) -m pytest $(BENCH_JSON_SUITE) -q
-	$(PYTHON) tools/bench_compare.py --update
 
 profile-smoke:
 	$(PYTHON) -m repro profile --per-class 1 --max-samples 4 --quiet

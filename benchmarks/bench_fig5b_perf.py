@@ -96,9 +96,11 @@ def test_fig5b_measured_sop_rate_approaches_peak(benchmark, report, bench_json):
         )
     )
     bench_json.from_benchmark(benchmark, "dense_layer_mean_s")
-    bench_json.metric("measured_gsops", measured_gsops, direction="higher",
-                      unit="GSOP/s")
-    assert measured_gsops == pytest.approx(6.4, rel=0.05)
+    bench_json.metric("measured_gsops", measured_gsops, unit="GSOP/s")
+    # The cycle count is deterministic: 39,936 SOPs in 2,497 cycles at
+    # 400 MHz, within 0.05% of the 6.4 GSOP/s analytical peak.
+    assert (stats.sops, stats.cycles) == (39936, 2497)
+    assert measured_gsops == 6.39743692430917
 
 
 def test_fig5b_vectorized_event_loop_speedup(report, bench_json):
@@ -146,20 +148,19 @@ def test_fig5b_vectorized_event_loop_speedup(report, bench_json):
     )
     bench_json.timing("vectorized_s", vec_s)
     bench_json.timing("per_event_reference_s", ref_s)
-    # The >=3x floor is asserted right here, machine-independently;
-    # gating the ratio against a (faster) dev-machine baseline would
-    # silently raise that bar, so the JSON record is informational.
+    # The >=3x floor is asserted right here; the two timings above
+    # carry the regression signal, so the ratio is informational.
     bench_json.metric("event_loop_speedup_x", speedup, direction="info", unit="x")
     assert speedup >= 3.0
 
 
 def test_fig5b_compiled_kernel_matrix(report, bench_json):
     """Every registry kernel must stay bit-identical on the Fig. 5b
-    workload.  ``kernel_numpy_s`` is gated against the committed
-    baseline — the no-numba fallback floor — on every CI leg; when
-    numba is importable its kernels must additionally clear >=3x over
-    the numpy shim (median paired ratio), and ``kernel_numba_s`` rides
-    along as an extra record the no-numba baseline simply ignores."""
+    workload.  ``kernel_numpy_s`` is gated against the parent commit —
+    the no-numba fallback floor — on every CI leg; when numba is
+    importable its kernels must additionally clear >=3x over the numpy
+    shim (median paired ratio), and ``kernel_numba_s`` is gated on that
+    leg only."""
     from repro.hw.kernels import available_kernels
 
     cfg = SNEConfig(n_slices=1, cycles_per_fire=0, cycles_per_reset=1)

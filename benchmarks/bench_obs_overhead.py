@@ -19,8 +19,10 @@ ratio** (``time.process_time``; the serial executor keeps all work in
 this process): instrumentation cost *is* CPU work, CPU time is immune
 to preemption noise, the pair-local ratio cancels slow drift, and the
 median rejects outlier pairs.  Wall clocks are recorded as info
-metrics.  ``BENCH_obs_overhead.json`` feeds the same
-``tools/bench_compare.py`` gate as the other benchmark records.
+metrics.  ``BENCH_obs_overhead.json`` feeds ``make bench-gate`` like
+the other benchmark records, which gates ``overhead_ratio`` against
+the parent commit (docs/ARCHITECTURE.md, "Profiling and the benchmark
+gate"); the 3% bar itself is asserted here.
 """
 
 import statistics

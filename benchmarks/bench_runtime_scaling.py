@@ -42,6 +42,9 @@ SWEEP_JOBS = dse_jobs(
     )
 )  # 64 design points
 
+#: Fresh-store passes of 64 puts timed for ``store_put_s``.
+PUT_REPEATS = 15
+
 
 def _timed(fn):
     start = time.perf_counter()
@@ -49,7 +52,8 @@ def _timed(fn):
     return out, time.perf_counter() - start
 
 
-def test_sweep_parallel_parity_and_cache_hits(benchmark, report, tmp_path):
+def test_sweep_parallel_parity_and_cache_hits(benchmark, report, tmp_path,
+                                              bench_json):
     serial, t_serial = _timed(lambda: run_jobs(SWEEP_JOBS, executor=SerialBackend()))
     parallel, t_parallel = _timed(
         lambda: run_jobs(SWEEP_JOBS, executor=ProcessBackend(workers=2))
@@ -69,6 +73,19 @@ def test_sweep_parallel_parity_and_cache_hits(benchmark, report, tmp_path):
     assert warm.misses == 0 and len(warm.failures()) == 0
     assert [r.value for r in warm.results] == [r.value for r in cold.results]
     assert cold.misses == len(SWEEP_JOBS)
+
+    # The store's write path alone: the sweep's 64 results put into a
+    # fresh store, timed apart from the sweep so a change to
+    # ResultStore.put is not diluted.  A pass takes ~5 ms, so the
+    # figure is the best of PUT_REPEATS passes.
+    def put_pass(i):
+        store = ResultStore(tmp_path / f"put-{i}")
+        start = time.perf_counter()
+        for spec, result in zip(SWEEP_JOBS, cold.results):
+            assert store.put(spec, result)
+        return time.perf_counter() - start
+
+    bench_json.timing("store_put_s", min(put_pass(i) for i in range(PUT_REPEATS)))
 
     report.add(
         render_table(
@@ -152,7 +169,7 @@ def test_hw_eval_parallel_parity_and_cache_speedup(benchmark, report, tmp_path,
     warm, t_warm = _timed(lambda: run_jobs(evaluator.sample_jobs(data), cache=cache))
     benchmark(lambda: run_jobs(evaluator.sample_jobs(data), cache=cache))
 
-    assert warm.hit_rate >= 0.9
+    assert warm.hit_rate == 1.0
     assert warm.misses == 0
     assert report_from_job_results(warm.results) == report_from_job_results(cold.results)
     speedup = t_cold / t_warm if t_warm > 0 else float("inf")
@@ -177,6 +194,6 @@ def test_hw_eval_parallel_parity_and_cache_speedup(benchmark, report, tmp_path,
     # same-run speedup ratio carries the regression signal instead.
     bench_json.metric("hw_eval_warm_s", t_warm, direction="info", unit="s")
     bench_json.metric("cache_speedup_x", speedup, direction="info", unit="x")
-    bench_json.metric("warm_hit_rate", warm.hit_rate, direction="higher")
+    bench_json.metric("warm_hit_rate", warm.hit_rate)
     # The cache must beat recomputation, with margin for timer noise.
     assert t_warm < t_cold

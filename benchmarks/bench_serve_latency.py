@@ -339,8 +339,9 @@ def test_admission_control_sheds_without_losing_accepted_requests(
     assert not unexpected, f"non-overload failures: {unexpected!r}"
     # Every request is answered exactly once: accepted + shed = burst.
     assert len(accepted) + len(shed) == len(jobs)
-    assert shed, "overload never engaged at max_queue_depth=4"
-    assert accepted, "admission control accepted nothing"
+    # The burst is queued before the first batch runs, so exactly the
+    # first max_queue_depth requests are admitted.
+    assert (len(accepted), len(shed)) == (4, 12)
     for spec, result in accepted:
         assert result.ok, f"accepted request failed: {result.error}"
         assert result.value == reference[spec.job_hash], (

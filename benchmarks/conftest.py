@@ -11,19 +11,17 @@ comparison record.
 The ``bench_json`` fixture is the machine-readable side of the same
 story: each ``bench_<name>.py`` module records named metrics (timings,
 throughputs, accuracies) into ``.bench/BENCH_<name>.json``.
-``tools/bench_compare.py`` diffs those files against the
-committed baselines in ``benchmarks/baselines/`` and fails CI on a
->20% regression — the ``make bench-gate`` target wires both halves
-together.
+``make bench-gate`` (``tools/bench_compare.py``) runs the suite on
+the parent commit and on this checkout, interleaved, and compares the
+two sides' records metric by metric; the rule is documented in
+``docs/ARCHITECTURE.md`` ("Profiling and the benchmark gate").
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-import time
 
-import numpy as np
 import pytest
 
 #: Where benchmark runs write their records (gitignored).
@@ -54,38 +52,6 @@ def report():
     reporter = Reporter()
     yield reporter
     reporter.flush()
-
-
-_CALIBRATION: float | None = None
-
-
-def machine_calibration() -> float:
-    """Wall seconds of a fixed numpy kernel (best of 5), memoised.
-
-    Shared runners and containers drift in effective CPU speed between
-    runs; recording this per-session constant alongside every timing
-    lets ``tools/bench_compare.py`` normalise second-valued metrics by
-    the machine-speed ratio before applying the regression tolerance,
-    so the gate trips on code regressions, not on a slow afternoon.
-    The kernel mixes small-array calls (the simulator's dominant cost
-    shape) with one larger scan.
-    """
-    global _CALIBRATION
-    if _CALIBRATION is None:
-        rng = np.random.default_rng(0)
-        small = rng.integers(-8, 8, 4096)
-        big = rng.random(1_000_000)
-        best = float("inf")
-        for _ in range(5):
-            t0 = time.perf_counter()
-            for _ in range(300):
-                np.cumsum(small)
-                np.argsort(small[:512], kind="stable")
-                np.maximum(small, 0)
-            np.sort(big)
-            best = min(best, time.perf_counter() - t0)
-        _CALIBRATION = best
-    return _CALIBRATION
 
 
 class BenchRecorder:
@@ -129,7 +95,6 @@ class BenchRecorder:
         doc = {
             "schema": BENCH_SCHEMA,
             "name": self.name,
-            "calibration_s": machine_calibration(),
             "metrics": self.metrics,
         }
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

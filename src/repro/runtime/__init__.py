@@ -53,8 +53,9 @@ fan-out-able, memoised workloads.  The flow is a straight pipeline::
 5. **Serving** (:mod:`.serve`, :mod:`.dispatch`).
    :class:`~repro.runtime.serve.AsyncServer` is the asyncio streaming
    front end: requests arrive one at a time, coalesce into
-   micro-batches for up to a configurable window, and stream per-job
-   results back as each completes.  Batches run through the
+   micro-batches (closed by the rule in docs/ARCHITECTURE.md,
+   "Micro-batching"), and stream per-job results back as each
+   completes.  Batches run through the
    :class:`~repro.runtime.dispatch.Dispatcher` seam — the single
    execution-plane API — so the server never knows whether the plane
    is in-process (:class:`~repro.runtime.dispatch.LocalDispatcher`

@@ -1,174 +1,177 @@
 #!/usr/bin/env python
-"""Benchmark regression gate: diff ``BENCH_*.json`` against baselines.
+"""Benchmark regression gate: this checkout against its parent commit.
 
-Benchmarks emit machine-readable records through the ``bench_json``
-fixture (``benchmarks/conftest.py``): one ``BENCH_<name>.json`` per
-module in the gitignored ``.bench/`` directory, each metric tagged with a comparison
-direction — ``lower`` (timings), ``higher`` (throughputs, hit rates)
-or ``info`` (never gated).
+Runs each :data:`SUITE` module on the parent and on this checkout,
+interleaved on one machine, and fails when a metric is worse than its
+parent by more than max(:data:`TOLERANCE`, the runs' spread).  The rule
+is documented once, in ``docs/ARCHITECTURE.md`` ("Profiling and the
+benchmark gate").  It takes no options::
 
-This tool compares the current records against the committed baselines
-in ``benchmarks/baselines/`` and exits non-zero when any gated metric
-regressed by more than the tolerance (default 20%, override with
-``--tolerance`` or ``$REPRO_BENCH_TOLERANCE``):
-
-* ``direction: lower``  — regression when current > baseline * (1 + tol)
-* ``direction: higher`` — regression when current < baseline * (1 - tol)
-
-A baseline file without a current record fails the gate (the benchmark
-stopped reporting); new current files without a baseline are reported
-as unbaselined but pass.  ``--update`` rewrites the baselines from the
-current records (run it after an intentional perf change and commit
-the result).  Wall-clock baselines are machine-dependent: refresh them
-with ``--update`` when moving to different CI hardware rather than
-loosening the tolerance.
-
-Usage::
-
-    python tools/bench_compare.py            # gate (make bench-gate / CI)
-    python tools/bench_compare.py --update   # accept current as baseline
+    python tools/bench_compare.py      # make bench-gate; exit 0 = no regression
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import pathlib
 import shutil
+import statistics
+import subprocess
 import sys
+import time
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_BASELINE_DIR = REPO / "benchmarks" / "baselines"
-DEFAULT_CURRENT_DIR = REPO / ".bench"
-DEFAULT_TOLERANCE = 0.2
+WORK = REPO / ".bench"
+
+#: The benchmark modules that emit ``BENCH_*.json`` records.
+SUITE = (
+    "benchmarks/bench_fig5b_perf.py",
+    "benchmarks/bench_runtime_scaling.py",
+    "benchmarks/bench_serve_latency.py",
+    "benchmarks/bench_cosim_fuzz.py",
+    "benchmarks/bench_dist_throughput.py",
+    "benchmarks/bench_obs_overhead.py",
+    "benchmarks/bench_chaos_soak.py",
+)
+
+#: Runs of each module per side, in the order P C C P P C ...
+RUNS = 3
+
+#: The least relative change that counts as a regression.
+TOLERANCE = 0.2
 
 
-def load_records(directory: pathlib.Path) -> dict[str, dict]:
-    """Read every ``BENCH_*.json`` in ``directory``, keyed by name."""
-    records = {}
-    for path in sorted(directory.glob("BENCH_*.json")):
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            print(f"bench-compare: {path.name}: unreadable JSON: {exc}",
-                  file=sys.stderr)
-            continue
-        records[path.stem.removeprefix("BENCH_")] = doc
-    return records
+def base_ref(repo: pathlib.Path = REPO) -> str:
+    """``HEAD`` when the working tree has changes (untracked files
+    included), else ``HEAD^``."""
+    status = subprocess.run(["git", "status", "--porcelain"], cwd=repo,
+                            capture_output=True, text=True, check=True).stdout
+    return "HEAD" if status.strip() else "HEAD^"
 
 
-def compare_metric(key: str, baseline: dict, current: dict, tolerance: float,
-                   speed_ratio: float = 1.0):
-    """Return ``(status, detail)`` for one metric.
-
-    ``status`` is ``"ok"``, ``"regressed"`` or ``"info"``; ``detail``
-    is the rendered comparison line.  ``speed_ratio`` is
-    ``current_calibration / baseline_calibration`` — how much slower
-    the current machine ran the fixed calibration kernel.  Gated
-    second-valued metrics are divided by it before applying the
-    tolerance, so a uniformly slow (or fast) machine does not read as
-    a regression (or mask one); dimensionless metrics (ratios, counts,
-    rates) are compared raw.
-    """
-    direction = baseline.get("direction", "info")
-    base = float(baseline["value"])
-    cur = float(current["value"])
-    unit = baseline.get("unit", "")
-    cur_adj = cur / speed_ratio if unit == "s" else cur
-    ratio = cur_adj / base if base else float("inf")
-    detail = f"{key}: {base:.6g} -> {cur:.6g} {unit} (x{ratio:.2f} normalised, {direction})"
-    if direction == "lower" and cur_adj > base * (1.0 + tolerance):
-        return "regressed", detail
-    if direction == "higher" and cur_adj < base * (1.0 - tolerance):
-        return "regressed", detail
-    if direction == "info":
-        return "info", detail
-    return "ok", detail
+def export_tree(ref: str, dest: pathlib.Path, repo: pathlib.Path = REPO) -> None:
+    """Replace ``dest`` with the files of commit ``ref``."""
+    shutil.rmtree(dest, ignore_errors=True)
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", ref], cwd=repo,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_gate(baseline_dir: pathlib.Path, current_dir: pathlib.Path,
-             tolerance: float) -> int:
-    """Compare current records against baselines; return the exit status."""
-    baselines = load_records(baseline_dir)
-    currents = load_records(current_dir)
-    if not baselines:
-        print(f"bench-compare: no baselines in {baseline_dir}; "
-              "run with --update to create them", file=sys.stderr)
-        return 1
-    failures: list[str] = []
-    for name, base_doc in sorted(baselines.items()):
-        cur_doc = currents.get(name)
-        if cur_doc is None:
-            failures.append(f"{name}: no current BENCH_{name}.json "
-                            "(benchmark stopped emitting?)")
-            continue
-        base_cal = float(base_doc.get("calibration_s", 0.0))
-        cur_cal = float(cur_doc.get("calibration_s", 0.0))
-        speed_ratio = cur_cal / base_cal if base_cal > 0 and cur_cal > 0 else 1.0
-        print(f"[{name}] machine speed ratio x{speed_ratio:.2f} "
-              "(current/baseline calibration)")
-        for key, base_metric in sorted(base_doc.get("metrics", {}).items()):
-            cur_metric = cur_doc.get("metrics", {}).get(key)
-            if cur_metric is None:
-                failures.append(f"{name}.{key}: metric missing from current record")
-                continue
-            status, detail = compare_metric(key, base_metric, cur_metric,
-                                            tolerance, speed_ratio)
-            marker = {"ok": "  ok  ", "info": " info ", "regressed": "REGRESS"}[status]
-            print(f"  {marker} {detail}")
-            if status == "regressed":
-                failures.append(f"{name}.{key}: {detail}")
-    for name in sorted(set(currents) - set(baselines)):
-        print(f"[{name}] unbaselined (commit with --update to start gating it)")
-    if failures:
-        print(f"\nbench-compare: {len(failures)} regression(s) beyond "
-              f"{tolerance:.0%}:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    print(f"\nbench-compare: {len(baselines)} record(s) within {tolerance:.0%} "
-          "of baseline")
-    return 0
+def run_module(tree: pathlib.Path, module: str, out: pathlib.Path) -> list[str]:
+    """Run one benchmark ``module`` in ``tree`` against its own ``src/``
+    and copy its record to ``out``, appending to ``out/pytest.log``.
+    Returns the failed-test lines of pytest's summary (empty: passed)."""
+    stem = pathlib.Path(module).stem
+    record = tree / ".bench" / f"BENCH_{stem.removeprefix('bench_')}.json"
+    record.unlink(missing_ok=True)
+    # A fresh --basetemp per run: the default one deletes old temp trees
+    # as a session exits, which slows the next session's file writes.
+    basetemp = WORK / "tmp" / f"{out.name}-{stem}"
+    basetemp.parent.mkdir(parents=True, exist_ok=True)
+    proc = subprocess.run([sys.executable, "-m", "pytest", module, "-q",
+                           f"--basetemp={basetemp}"], cwd=tree,
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                          capture_output=True, text=True)
+    out.mkdir(parents=True, exist_ok=True)
+    with (out / "pytest.log").open("a") as log:
+        log.write(proc.stdout + proc.stderr)
+    if record.exists():
+        shutil.copyfile(record, out / record.name)
+    failed = [line for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return failed or ([f"{module}: pytest exit {proc.returncode}"] if proc.returncode else [])
 
 
-def update_baselines(baseline_dir: pathlib.Path, current_dir: pathlib.Path) -> int:
-    """Copy every current ``BENCH_*.json`` into the baseline directory."""
-    paths = sorted(current_dir.glob("BENCH_*.json"))
-    if not paths:
-        print(f"bench-compare: no BENCH_*.json in {current_dir} to promote",
-              file=sys.stderr)
-        return 1
-    baseline_dir.mkdir(parents=True, exist_ok=True)
-    for path in paths:
-        shutil.copyfile(path, baseline_dir / path.name)
-        print(f"bench-compare: baselined {path.name}")
-    return 0
+def load_run(directory: pathlib.Path) -> dict[str, dict]:
+    """One run's metrics, keyed ``<record>.<metric>``."""
+    return {f"{path.stem.removeprefix('BENCH_')}.{key}": metric
+            for path in sorted(directory.glob("BENCH_*.json"))
+            for key, metric in json.loads(path.read_text())["metrics"].items()}
 
 
-def main(argv=None) -> int:
-    """CLI entry point; returns the process exit status."""
-    parser = argparse.ArgumentParser(
-        description="Fail on >tolerance benchmark regressions vs committed baselines."
-    )
-    parser.add_argument("--baseline-dir", type=pathlib.Path,
-                        default=DEFAULT_BASELINE_DIR)
-    parser.add_argument("--current-dir", type=pathlib.Path,
-                        default=DEFAULT_CURRENT_DIR,
-                        help="where the fresh BENCH_*.json records live "
-                             "(default: .bench/)")
-    parser.add_argument("--tolerance", type=float,
-                        default=float(os.environ.get("REPRO_BENCH_TOLERANCE",
-                                                     DEFAULT_TOLERANCE)),
-                        help="allowed fractional regression (default 0.2)")
-    parser.add_argument("--update", action="store_true",
-                        help="promote current records to baselines instead of gating")
-    args = parser.parse_args(argv)
-    if args.tolerance < 0:
-        parser.error("tolerance must be non-negative")
-    if args.update:
-        return update_baselines(args.baseline_dir, args.current_dir)
-    return run_gate(args.baseline_dir, args.current_dir, args.tolerance)
+def spread(values: list[float]) -> float:
+    """(max - min) / median: one side's run-to-run spread."""
+    if max(values) == min(values):
+        return 0.0
+    median = statistics.median(values)
+    return (max(values) - min(values)) / abs(median) if median else float("inf")
+
+
+def compare(parent_runs: list[dict], change_runs: list[dict]) -> list[dict]:
+    """One row per metric: each side's median and spread, the tolerance
+    and the verdict (``ok``, ``REGRESS``, ``info``, ``new`` or
+    ``MISSING``).  The change's direction decides how a metric is gated."""
+    rows = []
+    for key in sorted({k for run in parent_runs + change_runs for k in run}):
+        found = [[run[key] for run in runs if key in run]
+                 for runs in (parent_runs, change_runs)]
+        meta = (found[1] or found[0])[0]
+        row = {"key": key, "direction": meta["direction"], "unit": meta.get("unit", "")}
+        for side, metrics in zip(("parent", "change"), found):
+            values = [float(m["value"]) for m in metrics]
+            row[side] = statistics.median(values) if values else None
+            row[f"{side}_spread"] = spread(values) if values else None
+        if row["change"] is None:
+            row["verdict"] = "MISSING"
+        elif row["parent"] is None:
+            row["verdict"] = "new"
+        elif row["direction"] == "info":
+            row["verdict"] = "info"
+        else:
+            tol = row["tolerance"] = max(TOLERANCE, row["parent_spread"],
+                                         row["change_spread"])
+            ratio = row["change"] / row["parent"] if row["parent"] else float("inf")
+            worse = ratio > 1 + tol if row["direction"] == "lower" else ratio < 1 - tol
+            row["verdict"] = "REGRESS" if worse else "ok"
+        rows.append(row)
+    return rows
+
+
+def render(row: dict) -> str:
+    """One table line: both medians and spreads, the tolerance, the verdict."""
+    cells = [f"{row['verdict']:8} {row['key']:45}"]
+    for side in ("parent", "change"):
+        cells.append(f"{'-':>11} {'':6}" if row[side] is None else
+                     f"{row[side]:11.4g} {row[side + '_spread']:6.0%}")
+    cells.append(f"{row['tolerance']:5.0%}" if "tolerance" in row else " " * 5)
+    return " ".join(cells + [row["unit"], row["direction"]])
+
+
+def main() -> int:
+    """Run both sides, print the per-metric table, return the exit status."""
+    ref = base_ref()
+    export_tree(ref, WORK / "parent")
+    for stale in ("runs", "tmp"):
+        shutil.rmtree(WORK / stale, ignore_errors=True)
+    print(f"bench-gate: {ref} vs this checkout, {RUNS} runs each")
+    trees = {"parent": WORK / "parent", "change": REPO}
+    failures = []
+    for module in SUITE:
+        start, verdicts = time.monotonic(), []
+        for i in range(1, RUNS + 1):
+            for side in ("parent", "change") if i % 2 else ("change", "parent"):
+                failed = run_module(trees[side], module, WORK / "runs" / f"{side}-{i}")
+                verdicts.append(f"{side[0].upper()}:{'FAILED' if failed else 'ok'}")
+                if side == "change":
+                    failures += [f"change run {i}: {line}" for line in failed]
+        print(f"  {module:40} {' '.join(verdicts)}  {time.monotonic() - start:.0f}s")
+    shutil.rmtree(WORK / "tmp", ignore_errors=True)
+    runs = {side: [load_run(WORK / "runs" / f"{side}-{i}") for i in range(1, RUNS + 1)]
+            for side in trees}
+    print(f"\n{'verdict':8} {'metric':45} {'parent':>11} {'spread':6} "
+          f"{'change':>11} {'spread':6} {'tol':>5}")
+    for row in compare(runs["parent"], runs["change"]):
+        print(render(row))
+        if row["verdict"] in ("REGRESS", "MISSING"):
+            failures.append(f"{row['key']}: {row['verdict']}")
+    for failure in failures:
+        print(f"bench-gate: FAILED: {failure}", file=sys.stderr)
+    if not failures:
+        print(f"\nbench-gate: ok, no metric worse than its parent by more "
+              f"than max({TOLERANCE:.0%}, spread)")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ import argparse
 import asyncio
 import os
 import pathlib
+import shutil
 import signal
 import subprocess
 import sys
@@ -41,6 +42,9 @@ from repro.runtime import (  # noqa: E402
     execute_job,
 )
 from repro.runtime.jobs import sample_eval_job  # noqa: E402
+
+#: Requests answered from the store, written there before the fleet starts.
+PREWARMED = 3
 
 
 def build_traffic():
@@ -87,6 +91,10 @@ def main() -> int:
     spool = workdir / "spool"
     cache_dir = workdir / "cache"
     workdir.mkdir(parents=True, exist_ok=True)
+    # A store or spool left by an earlier run would answer every job
+    # from the cache and leave the fleet nothing to compute.
+    for stale in (spool, cache_dir):
+        shutil.rmtree(stale, ignore_errors=True)
 
     specs = build_traffic()
     reference = [execute_job(s) for s in specs]
@@ -94,7 +102,7 @@ def main() -> int:
     # Pre-warm a slice of the traffic into the shared store so the run
     # exercises the cached path next to genuinely fleet-computed jobs.
     store = ResultStore(cache_dir)
-    for spec, value in list(zip(specs, reference))[:3]:
+    for spec, value in list(zip(specs, reference))[:PREWARMED]:
         store.put(spec, JobResult(spec.job_hash, spec.kind, True, value, None, 0.0))
 
     log = (workdir / "supervise.log").open("w")
@@ -144,9 +152,9 @@ def main() -> int:
     if failures:
         print("fleet-serve smoke: FAILED", file=sys.stderr)
         return 1
-    if cached < 3:
-        print("fleet-serve smoke: FAILED — pre-warmed entries missed the "
-              "cache path", file=sys.stderr)
+    if (cached, stats["computed"]) != (PREWARMED, len(specs) - PREWARMED):
+        print(f"fleet-serve smoke: FAILED — expected {PREWARMED} cached and "
+              f"{len(specs) - PREWARMED} computed", file=sys.stderr)
         return 1
     print("fleet-serve smoke: OK — broker-dispatch serving matches the "
           "serial reference")
