@@ -13,17 +13,17 @@ Five claims the serving layer must uphold:
    at once coalesce into shared dispatches, and the p50/p99 latency
    telemetry reports the round-trip distribution;
 4. **the broker plane holds the cache-hit SLO**: a server dispatching
-   onto a spool-backed worker fleet answers warm requests within 2x of
-   the local-dispatch leg (cache hits never cross the spool), stays
-   value-identical to it cold, and both planes meet the p50/p99 SLO
-   bars;
+   onto a spool-backed worker fleet answers warm requests without a
+   single dispatch (cache hits never cross the spool), stays
+   value-identical to the local-dispatch leg cold, and both planes meet
+   the p50/p99 SLO bars;
 5. **admission control sheds, never corrupts**: past
    ``max_queue_depth`` the surplus is refused with a structured
    overload error while every accepted request completes
    bit-identically to a serial reference — none lost, none duplicated.
 
 Wall-clock figures are machine-dependent and *reported*; determinism,
-hit ratios, the 5x cache-hit bar, the 2x broker-vs-local bar and the
+hit ratios, the 5x cache-hit bar, the dispatch-free warm passes and the
 shed-losslessness invariant are *asserted*.
 """
 
@@ -35,6 +35,7 @@ import time
 from repro.analysis import render_table
 from repro.events import SyntheticDVSGesture
 from repro.hw import PAPER_CONFIG, HardwareEvaluator, compile_network
+from repro.runtime import obs
 from repro.runtime import (
     AsyncServer,
     BrokerDispatcher,
@@ -214,8 +215,8 @@ SLO_WARM_P99_S = 0.250
 def test_broker_dispatch_leg_holds_cache_hit_slo(report, tmp_path, bench_json):
     """The fleet-serving leg: one server per dispatcher mode, same
     workload, same store discipline.  Asserted: value-identical cold
-    results across planes, warm passes fully cache-hit, warm p50 within
-    2x of the local leg, and the p50/p99 SLO bars on both."""
+    results across planes, warm passes fully cache-hit with no batch
+    dispatched, and the p50/p99 SLO bars on both."""
     jobs = _hw_jobs()
     spool = tmp_path / "spool"
     stop = threading.Event()
@@ -227,13 +228,24 @@ def test_broker_dispatch_leg_holds_cache_hit_slo(report, tmp_path, bench_json):
     )
     worker.start()
 
+    dispatched = obs.get_registry().counter("repro_dispatch_batches_total")
+
     async def run_leg(dispatcher, store):
         async with AsyncServer(dispatcher=dispatcher, cache=store,
                                max_batch=8) as srv:
             cold = await _serve_pass(srv, jobs)
+            before = (dispatched.value(dispatcher=dispatcher.name),
+                      srv.stats()["batches"])
             warm = await _serve_pass(srv, jobs)
+            after = (dispatched.value(dispatcher=dispatcher.name),
+                     srv.stats()["batches"])
             stats = srv.stats()
         await dispatcher.aclose()
+        # Cache hits never cross the plane: the warm pass dispatches
+        # no batch, through the dispatcher or the server's batcher.
+        assert after == before, (
+            f"{dispatcher.name} warm pass dispatched: "
+            f"(dispatcher batches, server batches) {before} -> {after}")
         return cold, warm, stats
 
     try:
@@ -275,17 +287,11 @@ def test_broker_dispatch_leg_holds_cache_hit_slo(report, tmp_path, bench_json):
                      _ms(figures["cold_p99"]), _ms(figures["warm_p50"]),
                      _ms(figures["warm_p99"])])
 
-    # Acceptance bar: cache hits never cross the spool, so the broker
-    # leg's warm p50 must sit within 2x of the local leg's.  The local
-    # figure is floored at 2.5 ms: both legs are pure store reads in
-    # the low-millisecond range where scheduler jitter alone swings the
-    # raw ratio past 2x, while an accidental spool round trip would
-    # cost a poll interval plus chunk I/O — well past the floored bar.
-    warm_floor = max(legs["local"]["warm_p50"], 2.5e-3)
-    warm_ratio = legs["broker"]["warm_p50"] / warm_floor
-    assert legs["broker"]["warm_p50"] <= 2.0 * warm_floor, (
-        f"broker warm p50 {legs['broker']['warm_p50']:.4f}s is "
-        f"{warm_ratio:.1f}x the local leg")
+    # Reported, not asserted: both legs are pure store reads, whose
+    # millisecond wall times swing past 2x on scheduler jitter alone.
+    # The property behind them — no warm batch crosses the spool — is
+    # asserted exactly in run_leg.
+    warm_ratio = legs["broker"]["warm_p50"] / legs["local"]["warm_p50"]
 
     bench_json.timing("broker_cold_p50_s", legs["broker"]["cold_p50"])
     bench_json.metric("broker_warm_p50_s", legs["broker"]["warm_p50"],
@@ -300,7 +306,7 @@ def test_broker_dispatch_leg_holds_cache_hit_slo(report, tmp_path, bench_json):
             rows,
             title=(
                 "serve dispatcher legs — local vs broker fleet "
-                f"(warm ratio {warm_ratio:.2f}x, bar: 2x)"
+                f"(warm ratio {warm_ratio:.2f}x, warm passes dispatch nothing)"
             ),
         )
     )

@@ -63,10 +63,11 @@ fan-out-able, memoised workloads.  The flow is a straight pipeline::
    (:class:`~repro.runtime.dispatch.BrokerDispatcher`, which spools
    each batch as broker chunks and tails the result files without
    blocking the event loop).  Cache hits are answered straight from
-   the store (async read-through); a versioned line-delimited JSON
-   protocol over TCP or stdio (``repro serve``, v2 handshake with
-   structured ``overloaded | bad_request | backend_error`` codes)
-   exposes the payload-free job kinds to remote clients, with
+   the store (read inline on the event loop); a versioned
+   line-delimited JSON protocol over TCP or stdio (``repro serve``, v2
+   handshake with structured ``overloaded | bad_request |
+   backend_error`` codes) exposes the payload-free job kinds to remote
+   clients, with
    per-connection credit backpressure and ``--max-queue-depth``
    admission control.  The server's request counts, in-flight and
    queue-depth gauges and p50/p99 latency live in the :mod:`.obs`

@@ -14,9 +14,9 @@ The pieces:
   :class:`~repro.runtime.jobs.JobSpec`; ``stream()`` answers many as an
   async generator yielding each result the moment it is available.
   Cache hits are served straight from the
-  :class:`~repro.runtime.store.ResultStore` (async read-through, off
-  the event loop) without ever touching the execution plane; misses are
-  queued, coalesced without a timer (`docs/ARCHITECTURE.md`,
+  :class:`~repro.runtime.store.ResultStore` (read inline on the event
+  loop, no thread hop) without ever touching the execution plane;
+  misses are queued, coalesced without a timer (`docs/ARCHITECTURE.md`,
   "Micro-batching") into batches of up to ``max_batch`` jobs, handed to a
   :class:`~repro.runtime.dispatch.Dispatcher` — the server does not
   know whether the batch runs in-process
@@ -170,11 +170,13 @@ class AsyncServer:
     """Micro-batching asyncio front end over one execution plane.
 
     Requests enter through :meth:`submit` / :meth:`stream`.  A cache
-    hit short-circuits straight back (async read-through, never
-    touching the execution plane).  Misses land on an internal queue —
-    bounded by ``max_queue_depth``, past which admission control sheds
-    with :exc:`ServerOverloadedError` — the batcher coalesces them
-    (:meth:`_batch_loop`, up to ``max_batch`` jobs), then hands
+    hit short-circuits straight back (one store read inline on the
+    event loop, never touching the execution plane; on a network
+    filesystem each lookup blocks the loop for that read).  Misses land
+    on an internal queue — bounded by ``max_queue_depth``, past which
+    admission control sheds with :exc:`ServerOverloadedError` — the
+    batcher takes what is queued (:meth:`_batch_loop`, up to
+    ``max_batch`` jobs), then hands
     the batch to the configured
     :class:`~repro.runtime.dispatch.Dispatcher` as a concurrent task:
     the event loop stays free, later batches don't wait for earlier
@@ -241,9 +243,6 @@ class AsyncServer:
         self._batcher: asyncio.Task | None = None
         self._dispatches: set[asyncio.Task] = set()
         self._closing = False
-        self._lookups_begun = 0
-        self._lookups_ended = 0
-        self._lookup_ended = asyncio.Event()
         registry = obs.get_registry()
         self._m_requests = registry.counter(
             "repro_serve_requests_total",
@@ -332,24 +331,13 @@ class AsyncServer:
         start = loop.time()
         self._g_in_flight.add(1)
         try:
-            hit = None
-            if self.cache is not None:
-                self._lookups_begun += 1
-                try:
-                    hit = await self.cache.aget(spec)
-                finally:  # every exit path: _batch_loop waits on it
-                    self._lookups_ended += 1
-                    self._lookup_ended.set()
+            # The lookup never suspends (`ResultStore.aget` reads on the
+            # loop), so the close check above still holds at the enqueue.
+            hit = None if self.cache is None else await self.cache.aget(spec)
             if hit is not None:
                 self._m_requests.inc(kind=spec.kind, status="cached")
                 self._m_latency.observe(loop.time() - start)
                 return hit
-            if self._closing:
-                # The server closed while the cache lookup was in
-                # flight; the sentinel is already queued, so this
-                # request would never be dispatched.
-                self._m_requests.inc(kind=spec.kind, status="rejected")
-                raise RuntimeError("server is closed")
             if (self.max_queue_depth is not None
                     and self._queue.qsize() >= self.max_queue_depth):
                 self._m_requests.inc(kind=spec.kind, status="shed")
@@ -408,11 +396,12 @@ class AsyncServer:
     async def _batch_loop(self) -> None:
         """Coalesce queued requests into micro-batches and dispatch.
 
-        A batch takes what is queued and closes at ``max_batch``, or once
-        the queue is empty and the cache lookups under way when it opened
-        have ended (`docs/ARCHITECTURE.md`, "Micro-batching").  Dispatch
-        is a fire-and-forget task, so collection of the next batch
-        overlaps execution of the previous one.
+        A batch takes what is queued when the batcher wakes, up to
+        ``max_batch`` (`docs/ARCHITECTURE.md`, "Micro-batching"); there
+        is no timer.  Requests submitted in one loop turn are all queued
+        by then, since a lookup never suspends.  Dispatch is a
+        fire-and-forget task, so collection of the next batch overlaps
+        execution of the previous one.
         """
         draining = False
         while not draining:
@@ -420,19 +409,12 @@ class AsyncServer:
             if item is _CLOSE:
                 break
             batch = [item]
-            under_way = self._lookups_begun
-            while len(batch) < self.max_batch:
-                if not self._queue.empty():
-                    nxt = self._queue.get_nowait()
-                    if nxt is _CLOSE:
-                        draining = True
-                        break
-                    batch.append(nxt)
-                elif self._lookups_ended < under_way:
-                    self._lookup_ended.clear()
-                    await self._lookup_ended.wait()
-                else:
+            while len(batch) < self.max_batch and not self._queue.empty():
+                nxt = self._queue.get_nowait()
+                if nxt is _CLOSE:
+                    draining = True
                     break
+                batch.append(nxt)
             self._set_queue_depth()
             task = asyncio.create_task(self._run_batch(batch))
             self._dispatches.add(task)

@@ -148,9 +148,11 @@ class ResultStore:
         # so under contention the cap is enforced approximately — each
         # writer still converges on it at its own next over-cap put.
         self._approx_bytes: int | None = None
-        # Serialises get/put when the asyncio wrappers drive this
-        # instance from executor worker threads (the synchronous API
-        # stays lock-free for the single-threaded sweep path).
+        # Serialises the worker-thread puts of :meth:`aput` (a put
+        # updates ``_approx_bytes``).  An :meth:`aget` runs ``get`` on
+        # the loop thread and touches no instance state, so it needs no
+        # lock: entry files are replaced atomically and the obs counter
+        # takes its own lock.  The synchronous API stays lock-free.
         self._mutex = threading.Lock()
 
     # -- layout -----------------------------------------------------------
@@ -252,26 +254,24 @@ class ResultStore:
             and isinstance(entry.get("duration_s"), (int, float))
         )
 
-    def _locked_get(self, spec: JobSpec) -> JobResult | None:
-        with self._mutex:
-            return self.get(spec)
-
     def _locked_put(self, spec: JobSpec, result: JobResult) -> bool:
         with self._mutex:
             return self.put(spec, result)
 
     async def aget(self, spec: JobSpec) -> JobResult | None:
-        """Async-safe read-through: :meth:`get` off the event loop.
+        """Read-through for asyncio callers: :meth:`get` inline, on the
+        event loop; the coroutine never suspends.
 
-        The lookup (file read + validation + recency stamp) runs in a
-        worker thread, serialised against other async accessors of this
-        instance by an internal mutex, so an asyncio server can overlap
-        cache reads with request handling without blocking the loop.
+        A local entry read costs less CPU than a round trip to a worker
+        thread, so the read blocks the loop instead.  On a network
+        filesystem every lookup blocks the loop for that filesystem's
+        read latency (`docs/ARCHITECTURE.md`, "Micro-batching").
         """
-        return await asyncio.to_thread(self._locked_get, spec)
+        return self.get(spec)
 
     async def aput(self, spec: JobSpec, result: JobResult) -> bool:
-        """Async-safe write-through: :meth:`put` off the event loop."""
+        """Async-safe write-through: :meth:`put` off the event loop, in a
+        worker thread, serialised per instance."""
         return await asyncio.to_thread(self._locked_put, spec, result)
 
     def invalidate(self, spec: JobSpec) -> bool:

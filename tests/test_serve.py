@@ -4,9 +4,9 @@
 *live* traffic, so these tests pin down the behaviours clients depend
 on:
 
-* requests arriving together coalesce into shared micro-batches,
-  bounded by ``max_batch`` and closed when the cache lookups under
-  way have ended, never on a timer;
+* requests arriving together coalesce into shared micro-batches:
+  a batch takes what is queued, up to ``max_batch``, never on a timer;
+* cache lookups read the store on the event loop's own thread;
 * per-job results stream back **while the batch is still running**
   (proved by a deadlock-free gate, not by timing);
 * cache hits short-circuit straight from the store — the backend pool
@@ -217,37 +217,14 @@ class TestCoalescing:
             AsyncServer(dispatcher=LocalDispatcher(SerialBackend()), max_batch=0)
 
 
-class GatedStore:
-    """A loop-only result store that always misses.  A lookup of a
-    spec in ``gates`` blocks until the test sets that spec's
-    ``asyncio.Event``; ``begun`` lists the job hashes looked up."""
-
-    def __init__(self, gates=None):
-        self.gates = gates or {}
-        self.begun = []
-
-    async def aget(self, spec):
-        self.begun.append(spec.job_hash)
-        gate = self.gates.get(spec.job_hash)
-        if gate is not None:
-            await gate.wait()
-        return None
-
-    async def aput(self, spec, result):
-        return True
-
-
 class InlineDispatcher:
     """A loop-only execution plane: answers each batch at once and
-    records its job hashes, plus how many cache lookups of ``server``
-    were under way when the batch was dispatched."""
+    records its job hashes."""
 
     name = "inline"
 
     def __init__(self):
         self.batches = []
-        self.lookups_under_way = []
-        self.server = None
 
     def describe(self):
         return {"dispatcher": self.name}
@@ -256,9 +233,7 @@ class InlineDispatcher:
         pass
 
     async def submit(self, specs):
-        srv = self.server
         self.batches.append([s.job_hash for s in specs])
-        self.lookups_under_way.append(srv._lookups_begun - srv._lookups_ended)
         for spec in specs:
             yield JobResult(spec.job_hash, spec.kind, True, {"ok": True},
                             None, 0.0)
@@ -276,15 +251,16 @@ async def yield_until(cond, turns=50):
 
 
 class TestBatchRule:
-    """A batch opens on its first queued request and closes at
-    ``max_batch``, or once the queue is empty and the cache lookups
-    under way when it opened have ended; there is no timer."""
+    """A batch opens on its first queued request and takes what is
+    queued when the batcher wakes, up to ``max_batch``; there is no
+    timer.  A cache lookup never suspends, so requests submitted in one
+    loop turn are all queued by then."""
 
     def test_concurrent_misses_form_one_batch(self, tmp_path):
         rec = RecordingBackend()
 
         async def body():
-            # A cap above the burst: only the lookup rule closes it.
+            # A cap above the burst: only the empty queue closes it.
             async with AsyncServer(dispatcher=LocalDispatcher(rec),
                                    cache=ResultStore(tmp_path),
                                    max_batch=64) as srv:
@@ -297,44 +273,44 @@ class TestBatchRule:
         assert snap["batches"] == 1
         assert snap["mean_batch"] == 32.0
 
-    def test_a_lookup_begun_after_the_batch_opened_does_not_hold_it(self):
-        held, first, late = quick_spec(0), quick_spec(1), quick_spec(2)
+    def test_a_burst_of_request_lines_forms_one_batch(self, tmp_path):
+        # The pump starts all 32 answer tasks in one loop turn; each
+        # queues its miss before the batcher wakes.  No clock involved.
+        from repro.runtime.serve import _serve_lines
+
+        specs = [dse_point_job(4, utilization=(i + 1) / 32) for i in range(32)]
+        lines = [json.dumps({"id": i, "kind": "dse_point",
+                             "params": {"n_slices": 4,
+                                        "utilization": (i + 1) / 32}})
+                 for i in range(32)] + [""]  # "" is EOF
         plane = InlineDispatcher()
+        sent = []
+
+        async def readline():
+            return lines.pop(0)
+
+        async def send(obj):
+            sent.append(obj)
 
         async def body():
-            gates = {held.job_hash: asyncio.Event(),
-                     late.job_hash: asyncio.Event()}
-            store = GatedStore(gates)
-            async with AsyncServer(dispatcher=plane, cache=store) as srv:
-                plane.server = srv
-                try:
-                    t_held = asyncio.ensure_future(srv.submit(held))
-                    t_first = asyncio.ensure_future(srv.submit(first))
-                    # The batch opens on `first` and waits for `held`.
-                    await yield_until(lambda: first.job_hash in store.begun
-                                      and srv._queue.empty())
-                    assert plane.batches == []
-                    t_late = asyncio.ensure_future(srv.submit(late))
-                    await yield_until(lambda: late.job_hash in store.begun)
-                    gates[held.job_hash].set()
-                    await asyncio.wait_for(asyncio.gather(t_held, t_first), 5)
-                    assert not t_late.done()
-                    assert plane.batches == [[first.job_hash, held.job_hash]]
-                finally:
-                    # A broken rule fails above; the drain must not hang.
-                    gates[late.job_hash].set()
-                await t_late
-            assert plane.batches[1:] == [[late.job_hash]]
+            async with AsyncServer(dispatcher=plane, cache=ResultStore(tmp_path),
+                                   max_batch=64) as srv:
+                await _serve_lines(srv, readline, send)
+            return srv.stats()
 
-        run_async(body())
+        snap = run_async(body())
+        assert plane.batches == [[s.job_hash for s in specs]]
+        assert snap["batches"] == 1 and snap["mean_batch"] == 32.0
+        assert sorted(o["id"] for o in sent) == list(range(32))
+        assert all(o["ok"] for o in sent)
 
-    def test_a_lone_miss_is_dispatched_at_once(self):
+    def test_a_lone_miss_is_dispatched_at_once(self, tmp_path):
         spec = quick_spec(0)
         plane = InlineDispatcher()
 
         async def body():
-            async with AsyncServer(dispatcher=plane, cache=GatedStore()) as srv:
-                plane.server = srv
+            async with AsyncServer(dispatcher=plane,
+                                   cache=ResultStore(tmp_path)) as srv:
                 task = asyncio.ensure_future(srv.submit(spec))
                 # A timer would hold the batch while the loop spins.
                 await yield_until(lambda: plane.batches)
@@ -342,7 +318,6 @@ class TestBatchRule:
 
         run_async(body())
         assert plane.batches == [[spec.job_hash]]
-        assert plane.lookups_under_way == [0]
 
 
 # -- streaming: results arrive before the batch completes -------------------
@@ -404,6 +379,36 @@ class TestCacheShortCircuit:
             assert srv.stats()["cache_hit_ratio"] == 1.0
 
         run_async(body())
+
+    def test_lookups_run_on_the_loop_thread(self, tmp_path, monkeypatch):
+        # No thread hop: every hit and miss lookup reads the store on
+        # the event loop's own thread.
+        store = ResultStore(tmp_path)
+        warm = [quick_spec(i) for i in range(4)]
+        for spec in warm:
+            store.put(spec, JobResult(spec.job_hash, spec.kind, True,
+                                      {"i": 0}, None, 0.0))
+        lookup_threads = []
+        real_get = ResultStore.get
+
+        def get(self, spec):
+            lookup_threads.append(threading.get_ident())
+            return real_get(self, spec)
+
+        monkeypatch.setattr(ResultStore, "get", get)
+
+        async def body():
+            async with AsyncServer(dispatcher=LocalDispatcher("serial"),
+                                   cache=store) as srv:
+                alone = await srv.submit(warm[0])
+                burst = await asyncio.gather(
+                    *(srv.submit(quick_spec(i)) for i in range(8)))
+            assert alone.cached
+            assert [r.cached for r in burst] == [True] * 4 + [False] * 4
+            return threading.get_ident()
+
+        loop_thread = run_async(body())
+        assert lookup_threads == [loop_thread] * 9
 
     def test_miss_computes_and_writes_through(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -18,6 +18,7 @@ import asyncio
 import json
 import multiprocessing
 import pathlib
+import sys
 
 import pytest
 
@@ -325,6 +326,49 @@ class TestAsyncAccess:
 
         asyncio.run(body())
         assert moved(events, {}) == {"miss": 1, "store": 1, "hit": 1}
+
+    def test_loop_reads_race_thread_writes_without_a_torn_entry(
+            self, tmp_path, events):
+        # aget reads on the loop thread, unlocked, while aput rewrites
+        # the same entries from worker threads.  Entry replaces are
+        # atomic, so a read sees no entry or a whole one: nothing is
+        # ever counted corrupt, and no count is lost.
+        store = ResultStore(tmp_path)
+        specs = [blob_spec(f"race-{i}") for i in range(8)]
+        writers, passes, reads = 4, 10, 40
+
+        async def write(w):
+            for n in range(passes):
+                for spec in specs:
+                    assert await store.aput(
+                        spec, ok_result(spec, {"tag": spec.key, "n": n}))
+
+        async def read():
+            hits = 0
+            for _ in range(reads):
+                for spec in specs:
+                    hit = await store.aget(spec)
+                    if hit is not None:
+                        assert hit.value["tag"] == spec.key
+                        hits += 1
+                await asyncio.sleep(0)
+            return hits
+
+        async def body():
+            done = await asyncio.gather(read(), *(write(w) for w in range(writers)))
+            return done[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            hits = asyncio.run(asyncio.wait_for(body(), 60))
+        finally:
+            sys.setswitchinterval(interval)
+        counts = moved(events, {})
+        assert "corrupt" not in counts and "put_error" not in counts
+        assert counts["store"] == writers * passes * len(specs)
+        assert counts.get("hit", 0) == hits
+        assert counts.get("hit", 0) + counts.get("miss", 0) == reads * len(specs)
 
 
 def _writer(root: str, writer_id: int, n: int, max_bytes) -> None:
