@@ -16,6 +16,13 @@ fire scan (``fire_step``).  The stages work on *stacked* rows (a
 sample or for a batch of samples one after another, so a batch of
 ``B`` samples costs the same number of kernel calls as one sample.
 
+Dense layers are never expanded into per-synapse entries: one dense
+event is one weight row broadcast to every neuron of the pass.  Their
+events skip ``assemble`` and ``plan`` (the
+:class:`~repro.hw.slice.SliceStack` derives their counters from event
+counts alone) and update through ``dense_accumulate``, straight from
+the weight matrix.
+
 Selection is by name::
 
     SNE().run_layer(program, stream, kernel="auto")   # numba if importable
@@ -86,6 +93,13 @@ class KernelSet:
     add of the entries into the flattened state, in event order (every
     add clips to ``[lo, hi]``).
 
+    ``dense_accumulate(flat_state, stride, cols, coords, samples, lo,
+    hi)`` is the same for one step of a dense layer, whose events are
+    never expanded into entries: event ``e`` adds weight row
+    ``cols.w[coords[e]]`` (a :class:`~repro.hw.mapper.DenseColumns`) to
+    the pass neurons of sample ``samples[e]``, the ``n`` flat state
+    slots from ``samples[e] * stride`` on, in event order.
+
     ``fire_step(state, dts, leak, threshold, row_base, row_cap, plane,
     out_width)`` runs one TDM fire scan over every row: zeroes fired
     membranes in place and returns ``(rows, out_ch, out_x, out_y,
@@ -100,6 +114,7 @@ class KernelSet:
     assemble: Callable
     plan: Callable
     accumulate: Callable
+    dense_accumulate: Callable
     fire_step: Callable
     detail: str = field(default="", compare=False)
 
@@ -124,6 +139,7 @@ def _numpy_factory() -> KernelSet:
         assemble=numpy_impl.assemble,
         plan=numpy_impl.plan,
         accumulate=numpy_impl.accumulate,
+        dense_accumulate=numpy_impl.dense_accumulate,
         fire_step=numpy_impl.fire_step,
         detail=f"numpy {np.__version__}",
     )
@@ -140,6 +156,7 @@ def _numba_factory() -> KernelSet:
         assemble=numba_impl.assemble,
         plan=numba_impl.plan,
         accumulate=numba_impl.accumulate,
+        dense_accumulate=numba_impl.dense_accumulate,
         fire_step=numba_impl.fire_step,
         detail=numba_impl.DETAIL,
     )

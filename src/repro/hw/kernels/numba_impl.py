@@ -1,13 +1,15 @@
 """Numba-jit kernels for the SNE hot loop (preferred when importable).
 
-The UPDATE stage is two serial loops.  ``plan`` walks a whole pass's
+The UPDATE stage is a few serial loops.  ``plan`` walks a whole pass's
 assembled entries once for every stacked sample and slice — address
 filter, per-(event, slice, cluster) sequencer counts, cycles, gating and
-TLU counters — so the per-entry counting stays compiled.  ``accumulate`` adds one step's entries in
-event order, clipping every add exactly like
+TLU counters — so the per-entry counting stays compiled.  ``accumulate``
+adds one step's entries in event order, clipping every add exactly like
 :func:`repro.hw.lif_datapath.sat_add`: serial execution makes
 bit-identity with the per-event reference *trivial*, with no
-fast-path/replay split to keep honest.
+fast-path/replay split to keep honest.  Dense layers are never expanded
+into entries: ``dense_accumulate`` runs the same clipped adds straight
+from the weight matrix, over the step's events and the pass's neurons.
 
 The bodies are plain Python when numba is absent (``_jit`` is then the
 identity), which is how the tier-1 suite checks them without numba.
@@ -23,7 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["AVAILABLE", "DETAIL", "assemble", "plan", "accumulate", "fire_step"]
+__all__ = [
+    "AVAILABLE", "DETAIL", "assemble", "plan", "accumulate", "dense_accumulate",
+    "fire_step",
+]
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba
@@ -145,6 +150,21 @@ def _accumulate(flat, idx, w, lo, hi):  # pragma: no cover - jit body
 
 
 @_jit
+def _dense_accumulate(flat, stride, w, coords, samples, lo, hi):  # pragma: no cover - jit body
+    n = w.shape[1]
+    for e in range(coords.shape[0]):
+        base = samples[e] * stride
+        f = coords[e]
+        for p in range(n):
+            v = flat[base + p] + w[f, p]
+            if v > hi:
+                v = hi
+            elif v < lo:
+                v = lo
+            flat[base + p] = v
+
+
+@_jit
 def _fire_step(
     state, dts, leak, threshold, row_base, row_cap, plane, out_width,
 ):  # pragma: no cover - jit body
@@ -208,6 +228,15 @@ def plan(
 def accumulate(flat_state, idx, w, lo, hi):
     """Serial saturating accumulate (jit): same contract as the numpy shim."""
     _accumulate(flat_state, idx, w, int(lo), int(hi))
+
+
+def dense_accumulate(flat_state, stride, cols, coords, samples, lo, hi):
+    """Serial saturating accumulate of dense events (jit): same contract
+    as the numpy shim."""
+    _dense_accumulate(
+        flat_state, int(stride), cols.w, np.ascontiguousarray(coords),
+        np.ascontiguousarray(samples), int(lo), int(hi),
+    )
 
 
 def fire_step(state, dts, leak, threshold, row_base, row_cap, plane, out_width):

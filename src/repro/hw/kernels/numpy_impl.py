@@ -12,13 +12,21 @@ Every stage works on the *stacked* state of a pass: ``B`` samples times
 ``S`` slices times ``C`` clusters rows of ``N`` TDM neurons, sample
 after sample.  Samples touch disjoint rows, so one call serves the
 whole batch.
+
+Dense layers are never expanded into per-synapse entries: one dense
+event is one weight row broadcast to every neuron of the pass, so
+:func:`dense_accumulate` takes a step's events as input coordinates and
+gets every neuron's sums from an event-count matrix times the weights.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["assemble", "plan", "accumulate", "at_risk", "fire_step"]
+__all__ = [
+    "assemble", "plan", "accumulate", "at_risk", "dense_accumulate", "fire_step",
+    "tlu_skipped",
+]
 
 
 def assemble(
@@ -95,9 +103,20 @@ def plan(
 
     touched = np.zeros((n_steps, n_rows), dtype=bool)
     touched[event_step[e], row] = True
-    # TLU hops: each touched step of a row jumps from its previous
-    # touched step (or the starting TLU); every hop longer than one step
-    # is idle time a TLU-less design would have walked.
+    return (
+        flat, w, bounds, touched, updates, events_seen, tlu_skipped(touched, tlus, t0),
+        over,
+    )
+
+
+def tlu_skipped(touched: np.ndarray, tlus: np.ndarray, t0: int) -> np.ndarray:
+    """Per row, the idle steps its TLU skips over a ``(n_steps, rows)``
+    touched mask starting at time ``t0``.
+
+    Each touched step of a row jumps from its previous touched step (or
+    the starting TLU); every hop longer than one step is idle time a
+    TLU-less design would have walked.
+    """
     c, s = np.nonzero(touched.T)
     t = s + t0
     prev = np.empty_like(t)
@@ -105,11 +124,8 @@ def plan(
     first = np.ones(c.size, dtype=bool)
     first[1:] = c[1:] != c[:-1]
     prev[first] = tlus[c[first]]
-    skipped = np.bincount(c, weights=np.maximum(t - prev - 1, 0), minlength=n_rows)
-
-    return (
-        flat, w, bounds, touched, updates, events_seen, skipped.astype(np.int64), over,
-    )
+    skipped = np.bincount(c, weights=np.maximum(t - prev - 1, 0), minlength=tlus.size)
+    return skipped.astype(np.int64)
 
 
 def at_risk(
@@ -164,6 +180,56 @@ def accumulate(
         i = idx[sel]
         flat_state[i] = np.minimum(np.maximum(flat_state[i] + w[sel], lo), hi)
         begin = end
+
+
+def dense_accumulate(
+    flat_state: np.ndarray,
+    stride: int,
+    cols,
+    coords: np.ndarray,
+    samples: np.ndarray,
+    lo: int,
+    hi: int,
+) -> None:
+    """Saturating accumulate of one step's dense events, in event order.
+
+    Event ``e`` adds weight row ``cols.w[coords[e]]`` (a
+    :class:`~repro.hw.mapper.DenseColumns`) to the ``n`` pass neurons of
+    sample ``samples[e]``, which sit at ``flat_state[samples[e] *
+    stride:][:n]``; every add clips to ``[lo, hi]``.  The event counts
+    per (sample, coordinate) times ``cols.sums`` give each neuron's Σw
+    and Σw⁺.  A (sample, neuron) pair that no order of its adds can clip
+    (see :func:`at_risk`) takes one add; the at-risk pairs replay their
+    sample's events in order, one clipped add per round for all of them.
+    """
+    n_in, n = cols.w.shape
+    state = flat_state.reshape(-1, stride)[:, :n]
+    n_samples = state.shape[0]
+    counts = np.bincount(samples * n_in + coords, minlength=n_samples * n_in)
+    sums = counts.reshape(n_samples, n_in).astype(np.float64) @ cols.sums
+    total, up = sums[:, :n], sums[:, n:]
+    risk = (state + up > hi) | (state + (total - up) < lo)
+    state += np.where(risk, 0, total.astype(np.int64))
+    if not risk.any():
+        return
+    b, p = np.nonzero(risk)
+    # Row k of ``w`` holds each at-risk pair's k-th add: the weight of
+    # its sample's k-th event, or 0 once that sample has no more events
+    # (a zero add leaves an in-range membrane as it is).
+    order = np.argsort(samples, kind="stable")
+    n_ev = np.bincount(samples, minlength=n_samples)
+    first = (np.cumsum(n_ev) - n_ev)[b]
+    n_ev = n_ev[b]
+    k = np.arange(n_ev.max())[:, None]
+    pos = np.minimum(first + k, coords.size - 1)
+    w = cols.w[coords[order[pos]], p]
+    w[k >= n_ev] = 0
+    v = state[b, p]
+    for row in w:
+        np.add(v, row, out=v)
+        np.maximum(v, lo, out=v)
+        np.minimum(v, hi, out=v)
+    state[b, p] = v
 
 
 def fire_step(

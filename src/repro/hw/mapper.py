@@ -22,6 +22,7 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "LayerKind",
     "LayerGeometry",
     "LayerProgram",
+    "DenseColumns",
     "FanoutTable",
     "PackedFanout",
     "fanout_table",
@@ -235,17 +237,33 @@ class PackedFanout:
     w: np.ndarray
 
 
+class DenseColumns(NamedTuple):
+    """A dense layer's weights onto a block of output neurons, one row per
+    input coordinate.
+
+    Row ``f`` of the int64 ``w`` (``[F_in, n]``) is what one event at
+    coordinate ``f`` adds to the block's ``n`` neurons.  ``sums`` is
+    ``[w | max(w, 0)]`` as float64 (``[F_in, 2n]``): an event-count
+    matrix times it gives every neuron's Σw and Σw⁺ in one product,
+    exactly, since the sums stay far below 2⁵³.
+    """
+
+    w: np.ndarray
+    sums: np.ndarray
+
+
 class FanoutTable:
     """Batched :meth:`LayerGeometry.affected_outputs` lookup for one program.
 
     The per-event path recomputes the receptive-field arithmetic for
     every event; a run replays the same few thousand input coordinates
     thousands of times, so the vectorised event loop resolves whole
-    timesteps through this table instead.  Dense layers are answered
-    with one fancy-index gather; conv/depthwise layers memoise the
+    timesteps through this table instead.  It memoises the
     ``(neuron_idx, weight)`` arrays per input coordinate on first use.
     Entries are exactly what ``affected_outputs`` returns, so the
-    batched and per-event paths are bit-identical by construction.
+    batched and per-event paths are bit-identical by construction.  The
+    kernel path never expands a dense event: it updates from
+    :meth:`dense_columns` instead.
     """
 
     def __init__(self, program: LayerProgram) -> None:
@@ -256,13 +274,27 @@ class FanoutTable:
         # mutations of the program's array (that was the stale-fanout
         # bug the hash keying fixes).
         self._weights = np.array(program.weights, dtype=np.int64, copy=True)
-        self._dense_w: np.ndarray | None = None
-        if g.kind is LayerKind.DENSE:
-            # [C_out, F_in] int64 matrix; one event's fanout is a column.
-            self._dense_w = self._weights
-            self._dense_idx = np.arange(g.out_channels, dtype=np.int64)
+        # A dense layer's [C_out, F_in] matrix: one event's fanout is a column.
+        self._dense_w = self._weights if g.kind is LayerKind.DENSE else None
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._packed: PackedFanout | None = None
+        self._columns: dict[tuple[int, int], DenseColumns] = {}
+
+    @property
+    def dense(self) -> bool:
+        """Whether this is a dense layer's table (every event reaches
+        every output neuron)."""
+        return self._dense_w is not None
+
+    def dense_columns(self, lo: int, hi: int) -> DenseColumns:
+        """The weights onto output neurons ``[lo, hi)`` of a dense layer,
+        per input coordinate (built once per interval)."""
+        cols = self._columns.get((lo, hi))
+        if cols is None:
+            w = np.ascontiguousarray(self._dense_w[lo:hi].T)
+            sums = np.hstack([w, np.maximum(w, 0)]).astype(np.float64)
+            cols = self._columns[(lo, hi)] = DenseColumns(w, sums)
+        return cols
 
     def flat_ids(self, ch: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Linear input-coordinate ids, validated against the input plane."""
@@ -293,13 +325,6 @@ class FanoutTable:
         """
         flat = self.flat_ids(ch, x, y)
         n = flat.size
-        g = self._geometry
-        if self._dense_w is not None:
-            m = g.out_channels
-            idx = np.tile(self._dense_idx, n)
-            w = self._dense_w[:, flat].T.reshape(-1)
-            ev = np.repeat(np.arange(n, dtype=np.int64), m)
-            return idx, w, ev
         parts = [self._entry(int(flat[k])) for k in range(n)]
         sizes = np.fromiter((p[0].size for p in parts), count=n, dtype=np.int64)
         if n == 0 or int(sizes.sum()) == 0:
@@ -326,35 +351,26 @@ class FanoutTable:
     def packed(self) -> PackedFanout:
         """The whole input plane's fanout in CSR form (built once).
 
-        Dense layers pack directly from the weight matrix; conv and
-        depthwise layers concatenate the per-coordinate
-        ``affected_outputs`` entries, so the packed arrays are the
-        memoised entries laid end to end — the compiled kernels gather
-        from exactly what :meth:`gather` would have concatenated.
+        The packed arrays are the memoised per-coordinate
+        ``affected_outputs`` entries laid end to end — the compiled
+        kernels gather from exactly what :meth:`gather` would have
+        concatenated.
         """
         if self._packed is None:
-            g = self._geometry
-            n_coords = g.n_inputs
-            if self._dense_w is not None:
-                m = g.out_channels
-                offsets = np.arange(n_coords + 1, dtype=np.int64) * m
-                idx = np.tile(self._dense_idx, n_coords)
-                w = np.ascontiguousarray(self._dense_w.T).reshape(-1)
-                self._packed = PackedFanout(offsets, idx, w)
+            n_coords = self._geometry.n_inputs
+            entries = [self._entry(f) for f in range(n_coords)]
+            sizes = np.fromiter(
+                (e[0].size for e in entries), count=n_coords, dtype=np.int64
+            )
+            offsets = np.zeros(n_coords + 1, dtype=np.int64)
+            np.cumsum(sizes, out=offsets[1:])
+            if int(offsets[-1]):
+                idx = np.concatenate([e[0] for e in entries])
+                w = np.concatenate([e[1] for e in entries])
             else:
-                entries = [self._entry(f) for f in range(n_coords)]
-                sizes = np.fromiter(
-                    (e[0].size for e in entries), count=n_coords, dtype=np.int64
-                )
-                offsets = np.zeros(n_coords + 1, dtype=np.int64)
-                np.cumsum(sizes, out=offsets[1:])
-                if int(offsets[-1]):
-                    idx = np.concatenate([e[0] for e in entries])
-                    w = np.concatenate([e[1] for e in entries])
-                else:
-                    idx = np.zeros(0, dtype=np.int64)
-                    w = np.zeros(0, dtype=np.int64)
-                self._packed = PackedFanout(offsets, idx, w)
+                idx = np.zeros(0, dtype=np.int64)
+                w = np.zeros(0, dtype=np.int64)
+            self._packed = PackedFanout(offsets, idx, w)
         return self._packed
 
 

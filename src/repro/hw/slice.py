@@ -26,10 +26,11 @@ from .cluster import (
 )
 from .config import SNEConfig
 from .kernels import KernelSet
+from .kernels.numpy_impl import tlu_skipped
 from .lif_datapath import fire_mask, leak_catchup, state_bounds
-from .mapper import LayerProgram
+from .mapper import DenseColumns, LayerProgram
 
-__all__ = ["Slice", "SliceStack", "SliceStats", "StackPlan"]
+__all__ = ["DensePlan", "Slice", "SliceStack", "SliceStats", "StackPlan"]
 
 
 @dataclass
@@ -305,6 +306,34 @@ class StackPlan(NamedTuple):
     touched: np.ndarray
     over: np.ndarray
 
+    @property
+    def step_sops(self) -> list:
+        """Each step's synaptic operations."""
+        return np.diff(self.bounds).tolist()
+
+
+class DensePlan(NamedTuple):
+    """A dense layer's :class:`StackPlan`: its events, never expanded.
+
+    Step ``k`` owns the events ``bounds[k]:bounds[k+1]``, each an input
+    coordinate ``coords`` of sample ``samples``; every one of them
+    updates all ``fanout`` neurons of its sample's pass.  ``touched``
+    and ``over`` are as in :class:`StackPlan`.
+    """
+
+    t0: int
+    coords: np.ndarray
+    samples: np.ndarray
+    bounds: list
+    touched: np.ndarray
+    over: np.ndarray
+    fanout: int
+
+    @property
+    def step_sops(self) -> list:
+        """Each step's synaptic operations."""
+        return (np.diff(self.bounds) * self.fanout).tolist()
+
 
 class SliceStack:
     """The slices of one pass, for one or many samples, as stacked rows.
@@ -320,6 +349,11 @@ class SliceStack:
     cluster layout of the slices, so with one sample the arrays can be
     the SNE's own slice storage (``state``/``tlus``/``counters``
     views), which then shows the run's membranes afterwards.
+
+    A dense program's stack is given its pass's weight ``columns``
+    (:meth:`~repro.hw.mapper.FanoutTable.dense_columns`): it then plans
+    from the events alone and updates straight from the weights, never
+    expanding an event into per-neuron entries.
     """
 
     def __init__(
@@ -332,10 +366,12 @@ class SliceStack:
         state: np.ndarray | None = None,
         tlus: np.ndarray | None = None,
         counters: np.ndarray | None = None,
+        columns: DenseColumns | None = None,
     ) -> None:
         per_cluster = config.neurons_per_cluster
         self.config = config
         self.program = program
+        self.columns = columns
         self.neuron_lo = neuron_lo
         self.n_mapped = neuron_hi - neuron_lo
         self.n_samples = n_samples
@@ -367,23 +403,24 @@ class SliceStack:
 
     def plan(
         self,
-        entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+        entries,
         event_t: np.ndarray,
         event_sample: np.ndarray,
         t0: int,
         n_steps: int,
         kernels: KernelSet,
-    ) -> StackPlan:
+    ) -> StackPlan | DensePlan:
         """Plan the UPDATE events of timesteps ``t0 .. t0+n_steps-1``.
 
         ``entries`` is the ``(neuron_idx, weights, event_idx)`` fanout
         gathered by :meth:`~repro.hw.kernels.KernelSet.assemble` (global
-        linear neuron indices, in event order); ``event_t`` holds every
-        event's timestep (sorted, empty fanouts included) and
-        ``event_sample`` its sample.  Everything that does not depend on
-        membrane state — address filter, sequencer counts, overrun,
-        gating and TLU counters — is computed here once and booked into
-        the row counters exactly as the per-event
+        linear neuron indices, in event order) — or, on a stack with
+        dense ``columns``, the events' input coordinates; ``event_t``
+        holds every event's timestep (sorted, empty fanouts included)
+        and ``event_sample`` its sample.  Everything that does not
+        depend on membrane state — address filter, sequencer counts,
+        overrun, gating and TLU counters — is computed here once and
+        booked into the row counters exactly as the per-event
         :meth:`Slice.process_update` chain would book them;
         :meth:`update` runs the state-dependent rest step by step.
         """
@@ -393,19 +430,51 @@ class SliceStack:
                 f"event time {int(event_t[0])} precedes cluster TLU "
                 f"{int(self.tlus.max())}; streams must be time-sorted"
             )
-        flat, w, bounds, touched, updates, seen, skipped, over = kernels.plan(
-            *entries, event_t, event_sample * self.sample_rows, t0, n_steps,
-            self.tlus, self.neuron_lo, self.n_mapped, cfg.neurons_per_cluster,
-            cfg.clusters_per_slice, cfg.cycles_per_event,
-        )
         sample_events = np.bincount(event_sample, minlength=self.n_samples)
+        if self.columns is not None:
+            plan, updates, seen, skipped = self._plan_dense(
+                entries, event_t, event_sample, t0, n_steps)
+        else:
+            flat, w, bounds, touched, updates, seen, skipped, over = kernels.plan(
+                *entries, event_t, event_sample * self.sample_rows, t0, n_steps,
+                self.tlus, self.neuron_lo, self.n_mapped, cfg.neurons_per_cluster,
+                cfg.clusters_per_slice, cfg.cycles_per_event,
+            )
+            plan = StackPlan(t0, flat, w, bounds.tolist(), touched, over)
         self.counters[:, UPDATES] += updates
         self.counters[:, EVENTS_SEEN] += seen
         self.counters[:, EVENTS_GATED] += np.repeat(sample_events, self.sample_rows) - seen
         self.counters[:, TLU_SKIPPED] += skipped
-        return StackPlan(t0, flat, w, bounds.tolist(), touched, over)
+        return plan
 
-    def update(self, plan: StackPlan, k: int, kernels: KernelSet) -> None:
+    def _plan_dense(self, coords, event_t, event_sample, t0, n_steps):
+        """:meth:`plan` for a dense layer, from event counts alone.
+
+        Every event updates every mapped neuron of its sample's pass, so
+        row ``r`` of a sample takes ``row_cap[r]`` updates per event of
+        the sample, and a slice's sequencer overruns by its fullest
+        cluster beyond the window on every event.
+        """
+        cap = self.row_cap[:self.sample_rows]
+        live = cap > 0
+        per_step = np.bincount(
+            (event_t - t0) * self.n_samples + event_sample,
+            minlength=n_steps * self.n_samples,
+        ).reshape(n_steps, self.n_samples)
+        sample_events = per_step.sum(axis=0)
+        touched = ((per_step > 0)[:, :, None] & live).reshape(n_steps, -1)
+        peak = cap.reshape(self.n_slices, -1).max(axis=1)
+        over = np.broadcast_to(np.maximum(peak - self.config.cycles_per_event, 0),
+                               (event_t.size, self.n_slices))
+        bounds = np.zeros(n_steps + 1, dtype=np.int64)
+        np.cumsum(per_step.sum(axis=1), out=bounds[1:])
+        plan = DensePlan(t0, coords, event_sample, bounds.tolist(), touched, over,
+                         self.n_mapped)
+        return (plan, np.outer(sample_events, cap).reshape(-1),
+                np.outer(sample_events, live).reshape(-1),
+                tlu_skipped(touched, self.tlus, t0))
+
+    def update(self, plan: StackPlan | DensePlan, k: int, kernels: KernelSet) -> None:
         """Apply step ``k`` of ``plan`` to the membranes.
 
         The touched rows catch up their leak (the TLU mechanism) and
@@ -423,7 +492,12 @@ class SliceStack:
             self.state[rows] = leak_catchup(self.state[rows], leak, dt[:, None])
         self.tlus[rows] = t
         vlo, vhi = self._bounds
-        kernels.accumulate(self.flat_state, plan.flat[lo:hi], plan.w[lo:hi], vlo, vhi)
+        if self.columns is not None:
+            kernels.dense_accumulate(
+                self.flat_state, self.sample_rows * self.config.neurons_per_cluster,
+                self.columns, plan.coords[lo:hi], plan.samples[lo:hi], vlo, vhi)
+        else:
+            kernels.accumulate(self.flat_state, plan.flat[lo:hi], plan.w[lo:hi], vlo, vhi)
 
     def fire(self, t: int, kernels: KernelSet):
         """FIRE_OP on every stacked row through a compiled kernel.

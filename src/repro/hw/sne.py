@@ -27,7 +27,7 @@ import numpy as np
 from ..events.stream import EventStream
 from .config import SNEConfig
 from .kernels import resolve_kernel
-from .mapper import LayerProgram, fanout_table
+from .mapper import FanoutTable, LayerProgram, fanout_table
 from .registers import RegisterFile
 from .cluster import COUNTER_FIELDS, TLU_SKIPPED, UPDATES
 from .slice import Slice, SliceStack
@@ -223,19 +223,23 @@ class SNE:
         return active
 
     def _stack(
-        self, program: LayerProgram, lo: int, hi: int, n_samples: int, first_slice: int = 0
+        self, program: LayerProgram, table: FanoutTable, lo: int, hi: int,
+        n_samples: int, first_slice: int = 0,
     ) -> SliceStack:
         """The stacked rows for neurons ``[lo, hi)`` of ``n_samples``
         samples: one sample runs on the slices' own storage from
         ``first_slice`` on (so they show the run afterwards), a batch on
-        fresh arrays."""
+        fresh arrays.  A dense program's stack updates from its weight
+        columns."""
+        columns = table.dense_columns(lo, hi) if table.dense else None
         if n_samples > 1:
-            return SliceStack(self.config, program, lo, hi, n_samples)
+            return SliceStack(self.config, program, lo, hi, n_samples, columns=columns)
         c = self.config.clusters_per_slice
         n_slices = -(-(hi - lo) // self.config.neurons_per_slice)
         rows = slice(first_slice * c, (first_slice + n_slices) * c)
         return SliceStack(self.config, program, lo, hi, 1, state=self._state[rows],
-                          tlus=self._tlus[rows], counters=self._counters[rows])
+                          tlus=self._tlus[rows], counters=self._counters[rows],
+                          columns=columns)
 
     @staticmethod
     def _activity_snapshot(active: list[Slice]) -> tuple[int, int, int, int]:
@@ -344,10 +348,9 @@ class SNE:
         # One gather over the whole batch: the merged event list is
         # time-sorted, so every pass and step works on slices of it.
         table = fanout_table(program)
-        packed = table.packed()
         t0 = _pc() if timed else 0.0
         event_t, event_sample, ch, x, y = batch.merged()
-        entries = ks.assemble(packed.offsets, packed.idx, packed.w, table.flat_ids(ch, x, y))
+        entries = _assemble(ks, table, ch, x, y)
         if timed:
             profiler.add("sne.assemble", _pc() - t0, events=n_events)
         if trace is not None:
@@ -370,7 +373,7 @@ class SNE:
 
             # RST bracket
             t0 = _pc() if timed else 0.0
-            stack = self._stack(program, pass_lo, pass_hi, n_samples)
+            stack = self._stack(program, table, pass_lo, pass_hi, n_samples)
             stack.reset()
             if timed:
                 profiler.add("sne.reset", _pc() - t0, events=n_slices * n_samples)
@@ -388,7 +391,7 @@ class SNE:
             if trace is not None:
                 step_cycles = np.bincount(event_t, weights=event_cycles,
                                           minlength=n_steps).astype(np.int64).tolist()
-                step_sops = np.diff(plan.bounds).tolist()
+                step_sops = plan.step_sops
                 step_gated = (cfg.clusters_per_slice * (
                     n_slices * window * np.bincount(event_t, minlength=n_steps)
                     + np.bincount(event_t, weights=event_over, minlength=n_steps)
@@ -628,11 +631,12 @@ class SNE:
         if not programs:
             raise ValueError("network must contain at least one program")
         ks = resolve_kernel(kernel)
+        tables = [fanout_table(program) for program in programs]
         # Allocate slice groups.
         groups: list[list[Slice]] = []
         stacks: list[SliceStack] = []
         next_slice = 0
-        for program in programs:
+        for program, table in zip(programs, tables):
             program.validate_for(cfg)
             n_outputs = program.geometry.n_outputs
             needed = -(-n_outputs // cfg.neurons_per_slice)
@@ -652,7 +656,8 @@ class SNE:
                 group.append(sl)
             groups.append(group)
             if ks is not None:
-                stacks.append(self._stack(program, 0, n_outputs, 1, first_slice=next_slice))
+                stacks.append(self._stack(program, table, 0, n_outputs, 1,
+                                          first_slice=next_slice))
             next_slice += needed
 
         stats = SNEStats()
@@ -669,8 +674,6 @@ class SNE:
                          events=sum(len(g) for g in groups))
 
         fired: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        tables = [fanout_table(program) for program in programs]
-        packs = [table.packed() if ks is not None else None for table in tables]
         # Kernel-path bookkeeping, per group and slice: UPDATE and FIRE
         # busy cycles, input events; plus the run's stall/overrun/outputs.
         update_busy = [np.zeros(len(g), dtype=np.int64) for g in groups]
@@ -686,15 +689,14 @@ class SNE:
             in_x = stream.x[sel].astype(np.int64)
             in_y = stream.y[sel].astype(np.int64)
             start += n
-            for gi, (table, pack, group) in enumerate(zip(tables, packs, groups)):
+            for gi, (table, group) in enumerate(zip(tables, groups)):
                 m = int(in_ch.size)
                 if m:
                     t0 = _pc() if timed else 0.0
                     if ks is not None:
                         # The inputs of a layer are produced within the
                         # step, so each step is its own one-step plan.
-                        flat = table.flat_ids(in_ch, in_x, in_y)
-                        entries = ks.assemble(pack.offsets, pack.idx, pack.w, flat)
+                        entries = _assemble(ks, table, in_ch, in_x, in_y)
                         if timed:
                             t1 = _pc()
                             assemble_s += t1 - t0
@@ -774,6 +776,17 @@ class SNE:
         out_stream = _packed_stream(fired, programs[-1].geometry.output_shape(n_steps))
         stats.dma_words_out = len(out_stream)
         return out_stream, stats
+
+
+def _assemble(ks, table: FanoutTable, ch, x, y):
+    """The ``sne.assemble`` stage: a batch of events' fanout entries,
+    gathered from the packed table, or a dense layer's input
+    coordinates — a dense event is one weight row, never expanded."""
+    flat = table.flat_ids(ch, x, y)
+    if table.dense:
+        return flat
+    packed = table.packed()
+    return ks.assemble(packed.offsets, packed.idx, packed.w, flat)
 
 
 def _fired_batch(fired, n_samples: int, shape) -> EventBatch:

@@ -20,15 +20,19 @@ def atomic_write_bytes(path: pathlib.Path | str, data: bytes,
     """Write ``data`` to ``path`` atomically (temp file + ``os.replace``).
 
     The temp file lives in the target's own directory so the final
-    replace stays on one filesystem.  ``mtime_ns`` stamps the temp file
-    before the replace, so the file appears already carrying that
-    mtime.  On failure the temp file is removed and the ``OSError``
-    propagates — the caller decides whether a failed write is fatal (a
-    spool publish) or merely lossy (a store entry).
+    replace stays on one filesystem; that directory is created only
+    when it is missing, on the first write into it.  ``mtime_ns`` stamps
+    the temp file before the replace, so the file appears already
+    carrying that mtime.  On failure the temp file is removed and the
+    ``OSError`` propagates — the caller decides whether a failed write
+    is fatal (a spool publish) or merely lossy (a store entry).
     """
     path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

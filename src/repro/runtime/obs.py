@@ -155,7 +155,21 @@ def new_id() -> str:
 
 
 def _label_key(labels: dict) -> tuple:
-    """Canonical hashable form of a label dict (sorted key/value pairs)."""
+    """Canonical hashable form of a label dict (sorted key/value pairs).
+
+    Every metric update pays for this, so the usual zero, one and two
+    labels skip the generator and ``sorted``; the keys are the same.
+    """
+    n = len(labels)
+    if n == 0:
+        return ()
+    if n == 1:
+        [(k, v)] = labels.items()
+        return ((str(k), str(v)),)
+    if n == 2:
+        (k1, v1), (k2, v2) = labels.items()
+        a, b = (str(k1), str(v1)), (str(k2), str(v2))
+        return (a, b) if a <= b else (b, a)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

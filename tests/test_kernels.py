@@ -277,6 +277,7 @@ def numba_bodies(monkeypatch):
         assemble=numba_impl.assemble,
         plan=numba_impl.plan,
         accumulate=numba_impl.accumulate,
+        dense_accumulate=numba_impl.dense_accumulate,
         fire_step=numba_impl.fire_step,
         detail="numba_impl bodies",
     )
@@ -411,6 +412,147 @@ class TestAccumulateRails:
         # Per entry: neurons 0-2 could clip, neuron 3 takes one add.
         assert risk.tolist() == [i != 3 for i in idx.tolist()]
         assert total.tolist() == [[0, 0, 5, 1][i] for i in idx.tolist()]
+
+
+def dense_program(n_in=(1, 2, 2), n_out=32, low=-7, high=7, threshold=1000,
+                  leak=0, seed=0):
+    g = LayerGeometry(LayerKind.DENSE, *n_in, n_out, 1, 1)
+    w = np.random.default_rng(seed).integers(low, high + 1, (n_out, g.n_inputs))
+    return LayerProgram(g, w, threshold=threshold, leak=leak)
+
+
+class TestDenseParity:
+    """Dense layers update from their weight matrix, never from expanded
+    entries: reference, numpy and the numba bodies (plain Python here)
+    must agree on outputs, every stats field and the membranes."""
+
+    KINDS = ("reference", "numpy", "numba")
+
+    def assert_all_kernels_agree(self, run, n_slices=1):
+        snaps = {}
+        for kernel in self.KINDS:
+            sne = SNE(SNEConfig(n_slices=n_slices))
+            snaps[kernel] = run_snapshot(sne, *run(sne, kernel))
+        for kernel in self.KINDS[1:]:
+            assert_identical(snaps[kernel], snaps["reference"], kernel)
+        return snaps["reference"]
+
+    @pytest.mark.parametrize("leak", [0, 2])
+    def test_saturation_at_both_rails(self, numba_bodies, leak):
+        prog = dense_program(n_in=(2, 2, 2), n_out=40, leak=leak, seed=3)
+        stream = EventStream.from_dense(np.ones((6, 2, 2, 2), dtype=np.uint8))
+        ref = self.assert_all_kernels_agree(
+            lambda sne, k: sne.run_layer(prog, stream, kernel=k))
+        m = np.concatenate(ref["membranes"])
+        assert (m == 127).any() and (m == -128).any()
+
+    def test_multi_pass_wider_than_the_sne(self, numba_bodies):
+        prog = dense_program(n_in=(1, 3, 3), n_out=1100, low=-4, high=4,
+                             threshold=3, leak=1, seed=7)
+        stream = sparse_stream(shape=(5, 1, 3, 3), density=0.5, seed=7)
+        assert prog.n_passes(SNEConfig(n_slices=1)) == 2
+        self.assert_all_kernels_agree(
+            lambda sne, k: sne.run_layer(prog, stream, trace=ActivityTrace(), kernel=k))
+
+    def test_leak_across_idle_steps(self, numba_bodies):
+        prog = dense_program(n_in=(1, 3, 3), n_out=20, low=-3, high=6,
+                             threshold=9, leak=2, seed=4)
+        dense = np.zeros((9, 1, 3, 3), dtype=np.uint8)
+        dense[0] = dense[1] = 1
+        dense[7, 0, 1] = 1
+        stream = EventStream.from_dense(dense)
+        ref = self.assert_all_kernels_agree(
+            lambda sne, k: sne.run_layer(prog, stream, kernel=k))
+        assert ref["stats"]["tlu_skipped_steps"] > 0
+
+    def test_zero_weights(self, numba_bodies):
+        g = LayerGeometry(LayerKind.DENSE, 1, 2, 2, 70, 1, 1)
+        w = np.zeros((70, 4), dtype=np.int64)
+        w[:5, 1] = 3  # a few live synapses among the zero ones
+        prog = LayerProgram(g, w, threshold=2, leak=0)
+        stream = sparse_stream(shape=(4, 1, 2, 2), density=0.6, seed=2)
+        ref = self.assert_all_kernels_agree(
+            lambda sne, k: sne.run_layer(prog, stream, kernel=k))
+        assert ref["stats"]["sops"] == 70 * len(stream)
+
+    def test_batch_of_unequal_samples(self, numba_bodies):
+        prog = dense_program(n_in=(1, 2, 3), n_out=50, low=-7, high=7,
+                             threshold=12, leak=1, seed=5)
+        shape = (5, 1, 2, 3)
+        streams = [sparse_stream(shape=shape, density=d, seed=i)
+                   for i, d in enumerate((0.9, 0.2, 0.0, 0.6))]
+        streams.append(EventStream.from_dense(np.ones(shape, dtype=np.uint8)))
+        assert len(streams[2]) == 0 and len({len(s) for s in streams}) == 5
+        cfg = SNEConfig(n_slices=1)
+        want = [SNE(cfg).run_layer(prog, s, kernel="reference") for s in streams]
+        for kernel in self.KINDS[1:]:
+            out, stats = SNE(cfg).run_layer(prog, EventBatch(streams), kernel=kernel)
+            for b, (w_out, w_stats) in enumerate(want):
+                assert out.streams[b] == w_out, (kernel, b)
+                assert dataclasses.asdict(stats.samples[b]) == dataclasses.asdict(w_stats)
+
+    def test_dense_head_pipelined(self, numba_bodies):
+        first = dense_program(n_in=(1, 4, 4), n_out=24, low=-5, high=7,
+                              threshold=4, leak=1, seed=8)
+        head = dense_program(n_in=(24, 1, 1), n_out=10, low=-7, high=7,
+                             threshold=3, leak=0, seed=9)
+        for seed in (1, 2):
+            stream = sparse_stream(shape=(6, 1, 4, 4), density=0.4, seed=seed)
+            self.assert_all_kernels_agree(
+                lambda sne, k: sne.run_network_pipelined([first, head], stream, kernel=k),
+                n_slices=2)
+
+    @pytest.mark.parametrize("impl", ["numpy_impl", "numba_impl"])
+    def test_stacked_membranes_match_the_serial_chain(self, impl):
+        """One step of a stacked batch: samples interleaved, unequal
+        event counts, one sample without events, membranes near both
+        rails.  Slots beyond the pass stay untouched."""
+        from repro.hw.kernels import numba_impl, numpy_impl
+
+        kernel = {"numpy_impl": numpy_impl, "numba_impl": numba_impl}[impl]
+        rng = np.random.default_rng(11)
+        cols = fanout_table(dense_program(n_in=(1, 3, 3), n_out=40, seed=11)
+                            ).dense_columns(0, 40)
+        stride, n_samples = 64, 4
+        state = rng.integers(-128, 128, n_samples * stride)
+        samples = rng.choice([0, 1, 1, 3, 3, 3, 3], 30)
+        coords = rng.integers(0, 9, 30)
+        want = state.copy()
+        for b, f in zip(samples, coords):
+            for p in range(40):
+                want[b * stride + p] = sat_add(want[b * stride + p], cols.w[f, p], 8)
+        unclipped = state.copy()
+        np.add.at(unclipped.reshape(n_samples, stride)[:, :40], samples, cols.w[coords])
+        assert (want != unclipped).any()  # some adds really clipped
+        kernel.dense_accumulate(state, stride, cols, coords, samples, -128, 127)
+        assert np.array_equal(state, want)
+
+    @pytest.mark.parametrize("n_out", [40, 1100])
+    def test_plan_counters_match_the_entry_plan(self, n_out):
+        """The event-count plan books what the per-entry plan books."""
+        from repro.hw import SliceStack
+
+        ks = resolve_kernel("numpy")
+        prog = dense_program(n_in=(1, 3, 3), n_out=n_out, seed=2)
+        table = fanout_table(prog)
+        cfg = SNEConfig(n_slices=1)
+        lo, hi = prog.pass_neuron_range(cfg, prog.n_passes(cfg) - 1)
+        streams = [sparse_stream(shape=(6, 1, 3, 3), density=d, seed=i)
+                   for i, d in enumerate((0.5, 0.0, 0.3))]
+        event_t, event_sample, ch, x, y = EventBatch(streams).merged()
+        plans = []
+        for columns in (None, table.dense_columns(lo, hi)):
+            stack = SliceStack(cfg, prog, lo, hi, 3, columns=columns)
+            entries = table.flat_ids(ch, x, y)
+            if columns is None:
+                entries = table.gather(ch, x, y)
+            plan = stack.plan(entries, event_t, event_sample, 0, 6, ks)
+            plans.append((stack.counters.copy(), plan))
+        (c_entry, p_entry), (c_dense, p_dense) = plans
+        assert np.array_equal(c_dense, c_entry)
+        assert np.array_equal(p_dense.touched, p_entry.touched)
+        assert np.array_equal(p_dense.over, p_entry.over)
+        assert p_dense.step_sops == p_entry.step_sops
 
 
 class TestKernelFuzzHarness:

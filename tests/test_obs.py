@@ -65,6 +65,32 @@ class TestCountersAndGauges:
         assert g.value(shard="a") == -1
 
 
+class TestLabelKey:
+    @staticmethod
+    def sorted_key(labels):
+        return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+    @pytest.mark.parametrize("labels", [
+        {},
+        {"op": "store"},
+        {"kind": "sample_eval", "status": "ok"},
+        {"status": "ok", "kind": "sample_eval"},
+        {"b": 1, "a": 2.5},
+        {"a": None, "b": True},
+        {1: "x", "1": "y"},
+        {"z": "1", "y": 2, "x": None, "w": "v"},
+    ])
+    def test_fast_paths_give_the_sorted_key(self, labels):
+        assert obs._label_key(labels) == self.sorted_key(labels)
+        assert all(type(s) is str for pair in obs._label_key(labels) for s in pair)
+
+    def test_non_str_values_share_the_str_series(self):
+        c = MetricsRegistry().counter("x")
+        c.inc(worker=7)
+        c.inc(worker="7")
+        assert c.value(worker=7) == 2
+
+
 class TestHistogram:
     def test_observe_count_and_quantile(self):
         h = Histogram("latency", buckets=(0.01, 0.1, 1.0))
