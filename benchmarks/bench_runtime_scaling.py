@@ -45,6 +45,9 @@ SWEEP_JOBS = dse_jobs(
 #: Fresh-store passes of 64 puts timed for ``store_put_s``.
 PUT_REPEATS = 15
 
+#: Warm-store passes of 64 hits timed for ``store_get_s``.
+GET_REPEATS = 15
+
 
 def _timed(fn):
     start = time.perf_counter()
@@ -86,6 +89,16 @@ def test_sweep_parallel_parity_and_cache_hits(benchmark, report, tmp_path,
         return time.perf_counter() - start
 
     bench_json.timing("store_put_s", min(put_pass(i) for i in range(PUT_REPEATS)))
+
+    # The read path alone: the same 64 entries read back as hits from
+    # the warm sweep store, best of GET_REPEATS passes.
+    def get_pass():
+        start = time.perf_counter()
+        for spec in SWEEP_JOBS:
+            assert cache.get(spec) is not None
+        return time.perf_counter() - start
+
+    bench_json.timing("store_get_s", min(get_pass() for _ in range(GET_REPEATS)))
 
     report.add(
         render_table(

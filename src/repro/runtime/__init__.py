@@ -28,8 +28,8 @@ fan-out-able, memoised workloads.  The flow is a straight pipeline::
    totals: ``repro metrics --obs-dir DIR``).  The store is built to be
    *shared*: content-addressed two-level layout (``ab/abcd….json``),
    each entry's mtime as its recency, and LRU eviction under a size cap, so
-   concurrent sweeps, CI jobs and collaborators can reuse one
-   directory safely.
+   concurrent sweeps, servers, workers and CI jobs of one user can
+   reuse one directory safely (entries are created 0600).
 
 3. **Backends** (:mod:`.backends`).  A registry of execution backends
    — in-process ``serial``, thread-pool ``thread`` for IO-bound jobs,

@@ -64,7 +64,7 @@ import uuid
 from dataclasses import dataclass
 
 from . import obs
-from ._fsutil import atomic_write_bytes
+from ._fsutil import atomic_write_bytes, write_temp
 from .backends import JobResult, _execute_one, register_backend
 from .jobs import JobSpec, spec_from_doc, spec_to_doc
 
@@ -240,27 +240,23 @@ def claim_chunk(
     """
     spool = pathlib.Path(spool)
     path = _claim_path(spool, chunk_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = write_temp(path.parent, _claim_doc(worker_id, lease_ttl_s, clock=clock))
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_claim_doc(worker_id, lease_ttl_s, clock=clock))
+        os.link(tmp, path)
+        return True
+    except FileExistsError:
+        state, _ = claim_state(spool, chunk_id, clock=clock)
+        if state == "live":
+            return False  # live lease held by someone else
+        # Expired (or corrupt) lease: take it over atomically.
         try:
-            os.link(tmp, path)
-            return True
-        except FileExistsError:
-            state, _ = claim_state(spool, chunk_id, clock=clock)
-            if state == "live":
-                return False  # live lease held by someone else
-            # Expired (or corrupt) lease: take it over atomically.
-            try:
-                os.replace(tmp, path)
-            except OSError:
-                return False
-            tmp = None  # consumed by the replace
-            return True
+            os.replace(tmp, path)
         except OSError:
             return False
+        tmp = None  # consumed by the replace
+        return True
+    except OSError:
+        return False
     finally:
         if tmp is not None:
             pathlib.Path(tmp).unlink(missing_ok=True)

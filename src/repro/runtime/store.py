@@ -19,8 +19,10 @@ process-wide ``repro_store_events_total{op=…}`` counter of :mod:`.obs`;
 ``repro metrics --obs-dir DIR`` merges the per-process snapshots into
 lifetime, fleet-wide totals.
 
-:class:`ResultStore` is built for a directory many runs, users and CI
-jobs can share:
+:class:`ResultStore` is built for a directory that many runs and
+processes share — sweeps, servers, workers and CI jobs of one user.
+Entries are created 0600 (by ``mkstemp``) and shards follow the umask,
+so another uid can neither read the entries nor add to the shards:
 
 * **content-addressed two-level layout** — an entry for job hash
   ``abcdef…`` lives at ``ab/abcdef….json``, keeping any one directory
@@ -37,9 +39,11 @@ jobs can share:
   evicted them.
 
 A sweep pointed at a shared store therefore hits results computed by
-anyone else who ran the same jobs — the "cross-run cache reuse" item
-from the roadmap — while the cap keeps the directory from growing
-without bound.  The CLI front end is ``repro cache stats|evict|clear``.
+any other run of the same jobs — the "cross-run cache reuse" item from
+the roadmap — while the cap keeps the directory from growing without
+bound.  Entries are read and written through raw descriptors and
+string paths (`docs/ARCHITECTURE.md`, "Entry IO").  The CLI front end
+is ``repro cache stats|evict|clear``.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import time
 from dataclasses import dataclass
 
 from . import obs
-from ._fsutil import atomic_write_bytes
+from ._fsutil import UTIME_FD, atomic_write_bytes, read_fd
 from .backends import JobResult
 from .jobs import SCHEMA_VERSION, JobSpec
 
@@ -88,6 +92,9 @@ def _store_events():
         "repro_store_events_total",
         "Result-store operations by op "
         "(hit, miss, store, corrupt, evict, put_error).")
+
+#: How :meth:`ResultStore.get` opens an entry.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_CLOEXEC", 0)
 
 #: Cap-triggered evictions clear down to this fraction of ``max_bytes``
 #: so a store sitting at its cap doesn't pay a full scan-and-evict on
@@ -140,6 +147,7 @@ class ResultStore:
     def __post_init__(self) -> None:
         self.root = pathlib.Path(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root_str = os.fspath(self.root)
         if self.max_bytes is not None and self.max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
         # Running size estimate so a capped put only pays for a full
@@ -158,7 +166,12 @@ class ResultStore:
     # -- layout -----------------------------------------------------------
     def path(self, job_hash: str) -> pathlib.Path:
         """The sharded entry file for ``job_hash``: ``ab/abcdef….json``."""
-        return self.root / job_hash[:2] / f"{job_hash}.json"
+        return pathlib.Path(self._entry_path(job_hash))
+
+    def _entry_path(self, job_hash: str) -> str:
+        """:meth:`path` as a string, built without ``pathlib`` — the
+        form every entry read and write opens."""
+        return f"{self._root_str}/{job_hash[:2]}/{job_hash}.json"
 
     def _iter_entries(self):
         """Every entry file currently on disk."""
@@ -171,14 +184,15 @@ class ResultStore:
         return self.root / "index.lock"
 
     @staticmethod
-    def _stamp(path: str | os.PathLike) -> None:
-        """Set ``path``'s mtime — its LRU recency — to now.  Explicit
-        ``time.time_ns()`` stamps order back-to-back uses, which kernel
-        stamps (advancing once per clock tick) do not.  A failure
-        (read-only store) costs recency accuracy, not correctness."""
+    def _stamp(target: int | str) -> None:
+        """Set the mtime of ``target`` (an open descriptor or a path) —
+        its LRU recency — to now.  Explicit ``time.time_ns()`` stamps
+        order back-to-back uses, which kernel stamps (advancing once per
+        clock tick) do not.  A failure (read-only store) costs recency
+        accuracy, not correctness."""
         t = time.time_ns()
         try:
-            os.utime(path, ns=(t, t))
+            os.utime(target, ns=(t, t))
         except OSError:
             pass
 
@@ -206,20 +220,18 @@ class ResultStore:
         :class:`JobResult` carrying its original compute time, or None;
         hits re-stamp the entry's recency.  Each call counts exactly one
         ``op``: ``hit``, ``miss`` (no entry) or ``corrupt`` (an invalid
-        entry, deleted best effort — an unwritable store degrades to
-        recomputation, not a crash)."""
-        path = self.path(spec.job_hash)
-        entry = self._load(path)
-        if entry is None:
-            _store_events().inc(op="miss")
-            return None
-        if not self._valid_for(entry, spec):
-            _store_events().inc(op="corrupt")
+        entry: empty, undecodable, not a JSON object or not this spec's;
+        deleted best effort — an unwritable store degrades to
+        recomputation, not a crash).  The entry is read, and its
+        recency stamped, through one raw descriptor."""
+        path = self._entry_path(spec.job_hash)
+        op, entry = self._read(path, spec)
+        _store_events().inc(op=op)
+        if op == "corrupt":
             with contextlib.suppress(OSError):
-                path.unlink(missing_ok=True)
+                os.unlink(path)
+        if op != "hit":
             return None
-        self._stamp(path)
-        _store_events().inc(op="hit")
         return JobResult(
             job_hash=spec.job_hash,
             kind=spec.kind,
@@ -230,19 +242,27 @@ class ResultStore:
             cached=True,
         )
 
-    @staticmethod
-    def _load(path: pathlib.Path) -> dict | None:
-        """The entry at ``path``: None when absent, ``{}`` (never valid)
-        when it is not a JSON object — undecodable bytes included."""
+    def _read(self, path: str, spec: JobSpec) -> tuple[str, dict | None]:
+        """The ``op`` a lookup of ``spec`` in the entry at ``path``
+        counts, with the entry on a hit.  A hit is re-stamped through
+        the descriptor it was read from."""
         try:
-            raw = path.read_bytes()
+            fd = os.open(path, _READ_FLAGS)
         except OSError:
-            return None
+            return "miss", None
         try:
-            entry = json.loads(raw)
-        except ValueError:
-            return {}
-        return entry if isinstance(entry, dict) else {}
+            try:
+                entry = json.loads(read_fd(fd))
+            except OSError:  # not a readable file (a directory, say)
+                return "miss", None
+            except ValueError:  # empty or undecodable bytes
+                return "corrupt", None
+            if not (isinstance(entry, dict) and self._valid_for(entry, spec)):
+                return "corrupt", None
+            self._stamp(fd if UTIME_FD else path)
+            return "hit", entry
+        finally:
+            os.close(fd)
 
     def _valid_for(self, entry: dict, spec: JobSpec) -> bool:
         return (
@@ -298,11 +318,11 @@ class ResultStore:
         """
         if not result.ok:
             return False
-        target = self.path(spec.job_hash)
+        target = self._entry_path(spec.job_hash)
         old_size = 0
         if self.max_bytes is not None and self._approx_bytes is not None:
             try:  # a re-put replaces bytes rather than adding them
-                old_size = target.stat().st_size
+                old_size = os.stat(target).st_size
             except OSError:
                 pass
         entry = {
@@ -314,8 +334,8 @@ class ResultStore:
             "duration_s": float(result.duration_s),
         }
         try:
-            atomic_write_bytes(target, json.dumps(entry).encode(),
-                               mtime_ns=time.time_ns())
+            data = json.dumps(entry).encode()
+            atomic_write_bytes(target, data, mtime_ns=time.time_ns())
         except (OSError, TypeError, ValueError):
             _store_events().inc(op="put_error")
             return False
@@ -328,10 +348,7 @@ class ResultStore:
         if self._approx_bytes is None:
             self._approx_bytes = sum(size for _, _, size, _ in self._scan())
         else:
-            try:
-                self._approx_bytes += target.stat().st_size - old_size
-            except OSError:
-                pass
+            self._approx_bytes += len(data) - old_size
         if self._approx_bytes > self.max_bytes:
             self.evict(int(self.max_bytes * _EVICT_WATERMARK))
         return True

@@ -407,19 +407,20 @@ class TestCache:
 
     def test_unremovable_corrupt_entry_degrades_to_miss(self, tmp_path, monkeypatch,
                                                         store_events):
-        import pathlib
+        import os
 
         cache = ResultStore(tmp_path)
         spec = dse_point_job(8)
         run_jobs([spec], cache=cache)
         cache.path(spec.job_hash).write_text("{ not json")
 
-        def broken_unlink(self, missing_ok=False):
+        def broken_unlink(path, *args, **kwargs):
             raise PermissionError("read-only cache")
 
-        monkeypatch.setattr(pathlib.Path, "unlink", broken_unlink)
+        monkeypatch.setattr(os, "unlink", broken_unlink)
         assert cache.get(spec) is None  # miss, not a crash
         assert store_events("corrupt") == 1
+        assert cache.path(spec.job_hash).exists()  # the unlink was refused
 
     def test_write_failure_degrades_to_uncached_results(self, tmp_path, monkeypatch):
         import tempfile

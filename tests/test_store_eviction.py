@@ -292,6 +292,23 @@ class TestCorruptionRecovery:
         assert events()["corrupt"] == 1
         assert not path.exists()
 
+    @pytest.mark.parametrize("doc", [b"", b"[1, 2]", b'"entry"', b"null", b"7"])
+    def test_empty_or_non_object_entry_is_corrupt(self, tmp_path, events, doc):
+        store = ResultStore(tmp_path)
+        spec = put_blob(store, "a")
+        path = store.path(spec.job_hash)
+        path.write_bytes(doc)
+        assert store.get(spec) is None
+        assert events()["corrupt"] == 1
+        assert not path.exists()
+
+    def test_unreadable_entry_is_a_miss(self, tmp_path, events):
+        store = ResultStore(tmp_path)
+        spec = blob_spec("a")
+        store.path(spec.job_hash).mkdir(parents=True)  # opens, cannot be read
+        assert store.get(spec) is None
+        assert moved(events, {}) == {"miss": 1}
+
     def test_debris_swept_on_evict_and_clear(self, tmp_path):
         import os
         import time
@@ -309,6 +326,83 @@ class TestCorruptionRecovery:
         assert live.exists()                 # fresh temp left alone
         store.clear()
         assert not live.exists()             # clear wipes unconditionally
+
+
+class TestEntryIO:
+    """The raw-descriptor reads and writes behind ``get`` and ``put``."""
+
+    def test_entry_bytes_and_mode(self, tmp_path):
+        import os
+        import stat
+
+        store = ResultStore(tmp_path)
+        spec = blob_spec("a")
+        value = {"tag": "a", "pad": "x" * 10}
+        assert store.put(spec, ok_result(spec, value, duration_s=0.5))
+        path = store.path(spec.job_hash)
+        envelope = {"schema": store.schema_version, "kind": spec.kind,
+                    "key": spec.key, "job_hash": spec.job_hash,
+                    "value": value, "duration_s": 0.5}
+        assert path.read_bytes() == json.dumps(envelope).encode()
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+    def test_entry_larger_than_one_read_round_trips(self, tmp_path, events):
+        store = ResultStore(tmp_path)
+        spec = put_blob(store, "big", pad=200_000)
+        assert store.path(spec.job_hash).stat().st_size > 1 << 16
+        assert store.get(spec).value["pad"] == "x" * 200_000
+        assert events()["hit"] == 1
+
+    def test_short_writes_still_write_the_whole_entry(self, tmp_path,
+                                                      monkeypatch):
+        import os
+
+        real_write = os.write
+        store = ResultStore(tmp_path)
+        spec = blob_spec("a")
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", lambda fd, data: real_write(fd, data[:100]))
+            assert store.put(spec, ok_result(spec, {"pad": "y" * 5000}))
+        assert len(store.path(spec.job_hash).read_bytes()) > 5000
+        assert store.get(spec).value == {"pad": "y" * 5000}
+
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/fd").is_dir(),
+                        reason="needs /proc/self/fd")
+    def test_no_descriptor_leaks(self, tmp_path, monkeypatch, events):
+        import os
+        import tempfile
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only store")
+
+        def full_disk(*args, **kwargs):
+            raise OSError("disk full")
+
+        store = ResultStore(tmp_path)
+        store.get(blob_spec("warm-up"))
+        before = open_fds()
+        for i in range(50):
+            spec = blob_spec(f"fd-{i}")
+            result = ok_result(spec, {"i": i})
+            assert store.get(spec) is None                     # miss
+            assert store.put(spec, result)
+            store.path(spec.job_hash).write_bytes(b"")
+            assert store.get(spec) is None                     # corrupt
+            assert store.put(spec, result)
+            with monkeypatch.context() as m:
+                m.setattr(os, "utime", refuse)
+                assert store.get(spec).value == {"i": i}       # stamp refused
+                assert not store.put(spec, result)             # stamp refused
+                m.setattr(tempfile, "mkstemp", full_disk)
+                assert not store.put(spec, result)             # disk full
+            assert store.get(spec).value == {"i": i}
+        assert open_fds() == before
+        assert moved(events, {}) == {"hit": 100, "miss": 51, "corrupt": 50,
+                                     "store": 100, "put_error": 100}
+        assert not list(tmp_path.glob("??/*.tmp"))
 
 
 class TestAsyncAccess:
