@@ -11,14 +11,22 @@ scaling work builds on it:
    its wall-clock collapses accordingly;
 3. the backend registry scales: the three shipped backends all complete
    the same 64-point sweep, and their wall-clocks are reported side by
-   side.
+   side;
+4. a process starts with only the modules it runs: ``cli_import_s``,
+   the CPU one fresh interpreter spends on ``import repro.runtime.cli``
+   (every ``repro`` command, server and worker pays it), is gated.
 
 Machine-dependent wall-clock (worker count, core count) is *reported*,
 not asserted; determinism and hit rates are asserted.
 """
 
+import os
+import resource
+import subprocess
+import sys
 import time
 
+import repro
 from repro.analysis import render_table
 from repro.events import SyntheticDVSGesture
 from repro.hw import PAPER_CONFIG, HardwareEvaluator, compile_network, report_from_job_results
@@ -47,6 +55,9 @@ PUT_REPEATS = 15
 
 #: Warm-store passes of 64 hits timed for ``store_get_s``.
 GET_REPEATS = 15
+
+#: Fresh interpreters timed for ``cli_import_s``.
+IMPORT_REPEATS = 7
 
 
 def _timed(fn):
@@ -210,3 +221,29 @@ def test_hw_eval_parallel_parity_and_cache_speedup(benchmark, report, tmp_path,
     bench_json.metric("warm_hit_rate", warm.hit_rate)
     # The cache must beat recomputation, with margin for timer noise.
     assert t_warm < t_cold
+
+
+def test_cli_import_cost(report, bench_json):
+    """CPU of a fresh interpreter that imports the CLI, best of
+    IMPORT_REPEATS runs, read from the children's resource usage so
+    the figure is the child's own user + system time."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+
+    def child_cpu(code):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+
+    bare = min(child_cpu("pass") for _ in range(IMPORT_REPEATS))
+    cli = min(child_cpu("import repro.runtime.cli") for _ in range(IMPORT_REPEATS))
+    report.add(
+        render_table(
+            ["interpreter", f"CPU [s], best of {IMPORT_REPEATS}"],
+            [["python -c pass", f"{bare:.3f}"],
+             ["python -c 'import repro.runtime.cli'", f"{cli:.3f}"]],
+            title="runtime start-up — fresh interpreter CPU",
+        )
+    )
+    bench_json.metric("cli_import_s", cli, direction="lower", unit="s")
+    bench_json.metric("bare_interpreter_s", bare, direction="info", unit="s")

@@ -29,7 +29,7 @@ See ``examples/quickstart.py`` for the end-to-end flow and
 
 __version__ = "1.9.0"
 
-from . import analysis, baselines, energy, events, hw, runtime, snn
+import importlib
 
 __all__ = [
     "analysis",
@@ -41,3 +41,15 @@ __all__ = [
     "snn",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Subpackages load on first access (docs/ARCHITECTURE.md, "Import
+    # layering"): ``import repro.runtime.cli`` loads no paper model.
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,29 +1,25 @@
 """Evaluation methodology: activity profiling, metrics, tables, sweeps."""
 
-from .activity import (
-    ActivityProfile,
-    LayerActivity,
-    dataset_activity_range,
-    profile_network,
-)
-from .metrics import ProportionalityFit, accuracy, confusion_matrix, proportionality_fit
-from .tables import ComparisonRow, render_comparison, render_table, to_csv
-from .proportionality import ActivitySweep, SweepPoint, sweep_activity
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ActivityProfile",
-    "LayerActivity",
-    "dataset_activity_range",
-    "profile_network",
-    "ProportionalityFit",
-    "accuracy",
-    "confusion_matrix",
-    "proportionality_fit",
-    "ComparisonRow",
-    "render_comparison",
-    "render_table",
-    "to_csv",
-    "ActivitySweep",
-    "SweepPoint",
-    "sweep_activity",
-]
+#: Exported name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "ActivityProfile": "activity",
+    "LayerActivity": "activity",
+    "dataset_activity_range": "activity",
+    "profile_network": "activity",
+    "ProportionalityFit": "metrics",
+    "accuracy": "metrics",
+    "confusion_matrix": "metrics",
+    "proportionality_fit": "metrics",
+    "ComparisonRow": "tables",
+    "render_comparison": "tables",
+    "render_table": "tables",
+    "to_csv": "tables",
+    "ActivitySweep": "proportionality",
+    "SweepPoint": "proportionality",
+    "sweep_activity": "proportionality",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

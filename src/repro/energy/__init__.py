@@ -6,34 +6,25 @@ cluster-cycles) and these models convert them to kGE, mW and pJ using
 the paper's published numbers as calibration anchors (DESIGN.md §4).
 """
 
-from .technology import GF22FDX, TechnologyParams
-from .area import COMPONENTS, FIG4_ANCHORS, FIG4_SLICES, AreaModel
-from .power import (
-    FIG5A_TOTAL_MW,
-    FIG5B_PJ_PER_SOP,
-    PowerBreakdown,
-    PowerModel,
-)
-from .efficiency import (
-    DATASET_EVENT_ANCHORS,
-    DVS_GESTURE_ACTIVITY_RANGE,
-    EfficiencyModel,
-    InferenceEstimate,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GF22FDX",
-    "TechnologyParams",
-    "COMPONENTS",
-    "FIG4_ANCHORS",
-    "FIG4_SLICES",
-    "AreaModel",
-    "FIG5A_TOTAL_MW",
-    "FIG5B_PJ_PER_SOP",
-    "PowerBreakdown",
-    "PowerModel",
-    "DATASET_EVENT_ANCHORS",
-    "DVS_GESTURE_ACTIVITY_RANGE",
-    "EfficiencyModel",
-    "InferenceEstimate",
-]
+#: Exported name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "GF22FDX": "technology",
+    "TechnologyParams": "technology",
+    "COMPONENTS": "area",
+    "FIG4_ANCHORS": "area",
+    "FIG4_SLICES": "area",
+    "AreaModel": "area",
+    "FIG5A_TOTAL_MW": "power",
+    "FIG5B_PJ_PER_SOP": "power",
+    "PowerBreakdown": "power",
+    "PowerModel": "power",
+    "DATASET_EVENT_ANCHORS": "efficiency",
+    "DVS_GESTURE_ACTIVITY_RANGE": "efficiency",
+    "EfficiencyModel": "efficiency",
+    "InferenceEstimate": "efficiency",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

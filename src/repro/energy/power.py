@@ -19,13 +19,16 @@ DMA/interconnect floor stays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..hw.config import SNEConfig
-from ..hw.sne import SNEStats
 from .area import FIG4_SLICES, AreaModel
 from .technology import GF22FDX, TechnologyParams
+
+if TYPE_CHECKING:
+    from ..hw.sne import SNEStats
 
 __all__ = ["PowerModel", "PowerBreakdown", "FIG5A_TOTAL_MW", "FIG5B_PJ_PER_SOP"]
 

@@ -8,78 +8,51 @@ corruption models (:mod:`.noise`) and synthetic replacements for the
 NMNIST / IBM DVS-Gesture datasets (:mod:`.datasets`).
 """
 
-from .event import DEFAULT_FORMAT, Event, EventFormat, EventOp
-from .stream import EventStream
-from .memory_format import (
-    WEIGHTS_PER_WORD,
-    decode_inference,
-    decode_updates,
-    encode_inference,
-    pack_weights,
-    unpack_weights,
-)
-from .dvs import DVSConfig, DVSSimulator, render_video
-from .noise import add_background_noise, add_hot_pixels, drop_events, thin_to_activity
-from .datasets import (
-    DIGIT_GLYPHS,
-    GESTURE_NAMES,
-    EventDataset,
-    EventSample,
-    ShardedDataset,
-    SyntheticDVSGesture,
-    SyntheticNMNIST,
-)
-from .augment import (
-    mirror_horizontal,
-    polarity_flip,
-    random_crop_time,
-    spatial_jitter,
-    time_jitter,
-    time_reverse,
-)
-from .visualize import render_raster, render_timeline
-from .io import load_dataset, load_stream, save_dataset, save_stream
-from .frames import accumulate_frames, polarity_difference_frames, rebin_time
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_FORMAT",
-    "Event",
-    "EventFormat",
-    "EventOp",
-    "EventStream",
-    "WEIGHTS_PER_WORD",
-    "decode_inference",
-    "decode_updates",
-    "encode_inference",
-    "pack_weights",
-    "unpack_weights",
-    "DVSConfig",
-    "DVSSimulator",
-    "render_video",
-    "add_background_noise",
-    "add_hot_pixels",
-    "drop_events",
-    "thin_to_activity",
-    "DIGIT_GLYPHS",
-    "GESTURE_NAMES",
-    "EventDataset",
-    "EventSample",
-    "ShardedDataset",
-    "SyntheticDVSGesture",
-    "SyntheticNMNIST",
-    "mirror_horizontal",
-    "polarity_flip",
-    "random_crop_time",
-    "spatial_jitter",
-    "time_jitter",
-    "time_reverse",
-    "render_raster",
-    "render_timeline",
-    "load_dataset",
-    "load_stream",
-    "save_dataset",
-    "save_stream",
-    "accumulate_frames",
-    "polarity_difference_frames",
-    "rebin_time",
-]
+#: Exported name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "DEFAULT_FORMAT": "event",
+    "Event": "event",
+    "EventFormat": "event",
+    "EventOp": "event",
+    "EventStream": "stream",
+    "WEIGHTS_PER_WORD": "memory_format",
+    "decode_inference": "memory_format",
+    "decode_updates": "memory_format",
+    "encode_inference": "memory_format",
+    "pack_weights": "memory_format",
+    "unpack_weights": "memory_format",
+    "DVSConfig": "dvs",
+    "DVSSimulator": "dvs",
+    "render_video": "dvs",
+    "add_background_noise": "noise",
+    "add_hot_pixels": "noise",
+    "drop_events": "noise",
+    "thin_to_activity": "noise",
+    "DIGIT_GLYPHS": "datasets",
+    "GESTURE_NAMES": "datasets",
+    "EventDataset": "datasets",
+    "EventSample": "datasets",
+    "ShardedDataset": "datasets",
+    "SyntheticDVSGesture": "datasets",
+    "SyntheticNMNIST": "datasets",
+    "mirror_horizontal": "augment",
+    "polarity_flip": "augment",
+    "random_crop_time": "augment",
+    "spatial_jitter": "augment",
+    "time_jitter": "augment",
+    "time_reverse": "augment",
+    "render_raster": "visualize",
+    "render_timeline": "visualize",
+    "load_dataset": "io",
+    "load_stream": "io",
+    "save_dataset": "io",
+    "save_stream": "io",
+    "accumulate_frames": "frames",
+    "polarity_difference_frames": "frames",
+    "rebin_time": "frames",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

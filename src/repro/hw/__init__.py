@@ -11,145 +11,80 @@ executes, and :mod:`.functional` provides the independent dense-path
 golden model the equivalence tests check against.
 """
 
-from .config import PAPER_CONFIG, SNEConfig
-from .fifo import Fifo, FifoStats
-from .memory import MainMemory, MemoryStats
-from .lif_datapath import (
-    check_weight_range,
-    fire_mask,
-    leak_catchup,
-    sat_add,
-    state_bounds,
-)
-from .cluster import Cluster, ClusterStats
-from .kernels import (
-    KERNEL_CHOICES,
-    KernelSet,
-    available_kernels,
-    default_kernel,
-    kernel_summary,
-    resolve_kernel,
-)
-from .mapper import (
-    FanoutTable,
-    LayerGeometry,
-    LayerKind,
-    LayerProgram,
-    PackedFanout,
-    compile_layer,
-    compile_network,
-    fanout_table,
-    program_content_hash,
-)
-from .slice import Slice, SliceStack, SliceStats
-from .xbar import Crossbar, CrossbarStats
-from .streamer import DmaStreamer, StreamerStats
-from .collector import Collector, CollectorStats
-from .registers import RegisterFile, RegisterMap
-from .sne import SNE, BatchStats, EventBatch, SNEStats
-from .functional import (
-    check_no_intra_step_saturation,
-    layer_currents,
-    simulate_layer_dense,
-)
-from .trace import (
-    ActivityTrace,
-    StepTrace,
-    dump_trace_text,
-    power_waveform,
-    trace_energy_uj,
-)
-from .runner import (
-    EvaluationReport,
-    HardwareEvaluator,
-    SampleResult,
-    report_from_job_results,
-)
-from .fuzz import (
-    BatchFuzzCase,
-    FuzzCase,
-    FuzzResult,
-    KernelFuzzResult,
-    fuzz,
-    fuzz_kernel_batches,
-    fuzz_kernels,
-    matrix_kernels,
-    random_case,
-    random_kernel_batch,
-    random_kernel_case,
-    run_case,
-    run_kernel_batch,
-    run_kernel_case,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PAPER_CONFIG",
-    "SNEConfig",
-    "Fifo",
-    "FifoStats",
-    "MainMemory",
-    "MemoryStats",
-    "check_weight_range",
-    "fire_mask",
-    "leak_catchup",
-    "sat_add",
-    "state_bounds",
-    "Cluster",
-    "ClusterStats",
-    "KERNEL_CHOICES",
-    "KernelSet",
-    "available_kernels",
-    "default_kernel",
-    "kernel_summary",
-    "resolve_kernel",
-    "LayerGeometry",
-    "LayerKind",
-    "LayerProgram",
-    "FanoutTable",
-    "PackedFanout",
-    "fanout_table",
-    "program_content_hash",
-    "compile_layer",
-    "compile_network",
-    "Slice",
-    "SliceStack",
-    "SliceStats",
-    "Crossbar",
-    "CrossbarStats",
-    "DmaStreamer",
-    "StreamerStats",
-    "Collector",
-    "CollectorStats",
-    "RegisterFile",
-    "RegisterMap",
-    "SNE",
-    "SNEStats",
-    "BatchStats",
-    "EventBatch",
-    "check_no_intra_step_saturation",
-    "layer_currents",
-    "simulate_layer_dense",
-    "ActivityTrace",
-    "StepTrace",
-    "dump_trace_text",
-    "power_waveform",
-    "trace_energy_uj",
-    "EvaluationReport",
-    "HardwareEvaluator",
-    "SampleResult",
-    "report_from_job_results",
-    "BatchFuzzCase",
-    "FuzzCase",
-    "FuzzResult",
-    "KernelFuzzResult",
-    "fuzz",
-    "fuzz_kernel_batches",
-    "fuzz_kernels",
-    "matrix_kernels",
-    "random_case",
-    "random_kernel_batch",
-    "random_kernel_case",
-    "run_case",
-    "run_kernel_batch",
-    "run_kernel_case",
-]
+#: Exported name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "PAPER_CONFIG": "config",
+    "SNEConfig": "config",
+    "Fifo": "fifo",
+    "FifoStats": "fifo",
+    "MainMemory": "memory",
+    "MemoryStats": "memory",
+    "check_weight_range": "lif_datapath",
+    "fire_mask": "lif_datapath",
+    "leak_catchup": "lif_datapath",
+    "sat_add": "lif_datapath",
+    "state_bounds": "lif_datapath",
+    "Cluster": "cluster",
+    "ClusterStats": "cluster",
+    "KERNEL_CHOICES": "kernels",
+    "KernelSet": "kernels",
+    "available_kernels": "kernels",
+    "default_kernel": "kernels",
+    "kernel_summary": "kernels",
+    "resolve_kernel": "kernels",
+    "LayerGeometry": "mapper",
+    "LayerKind": "mapper",
+    "LayerProgram": "mapper",
+    "FanoutTable": "mapper",
+    "PackedFanout": "mapper",
+    "fanout_table": "mapper",
+    "program_content_hash": "mapper",
+    "compile_layer": "mapper",
+    "compile_network": "mapper",
+    "Slice": "slice",
+    "SliceStack": "slice",
+    "SliceStats": "slice",
+    "Crossbar": "xbar",
+    "CrossbarStats": "xbar",
+    "DmaStreamer": "streamer",
+    "StreamerStats": "streamer",
+    "Collector": "collector",
+    "CollectorStats": "collector",
+    "RegisterFile": "registers",
+    "RegisterMap": "registers",
+    "SNE": "sne",
+    "SNEStats": "sne",
+    "BatchStats": "sne",
+    "EventBatch": "sne",
+    "check_no_intra_step_saturation": "functional",
+    "layer_currents": "functional",
+    "simulate_layer_dense": "functional",
+    "ActivityTrace": "trace",
+    "StepTrace": "trace",
+    "dump_trace_text": "trace",
+    "power_waveform": "trace",
+    "trace_energy_uj": "trace",
+    "EvaluationReport": "runner",
+    "HardwareEvaluator": "runner",
+    "SampleResult": "runner",
+    "report_from_job_results": "runner",
+    "BatchFuzzCase": "fuzz",
+    "FuzzCase": "fuzz",
+    "FuzzResult": "fuzz",
+    "KernelFuzzResult": "fuzz",
+    "fuzz": "fuzz",
+    "fuzz_kernel_batches": "fuzz",
+    "fuzz_kernels": "fuzz",
+    "matrix_kernels": "fuzz",
+    "random_case": "fuzz",
+    "random_kernel_batch": "fuzz",
+    "random_kernel_case": "fuzz",
+    "run_case": "fuzz",
+    "run_kernel_batch": "fuzz",
+    "run_kernel_case": "fuzz",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -20,14 +20,17 @@ compatible ``sample_eval`` jobs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..energy.power import PowerModel
-from ..events.datasets import EventDataset
 from .config import SNEConfig
 from .mapper import LayerProgram
 from .sne import SNE, EventBatch
+
+if TYPE_CHECKING:
+    from ..events.datasets import EventDataset
 
 __all__ = [
     "SampleResult",

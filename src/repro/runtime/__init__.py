@@ -143,198 +143,99 @@ and the alerts panel in ``repro top``.
 documents this package's public API surface.
 """
 
-from .jobs import (
-    CODECS,
-    SCHEMA_VERSION,
-    JobSpec,
-    baseline_compare_job,
-    calibration_fingerprint,
-    canonical_json,
-    deployment_fingerprint,
-    dse_point_job,
-    execute_job,
-    inference_energy_job,
-    register_runner,
-    sample_eval_job,
-    spec_from_doc,
-    spec_to_doc,
-)
-from .backends import (
-    Backend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    arun,
-    available_backends,
-    default_backend_name,
-    make_backend,
-    register_backend,
-)
-from .executor import JobResult, RunReport, run_jobs
-from .store import (
-    MAX_BYTES_ENV,
-    ResultStore,
-    default_cache_dir,
-    default_max_bytes,
-    open_store,
-)
-from .profile import Profiler, SpanStats, render_profile
-from .progress import ConsoleProgress, Progress
-from .dist import (
-    Broker,
-    ClusterBackend,
-    DistError,
-    claim_state,
-    worker_loop,
-)
-from .supervisor import SpoolSnapshot, Supervisor
-from .chaos import (
-    ChaosScheduler,
-    SoakReport,
-    run_chaos_soak,
-)
-from .obs import (
-    Journal,
-    JournalTailer,
-    MetricsRegistry,
-    SpanContext,
-    current_span,
-    get_registry,
-    read_journal,
-    read_metrics,
-    span,
-)
-from .obs import configure as configure_obs
-from .tracequery import (
-    SpanNode,
-    Trace,
-    TraceQueryError,
-    build_traces,
-    critical_path,
-    filter_traces,
-    find_trace,
-    load_events,
-    render_waterfall,
-)
-from .slo import (
-    SLOMonitor,
-    SLORule,
-    SLOStatus,
-    default_rules,
-    evaluate_slos,
-    load_rules,
-)
-from .dispatch import (
-    BrokerDispatcher,
-    Dispatcher,
-    LocalDispatcher,
-)
-from .serve import (
-    PROTO_VERSION,
-    WIRE_KINDS,
-    AsyncServer,
-    ServerOverloadedError,
-    request_to_spec,
-    serve_stdio,
-    serve_tcp,
-)
-from .sweep import (
-    DSE_HEADERS,
-    SweepAxis,
-    SweepGrid,
-    SweepReport,
-    dse_grid,
-    dse_jobs,
-    run_dse_sweep,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "JobSpec",
-    "canonical_json",
-    "dse_point_job",
-    "inference_energy_job",
-    "baseline_compare_job",
-    "sample_eval_job",
-    "calibration_fingerprint",
-    "deployment_fingerprint",
-    "execute_job",
-    "register_runner",
-    "default_cache_dir",
-    "ResultStore",
-    "open_store",
-    "default_max_bytes",
-    "MAX_BYTES_ENV",
-    "Backend",
-    "register_backend",
-    "make_backend",
-    "available_backends",
-    "default_backend_name",
-    "arun",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "JobResult",
-    "RunReport",
-    "run_jobs",
-    "Progress",
-    "ConsoleProgress",
-    "Profiler",
-    "SpanStats",
-    "render_profile",
-    "AsyncServer",
-    "ServerOverloadedError",
-    "PROTO_VERSION",
-    "Dispatcher",
-    "LocalDispatcher",
-    "BrokerDispatcher",
-    "WIRE_KINDS",
-    "request_to_spec",
-    "serve_tcp",
-    "serve_stdio",
-    "SweepAxis",
-    "SweepGrid",
-    "SweepReport",
-    "dse_grid",
-    "dse_jobs",
-    "run_dse_sweep",
-    "DSE_HEADERS",
-    "spec_to_doc",
-    "spec_from_doc",
-    "CODECS",
-    "Broker",
-    "ClusterBackend",
-    "DistError",
-    "claim_state",
-    "worker_loop",
-    "Supervisor",
-    "SpoolSnapshot",
-    "ChaosScheduler",
-    "SoakReport",
-    "run_chaos_soak",
-    "MetricsRegistry",
-    "Journal",
-    "JournalTailer",
-    "SpanContext",
-    "span",
-    "current_span",
-    "get_registry",
-    "configure_obs",
-    "read_journal",
-    "read_metrics",
-    "TraceQueryError",
-    "SpanNode",
-    "Trace",
-    "load_events",
-    "build_traces",
-    "filter_traces",
-    "find_trace",
-    "critical_path",
-    "render_waterfall",
-    "SLORule",
-    "SLOStatus",
-    "SLOMonitor",
-    "load_rules",
-    "default_rules",
-    "evaluate_slos",
-]
+#: Exported name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "SCHEMA_VERSION": "jobs",
+    "JobSpec": "jobs",
+    "canonical_json": "jobs",
+    "dse_point_job": "jobs",
+    "inference_energy_job": "jobs",
+    "baseline_compare_job": "jobs",
+    "sample_eval_job": "jobs",
+    "calibration_fingerprint": "jobs",
+    "deployment_fingerprint": "jobs",
+    "execute_job": "jobs",
+    "register_runner": "jobs",
+    "default_cache_dir": "store",
+    "ResultStore": "store",
+    "open_store": "store",
+    "default_max_bytes": "store",
+    "MAX_BYTES_ENV": "store",
+    "Backend": "backends",
+    "register_backend": "backends",
+    "make_backend": "backends",
+    "available_backends": "backends",
+    "default_backend_name": "backends",
+    "arun": "backends",
+    "SerialBackend": "backends",
+    "ThreadBackend": "backends",
+    "ProcessBackend": "backends",
+    "JobResult": "executor",
+    "RunReport": "executor",
+    "run_jobs": "executor",
+    "Progress": "progress",
+    "ConsoleProgress": "progress",
+    "Profiler": "profile",
+    "SpanStats": "profile",
+    "render_profile": "profile",
+    "AsyncServer": "serve",
+    "ServerOverloadedError": "serve",
+    "PROTO_VERSION": "serve",
+    "Dispatcher": "dispatch",
+    "LocalDispatcher": "dispatch",
+    "BrokerDispatcher": "dispatch",
+    "WIRE_KINDS": "serve",
+    "request_to_spec": "serve",
+    "serve_tcp": "serve",
+    "serve_stdio": "serve",
+    "SweepAxis": "sweep",
+    "SweepGrid": "sweep",
+    "SweepReport": "sweep",
+    "dse_grid": "sweep",
+    "dse_jobs": "sweep",
+    "run_dse_sweep": "sweep",
+    "DSE_HEADERS": "sweep",
+    "spec_to_doc": "jobs",
+    "spec_from_doc": "jobs",
+    "CODECS": "jobs",
+    "Broker": "dist",
+    "ClusterBackend": "dist",
+    "DistError": "dist",
+    "claim_state": "dist",
+    "worker_loop": "dist",
+    "Supervisor": "supervisor",
+    "SpoolSnapshot": "supervisor",
+    "ChaosScheduler": "chaos",
+    "SoakReport": "chaos",
+    "run_chaos_soak": "chaos",
+    "MetricsRegistry": "obs",
+    "Journal": "obs",
+    "JournalTailer": "obs",
+    "SpanContext": "obs",
+    "span": "obs",
+    "current_span": "obs",
+    "get_registry": "obs",
+    "configure_obs": "obs:configure",
+    "read_journal": "obs",
+    "read_metrics": "obs",
+    "TraceQueryError": "tracequery",
+    "SpanNode": "tracequery",
+    "Trace": "tracequery",
+    "load_events": "tracequery",
+    "build_traces": "tracequery",
+    "filter_traces": "tracequery",
+    "find_trace": "tracequery",
+    "critical_path": "tracequery",
+    "render_waterfall": "tracequery",
+    "SLORule": "slo",
+    "SLOStatus": "slo",
+    "SLOMonitor": "slo",
+    "load_rules": "slo",
+    "default_rules": "slo",
+    "evaluate_slos": "slo",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,10 +14,14 @@ import contextlib
 import os
 import tempfile
 
-__all__ = ["UTIME_FD", "atomic_write_bytes", "read_fd", "write_temp"]
+__all__ = ["READ_FLAGS", "UTIME_FD", "atomic_write_bytes", "read_fd", "read_file",
+           "write_temp"]
 
 #: Bytes asked for per ``os.read``; a store entry fits in one.
 _READ_CHUNK = 1 << 16
+
+#: How a file is opened for reading.
+READ_FLAGS = os.O_RDONLY | getattr(os, "O_CLOEXEC", 0)
 
 #: Whether ``os.utime`` takes a descriptor (POSIX); elsewhere the
 #: stamps go by path.
@@ -30,6 +34,16 @@ def read_fd(fd: int) -> bytes:
     while chunk := os.read(fd, _READ_CHUNK):
         chunks.append(chunk)
     return b"".join(chunks)
+
+
+def read_file(path: str | os.PathLike) -> bytes:
+    """Every byte of ``path``, through one raw descriptor; ``OSError``
+    when it cannot be opened or read."""
+    fd = os.open(path, READ_FLAGS)
+    try:
+        return read_fd(fd)
+    finally:
+        os.close(fd)
 
 
 def write_temp(directory: str | os.PathLike, data: bytes,

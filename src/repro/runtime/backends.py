@@ -15,10 +15,11 @@ is built on.  Three ship with the package:
 * ``process`` — the chunked ``multiprocessing`` pool for CPU-bound
   simulation sweeps.
 
-A fourth, ``cluster`` (:mod:`repro.runtime.dist`), registers itself at
-package import: it dispatches hashed job chunks through a durable
-spool directory to a broker/worker fleet — the out-of-machine member
-of the registry.
+A fourth, ``cluster`` (:mod:`repro.runtime.dist`), registers itself
+when its module is imported, which the registry does on the first
+listing or lookup that needs it: it dispatches hashed job chunks
+through a durable spool directory to a broker/worker fleet — the
+out-of-machine member of the registry.
 
 All of them uphold the same invariants, enforced by
 ``tests/test_backend_parity.py``:
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import importlib
 import json
 import math
 import multiprocessing
@@ -187,6 +189,16 @@ class Backend(Protocol):
 
 _BACKENDS: dict[str, Callable[..., Backend]] = {}
 
+#: Built-in backends defined outside this module -> the module whose
+#: import registers them.  Listings and lookups import these first, so
+#: the registry never depends on what a process happened to import.
+_BUILTIN_MODULES = {"cluster": "repro.runtime.dist"}
+
+
+def _load_builtins() -> None:
+    for module in _BUILTIN_MODULES.values():
+        importlib.import_module(module)
+
 
 def register_backend(name: str, *, override: bool = False):
     """Register a backend factory (usually the class itself) under ``name``.
@@ -200,6 +212,8 @@ def register_backend(name: str, *, override: bool = False):
     """
 
     def deco(factory: Callable[..., Backend]):
+        if name in _BUILTIN_MODULES:
+            _load_builtins()
         if not override and name in _BACKENDS:
             raise ValueError(
                 f"backend {name!r} is already registered "
@@ -213,6 +227,7 @@ def register_backend(name: str, *, override: bool = False):
 
 def available_backends() -> list[str]:
     """Registered backend names, sorted for stable CLI/help output."""
+    _load_builtins()
     return sorted(_BACKENDS)
 
 
@@ -229,6 +244,8 @@ def make_backend(name: str, workers: int | None = None, **kwargs) -> Backend:
     ``workers=None`` leaves the backend's own default (serial ignores
     it; thread/process size themselves from ``os.cpu_count()``).
     """
+    if name not in _BACKENDS and name in _BUILTIN_MODULES:
+        _load_builtins()
     try:
         factory = _BACKENDS[name]
     except KeyError:

@@ -64,7 +64,7 @@ import uuid
 from dataclasses import dataclass
 
 from . import obs
-from ._fsutil import atomic_write_bytes, write_temp
+from ._fsutil import atomic_write_bytes, read_file, write_temp
 from .backends import JobResult, _execute_one, register_backend
 from .jobs import JobSpec, spec_from_doc, spec_to_doc
 
@@ -204,7 +204,7 @@ def claim_state(spool: str | os.PathLike, chunk_id: str,
     """
     path = _claim_path(pathlib.Path(spool), chunk_id)
     try:
-        data = path.read_bytes()
+        data = read_file(path)
     except OSError:
         return "missing", None
     try:
@@ -425,7 +425,7 @@ def worker_loop(
         chunk_id = claimed.stem
         started = time.perf_counter()
         try:
-            data = claimed.read_bytes()
+            data = read_file(claimed)
         except OSError:
             # The chunk file vanished between our scan and claim:
             # another worker already published it (it unlinks the chunk
@@ -684,7 +684,7 @@ class Broker:
         """Try to consume a published result file for ``chunk``."""
         path = _result_path(self.spool, chunk.chunk_id)
         try:
-            doc = json.loads(path.read_bytes())
+            doc = json.loads(read_file(path))
         except OSError:
             return  # not published yet (or already consumed by cleanup)
         except ValueError:

@@ -28,6 +28,7 @@ import dataclasses
 import enum
 import functools
 import hashlib
+import importlib
 import json
 import marshal
 import numbers
@@ -569,6 +570,11 @@ def sample_eval_job(
 
 _RUNNERS: dict[str, Callable[[dict, Any], dict]] = {}
 
+#: Built-in job kinds defined outside this module -> the module whose
+#: import registers them.  A lookup of one of them imports it, so a
+#: worker runs every built-in kind whatever it imported first.
+_BUILTIN_MODULES = {"chaos_probe": "repro.runtime.chaos"}
+
 
 def register_runner(kind: str):
     """Register the execution function for a job kind.
@@ -590,12 +596,14 @@ def register_runner(kind: str):
 
 def execute_job(spec: JobSpec) -> dict:
     """Run one spec to completion and return its JSON-able result dict."""
+    if spec.kind not in _RUNNERS and spec.kind in _BUILTIN_MODULES:
+        importlib.import_module(_BUILTIN_MODULES[spec.kind])
     try:
         runner = _RUNNERS[spec.kind]
     except KeyError:
         raise KeyError(
             f"no runner registered for job kind {spec.kind!r}; "
-            f"known: {sorted(_RUNNERS)}"
+            f"known: {sorted(_RUNNERS.keys() | _BUILTIN_MODULES.keys())}"
         ) from None
     return runner(spec.params, spec.payload)
 

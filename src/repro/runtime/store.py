@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass
 
 from . import obs
-from ._fsutil import UTIME_FD, atomic_write_bytes, read_fd
+from ._fsutil import READ_FLAGS, UTIME_FD, atomic_write_bytes, read_fd
 from .backends import JobResult
 from .jobs import SCHEMA_VERSION, JobSpec
 
@@ -82,19 +82,31 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
 
+#: ``(registry, counter)``: the store counter, held for the registry in
+#: force when it was looked up.
+_held_events: tuple = (None, None)
+
+
 def _store_events():
     """The shared ``repro_store_events_total`` counter (labels:
     ``op=hit|miss|store|corrupt|evict|put_error``) on the process-wide
     registry — the store's only counter.  A lookup counts one of
     ``hit``, ``miss`` or ``corrupt`` (an invalid entry it deleted);
-    ``put_error`` counts :meth:`ResultStore.put` calls whose write failed."""
-    return obs.get_registry().counter(
-        "repro_store_events_total",
-        "Result-store operations by op "
-        "(hit, miss, store, corrupt, evict, put_error).")
+    ``put_error`` counts :meth:`ResultStore.put` calls whose write failed.
 
-#: How :meth:`ResultStore.get` opens an entry.
-_READ_FLAGS = os.O_RDONLY | getattr(os, "O_CLOEXEC", 0)
+    The counter is held rather than looked up by name on every call,
+    and looked up again whenever the process-wide registry is another
+    one (:func:`~repro.runtime.obs.set_registry`, or a fork's reset)."""
+    global _held_events
+    registry = obs.get_registry()
+    held_registry, counter = _held_events
+    if held_registry is not registry:
+        counter = registry.counter(
+            "repro_store_events_total",
+            "Result-store operations by op "
+            "(hit, miss, store, corrupt, evict, put_error).")
+        _held_events = (registry, counter)
+    return counter
 
 #: Cap-triggered evictions clear down to this fraction of ``max_bytes``
 #: so a store sitting at its cap doesn't pay a full scan-and-evict on
@@ -247,7 +259,7 @@ class ResultStore:
         counts, with the entry on a hit.  A hit is re-stamped through
         the descriptor it was read from."""
         try:
-            fd = os.open(path, _READ_FLAGS)
+            fd = os.open(path, READ_FLAGS)
         except OSError:
             return "miss", None
         try:

@@ -7,83 +7,55 @@ for inference) and the SRM baseline neuron, plus the 4-bit weight
 quantisation used by the SNE-LIF-4b deployment configuration.
 """
 
-from .surrogate import FastSigmoid, SlayerPdf, SurrogateGradient, Triangle
-from .neurons import (
-    LIFDynamics,
-    LIFParams,
-    ResetMode,
-    SRMDynamics,
-    SRMParams,
-    lif_forward_int,
-    linear_decay,
-)
-from .quantize import (
-    QuantSpec,
-    dequantize,
-    export_layer_quant,
-    fake_quantize,
-    quantize_int,
-    weight_scale,
-)
-from .layers import (
-    EConv2d,
-    EDense,
-    EFlatten,
-    ESumPool2d,
-    Layer,
-    Parameter,
-    col2im,
-    im2col,
-)
-from .network import Sequential
-from .training import Adam, TrainConfig, Trainer, evaluate, softmax_cross_entropy
-from .schedule import ConstantLR, CosineLR, EarlyStopping, LRSchedule, StepDecayLR
-from .topology import FIG6_PAPER, Fig6Spec, build_fig6_network, build_small_network
-from .slayer import SLAYER_SRM, SNE_LIF_4B, ModelConfig, build_pair
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FastSigmoid",
-    "SlayerPdf",
-    "SurrogateGradient",
-    "Triangle",
-    "LIFDynamics",
-    "LIFParams",
-    "ResetMode",
-    "SRMDynamics",
-    "SRMParams",
-    "lif_forward_int",
-    "linear_decay",
-    "QuantSpec",
-    "dequantize",
-    "export_layer_quant",
-    "fake_quantize",
-    "quantize_int",
-    "weight_scale",
-    "EConv2d",
-    "EDense",
-    "EFlatten",
-    "ESumPool2d",
-    "Layer",
-    "Parameter",
-    "col2im",
-    "im2col",
-    "Sequential",
-    "Adam",
-    "TrainConfig",
-    "Trainer",
-    "evaluate",
-    "softmax_cross_entropy",
-    "ConstantLR",
-    "CosineLR",
-    "EarlyStopping",
-    "LRSchedule",
-    "StepDecayLR",
-    "FIG6_PAPER",
-    "Fig6Spec",
-    "build_fig6_network",
-    "build_small_network",
-    "SLAYER_SRM",
-    "SNE_LIF_4B",
-    "ModelConfig",
-    "build_pair",
-]
+#: Exported name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "FastSigmoid": "surrogate",
+    "SlayerPdf": "surrogate",
+    "SurrogateGradient": "surrogate",
+    "Triangle": "surrogate",
+    "LIFDynamics": "neurons",
+    "LIFParams": "neurons",
+    "ResetMode": "neurons",
+    "SRMDynamics": "neurons",
+    "SRMParams": "neurons",
+    "lif_forward_int": "neurons",
+    "linear_decay": "neurons",
+    "QuantSpec": "quantize",
+    "dequantize": "quantize",
+    "export_layer_quant": "quantize",
+    "fake_quantize": "quantize",
+    "quantize_int": "quantize",
+    "weight_scale": "quantize",
+    "EConv2d": "layers",
+    "EDense": "layers",
+    "EFlatten": "layers",
+    "ESumPool2d": "layers",
+    "Layer": "layers",
+    "Parameter": "layers",
+    "col2im": "layers",
+    "im2col": "layers",
+    "Sequential": "network",
+    "Adam": "training",
+    "TrainConfig": "training",
+    "Trainer": "training",
+    "evaluate": "training",
+    "softmax_cross_entropy": "training",
+    "ConstantLR": "schedule",
+    "CosineLR": "schedule",
+    "EarlyStopping": "schedule",
+    "LRSchedule": "schedule",
+    "StepDecayLR": "schedule",
+    "FIG6_PAPER": "topology",
+    "Fig6Spec": "topology",
+    "build_fig6_network": "topology",
+    "build_small_network": "topology",
+    "SLAYER_SRM": "slayer",
+    "SNE_LIF_4B": "slayer",
+    "ModelConfig": "slayer",
+    "build_pair": "slayer",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.runtime._fsutil import atomic_write_bytes, read_fd, write_temp
+from repro.runtime._fsutil import atomic_write_bytes, read_fd, read_file, write_temp
 
 
 def test_creates_a_missing_nested_directory(tmp_path):
@@ -65,3 +65,16 @@ def test_read_fd_reads_past_one_chunk(tmp_path):
         assert read_fd(fd) == b""
     finally:
         os.close(fd)
+
+
+def test_read_file_reads_all_and_closes(tmp_path):
+    data = os.urandom(70_000)
+    target = tmp_path / "spool-file"
+    target.write_bytes(data)
+    before = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    assert read_file(target) == data
+    assert read_file(str(target)) == data
+    if before is not None:
+        assert len(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(OSError):
+        read_file(tmp_path / "missing")

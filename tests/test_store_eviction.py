@@ -581,6 +581,27 @@ class TestStoreEvents:
         assert store.evict(0) == 1
         assert moved(events, before) == {"evict": 1}
 
+    def test_counts_follow_a_registry_swap(self, tmp_path):
+        """The store holds its counter, yet each count lands in the
+        registry in force when the lookup ran."""
+        store = ResultStore(tmp_path)
+        spec = put_blob(store, "a")
+        first, second = MetricsRegistry(), MetricsRegistry()
+        old = obs.set_registry(first)
+        try:
+            assert store.get(spec) is not None
+            obs.set_registry(second)
+            assert store.get(spec) is not None
+            assert store.get(blob_spec("b")) is None
+        finally:
+            obs.set_registry(old)
+        counts = [
+            {op: registry.counter("repro_store_events_total").value(op=op)
+             for op in ("hit", "miss")}
+            for registry in (first, second)
+        ]
+        assert counts == [{"hit": 1, "miss": 0}, {"hit": 1, "miss": 1}]
+
     def test_root_holds_only_shards_and_the_lock(self, tmp_path, events):
         """A sweep, a served round and a worker chunk on one store leave
         entries in their shards and no sidecar beside them."""
